@@ -75,12 +75,12 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.N < 2:
             raise ValueError(f"need at least 2 cells, got N={self.N}")
-        if not (self.L > 0):
-            raise ValueError(f"domain length must be positive, got L={self.L}")
-        if not (self.dt > 0):
-            raise ValueError(f"time step must be positive, got dt={self.dt}")
-        if self.T < 0:
-            raise ValueError(f"final time must be nonnegative, got T={self.T}")
+        if not (0 < self.L < math.inf):
+            raise ValueError(f"domain length must be positive and finite, got L={self.L}")
+        if not (0 < self.dt < math.inf):
+            raise ValueError(f"time step must be positive and finite, got dt={self.dt}")
+        if not (0 <= self.T < math.inf):
+            raise ValueError(f"final time must be nonnegative and finite, got T={self.T}")
 
     @property
     def dx(self) -> float:
@@ -116,12 +116,12 @@ class PhysParams:
     mu: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.a > 0):
-            raise ValueError(f"pressure coefficient must be positive, got a={self.a}")
-        if not (self.mu > 0):
-            raise ValueError(f"viscosity must be positive, got mu={self.mu}")
-        if not (self.gamma > 1):
-            raise ValueError(f"adiabatic exponent must exceed 1, got gamma={self.gamma}")
+        if not (0 < self.a < math.inf):
+            raise ValueError(f"pressure coefficient must be positive and finite, got a={self.a}")
+        if not (0 < self.mu < math.inf):
+            raise ValueError(f"viscosity must be positive and finite, got mu={self.mu}")
+        if not (1 < self.gamma < math.inf):
+            raise ValueError(f"adiabatic exponent must be finite, > 1, got gamma={self.gamma}")
 
     @property
     def in_theory_range(self) -> bool:

@@ -96,8 +96,8 @@ class ScenarioConfig:
     dt: float | None = None
 
     def __post_init__(self) -> None:
-        if not (self.L > 0 and self.T >= 0):
-            raise ValueError("scenario needs L > 0 and T >= 0")
+        if not (0 < self.L < math.inf and 0 <= self.T < math.inf):
+            raise ValueError("scenario needs finite L > 0 and T >= 0")
         if not self.levels:
             raise ValueError("scenario needs at least one level")
         if any(n <= 0 for n in self.levels):
@@ -107,8 +107,8 @@ class ScenarioConfig:
         base = self.levels[0]
         if any(n % base for n in self.levels):
             raise ValueError("every level must be a multiple of the coarsest")
-        if not self.couple_dt_dx and self.dt is not None and self.dt <= 0:
-            raise ValueError("decoupled dt must be positive")
+        if not self.couple_dt_dx and self.dt is not None and not (0 < self.dt < math.inf):
+            raise ValueError("decoupled dt must be positive and finite")
         probe = np.linspace(0.0, self.L, 513)
         vals = np.asarray(self.rho0_fn(probe), dtype=float)
         if float(np.min(vals)) <= 0.0:

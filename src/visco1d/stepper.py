@@ -12,8 +12,9 @@ with m_i = rho_i * hat_u_i, Up the donor-cell mass flux, UpM the donor-cell
 flux of the averaged momentum, and p(rho) = a * rho**gamma.  Unknowns are
 interleaved as (rho_0, u_1, rho_1, u_2, ..., rho_{N-1}), giving a banded
 Jacobian with at most four sub- and four super-diagonals (the momentum row at
-face f reaches u_{f+-2} through the neighbouring momentum fluxes), solved by
-banded LU.
+face f reaches u_{f+-2} through the neighbouring momentum fluxes).  The
+Jacobian is written straight into those nine diagonals, the layout banded LU
+reads; assemble_jacobian returns the same band as a CSR matrix.
 
 The Newton iteration uses the active-set derivative of the upwind switches
 (d u+/du = 1 for u > 0 else 0, and symmetrically for u-; zero exactly at the
@@ -23,7 +24,8 @@ below the acceptance tolerance — keeps polishing while the residual still
 drops geometrically.  On stagnation above tolerance it falls back to a Picard
 splitting whose continuity half is a tridiagonal M-matrix solve: that half
 preserves positivity and conserves mass exactly, so the fallback is slow but
-safe.
+safe.  A NaN or infinite residual also hands over to the fallback, which
+raises StepFailure when it meets non-finite data itself.
 """
 
 from __future__ import annotations
@@ -65,9 +67,7 @@ class StepResidual:
 
     @property
     def max_norm(self) -> float:
-        cont_max = float(np.max(np.abs(self.cont), initial=0.0))
-        mom_max = float(np.max(np.abs(self.mom), initial=0.0))
-        return max(cont_max, mom_max)
+        return _max_norm(self.cont, self.mom)
 
 
 @dataclass(frozen=True)
@@ -96,14 +96,18 @@ class SolverConfig:
     polish_floor: float = 1e-14
 
     def __post_init__(self) -> None:
-        if self.newton_tol is not None and not (self.newton_tol > 0):
-            raise ValueError("newton_tol must be positive (or None for adaptive)")
+        if self.newton_tol is not None and not (0 < self.newton_tol < math.inf):
+            raise ValueError("newton_tol must be positive and finite (or None for adaptive)")
         if not (0.0 < self.damping < 1.0):
             raise ValueError(f"damping must lie in (0,1), got {self.damping}")
         if self.max_newton_iters < 1:
             raise ValueError("max_newton_iters must be at least 1")
-        if self.fallback < 0 or self.regularize_upwind < 0 or self.polish_floor <= 0:
-            raise ValueError("fallback/regularize_upwind/polish_floor out of range")
+        if not (0.0 <= self.regularize_upwind < math.inf):
+            raise ValueError(f"regularize_upwind must be finite, >= 0: {self.regularize_upwind}")
+        if not (0.0 < self.polish_floor < math.inf):
+            raise ValueError(f"polish_floor must be finite, > 0: {self.polish_floor}")
+        if self.fallback < 0:
+            raise ValueError("fallback must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -177,6 +181,11 @@ def _residual_arrays(
     return cont, mom
 
 
+def _max_norm(cont: np.ndarray, mom: np.ndarray) -> float:
+    """Max-norm over both residual blocks; a NaN anywhere makes it NaN."""
+    return float(np.maximum(np.max(np.abs(cont), initial=0.0), np.max(np.abs(mom), initial=0.0)))
+
+
 def _old_fields(prev: FluidState) -> tuple[np.ndarray, np.ndarray]:
     m_old = prev.rho * _hat(prev.u)
     return prev.rho, 0.5 * (m_old[:-1] + m_old[1:])
@@ -214,97 +223,79 @@ def _upwind_switch(
     return (u > 0.0).astype(float), (u < 0.0).astype(float)
 
 
-def _jacobian_coo(
-    rho: np.ndarray,
-    u: np.ndarray,
-    grid: GridSpec,
-    params: PhysParams,
-    eps: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All Jacobian entries as (row, col, value) in interleaved indexing.
+def _jacobian_ab(
+    rho: np.ndarray, u: np.ndarray, grid: GridSpec, params: PhysParams, eps: float = 0.0
+) -> np.ndarray:
+    """Exact Jacobian in solve_banded layout: entry (row r, col c) at ab[4 + r - c, c].
 
-    Row/col map: rho_i <-> 2i, u_f <-> 2f-1.  Entries repeat per (term,
-    neighbour) pair; duplicates are summed by the consumers.
+    Row/col map: rho_i <-> 2i, u_f <-> 2f-1.  Each term below couples unknowns
+    at fixed row and column offsets, so it is one strided write along a band
+    row d = 4 + r - c from its first column c0.  Terms meeting in one entry are
+    summed in a fixed order, so the band is reproducible bit for bit.
     """
     n = rho.size
     dt, dx = grid.dt, grid.dx
     up = np.maximum(u, 0.0)
     um = np.minimum(u, 0.0)
     sp, sm = _upwind_switch(u, eps)
-    sp[0] = sm[0] = sp[-1] = sm[-1] = 0.0  # wall velocities are not unknowns
     hat = _hat(u)
     m = rho * hat
     dp = params.dpressure(rho)
+    ab = np.zeros((_BANDS[0] + _BANDS[1] + 1, 2 * n - 1))
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    def add(d: int, c0: int, v: np.ndarray) -> None:
+        ab[d, c0 : c0 + 2 * v.size : 2] += v
 
-    def add(r: np.ndarray, c: np.ndarray, v: np.ndarray) -> None:
-        rows.append(np.asarray(r, dtype=np.intp))
-        cols.append(np.asarray(c, dtype=np.intp))
-        vals.append(np.asarray(v, dtype=float))
-
-    cells = np.arange(n)
-    # ---- continuity rows (2i) ----
-    add(2 * cells, 2 * cells, 1.0 / dt + (up[1:] - um[:-1]) / dx)
-    i = cells[:-1]  # coupling to the right neighbour exists for i <= N-2
-    add(2 * i, 2 * i + 2, um[i + 1] / dx)
-    add(2 * i, 2 * i + 1, (rho[i] * sp[i + 1] + rho[i + 1] * sm[i + 1]) / dx)
-    i = cells[1:]
-    add(2 * i, 2 * i - 2, -up[i] / dx)
-    add(2 * i, 2 * i - 1, -(rho[i - 1] * sp[i] + rho[i] * sm[i]) / dx)
+    # ---- continuity rows (2i): donor-cell fluxes through faces i and i+1 ----
+    add(4, 0, 1.0 / dt + (up[1:] - um[:-1]) / dx)  # rho_i
+    add(2, 2, um[1:-1] / dx)  # rho_{i+1}, i <= N-2
+    flux_u = (rho[:-1] * sp[1:-1] + rho[1:] * sm[1:-1]) / dx
+    add(3, 1, flux_u)  # u_{i+1}, i <= N-2
+    add(6, 0, -up[1:-1] / dx)  # rho_{i-1}, i >= 1
+    add(5, 1, -flux_u)  # u_i, i >= 1
 
     # ---- momentum rows (2f-1), f = 1..N-1 ----
-    f = np.arange(1, n)
-    row = 2 * f - 1
-
     # time term d_t (m_{f-1} + m_f)/2 with hat_u linear in u
-    add(row, 2 * (f - 1), hat[f - 1] / (2.0 * dt))
-    add(row, 2 * f, hat[f] / (2.0 * dt))
-    add(row, 2 * f - 1, (rho[f - 1] + rho[f]) / (4.0 * dt))
-    g = f[f - 1 >= 1]
-    add(2 * g - 1, 2 * (g - 1) - 1, rho[g - 1] / (4.0 * dt))
-    g = f[f + 1 <= n - 1]
-    add(2 * g - 1, 2 * (g + 1) - 1, rho[g] / (4.0 * dt))
+    add(5, 0, hat[:-1] / (2.0 * dt))  # rho_{f-1}
+    add(3, 2, hat[1:] / (2.0 * dt))  # rho_f
+    add(4, 1, (rho[:-1] + rho[1:]) / (4.0 * dt))  # u_f
+    add(6, 1, rho[1:-1] / (4.0 * dt))  # u_{f-1}, f >= 2
+    add(2, 3, rho[1:-1] / (4.0 * dt))  # u_{f+1}, f <= N-2
 
     # pressure gradient
-    add(row, 2 * f, dp[f] / dx)
-    add(row, 2 * (f - 1), -dp[f - 1] / dx)
+    add(3, 2, dp[1:] / dx)
+    add(5, 0, -dp[:-1] / dx)
 
     # viscous Laplacian
-    add(row, 2 * f - 1, np.full(f.size, 2.0 * params.mu / dx**2))
-    g = f[f - 1 >= 1]
-    add(2 * g - 1, 2 * (g - 1) - 1, np.full(g.size, -params.mu / dx**2))
-    g = f[f + 1 <= n - 1]
-    add(2 * g - 1, 2 * (g + 1) - 1, np.full(g.size, -params.mu / dx**2))
+    add(4, 1, np.full(n - 1, 2.0 * params.mu / dx**2))
+    add(6, 1, np.full(n - 2, -params.mu / dx**2))
+    add(2, 3, np.full(n - 2, -params.mu / dx**2))
 
     # convection (UpM_{f+1} - UpM_{f-1}) / (2 dx); UpM at the walls is zero,
     # so only interior neighbour faces g contribute.
     c2 = 2.0 * dx
 
-    def mflux_block(face_rows: np.ndarray, g: np.ndarray, sign: float) -> None:
-        """d/d(unknowns) of sign * UpM_g / (2 dx) added to the given rows."""
-        add(face_rows, 2 * (g - 1), sign * hat[g - 1] * up[g] / c2)
-        add(face_rows, 2 * g, sign * hat[g] * um[g] / c2)
+    def mflux_block(lo: int, hi: int, s: int, sign: float) -> None:
+        """d/d(unknowns) of sign * UpM_g / (2 dx) for faces g = lo..hi-1 in rows 2g + s."""
+        g, gl = slice(lo, hi), slice(lo - 1, hi - 1)
+        d = 4 + s
+        add(d + 2, 2 * lo - 2, sign * hat[gl] * up[g] / c2)  # rho_{g-1}
+        add(d, 2 * lo, sign * hat[g] * um[g] / c2)  # rho_g
         add(
-            face_rows,
-            2 * g - 1,
+            d + 1,
+            2 * lo - 1,
             sign
-            * (m[g - 1] * sp[g] + m[g] * sm[g] + 0.5 * rho[g - 1] * up[g] + 0.5 * rho[g] * um[g])
+            * (m[gl] * sp[g] + m[g] * sm[g] + 0.5 * rho[gl] * up[g] + 0.5 * rho[g] * um[g])
             / c2,
-        )
-        keep = g - 1 >= 1
-        add(face_rows[keep], 2 * (g[keep] - 1) - 1, sign * 0.5 * rho[g[keep] - 1] * up[g[keep]] / c2)
-        keep = g + 1 <= n - 1
-        add(face_rows[keep], 2 * (g[keep] + 1) - 1, sign * 0.5 * rho[g[keep]] * um[g[keep]] / c2)
+        )  # u_g
+        lo2 = max(lo, 2)  # u_{g-1} is an unknown for g >= 2
+        add(d + 3, 2 * lo2 - 3, sign * 0.5 * rho[lo2 - 1 : hi - 1] * up[lo2:hi] / c2)
+        hi2 = min(hi, n - 1)  # u_{g+1} is an unknown for g <= N-2
+        add(d - 1, 2 * lo + 1, sign * 0.5 * rho[lo:hi2] * um[lo:hi2] / c2)
 
-    right = f[f + 1 <= n - 1]
-    mflux_block(2 * right - 1, right + 1, +1.0)
-    left = f[f - 1 >= 1]
-    mflux_block(2 * left - 1, left - 1, -1.0)
-
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    mflux_block(2, n, -3, +1.0)  # g = f+1, row 2f-1 = 2g-3
+    mflux_block(1, n - 1, +1, -1.0)  # g = f-1, row 2f-1 = 2g+1
+    return ab
 
 
 def assemble_jacobian(
@@ -319,23 +310,14 @@ def assemble_jacobian(
     Rows follow the interleaved unknown ordering (rho_0, u_1, rho_1, ...);
     ``prev`` only sets the time-difference origin, so it never appears in the
     derivative.  Upwind kinks use the active-set convention unless a
-    regularization width is supplied.
+    regularization width is supplied.  This is the band Newton solves with,
+    in CSR form.
     """
     del prev  # the residual is affine in the old state
-    r, c, v = _jacobian_coo(trial.rho, trial.u, grid, params, regularize_upwind)
-    size = 2 * trial.N - 1
-    return scipy.sparse.coo_matrix((v, (r, c)), shape=(size, size)).tocsr()
-
-
-def _jacobian_ab(
-    rho: np.ndarray, u: np.ndarray, grid: GridSpec, params: PhysParams, eps: float
-) -> np.ndarray:
-    """Jacobian in solve_banded layout: ab[4 + r - c, c]."""
-    r, c, v = _jacobian_coo(rho, u, grid, params, eps)
-    size = 2 * rho.size - 1
-    ab = np.zeros((_BANDS[0] + _BANDS[1] + 1, size))
-    np.add.at(ab, (_BANDS[1] + r - c, c), v)
-    return ab
+    ab = _jacobian_ab(trial.rho, trial.u, grid, params, regularize_upwind)
+    size = ab.shape[1]
+    offsets = _BANDS[1] - np.arange(ab.shape[0])
+    return scipy.sparse.dia_matrix((ab, offsets), shape=(size, size)).tocsr()
 
 
 # ======================================================================
@@ -391,10 +373,16 @@ def _picard_sweeps(
     n = rho.size
 
     def residual_norm(r: np.ndarray, w: np.ndarray) -> float:
-        cont, mom = _residual_arrays(rho_old, w_old, r, w, grid, params)
-        return max(float(np.max(np.abs(cont))), float(np.max(np.abs(mom))))
+        return _max_norm(*_residual_arrays(rho_old, w_old, r, w, grid, params))
+
+    def require_finite(x, what: str) -> None:
+        if not np.all(np.isfinite(x)):
+            raise StepFailure(
+                f"fixed-point fallback met a non-finite {what}", k, history, float(np.min(rho))
+            )
 
     nr = residual_norm(rho, u)
+    require_finite(nr, "residual")
     omega = 1.0
     for sweep in range(1, cfg.fallback + 1):
         up = np.maximum(u, 0.0)
@@ -418,6 +406,7 @@ def _picard_sweeps(
         abm[0, 1:] = rho_t[1:-1] / (4.0 * dt) - params.mu / dx**2
         abm[2, :-1] = rho_t[1:-1] / (4.0 * dt) - params.mu / dx**2
         u_t = np.zeros(n + 1)
+        require_finite(rhs, "momentum right-hand side")
         u_t[1:-1] = solve_banded((1, 1), abm, rhs)
 
         while True:
@@ -430,6 +419,7 @@ def _picard_sweeps(
         rho, u, made_progress = rho_new, u_new, nr_new < nr
         nr = nr_new
         history.append(nr)
+        require_finite(nr, "residual")
         if nr <= tol:
             return rho, u, sweep, nr
         if made_progress:
@@ -486,8 +476,10 @@ def advance(
 
     for it in range(1, cfg.max_newton_iters + 1):
         cont, mom = _residual_arrays(rho_old, w_old, rho, u, grid, params)
-        nr = max(float(np.max(np.abs(cont))), float(np.max(np.abs(mom))))
+        nr = _max_norm(cont, mom)
         history.append(nr)
+        if not math.isfinite(nr):
+            break  # hand over to the fixed-point fallback
         if it == 1:
             tol = cfg.newton_tol if cfg.newton_tol is not None else 1e-10 * (1.0 + nr)
             floor = cfg.polish_floor * (1.0 + nr)
@@ -496,9 +488,8 @@ def advance(
             meta = StepMeta(it, nr, tol, floor, backtracks, False, 0)
             _check_divergence_bound(prev, rho, u, grid, nr, k)
             return FluidState(rho=rho, u=u, k=k), meta
-        diverging = not math.isfinite(nr) or (it >= 5 and stalled and nr > tol)
-        if diverging or it == cfg.max_newton_iters:
-            break  # hand over to the fixed-point fallback
+        if (it >= 5 and stalled and nr > tol) or it == cfg.max_newton_iters:
+            break  # diverging or out of iterations: hand over to the fallback
 
         ab = _jacobian_ab(rho, u, grid, params, eps)
         resid = _interleave(cont, mom)

@@ -122,6 +122,57 @@ def test_malformed_values_name_key_and_line():
         parse_config("[scenario]\nname = constant\nlevels = 8,big\n")
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("L", "inf"),
+        ("T", "inf"),
+        ("dt", "inf"),
+        ("a", "inf"),
+        ("gamma", "inf"),
+        ("mu", "inf"),
+        ("mu", "nan"),
+        ("newton_tol", "inf"),
+        ("newton_tol", "nan"),
+        ("damping", "nan"),
+        ("regularize_upwind", "nan"),
+        ("regularize_upwind", "inf"),
+        ("polish_floor", "nan"),
+        ("polish_floor", "inf"),
+    ],
+)
+def test_non_finite_values_are_config_errors(key, value):
+    text = "[scenario]\nname = constant\n"
+    if key == "dt":
+        text += "couple_dt_dx = off\n"
+    if key in ("newton_tol", "damping", "regularize_upwind", "polish_floor"):
+        text += "[solver]\n"
+    with pytest.raises(ConfigError, match=key):
+        parse_config(text + f"{key} = {value}\n")
+
+
+def test_non_finite_viscosity_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[scenario]\nname = constant\nlevels = 8\nmu = inf\n")
+    assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "mu=inf" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "state.csv").exists()
+
+
+def test_non_finite_residual_exits_1_with_step_and_history(tmp_path, capsys):
+    """p = 3**1000 overflows: the step fails loudly instead of copying the state."""
+    cfg = write_cfg(
+        tmp_path,
+        "[scenario]\nname = overflow\nrho0 = piecewise:0.5|3,1\nu0 = zero\n"
+        "gamma = 1000\nlevels = 16\nT = 0.0625\n",
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "solver failure" in err
+    assert "step k=1" in err
+    assert "recent residual norms: [nan" in err
+
+
 # ======================================================================
 # state CSV
 # ======================================================================

@@ -7,7 +7,7 @@ import pytest
 import scipy.optimize
 
 import visco1d as v
-from visco1d.stepper import advance, assemble_jacobian, assemble_residual
+from visco1d.stepper import _jacobian_ab, advance, assemble_jacobian, assemble_residual
 
 from conftest import constant_state, scenario_named, solve_level
 
@@ -139,6 +139,52 @@ def test_jacobian_bandwidth_respects_interleaving():
     assert np.max(np.abs(rows - cols)) <= 4
 
 
+def _unpack_band(ab):
+    """Dense matrix of a solve_banded (4, 4) band: ab[4 + r - c, c] -> A[r, c]."""
+    size = ab.shape[1]
+    dense = np.zeros((size, size))
+    for d in range(ab.shape[0]):
+        for c in range(size):
+            r = c + d - 4
+            if 0 <= r < size:
+                dense[r, c] = ab[d, c]
+    return dense
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_band_jacobian_is_the_csr_jacobian(eps):
+    """Newton's band and assemble_jacobian agree exactly, outer diagonals included."""
+    rng = np.random.default_rng(31)
+    pp = _params(mu=0.7)
+    outer = set()
+    for n in range(2, 9):
+        g = v.GridSpec(L=1.0, N=n, dt=1.0 / n, T=1.0)
+        for _ in range(6):
+            rho = rng.uniform(0.3, 3.0, size=n)
+            u = np.zeros(n + 1)
+            u[1:-1] = rng.uniform(-1.0, 1.0, size=n - 1)
+            u[1:-1][rng.random(n - 1) < 0.3] = 0.0  # exact upwind kinks
+            st = v.FluidState(rho=rho, u=u)
+            ab = _jacobian_ab(st.rho, st.u, g, pp, eps)
+            assert ab.shape == (9, 2 * n - 1)
+            dense = _unpack_band(ab)
+            csr = assemble_jacobian(st, st, g, pp, regularize_upwind=eps).toarray()
+            np.testing.assert_array_equal(dense, csr)
+            rows, cols = np.nonzero(dense)
+            outer.update(int(d) for d in 4 + rows - cols if d in (0, 8))
+    assert outer == {0, 8}
+
+
+def test_finite_difference_jacobian_vanishes_outside_the_band():
+    rng = np.random.default_rng(17)
+    pp = _params(mu=0.4)
+    for n in (4, 7):
+        g = v.GridSpec(L=1.0, N=n, dt=1.0 / n, T=1.0)
+        fd = _fd_jacobian(_random_state(rng, n), _random_state(rng, n), g, pp)
+        r, c = np.indices(fd.shape)
+        assert np.all(fd[np.abs(r - c) > 4] == 0.0)
+
+
 # ======================================================================
 # advance
 # ======================================================================
@@ -213,6 +259,20 @@ def test_advance_picard_fallback_reaches_tolerance():
     assert meta.residual_norm <= meta.tol
     ref, _ = advance(prev, g, sc.params)
     np.testing.assert_allclose(out.rho, ref.rho, atol=1e-7)
+
+
+def test_non_finite_pressure_raises_step_failure():
+    """An overflowing pressure makes the residual NaN; that must not pass as 0."""
+    g = v.GridSpec(L=1.0, N=16, dt=1.0 / 16.0, T=1.0 / 16.0)
+    rho = np.where(np.arange(16) < 8, 3.0, 1.0)
+    prev = v.FluidState(rho=rho, u=np.zeros(17))
+    pp = v.PhysParams(gamma=1000.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(assemble_residual(prev, prev, g, pp).max_norm)
+        with pytest.raises(v.StepFailure, match="non-finite") as err:
+            advance(prev, g, pp)
+    assert err.value.k == 1
+    assert np.isnan(err.value.residual_history[-1])
 
 
 def test_solver_config_validation():
