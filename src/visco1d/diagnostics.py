@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .grid import FluidState, GridSpec, PhysParams, Trajectory, gauss_rule
+from .grid import FluidState, GridSpec, PhysParams, Trajectory, gauss_panels
 from .operators import (
     diff_cell,
     dirichlet_inv_grad,
@@ -43,6 +43,8 @@ __all__ = [
     "positivity_report",
     "flux_ledger",
     "error_rates",
+    "rates_from_levels",
+    "boundedness",
     "weak_residual_continuity",
     "weak_residual_momentum",
     "norm_suite",
@@ -243,6 +245,7 @@ def renorm_residual(traj: Trajectory, B: BFunction) -> np.ndarray:
     g = traj.grid
     dt, dx = g.dt, g.dx
     rho_m = traj.rho_matrix
+    u_m = traj.u_matrix
     steps = rho_m.shape[0] - 1
     lo, hi = float(np.min(rho_m)), float(np.max(rho_m))
     sup_abs_deriv(B, lo, hi, samples=257)  # rejects non-C^1-on-range inputs
@@ -251,7 +254,7 @@ def renorm_residual(traj: Trajectory, B: BFunction) -> np.ndarray:
 
     out = np.empty((steps, g.N))
     for k in range(1, steps + 1):
-        rho, u = rho_m[k], traj.u_matrix[k]
+        rho, u = rho_m[k], u_m[k]
         bv = np.asarray(B.value(rho), dtype=float)
         bp = np.asarray(B.deriv(rho), dtype=float)
         bv_prev = np.asarray(B.value(rho_m[k - 1]), dtype=float)
@@ -310,12 +313,13 @@ class PositivityReport:
 def positivity_report(traj: Trajectory) -> PositivityReport:
     g = traj.grid
     rho_m = traj.rho_matrix
+    u_m = traj.u_matrix
     steps = rho_m.shape[0] - 1
     min_rho = np.empty(steps)
     bound = np.empty(steps)
     div_bound = np.empty(steps)
     for k in range(1, steps + 1):
-        rho, u = rho_m[k], traj.u_matrix[k]
+        rho, u = rho_m[k], u_m[k]
         prev_min = float(np.min(rho_m[k - 1]))
         min_rho[k - 1] = float(np.min(rho))
         bound[k - 1] = prev_min / (1.0 + g.dt * float(np.max(np.abs(u))))
@@ -499,44 +503,46 @@ def _check_test_function(fn: TestFunction, L: float, T: float) -> None:
 class _WindowQuadrature:
     """Shared tensor Gauss data: per-cell x-nodes and per-window t-nodes."""
 
-    def __init__(self, traj: Trajectory, points: int = 5):
+    def __init__(self, traj: Trajectory):
         g = traj.grid
         self.g = g
-        xs, wx = [], []
-        for i in range(g.N):
-            nodes, weights = gauss_rule(i * g.dx, (i + 1) * g.dx, 1)
-            xs.append(nodes)
-            wx.append(weights)
-        self.x = np.concatenate(xs)              # (N*q,)
-        self.wx = np.concatenate(wx)             # (N*q,)
-        self.q = xs[0].size
+        cells = np.arange(g.N)
+        x, wx = gauss_panels(cells * g.dx, (cells + 1) * g.dx)
+        self.x = x.ravel()                       # (N*q,)
+        self.wx = wx.ravel()                     # (N*q,)
+        self.q = x.shape[1]
         self.face_x = g.face_nodes
+        # row k-1 holds the nodes/weights of window k = (t^{k-1}, t^k]
+        windows = np.arange(len(traj) - 1)
+        self.tn, self.tw = gauss_panels(windows * g.dt, (windows + 1) * g.dt)
         # velocity interpolation weights at the x-nodes
         idx = np.minimum((self.x / g.dx).astype(int), g.N - 1)
         self.cell_of_node = idx
         self.frac = self.x / g.dx - idx
 
     def t_nodes(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        g = self.g
-        return gauss_rule((k - 1) * g.dt, k * g.dt, 1)
+        return self.tn[k - 1], self.tw[k - 1]
 
     def u_at_nodes(self, u: np.ndarray) -> np.ndarray:
         i = self.cell_of_node
         return u[i] + self.frac * (u[i + 1] - u[i])
 
     def averages(
-        self, fn: TestFunction, k: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(cell-time averages, time-avg at faces, raw nodes grid, t-weights)."""
+        self, fn: TestFunction, k: int, vals: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(cell-time averages, time averages at faces) of fn on window k.
+
+        ``vals`` is fn.value on the window's (t-node, x-node) grid, which the
+        callers have already evaluated.
+        """
         tn, tw = self.t_nodes(k)
         g = self.g
-        vals = fn.value(tn[:, None], self.x[None, :])        # (q, N*q)
         cell_avg = (
             (tw[:, None] * vals * self.wx[None, :]).sum(axis=0).reshape(g.N, self.q).sum(axis=1)
         ) / (g.dt * g.dx)
         face_vals = fn.value(tn[:, None], self.face_x[None, :])
         face_avg = (tw[:, None] * face_vals).sum(axis=0) / g.dt
-        return cell_avg, face_avg, vals, tw
+        return cell_avg, face_avg
 
 
 def weak_residual_continuity(
@@ -557,10 +563,11 @@ def weak_residual_continuity(
     quad = _WindowQuadrature(traj)
     dt, dx = g.dt, g.dx
     rho_m = traj.rho_matrix
+    u_m = traj.u_matrix
     lhs = 0.0
     p1 = 0.0
     for k in range(1, len(traj)):
-        rho, u = rho_m[k], traj.u_matrix[k]
+        rho, u = rho_m[k], u_m[k]
         tn, tw = quad.t_nodes(k)
         phi_vals = phi.value(tn[:, None], quad.x[None, :])
         phix_vals = phi.deriv_x(tn[:, None], quad.x[None, :])
@@ -570,7 +577,7 @@ def weak_residual_continuity(
         integrand = dt_rho[None, :] * phi_vals - (rho_n * u_n)[None, :] * phix_vals
         lhs += float(tw @ (integrand @ quad.wx))
 
-        cell_avg, face_avg, _, _ = quad.averages(phi, k)
+        cell_avg, face_avg = quad.averages(phi, k, phi_vals)
         up_int = np.maximum(u[1:-1], 0.0)
         um_int = np.minimum(u[1:-1], 0.0)
         jump = rho[1:] - rho[:-1]
@@ -622,7 +629,7 @@ def weak_residual_momentum(traj: Trajectory, v: TestFunction) -> tuple[float, fl
         )
         lhs += float(tw @ (integrand @ quad.wx))
 
-        cell_avg, face_avg, _, _ = quad.averages(v, k)
+        cell_avg, face_avg = quad.averages(v, k, v_vals)
         j1 = float(
             np.sum(dt_mom * (0.5 * dx * (face_avg[:-1] + face_avg[1:]) - dx * cell_avg))
         )
@@ -787,23 +794,37 @@ def error_rates(
         # exact zero and the measured rate would be roundoff noise.
         v = default_test_functions(base.grid.L, base.grid.T, js=(2,))[0]
 
-    hs = [tr.grid.dx for tr in trajs]
-    e1s, e2s, p1s, p2s, rints = [], [], [], [], []
+    rows = []
     for tr in trajs:
         ledger = flux_ledger(tr)
-        e1s.append(abs(ledger.E1))
-        e2s.append(abs(ledger.E2))
-        p1s.append(abs(weak_residual_continuity(tr, phi)[1]))
-        p2s.append(abs(weak_residual_momentum(tr, v)[1]))
-        rints.append(rho_power_integral(tr))
+        rows.append({
+            "h": tr.grid.dx,
+            "E1": abs(ledger.E1),
+            "E2": abs(ledger.E2),
+            "P1": abs(weak_residual_continuity(tr, phi)[1]),
+            "P2": abs(weak_residual_momentum(tr, v)[1]),
+            "rho_gamma_plus_1": rho_power_integral(tr),
+        })
+    return rates_from_levels(rows)
 
-    out = {
-        "E1": _summarize_orders(e1s, hs),
-        "E2": _summarize_orders(e2s, hs),
-        "P1": _summarize_orders(p1s, hs),
-        "P2": _summarize_orders(p2s, hs),
-    }
-    finite = [x for x in rints if x > 0.0]
+
+def boundedness(values: Sequence[float]) -> dict:
+    """Per-level values with their max/min ratio over the positive ones."""
+    finite = [x for x in values if x > 0.0]
     ratio = (max(finite) / min(finite)) if finite else 1.0
-    out["rho_gamma_plus_1"] = {"values": rints, "max_over_min": ratio}
+    return {"values": list(values), "max_over_min": ratio}
+
+
+def rates_from_levels(rows: Sequence[Mapping[str, float]]) -> dict[str, dict]:
+    """The ``error_rates`` table from per-level magnitudes already computed.
+
+    ``rows`` holds one mapping per level, coarsest first, with the mesh size
+    "h", the magnitudes "E1", "E2", "P1", "P2" and "rho_gamma_plus_1".
+    """
+    hs = [row["h"] for row in rows]
+    out = {
+        key: _summarize_orders([row[key] for row in rows], hs)
+        for key in ("E1", "E2", "P1", "P2")
+    }
+    out["rho_gamma_plus_1"] = boundedness([row["rho_gamma_plus_1"] for row in rows])
     return out

@@ -34,6 +34,7 @@ __all__ = [
     "eval_density",
     "eval_velocity",
     "gauss_rule",
+    "gauss_panels",
     "cell_averages",
 ]
 
@@ -41,14 +42,20 @@ __all__ = [
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 
 
+def gauss_panels(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """5-point Gauss nodes/weights on each panel [a[j], b[j]], shape (P, 5)."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    nodes = mid[:, None] + half[:, None] * _GAUSS_X[None, :]
+    weights = half[:, None] * _GAUSS_W[None, :]
+    return nodes, weights
+
+
 def gauss_rule(a: float, b: float, n_sub: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Composite 5-point Gauss nodes/weights on [a, b] split into n_sub panels."""
     edges = np.linspace(a, b, n_sub + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GAUSS_X[None, :]).ravel()
-    weights = (half[:, None] * _GAUSS_W[None, :]).ravel()
-    return nodes, weights
+    nodes, weights = gauss_panels(edges[:-1], edges[1:])
+    return nodes.ravel(), weights.ravel()
 
 
 # ======================================================================

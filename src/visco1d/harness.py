@@ -83,6 +83,12 @@ class ScenarioConfig:
     coarsest, so that coarse cells are unions of fine cells and the Cauchy
     projections below are exact.  ``dt`` is only consulted when
     ``couple_dt_dx`` is off.
+
+    ``name`` is a label only; it does not look up a built-in scenario.  With
+    the default ``rho0``/``u0``, ``ScenarioConfig(name="riemann-like")`` is a
+    constant, quiescent scenario.  To get a built-in one, pick it from
+    ``builtin_scenarios()`` by name, or let ``cli.parse_config`` resolve a
+    config's ``name`` key, which seeds every default from it.
     """
 
     name: str
@@ -356,9 +362,10 @@ def run_refinement(
 
     orders: dict[str, dict] = {}
     # Decay orders are only meaningful on the dt = dx line, and need three
-    # completed levels to telescope; otherwise report magnitudes alone.
-    if len(done) >= 3 and scenario.couple_dt_dx:
-        rates = diagnostics.error_rates([trajs[n] for n in done], phi=phi, v=v)
+    # completed levels, each with at least one step, to telescope; otherwise
+    # report magnitudes alone.
+    if len(done) >= 3 and scenario.couple_dt_dx and all(row["steps"] for row in per_level):
+        rates = diagnostics.rates_from_levels(per_level)
         for key in ("E1", "E2", "P1", "P2"):
             entry = dict(rates[key])
             entry["floor"] = _ORDER_FLOORS[key](scenario.params.gamma)
@@ -372,33 +379,21 @@ def run_refinement(
             }
             entry["floor"] = _ORDER_FLOORS[key](scenario.params.gamma)
             orders[key] = entry
-        boundedness = {
-            "rho_gamma_plus_1": dict(rates["rho_gamma_plus_1"]),
-        }
-    else:
-        values = [row["rho_gamma_plus_1"] for row in per_level]
-        finite = [x for x in values if x > 0.0]
-        boundedness = {
-            "rho_gamma_plus_1": {
-                "values": values,
-                "max_over_min": (max(finite) / min(finite)) if finite else 1.0,
-            }
-        }
 
-    for key in (
-        "rho_Linf_Lgamma",
-        "pressure_Linf_L1",
-        "u_L2_H1",
-        "u_L2_Linf",
-        "momentum_Linf_Lr",
-        "kinetic_Linf_L1",
-        "rho_u_L2_Lgamma",
-        "rho_u2_L2_Lr",
-    ):
-        values = [row[key] for row in per_level]
-        finite = [x for x in values if x > 0.0]
-        ratio = (max(finite) / min(finite)) if finite else 1.0
-        boundedness[key] = {"values": values, "max_over_min": ratio}
+    boundedness = {
+        key: diagnostics.boundedness([row[key] for row in per_level])
+        for key in (
+            "rho_gamma_plus_1",
+            "rho_Linf_Lgamma",
+            "pressure_Linf_L1",
+            "u_L2_H1",
+            "u_L2_Linf",
+            "momentum_Linf_Lr",
+            "kinetic_Linf_L1",
+            "rho_u_L2_Lgamma",
+            "rho_u2_L2_Lr",
+        )
+    }
 
     if not scenario.couple_dt_dx:
         flags.append("outside convergence-theory regime (dt decoupled from dx)")

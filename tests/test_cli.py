@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,41 @@ def test_verify_smooth_bump_passes_too(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[scenario]\nname = smooth-bump\nlevels = 16,32,64\n")
     assert run_cli(["verify", "--config", cfg]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_verify_with_zero_final_time_passes(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[scenario]\nname = smooth-bump\nlevels = 16\nT = 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["verify", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "FAIL" not in captured.out
+    assert captured.out.rstrip().endswith("identity checks passed")
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        ("run", "wrote"),
+        ("verify", "15/15 identity checks passed"),
+        ("flux", "checkpoint m=25"),
+    ],
+    ids=["run", "verify", "flux"],
+)
+def test_decoupled_dt_is_accepted_by_every_command(tmp_path, capsys, command, expected):
+    cfg = write_cfg(
+        tmp_path,
+        "[scenario]\nname = smooth-bump\nlevels = 64\ncouple_dt_dx = off\ndt = 0.01\n"
+        f"[output]\nout_dir = {tmp_path / 'o'}\n",
+    )
+    argv = [command, "--config", cfg]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert run_cli(argv) == 0
+    captured = capsys.readouterr()
+    assert "config error" not in captured.err
+    assert expected in captured.out
 
 
 def test_flux_subcommand_writes_ledger(tmp_path, capsys):

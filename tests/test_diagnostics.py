@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate
 
 import visco1d as v
-from visco1d.diagnostics import _int_abs_linear_pow
+from visco1d.diagnostics import _WindowQuadrature, _int_abs_linear_pow
 from visco1d.operators import diff_cell
 
 from conftest import constant_state, scenario_named, solve_level, with_levels
@@ -260,6 +260,21 @@ def test_weak_self_consistency(smooth_traj_32):
         assert abs(lhs2 - p2) <= 1e-8
 
 
+@pytest.mark.parametrize("n", [2, 7, 64])
+def test_window_quadrature_nodes_are_the_per_cell_gauss_rules(n):
+    traj = synthetic_trajectory([constant_state(n)] * 41, L=0.7)
+    g = traj.grid
+    quad = _WindowQuadrature(traj)
+    xs, ws = zip(*(v.gauss_rule(i * g.dx, (i + 1) * g.dx, 1) for i in range(n)))
+    assert quad.x.tobytes() == np.concatenate(xs).tobytes()
+    assert quad.wx.tobytes() == np.concatenate(ws).tobytes()
+    for k in range(1, len(traj)):
+        tn, tw = quad.t_nodes(k)
+        ref_n, ref_w = v.gauss_rule((k - 1) * g.dt, k * g.dt, 1)
+        assert tn.tobytes() == ref_n.tobytes(), k
+        assert tw.tobytes() == ref_w.tobytes(), k
+
+
 def test_p1_shrinks_under_refinement(smooth_ladder):
     phi = v.default_test_functions(1.0, smooth_ladder[64].grid.T, js=(1,))[0]
     mags = [abs(v.weak_residual_continuity(smooth_ladder[n], phi)[1]) for n in (64, 128, 256, 512)]
@@ -346,3 +361,38 @@ def test_error_rates_constant_scenario_exact():
 def test_effective_newton_tol_default_for_trivial_run(constant_traj):
     # constant data: residual starts at 0, so the scaled tolerance is 1e-10
     assert v.effective_newton_tol(constant_traj) == pytest.approx(1e-10)
+
+
+# ======================================================================
+# cost: each diagnostic stacks the trajectory once, not once per step
+# ======================================================================
+
+
+_STACKING_DIAGNOSTICS = {
+    "energy_ledger": lambda tr: v.energy_ledger(tr),
+    "renorm_residual": lambda tr: v.renorm_residual(tr, v.b_square()),
+    "positivity_report": lambda tr: v.positivity_report(tr),
+    "weak_residual_continuity": lambda tr: v.weak_residual_continuity(
+        tr, v.default_test_functions(tr.grid.L, tr.grid.T)[0]
+    ),
+    "weak_residual_momentum": lambda tr: v.weak_residual_momentum(
+        tr, v.default_test_functions(tr.grid.L, tr.grid.T)[1]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STACKING_DIAGNOSTICS))
+def test_diagnostics_stack_each_matrix_at_most_once(name, smooth_traj_64, monkeypatch):
+    assert len(smooth_traj_64) - 1 >= 16
+    counts = {"rho_matrix": 0, "u_matrix": 0}
+    for attr in counts:
+        original = getattr(v.Trajectory, attr)
+
+        def counted(self, attr=attr, original=original):
+            counts[attr] += 1
+            return original.fget(self)
+
+        monkeypatch.setattr(v.Trajectory, attr, property(counted))
+    _STACKING_DIAGNOSTICS[name](smooth_traj_64)
+    assert counts["rho_matrix"] <= 1
+    assert counts["u_matrix"] <= 1

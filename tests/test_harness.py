@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import visco1d as v
+from visco1d import diagnostics
 from visco1d.harness import resolve_density_profile, resolve_velocity_profile
 
-from conftest import scenario_named, with_levels
+from conftest import scenario_named, solve_level, with_levels
 
 
 # ======================================================================
@@ -220,3 +221,44 @@ def test_run_refinement_per_level_summary_fields(smooth_ladder):
         assert key in row
     assert row["N"] == 64
     assert row["h"] == pytest.approx(1.0 / 64.0)
+
+
+def test_run_refinement_orders_are_error_rates_without_recomputing(monkeypatch):
+    sc = with_levels(scenario_named("smooth-bump"), (16, 32, 64))
+    calls: dict[str, int] = {}
+    for name in ("flux_ledger", "weak_residual_continuity",
+                 "weak_residual_momentum", "rho_power_integral"):
+        original = getattr(diagnostics, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, name, counted)
+    error_rates = diagnostics.error_rates
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_refinement recomputed the level diagnostics")
+
+    monkeypatch.setattr(diagnostics, "error_rates", forbidden)
+    rep = v.run_refinement(sc)
+    assert calls == dict.fromkeys(calls, len(sc.levels))
+    assert len(calls) == 4
+
+    rates = error_rates([solve_level(sc, n) for n in sc.levels])
+    for key in ("E1", "E2", "P1", "P2"):
+        entry = dict(rep.orders[key])
+        entry.pop("floor")
+        assert entry == rates[key], key
+    assert rep.boundedness["rho_gamma_plus_1"] == rates["rho_gamma_plus_1"]
+
+
+def test_run_refinement_without_steps_reports_no_orders():
+    sc = with_levels(scenario_named("smooth-bump"), (8, 16, 32))
+    rep = v.run_refinement(v.ScenarioConfig(
+        name=sc.name, rho0=sc.rho0, u0=sc.u0, T=0.0, params=sc.params, levels=sc.levels,
+    ))
+    assert not rep.failed
+    assert [row["steps"] for row in rep.per_level] == [0, 0, 0]
+    assert rep.orders == {}
+    assert rep.boundedness["rho_gamma_plus_1"]["values"] == [0.0, 0.0, 0.0]
