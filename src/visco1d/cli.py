@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,6 +40,10 @@ __all__ = [
 ]
 
 
+# 17 significant digits round-trip every IEEE double.
+_fmt_float = "{:.17g}".format
+
+
 def _fmt(x) -> str:
     if isinstance(x, str):
         return x
@@ -46,7 +51,7 @@ def _fmt(x) -> str:
         return "on" if x else "off"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return f"{float(x):.17g}"
+    return _fmt_float(float(x))
 
 
 class ConfigError(ValueError):
@@ -293,27 +298,28 @@ def write_state_csv(traj: Trajectory, path: str, config: RunConfig | None = None
 
     Columns: k, t, i, x_center, rho, x_face, u, hat_u.  Each level has N+1
     rows (one per face); the final face row leaves the cell-centered columns
-    empty.  The effective configuration rides along as '#' comments.
+    empty.  The effective configuration rides along as '#' comments.  The
+    grid columns are formatted once, and each level is written as soon as it
+    is built, so memory stays at one level's text.
     """
     g = traj.grid
-    centers = g.cell_centers
-    faces = g.face_nodes
-    rows = _config_header(config)
-    rows.append("k,t,i,x_center,rho,x_face,u,hat_u")
-    for k, state in enumerate(traj.states):
-        hat = 0.5 * (state.u[:-1] + state.u[1:])
-        t = k * g.dt
-        for i in range(g.N + 1):
-            if i < g.N:
-                cell = f"{_fmt(centers[i])},{_fmt(state.rho[i])}"
-                hat_txt = _fmt(hat[i])
-            else:
-                cell = ","
-                hat_txt = ""
-            rows.append(
-                f"{k},{_fmt(t)},{i},{cell},{_fmt(faces[i])},{_fmt(state.u[i])},{hat_txt}"
-            )
-    _write_text(path, "\n".join(rows) + "\n")
+    heads = [f"{i},{x}," for i, x in enumerate(map(_fmt_float, g.cell_centers.tolist()))]
+    heads.append(f"{g.N},,")
+    mids = [f",{x}," for x in map(_fmt_float, g.face_nodes.tolist())]
+
+    def blocks():
+        yield "\n".join(_config_header(config) + ["k,t,i,x_center,rho,x_face,u,hat_u"]) + "\n"
+        for k, state in enumerate(traj.states):
+            kt = f"{k},{_fmt(k * g.dt)},"
+            rho = [*map(_fmt_float, state.rho.tolist()), ""]
+            hat = [*map(_fmt_float, (0.5 * (state.u[:-1] + state.u[1:])).tolist()), ""]
+            u = map(_fmt_float, state.u.tolist())
+            yield "".join([
+                f"{kt}{head}{r}{mid}{v},{h}\n"
+                for head, r, mid, v, h in zip(heads, rho, mids, u, hat)
+            ])
+
+    _write_text(path, blocks())
 
 
 def read_state_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -427,10 +433,11 @@ def write_flux_csv(ledger, path: str, config: RunConfig | None = None) -> None:
     _write_text(path, "\n".join(rows) + "\n")
 
 
-def _write_text(path: str, content: str) -> None:
+def _write_text(path: str, content: str | Iterable[str]) -> None:
+    """Write a string, or each string of an iterable as it is produced."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(content)
+            fh.writelines([content] if isinstance(content, str) else content)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 

@@ -12,8 +12,6 @@ side by side.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -245,17 +243,6 @@ class RefinementReport:
     failed: bool = False
 
 
-def _thread_budget(n_jobs: int) -> int:
-    raw = os.environ.get("VISCO1D_THREADS", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"VISCO1D_THREADS must be an integer, got {raw!r}") from exc
-        return max(1, min(cap, n_jobs))
-    return max(1, min(os.cpu_count() or 1, n_jobs))
-
-
 def _level_summary(traj: Trajectory, phi, v) -> dict:
     ledger = diagnostics.energy_ledger(traj)
     masses = diagnostics.mass_history(traj)
@@ -296,10 +283,9 @@ def run_refinement(
 ) -> RefinementReport:
     """Run the scenario across its level ladder and assemble the report.
 
-    Levels execute in a thread pool capped by VISCO1D_THREADS (results are
-    reduced in level order, so the report is deterministic regardless of
-    parallelism).  A failing level aborts the study: completed levels are
-    reported, a flag records the failure, and ``failed`` is set.
+    Levels are solved one after another, coarsest first.  A failing level
+    aborts the study: completed levels are reported, a flag records the
+    failure, and ``failed`` is set.
     """
     solver = solver or SolverConfig()
     levels = scenario.levels
@@ -309,45 +295,24 @@ def run_refinement(
     # must be odd so it does not annihilate mirror-symmetric flows.
     phi, v = diagnostics.default_test_functions(scenario.L, scenario.T, js=(1, 2))
 
-    def solve(n: int) -> Trajectory:
-        return run(
-            scenario,
-            scenario.grid_for(n),
-            scenario.params,
-            solver,
-            allow_decoupled_dt=not scenario.couple_dt_dx,
-        )
-
     trajs: dict[int, Trajectory] = {}
     flags: list[str] = []
     failed = False
-    workers = _thread_budget(len(levels))
-    if workers == 1:
-        results: dict[int, Trajectory | Exception] = {}
-        for n in levels:
-            try:
-                results[n] = solve(n)
-            except StepFailure as exc:
-                results[n] = exc
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {n: pool.submit(solve, n) for n in levels}
-            results = {}
-            for n in levels:
-                try:
-                    results[n] = futures[n].result()
-                except StepFailure as exc:
-                    results[n] = exc
-
     for n in levels:
-        res = results[n]
-        if isinstance(res, Exception):
-            flags.append(f"level {n} solve failed: {res}")
+        try:
+            trajs[n] = run(
+                scenario,
+                scenario.grid_for(n),
+                scenario.params,
+                solver,
+                allow_decoupled_dt=not scenario.couple_dt_dx,
+            )
+        except StepFailure as exc:
+            flags.append(f"level {n} solve failed: {exc}")
             failed = True
             break
-        trajs[n] = res
 
-    done = [n for n in levels if n in trajs]
+    done = list(trajs)
     per_level = tuple(_level_summary(trajs[n], phi, v) for n in done)
     for row in per_level:
         if row["fallback_steps"]:

@@ -225,6 +225,91 @@ def test_state_csv_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(u, traj.u_matrix)
 
 
+def test_state_csv_write_error_exits_1(tmp_path, capsys):
+    cfg = constant_cfg(tmp_path)
+    out = tmp_path / "out"
+    (out / "state.csv").mkdir(parents=True)
+    assert run_cli(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert "i/o error: cannot write" in capsys.readouterr().err
+
+
+def _reference_fmt(x) -> str:
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{float(x):.17g}"
+
+
+def reference_write_state_csv(traj, path, config=None) -> None:
+    """The per-row writer that write_state_csv replaced, kept as its byte oracle."""
+    g = traj.grid
+    centers = g.cell_centers
+    faces = g.face_nodes
+    rows = [] if config is None else ["# " + ln for ln in config.to_text().splitlines()]
+    rows.append("k,t,i,x_center,rho,x_face,u,hat_u")
+    for k, state in enumerate(traj.states):
+        hat = 0.5 * (state.u[:-1] + state.u[1:])
+        t = k * g.dt
+        for i in range(g.N + 1):
+            if i < g.N:
+                cell = f"{_reference_fmt(centers[i])},{_reference_fmt(state.rho[i])}"
+                hat_txt = _reference_fmt(hat[i])
+            else:
+                cell = ","
+                hat_txt = ""
+            rows.append(
+                f"{k},{_reference_fmt(t)},{i},{cell},{_reference_fmt(faces[i])},"
+                f"{_reference_fmt(state.u[i])},{hat_txt}"
+            )
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(rows) + "\n")
+
+
+def _unchecked(cls, **fields):
+    """A frozen dataclass instance built without running its validation."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+_AWKWARD = np.array([-0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf, 0.1, 1 / 3, -2.5e-17])
+
+
+def hand_built_trajectory(n: int, levels: int = _AWKWARD.size) -> v.Trajectory:
+    """N cells (N = 1 included) carrying signed zeros, subnormals, huge and
+    non-finite values, which the solver's own validation would refuse."""
+    rng = np.random.default_rng(n)
+    grid = _unchecked(v.GridSpec, L=3.0, N=n, dt=0.1, T=0.1 * (levels - 1))
+    states = []
+    for k in range(levels):
+        rho = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+        u = rng.standard_normal(n + 1)
+        rho[k % n] = _AWKWARD[k % _AWKWARD.size]
+        u[: _AWKWARD.size] = np.roll(_AWKWARD, k)[: n + 1]
+        states.append(_unchecked(v.FluidState, rho=rho, u=u, k=k))
+    return _unchecked(
+        v.Trajectory, grid=grid, params=v.PhysParams(), states=tuple(states),
+        solver_meta=(), meta={},
+    )
+
+
+@pytest.mark.parametrize("with_config", [False, True], ids=["bare", "config"])
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_state_csv_matches_per_row_reference(tmp_path, n, with_config):
+    traj = hand_built_trajectory(n)
+    config = parse_config(MINIMAL) if with_config else None
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    with np.errstate(invalid="ignore", over="ignore"):
+        write_state_csv(traj, str(new), config)
+        reference_write_state_csv(traj, str(ref), config)
+    assert new.read_bytes() == ref.read_bytes()
+    text = new.read_text()
+    data = [ln for ln in text.splitlines() if ln[0].isdigit()]
+    assert len(data) == len(traj.states) * (n + 1)
+    for token in (",-0,", "nan", ",inf", "-inf", "e-324", "e+300"):
+        assert token in text
+
+
 # ======================================================================
 # refine / verify / flux subcommands
 # ======================================================================

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -190,25 +188,6 @@ def test_run_refinement_flags_gamma_outside_window():
     )
     rep = v.run_refinement(sc)
     assert any("gamma" in f for f in rep.flags)
-
-
-def test_run_refinement_thread_count_does_not_change_results():
-    sc = with_levels(scenario_named("smooth-bump"), (8, 16, 32))
-    old = os.environ.get("VISCO1D_THREADS")
-    try:
-        os.environ["VISCO1D_THREADS"] = "1"
-        serial = v.run_refinement(sc)
-        os.environ["VISCO1D_THREADS"] = "3"
-        threaded = v.run_refinement(sc)
-    finally:
-        if old is None:
-            os.environ.pop("VISCO1D_THREADS", None)
-        else:
-            os.environ["VISCO1D_THREADS"] = old
-    for a, b in zip(serial.per_level, threaded.per_level):
-        for key in a:
-            assert a[key] == b[key], key
-    assert serial.cauchy_rho == threaded.cauchy_rho
 
 
 def test_run_refinement_per_level_summary_fields(smooth_ladder):
