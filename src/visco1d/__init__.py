@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from .diagnostics import (
     BFunction,
+    Check,
     EnergyLedger,
     FluxLedger,
     PositivityReport,
@@ -27,6 +28,7 @@ from .diagnostics import (
     energy_ledger,
     error_rates,
     flux_ledger,
+    identity_checks,
     mass_history,
     norm_suite,
     positivity_report,
@@ -46,7 +48,6 @@ from .grid import (
     eval_density,
     eval_velocity,
     gauss_rule,
-    hat_velocity,
     init_state,
 )
 from .harness import (
@@ -62,9 +63,9 @@ from .operators import (
     diff_cell,
     diff_face,
     dirichlet_inv_grad,
+    hat,
     laplace_velocity,
     neumann_inv_grad,
-    neumann_inv_grad_via_solve,
     upwind_mass_flux,
     upwind_momentum_flux,
 )
@@ -83,6 +84,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BFunction",
+    "Check",
     "EnergyLedger",
     "FluidState",
     "FluxLedger",
@@ -119,12 +121,12 @@ __all__ = [
     "eval_velocity",
     "flux_ledger",
     "gauss_rule",
-    "hat_velocity",
+    "hat",
+    "identity_checks",
     "init_state",
     "laplace_velocity",
     "mass_history",
     "neumann_inv_grad",
-    "neumann_inv_grad_via_solve",
     "norm_suite",
     "positivity_report",
     "project_cells",

@@ -24,7 +24,7 @@ import numpy as np
 from . import diagnostics
 from .grid import GridSpec, PhysParams, Trajectory
 from .harness import RefinementReport, ScenarioConfig, builtin_scenarios, run_refinement
-from .operators import dirichlet_inv_grad, neumann_inv_grad
+from .operators import dirichlet_inv_grad, hat, neumann_inv_grad
 from .stepper import SolverConfig, StepFailure, run
 
 __all__ = [
@@ -96,7 +96,6 @@ class RunConfig:
             f"max_newton_iters = {so.max_newton_iters}",
             f"damping = {_fmt(so.damping)}",
             f"fallback = {so.fallback}",
-            f"regularize_upwind = {_fmt(so.regularize_upwind)}",
             f"polish_floor = {_fmt(so.polish_floor)}",
             "",
             "[output]",
@@ -111,8 +110,7 @@ _SCENARIO_KEYS = {
     "couple_dt_dx", "dt",
 }
 _SOLVER_KEYS = {
-    "newton_tol", "max_newton_iters", "damping", "fallback",
-    "regularize_upwind", "polish_floor",
+    "newton_tol", "max_newton_iters", "damping", "fallback", "polish_floor",
 }
 _OUTPUT_KEYS = {"out_dir"}
 _BOOL_WORDS = {
@@ -265,9 +263,6 @@ def parse_config(text: str) -> RunConfig:
     if "fallback" in so:
         raw, ln = so["fallback"]
         solver_kwargs["fallback"] = _parse_int(raw, "fallback", ln)
-    if "regularize_upwind" in so:
-        raw, ln = so["regularize_upwind"]
-        solver_kwargs["regularize_upwind"] = _parse_float(raw, "regularize_upwind", ln)
     if "polish_floor" in so:
         raw, ln = so["polish_floor"]
         solver_kwargs["polish_floor"] = _parse_float(raw, "polish_floor", ln)
@@ -312,11 +307,11 @@ def write_state_csv(traj: Trajectory, path: str, config: RunConfig | None = None
         for k, state in enumerate(traj.states):
             kt = f"{k},{_fmt(k * g.dt)},"
             rho = [*map(_fmt_float, state.rho.tolist()), ""]
-            hat = [*map(_fmt_float, (0.5 * (state.u[:-1] + state.u[1:])).tolist()), ""]
+            hat_u = [*map(_fmt_float, hat(state.u).tolist()), ""]
             u = map(_fmt_float, state.u.tolist())
             yield "".join([
                 f"{kt}{head}{r}{mid}{v},{h}\n"
-                for head, r, mid, v, h in zip(heads, rho, mids, u, hat)
+                for head, r, mid, v, h in zip(heads, rho, mids, u, hat_u)
             ])
 
     _write_text(path, blocks())
@@ -461,53 +456,8 @@ def _solve_first_level(config: RunConfig) -> Trajectory:
 
 def _verify(config: RunConfig, out) -> int:
     """Run the identity suite at the coarsest level; 0 if all pass, else 3."""
-    scenario = config.scenario
     traj = _solve_first_level(config)
-    tol_eff = diagnostics.effective_newton_tol(traj)
-    steps = len(traj) - 1
-    checks: list[tuple[str, float, float]] = []
-
-    worst_res = max((m.residual_norm for m in traj.solver_meta), default=0.0)
-    checks.append(("step residual max-norm", worst_res, tol_eff))
-
-    masses = diagnostics.mass_history(traj)
-    drift = float(np.max(np.abs(masses - masses[0]))) / masses[0]
-    checks.append(("mass drift (relative)", drift, 1e-12 * max(steps, 1)))
-
-    ledger = diagnostics.energy_ledger(traj)
-    worst_balance = 0.0
-    for m in range(1, steps + 1):
-        worst_balance = max(worst_balance, ledger.balance_residual[m] / (100.0 * tol_eff * m))
-    checks.append(("energy balance (fraction of tolerance)", worst_balance, 1.0))
-    neg = 0.0
-    if steps:
-        neg = -min(float(np.min(ledger.step_increments(nm))) for nm in ("N1", "N2", "N3", "N4"))
-    checks.append(("numerical diffusion negativity", neg, 1e-12))
-
-    rho_m = traj.rho_matrix
-    lo, hi = float(np.min(rho_m)), float(np.max(rho_m))
-    for B in (
-        diagnostics.b_square(),
-        diagnostics.b_power(scenario.params.gamma),
-        diagnostics.b_zlogz(),
-    ):
-        if steps == 0:
-            break
-        res = float(np.max(np.abs(diagnostics.renorm_residual(traj, B))))
-        bound = 10.0 * tol_eff * diagnostics.sup_abs_deriv(B, lo, hi)
-        checks.append((f"renormalized continuity [{B.name}]", res, bound))
-
-    if steps:
-        fl = diagnostics.flux_ledger(traj)
-        checks.append(("flux identity gap", abs(fl.identity_gap), 100.0 * tol_eff * steps))
-
-    # With no steps there is no time window, and the test functions'
-    # (1 - t/T)^2 factor is undefined at T = 0.
-    for fn in diagnostics.default_test_functions(scenario.L, scenario.T) if steps else ():
-        lw, p1 = diagnostics.weak_residual_continuity(traj, fn)
-        checks.append((f"weak continuity self-consistency [{fn.name}]", abs(lw - p1), 1e-8))
-        lw, p2 = diagnostics.weak_residual_momentum(traj, fn)
-        checks.append((f"weak momentum self-consistency [{fn.name}]", abs(lw - p2), 1e-8))
+    checks = diagnostics.identity_checks(traj)
 
     rng = np.random.default_rng(20240817)
     worst_dual = 0.0
@@ -521,7 +471,7 @@ def _verify(config: RunConfig, out) -> int:
         rhs_d = -dx * float(dirichlet_inv_grad(v, dx) @ f)
         scale = max(abs(lhs_d), abs(rhs_d), 1.0)
         worst_dual = max(worst_dual, abs(lhs_d - rhs_d) / scale)
-    checks.append(("inverse-gradient duality (relative)", worst_dual, 1e-12))
+    checks += (diagnostics.Check("inverse-gradient duality (relative)", worst_dual, 1e-12),)
 
     pos = diagnostics.positivity_report(traj)
     print(
@@ -529,14 +479,11 @@ def _verify(config: RunConfig, out) -> int:
         f"provable-bound {pos.worst_divergence_margin:.3e}",
         file=out,
     )
-
-    failed = 0
-    for name, value, bound in checks:
-        ok = value <= bound
-        failed += not ok
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {value:.3e} <= {bound:.3e}", file=out)
-    print(f"{len(checks) - failed}/{len(checks)} identity checks passed", file=out)
-    return 0 if failed == 0 else 3
+    for c in checks:
+        print(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.value:.3e} <= {c.bound:.3e}", file=out)
+    passed = sum(c.passed for c in checks)
+    print(f"{passed}/{len(checks)} identity checks passed", file=out)
+    return 0 if passed == len(checks) else 3
 
 
 # ======================================================================

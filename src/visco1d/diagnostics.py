@@ -25,14 +25,24 @@ import numpy as np
 
 from .grid import FluidState, GridSpec, PhysParams, Trajectory, gauss_panels
 from .operators import (
+    continuity_residual,
     diff_cell,
     dirichlet_inv_grad,
+    face_momentum,
+    hat,
     neumann_inv_grad,
+    split_upwind,
     upwind_mass_flux,
     upwind_momentum_flux,
 )
 
 __all__ = [
+    "Check",
+    "identity_checks",
+    "mass_drift",
+    "diffusion_min_increment",
+    "energy_budget",
+    "summarize_orders",
     "EnergyLedger",
     "FluxLedger",
     "BFunction",
@@ -60,10 +70,6 @@ __all__ = [
 ]
 
 
-def _hat(u: np.ndarray) -> np.ndarray:
-    return 0.5 * (u[:-1] + u[1:])
-
-
 def mass_history(traj: Trajectory) -> np.ndarray:
     """Total mass dx * sum(rho) at every time level (index 0..M)."""
     return traj.grid.dx * traj.rho_matrix.sum(axis=1)
@@ -74,13 +80,6 @@ def effective_newton_tol(traj: Trajectory) -> float:
     if not traj.solver_meta:
         return 1e-10
     return max(meta.tol for meta in traj.solver_meta)
-
-
-def _continuity_residual(
-    rho_prev: np.ndarray, rho: np.ndarray, u: np.ndarray, grid: GridSpec
-) -> np.ndarray:
-    flux = upwind_mass_flux(rho, u)
-    return (rho - rho_prev) / grid.dt + diff_cell(flux, grid.dx)
 
 
 # ======================================================================
@@ -132,7 +131,7 @@ def energy_ledger(traj: Trajectory) -> EnergyLedger:
     u_m = traj.u_matrix
     steps = rho_m.shape[0] - 1
 
-    hat_m = 0.5 * (u_m[:, :-1] + u_m[:, 1:])
+    hat_m = hat(u_m)
     pot = pp.pressure_potential(rho_m)
     energy = dx * (0.5 * rho_m * hat_m**2 + pot).sum(axis=1)
 
@@ -149,8 +148,7 @@ def energy_ledger(traj: Trajectory) -> EnergyLedger:
             np.sum(pot[k - 1] - pot[k] - dpot[k] * (rho_m[k - 1] - rho))
         )
 
-        up_int = np.maximum(u[1:-1], 0.0)
-        um_int = np.minimum(u[1:-1], 0.0)
+        up_int, um_int = split_upwind(u[1:-1])
         gap_right = pot[k, 1:] - pot[k, :-1] - dpot[k, :-1] * (rho[1:] - rho[:-1])
         gap_left = pot[k, :-1] - pot[k, 1:] - dpot[k, 1:] * (rho[:-1] - rho[1:])
         inc["N2"][k - 1] = dt * float(-(gap_right @ um_int) + gap_left @ up_int)
@@ -261,8 +259,7 @@ def renorm_residual(traj: Trajectory, B: BFunction) -> np.ndarray:
         small_b = rho * bp - bv
 
         time_gap = (bv_prev - bv - bp * (rho_m[k - 1] - rho)) / dt
-        up_int = np.maximum(u[1:-1], 0.0)
-        um_int = np.minimum(u[1:-1], 0.0)
+        up_int, um_int = split_upwind(u[1:-1])
         gap_right = bv[1:] - bv[:-1] - bp[:-1] * (rho[1:] - rho[:-1])
         gap_left = bv[:-1] - bv[1:] - bp[1:] * (rho[:-1] - rho[1:])
         spatial = np.zeros(g.N)
@@ -270,8 +267,7 @@ def renorm_residual(traj: Trajectory, B: BFunction) -> np.ndarray:
         spatial[1:] += gap_left * up_int / dx
 
         out[k - 1] = (
-            (bv - bv_prev) / dt
-            + diff_cell(upwind_mass_flux(bv, u), dx)
+            continuity_residual(bv_prev, bv, upwind_mass_flux(bv, u), dt, dx)
             + small_b * diff_cell(u, dx)
             + time_gap
             + spatial
@@ -323,7 +319,7 @@ def positivity_report(traj: Trajectory) -> PositivityReport:
         prev_min = float(np.min(rho_m[k - 1]))
         min_rho[k - 1] = float(np.min(rho))
         bound[k - 1] = prev_min / (1.0 + g.dt * float(np.max(np.abs(u))))
-        res = _continuity_residual(rho_m[k - 1], rho, u, g)
+        res = continuity_residual(rho_m[k - 1], rho, upwind_mass_flux(rho, u), g.dt, g.dx)
         div_plus = max(float(np.max(np.diff(u) / g.dx)), 0.0)
         div_bound[k - 1] = (prev_min - g.dt * float(np.max(np.abs(res)))) / (
             1.0 + g.dt * div_plus
@@ -393,11 +389,6 @@ class FluxLedger:
         return (self.S1 + self.S2) - self.rhs_total
 
 
-def _face_avg_momentum(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    m = rho * _hat(u)
-    return 0.5 * (m[:-1] + m[1:])
-
-
 def flux_ledger(traj: Trajectory, m: int | None = None) -> FluxLedger:
     """Accumulate the flux identity through step m (default: the full run)."""
     g, pp = traj.grid, traj.params
@@ -409,7 +400,7 @@ def flux_ledger(traj: Trajectory, m: int | None = None) -> FluxLedger:
         raise ValueError(f"checkpoint m={m} outside 1..{steps}")
 
     lhs = s1 = s2 = e1 = e2 = mean_flux = transport = 0.0
-    w_prev = _face_avg_momentum(traj.states[0].rho, traj.states[0].u)
+    w_prev = face_momentum(traj.states[0].rho * hat(traj.states[0].u))
     w_first = w_prev
     for k in range(1, m + 1):
         rho, u = traj.states[k].rho, traj.states[k].u
@@ -419,11 +410,11 @@ def flux_ledger(traj: Trajectory, m: int | None = None) -> FluxLedger:
         lhs += -dt * dx * float(np.sum((pp.mu * du - p) * (rho - rbar)))
 
         v = neumann_inv_grad(rho - rbar, dx)[1:-1]
-        w = _face_avg_momentum(rho, u)
+        hat_u = hat(u)
+        w = face_momentum(rho * hat_u)
         s1 += dx * float((w - w_prev) @ v)
 
-        hat = _hat(u)
-        mom_flux = upwind_momentum_flux(rho, hat, u)
+        mom_flux = upwind_momentum_flux(rho, hat_u, u)
         conv = (mom_flux[2:] - mom_flux[:-2]) / (2.0 * dx)
         s2 += dt * dx * float(conv @ v)
 
@@ -433,7 +424,7 @@ def flux_ledger(traj: Trajectory, m: int | None = None) -> FluxLedger:
         mass_flux = upwind_mass_flux(rho, u)
         e1 += -dt * dx * float(mass_flux[1:-1] @ (w - w_prev))
         e2 += dt * dx * float(
-            np.sum(0.5 * rho[:-1] * rho[1:] * np.abs(u[1:-1]) * np.diff(hat))
+            np.sum(0.5 * rho[:-1] * rho[1:] * np.abs(u[1:-1]) * np.diff(hat_u))
         )
         w_prev = w
 
@@ -578,8 +569,7 @@ def weak_residual_continuity(
         lhs += float(tw @ (integrand @ quad.wx))
 
         cell_avg, face_avg = quad.averages(phi, k, phi_vals)
-        up_int = np.maximum(u[1:-1], 0.0)
-        um_int = np.minimum(u[1:-1], 0.0)
+        up_int, um_int = split_upwind(u[1:-1])
         jump = rho[1:] - rho[:-1]
         p1 += -dt * float(
             np.sum(
@@ -614,11 +604,10 @@ def weak_residual_momentum(traj: Trajectory, v: TestFunction) -> tuple[float, fl
     p2 = 0.0
     for k in range(1, len(traj)):
         rho, u = rho_mat[k], u_mat[k]
-        hat = _hat(u)
-        hat_prev = _hat(u_mat[k - 1])
-        mom = rho * hat
-        dt_mom = (mom - rho_mat[k - 1] * hat_prev) / dt
-        cell_coeff = -(mom * hat + pp.pressure(rho) - pp.mu * diff_cell(u, dx))
+        hat_u = hat(u)
+        mom = rho * hat_u
+        dt_mom = (mom - rho_mat[k - 1] * hat(u_mat[k - 1])) / dt
+        cell_coeff = -(mom * hat_u + pp.pressure(rho) - pp.mu * diff_cell(u, dx))
 
         tn, tw = quad.t_nodes(k)
         v_vals = v.value(tn[:, None], quad.x[None, :])
@@ -633,8 +622,7 @@ def weak_residual_momentum(traj: Trajectory, v: TestFunction) -> tuple[float, fl
         j1 = float(
             np.sum(dt_mom * (0.5 * dx * (face_avg[:-1] + face_avg[1:]) - dx * cell_avg))
         )
-        up_int = np.maximum(u[1:-1], 0.0)
-        um_int = np.minimum(u[1:-1], 0.0)
+        up_int, um_int = split_upwind(u[1:-1])
         dmom = mom[1:] - mom[:-1]
         j2 = 0.5 * float(
             np.sum(
@@ -708,7 +696,7 @@ def norm_suite(traj: Trajectory) -> dict[str, float]:
     r = 2.0 * gamma / (gamma + 1.0)
     rho_m = traj.rho_matrix
     u_mat = traj.u_matrix
-    hat_m = 0.5 * (u_mat[:, :-1] + u_mat[:, 1:])
+    hat_m = hat(u_mat)
 
     out: dict[str, float] = {}
     out["rho_Linf_Lgamma"] = float(np.max((dx * np.sum(rho_m**gamma, axis=1)) ** (1.0 / gamma)))
@@ -750,7 +738,8 @@ def _pair_order(coarse: float, fine: float, h_ratio: float) -> float | str | Non
     return float(np.log(abs(coarse) / abs(fine)) / np.log(h_ratio))
 
 
-def _summarize_orders(magnitudes: Sequence[float], hs: Sequence[float]) -> dict:
+def summarize_orders(magnitudes: Sequence[float], hs: Sequence[float]) -> dict:
+    """{"magnitudes", "orders", "order"}: per-pair observed orders and their mean."""
     orders = [
         _pair_order(magnitudes[j], magnitudes[j + 1], hs[j] / hs[j + 1])
         for j in range(len(magnitudes) - 1)
@@ -823,8 +812,86 @@ def rates_from_levels(rows: Sequence[Mapping[str, float]]) -> dict[str, dict]:
     """
     hs = [row["h"] for row in rows]
     out = {
-        key: _summarize_orders([row[key] for row in rows], hs)
+        key: summarize_orders([row[key] for row in rows], hs)
         for key in ("E1", "E2", "P1", "P2")
     }
     out["rho_gamma_plus_1"] = boundedness([row["rho_gamma_plus_1"] for row in rows])
     return out
+
+
+# ======================================================================
+# Identity checks and their budgets
+# ======================================================================
+
+
+@dataclass(frozen=True)
+class Check:
+    """One exact-identity check: a measured value against its budget."""
+
+    name: str
+    value: float
+    bound: float
+
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.bound
+
+
+def mass_drift(traj: Trajectory) -> float:
+    """Largest change of the total mass over the run, relative to the initial mass."""
+    masses = mass_history(traj)
+    return float(np.max(np.abs(masses - masses[0]))) / masses[0]
+
+
+def diffusion_min_increment(ledger: EnergyLedger) -> float:
+    """Smallest per-step increment of N1..N4; 0.0 for a run without steps."""
+    if ledger.N1.size < 2:
+        return 0.0
+    return min(float(np.min(ledger.step_increments(nm))) for nm in ("N1", "N2", "N3", "N4"))
+
+
+def energy_budget(tol: float, steps: int) -> float:
+    """Energy-balance and flux-identity budget after ``steps`` steps: 100*tol per step."""
+    return 100.0 * tol * max(steps, 1)
+
+
+def identity_checks(traj: Trajectory) -> tuple[Check, ...]:
+    """Every exact identity of one trajectory, each against its budget.
+
+    Budgets scale with the largest tolerance the solver applied.  A run
+    without steps has no time window, so it gets only the first four checks.
+    """
+    tol = effective_newton_tol(traj)
+    steps = len(traj) - 1
+    worst_res = max((m.residual_norm for m in traj.solver_meta), default=0.0)
+    drift = mass_drift(traj)
+    ledger = energy_ledger(traj)
+    checks = [
+        Check("step residual max-norm", worst_res, tol),
+        Check("mass drift (relative)", drift, 1e-12 * max(steps, 1)),
+        Check("energy balance (fraction of tolerance)", max([0.0] + [
+            ledger.balance_residual[m] / energy_budget(tol, m) for m in range(1, steps + 1)
+        ]), 1.0),
+        # A quiescent run reports -0.0 here, a run without steps +0.0.
+        Check("numerical diffusion negativity",
+              -diffusion_min_increment(ledger) if steps else 0.0, 1e-12),
+    ]
+    if not steps:
+        return tuple(checks)
+
+    rho_m = traj.rho_matrix
+    lo, hi = float(np.min(rho_m)), float(np.max(rho_m))
+    for B in (b_square(), b_power(traj.params.gamma), b_zlogz()):
+        res = float(np.max(np.abs(renorm_residual(traj, B))))
+        bound = 10.0 * tol * sup_abs_deriv(B, lo, hi)
+        checks.append(Check(f"renormalized continuity [{B.name}]", res, bound))
+
+    gap = abs(flux_ledger(traj).identity_gap)
+    checks.append(Check("flux identity gap", gap, energy_budget(tol, steps)))
+
+    for fn in default_test_functions(traj.grid.L, traj.grid.T):
+        lw, p1 = weak_residual_continuity(traj, fn)
+        checks.append(Check(f"weak continuity self-consistency [{fn.name}]", abs(lw - p1), 1e-8))
+        lw, p2 = weak_residual_momentum(traj, fn)
+        checks.append(Check(f"weak momentum self-consistency [{fn.name}]", abs(lw - p2), 1e-8))
+    return tuple(checks)

@@ -10,7 +10,7 @@ Geometry convention used throughout the package:
 
 A :class:`FluidState` is one time level of that layout.  Between grid points,
 density extends as a piecewise constant (right-open cells) and velocity as the
-continuous piecewise-linear interpolant of its face values; ``hat_velocity``
+continuous piecewise-linear interpolant of its face values; ``operators.hat``
 is the cell average of that interpolant, which for a linear function is just
 the midpoint value ``(u[i] + u[i+1]) / 2``.
 """
@@ -30,7 +30,6 @@ __all__ = [
     "Trajectory",
     "PiecewiseConstant",
     "init_state",
-    "hat_velocity",
     "eval_density",
     "eval_velocity",
     "gauss_rule",
@@ -335,17 +334,6 @@ def init_state(
 # ======================================================================
 # Extensions and projections
 # ======================================================================
-
-
-def hat_velocity(state: FluidState) -> np.ndarray:
-    """Cell-averaged velocity (u[i] + u[i+1]) / 2.
-
-    Equals the L2 projection of the piecewise-linear velocity extension onto
-    piecewise constants, since the average of a linear function over a cell is
-    its midpoint value.
-    """
-    u = state.u
-    return 0.5 * (u[:-1] + u[1:])
 
 
 def _pick_state(state_or_traj, t_index: int) -> tuple[FluidState, GridSpec | None]:

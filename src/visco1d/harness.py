@@ -245,7 +245,6 @@ class RefinementReport:
 
 def _level_summary(traj: Trajectory, phi, v) -> dict:
     ledger = diagnostics.energy_ledger(traj)
-    masses = diagnostics.mass_history(traj)
     tol_eff = diagnostics.effective_newton_tol(traj)
     steps = len(traj) - 1
     flux = diagnostics.flux_ledger(traj) if steps else None
@@ -257,15 +256,10 @@ def _level_summary(traj: Trajectory, phi, v) -> dict:
         "newton_tol_max": tol_eff,
         "max_iterations": max((m.iterations for m in traj.solver_meta), default=0),
         "fallback_steps": sum(m.fallback_used for m in traj.solver_meta),
-        "mass_drift_rel": float(np.max(np.abs(masses - masses[0]))) / masses[0],
+        "mass_drift_rel": diagnostics.mass_drift(traj),
         "energy_balance_max": float(np.max(ledger.balance_residual)),
-        "energy_tol": 100.0 * tol_eff * max(steps, 1),
-        "diffusion_min_increment": min(
-            (float(np.min(ledger.step_increments(nm))) for nm in ("N1", "N2", "N3", "N4")),
-            default=0.0,
-        )
-        if steps
-        else 0.0,
+        "energy_tol": diagnostics.energy_budget(tol_eff, steps),
+        "diffusion_min_increment": diagnostics.diffusion_min_increment(ledger),
         "positivity_margin_min": pos.worst_margin if steps else math.inf,
         "E1": abs(flux.E1) if flux else 0.0,
         "E2": abs(flux.E2) if flux else 0.0,
@@ -337,11 +331,7 @@ def run_refinement(
             orders[key] = entry
         hs_pairs = [scenario.L / n for n in done[:-1]]
         for key, series in (("cauchy_rho", cauchy_rho), ("cauchy_u", cauchy_u)):
-            entry = diagnostics._summarize_orders(series, hs_pairs) if len(series) >= 2 else {
-                "magnitudes": list(series),
-                "orders": [],
-                "order": None,
-            }
+            entry = diagnostics.summarize_orders(series, hs_pairs)
             entry["floor"] = _ORDER_FLOORS[key](scenario.params.gamma)
             orders[key] = entry
 

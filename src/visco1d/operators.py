@@ -5,6 +5,11 @@ Two field layouts appear everywhere:
 * cell fields — length ``N``, indexed by cells;
 * face fields — length ``N+1``, indexed by faces (both wall faces included).
 
+The scheme's own pieces come first: the upwind switches, ``hat``, the
+donor-cell flux, the face momentum and the continuity residual.  The exact
+identities only hold for the discretization the solver actually solves, so
+the stepper and the diagnostics both take these from here and nowhere else.
+
 ``diff_face`` maps cells to interior faces, ``diff_cell`` maps faces to cells,
 and they are adjoint up to sign (summation by parts) whenever the face field
 vanishes at the walls.  The two inverse operators at the bottom —
@@ -16,8 +21,8 @@ on faces) — satisfy the duality
 
 for every mean-zero cell field ``f`` and interior face field ``v``.  That
 identity is what lets the flux-balance diagnostic trade a face-paired test
-field for a cell-paired one, so it is verified here both by a closed-form
-prefix sum and by an independent tridiagonal solve.
+field for a cell-paired one.  ``neumann_inv_grad`` uses a closed-form prefix
+sum; the tests cross-check it against an independent tridiagonal solve.
 """
 
 from __future__ import annotations
@@ -26,40 +31,56 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 __all__ = [
+    "split_upwind",
+    "hat",
+    "upwind_flux",
     "upwind_mass_flux",
     "upwind_momentum_flux",
+    "face_momentum",
+    "continuity_residual",
     "diff_face",
     "diff_cell",
     "laplace_velocity",
     "neumann_inv_grad",
-    "neumann_inv_grad_via_solve",
     "dirichlet_inv_grad",
 ]
 
 
-def _split_upwind(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# ======================================================================
+# The scheme's pieces (the stepper and the diagnostics both call these)
+# ======================================================================
+
+
+def split_upwind(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The upwind switches (u+, u-) = (max(u, 0), min(u, 0)) of a face field."""
     return np.maximum(u, 0.0), np.minimum(u, 0.0)
 
 
-# ======================================================================
-# First-order operators
-# ======================================================================
+def hat(u: np.ndarray) -> np.ndarray:
+    """Cell average (u[i] + u[i+1]) / 2 of the piecewise-linear velocity, along the last axis.
+
+    Takes one level's N+1 face values or a trajectory's (M+1, N+1) matrix.
+    """
+    return 0.5 * (u[..., :-1] + u[..., 1:])
+
+
+def upwind_flux(q: np.ndarray, up: np.ndarray, um: np.ndarray) -> np.ndarray:
+    """Donor-cell flux q_{f-1}*u+_f + q_f*u-_f of a cell field, given split_upwind(u).
+
+    Wall faces return exactly zero: no-slip, and no donor cell beyond the wall.
+    """
+    flux = np.zeros(q.size + 1)
+    flux[1:-1] = q[:-1] * up[1:-1] + q[1:] * um[1:-1]
+    return flux
 
 
 def upwind_mass_flux(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Donor-cell mass flux at faces: rho_left*u+ + rho_right*u-.
-
-    Wall faces return exactly zero (their velocity is zero by the no-slip
-    condition, and there is no donor cell beyond the wall).
-    """
+    """Donor-cell mass flux at faces: rho_left*u+ + rho_right*u-."""
     rho = np.asarray(rho, dtype=float)
     u = np.asarray(u, dtype=float)
     if u.size != rho.size + 1:
         raise ValueError(f"face/cell size mismatch: {u.size} vs {rho.size}")
-    up, um = _split_upwind(u[1:-1])
-    flux = np.zeros(u.size)
-    flux[1:-1] = rho[:-1] * up + rho[1:] * um
-    return flux
+    return upwind_flux(rho, *split_upwind(u))
 
 
 def upwind_momentum_flux(
@@ -67,6 +88,18 @@ def upwind_momentum_flux(
 ) -> np.ndarray:
     """Donor-cell flux of the averaged momentum rho*hat_u, at faces."""
     return upwind_mass_flux(np.asarray(rho, dtype=float) * np.asarray(hat_u, dtype=float), u)
+
+
+def face_momentum(m: np.ndarray) -> np.ndarray:
+    """Face momentum W_f = (m_{f-1} + m_f)/2 on interior faces, for m = rho * hat(u)."""
+    return 0.5 * (m[:-1] + m[1:])
+
+
+def continuity_residual(
+    rho_old: np.ndarray, rho: np.ndarray, flux: np.ndarray, dt: float, dx: float
+) -> np.ndarray:
+    """Continuity residual per cell, for ``flux`` the donor-cell flux of ``rho``."""
+    return (rho - rho_old) / dt + (flux[1:] - flux[:-1]) / dx
 
 
 def diff_face(cellfield: np.ndarray, dx: float) -> np.ndarray:
@@ -115,39 +148,6 @@ def neumann_inv_grad(f: np.ndarray, dx: float) -> np.ndarray:
     np.cumsum(f[:-1], out=r[1:-1])
     r[1:-1] *= dx
     return r
-
-
-def neumann_inv_grad_via_solve(f: np.ndarray, dx: float) -> np.ndarray:
-    """Independent oracle for ``neumann_inv_grad`` via a tridiagonal solve.
-
-    Assembles the zero-flux (ghost-cell) Laplacian -(q[i-1] - 2q[i] + q[i+1])/dx^2
-    with reflected ghosts q[-1] = q[0], q[N] = q[N-1], pins q[0] = 0 to fix the
-    additive constant, solves, and differentiates.  Exists so the prefix-sum
-    path above can be cross-checked rather than trusted.
-    """
-    f = np.asarray(f, dtype=float)
-    _require_mean_zero(f, dx)
-    n = f.size
-    if n == 1:
-        return np.zeros(2)
-    # Rows 1..n-1 are the interior/reflected-Neumann rows; row 0 pins q[0]=0.
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -1.0 / dx**2  # superdiagonal
-    ab[2, :-1] = -1.0 / dx**2  # subdiagonal
-    ab[1, :] = 2.0 / dx**2
-    ab[1, -1] = 1.0 / dx**2  # reflected ghost at the right wall
-    rhs = f.copy()
-    # Pin the first unknown: replace row 0 by q[0] = 0.
-    ab[1, 0] = 1.0
-    ab[0, 1] = 0.0
-    rhs[0] = 0.0
-    # The pinned row breaks the usual row 0 (whose Neumann form is
-    # (q[0]-q[1])/dx^2 = f[0]); that information is redundant for mean-zero f,
-    # which is exactly why the operator needs the mean-zero precondition.
-    q = solve_banded((1, 1), ab, rhs)
-    grad = np.zeros(n + 1)
-    grad[1:-1] = (q[1:] - q[:-1]) / dx
-    return -grad
 
 
 def dirichlet_inv_grad(v: np.ndarray, dx: float) -> np.ndarray:

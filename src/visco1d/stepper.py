@@ -38,6 +38,7 @@ import scipy.sparse
 from scipy.linalg import solve_banded
 
 from .grid import FluidState, GridSpec, PhysParams, Trajectory, init_state
+from .operators import continuity_residual, face_momentum, hat, split_upwind, upwind_flux
 
 __all__ = [
     "StepResidual",
@@ -79,10 +80,6 @@ class SolverConfig:
     max_newton_iters: Newton iteration cap (counted as residual evaluations).
     damping: backtracking factor in (0, 1) for the positivity line search.
     fallback: Picard sweep cap used when Newton stagnates above tolerance.
-    regularize_upwind: if > 0, width of a smooth blend replacing the
-        active-set derivative of u+ / u- in the Jacobian only; the residual
-        always uses the exact upwind values, so the scheme itself is
-        unchanged.
     polish_floor: scale of the near-machine residual floor the solver keeps
         polishing toward once newton_tol is met (exact-identity diagnostics
         and the mass budget rely on this).
@@ -92,7 +89,6 @@ class SolverConfig:
     max_newton_iters: int = 50
     damping: float = 0.5
     fallback: int = 500
-    regularize_upwind: float = 0.0
     polish_floor: float = 1e-14
 
     def __post_init__(self) -> None:
@@ -102,8 +98,6 @@ class SolverConfig:
             raise ValueError(f"damping must lie in (0,1), got {self.damping}")
         if self.max_newton_iters < 1:
             raise ValueError("max_newton_iters must be at least 1")
-        if not (0.0 <= self.regularize_upwind < math.inf):
-            raise ValueError(f"regularize_upwind must be finite, >= 0: {self.regularize_upwind}")
         if not (0.0 < self.polish_floor < math.inf):
             raise ValueError(f"polish_floor must be finite, > 0: {self.polish_floor}")
         if self.fallback < 0:
@@ -142,17 +136,6 @@ class StepFailure(RuntimeError):
 # ======================================================================
 
 
-def _hat(u: np.ndarray) -> np.ndarray:
-    return 0.5 * (u[:-1] + u[1:])
-
-
-def _upwind_faces(rho_or_m: np.ndarray, up: np.ndarray, um: np.ndarray) -> np.ndarray:
-    """Donor-cell flux on the full face range, zero at the walls."""
-    flux = np.zeros(rho_or_m.size + 1)
-    flux[1:-1] = rho_or_m[:-1] * up[1:-1] + rho_or_m[1:] * um[1:-1]
-    return flux
-
-
 def _residual_arrays(
     rho_old: np.ndarray,
     w_old: np.ndarray,
@@ -163,17 +146,14 @@ def _residual_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Continuity and momentum residuals; w_old = face-averaged old momentum."""
     dt, dx = grid.dt, grid.dx
-    up = np.maximum(u, 0.0)
-    um = np.minimum(u, 0.0)
-    flux = _upwind_faces(rho, up, um)
-    cont = (rho - rho_old) / dt + (flux[1:] - flux[:-1]) / dx
+    up, um = split_upwind(u)
+    cont = continuity_residual(rho_old, rho, upwind_flux(rho, up, um), dt, dx)
 
-    m = rho * _hat(u)
-    w = 0.5 * (m[:-1] + m[1:])
-    mflux = _upwind_faces(m, up, um)
+    m = rho * hat(u)
+    mflux = upwind_flux(m, up, um)
     p = params.pressure(rho)
     mom = (
-        (w - w_old) / dt
+        (face_momentum(m) - w_old) / dt
         + (mflux[2:] - mflux[:-2]) / (2.0 * dx)
         + (p[1:] - p[:-1]) / dx
         - params.mu * (u[:-2] - 2.0 * u[1:-1] + u[2:]) / dx**2
@@ -187,8 +167,7 @@ def _max_norm(cont: np.ndarray, mom: np.ndarray) -> float:
 
 
 def _old_fields(prev: FluidState) -> tuple[np.ndarray, np.ndarray]:
-    m_old = prev.rho * _hat(prev.u)
-    return prev.rho, 0.5 * (m_old[:-1] + m_old[1:])
+    return prev.rho, face_momentum(prev.rho * hat(prev.u))
 
 
 def assemble_residual(
@@ -212,19 +191,8 @@ def assemble_residual(
 # ======================================================================
 
 
-def _upwind_switch(
-    u: np.ndarray, eps: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Derivatives of u+ and u- w.r.t. u: active set, or a smooth blend."""
-    if eps > 0.0:
-        root = np.sqrt(u * u + eps * eps)
-        sp = 0.5 * (1.0 + u / root)
-        return sp, 1.0 - sp
-    return (u > 0.0).astype(float), (u < 0.0).astype(float)
-
-
 def _jacobian_ab(
-    rho: np.ndarray, u: np.ndarray, grid: GridSpec, params: PhysParams, eps: float = 0.0
+    rho: np.ndarray, u: np.ndarray, grid: GridSpec, params: PhysParams
 ) -> np.ndarray:
     """Exact Jacobian in solve_banded layout: entry (row r, col c) at ab[4 + r - c, c].
 
@@ -235,11 +203,11 @@ def _jacobian_ab(
     """
     n = rho.size
     dt, dx = grid.dt, grid.dx
-    up = np.maximum(u, 0.0)
-    um = np.minimum(u, 0.0)
-    sp, sm = _upwind_switch(u, eps)
-    hat = _hat(u)
-    m = rho * hat
+    up, um = split_upwind(u)
+    # active-set derivatives of u+ and u-: zero exactly at the kink u = 0
+    sp, sm = (u > 0.0).astype(float), (u < 0.0).astype(float)
+    hat_u = hat(u)
+    m = rho * hat_u
     dp = params.dpressure(rho)
     ab = np.zeros((_BANDS[0] + _BANDS[1] + 1, 2 * n - 1))
 
@@ -256,8 +224,8 @@ def _jacobian_ab(
 
     # ---- momentum rows (2f-1), f = 1..N-1 ----
     # time term d_t (m_{f-1} + m_f)/2 with hat_u linear in u
-    add(5, 0, hat[:-1] / (2.0 * dt))  # rho_{f-1}
-    add(3, 2, hat[1:] / (2.0 * dt))  # rho_f
+    add(5, 0, hat_u[:-1] / (2.0 * dt))  # rho_{f-1}
+    add(3, 2, hat_u[1:] / (2.0 * dt))  # rho_f
     add(4, 1, (rho[:-1] + rho[1:]) / (4.0 * dt))  # u_f
     add(6, 1, rho[1:-1] / (4.0 * dt))  # u_{f-1}, f >= 2
     add(2, 3, rho[1:-1] / (4.0 * dt))  # u_{f+1}, f <= N-2
@@ -279,8 +247,8 @@ def _jacobian_ab(
         """d/d(unknowns) of sign * UpM_g / (2 dx) for faces g = lo..hi-1 in rows 2g + s."""
         g, gl = slice(lo, hi), slice(lo - 1, hi - 1)
         d = 4 + s
-        add(d + 2, 2 * lo - 2, sign * hat[gl] * up[g] / c2)  # rho_{g-1}
-        add(d, 2 * lo, sign * hat[g] * um[g] / c2)  # rho_g
+        add(d + 2, 2 * lo - 2, sign * hat_u[gl] * up[g] / c2)  # rho_{g-1}
+        add(d, 2 * lo, sign * hat_u[g] * um[g] / c2)  # rho_g
         add(
             d + 1,
             2 * lo - 1,
@@ -303,18 +271,16 @@ def assemble_jacobian(
     trial: FluidState,
     grid: GridSpec,
     params: PhysParams,
-    regularize_upwind: float = 0.0,
 ) -> scipy.sparse.csr_matrix:
     """Exact Jacobian of assemble_residual w.r.t. (trial.rho, interior trial.u).
 
     Rows follow the interleaved unknown ordering (rho_0, u_1, rho_1, ...);
     ``prev`` only sets the time-difference origin, so it never appears in the
-    derivative.  Upwind kinks use the active-set convention unless a
-    regularization width is supplied.  This is the band Newton solves with,
-    in CSR form.
+    derivative.  Upwind kinks use the active-set convention.  This is the
+    band Newton solves with, in CSR form.
     """
     del prev  # the residual is affine in the old state
-    ab = _jacobian_ab(trial.rho, trial.u, grid, params, regularize_upwind)
+    ab = _jacobian_ab(trial.rho, trial.u, grid, params)
     size = ab.shape[1]
     offsets = _BANDS[1] - np.arange(ab.shape[0])
     return scipy.sparse.dia_matrix((ab, offsets), shape=(size, size)).tocsr()
@@ -385,8 +351,7 @@ def _picard_sweeps(
     require_finite(nr, "residual")
     omega = 1.0
     for sweep in range(1, cfg.fallback + 1):
-        up = np.maximum(u, 0.0)
-        um = np.minimum(u, 0.0)
+        up, um = split_upwind(u)
 
         ab = np.zeros((3, n))
         ab[1, :] = 1.0 / dt + (up[1:] - um[:-1]) / dx
@@ -396,9 +361,7 @@ def _picard_sweeps(
         if np.min(rho_t) <= 0.0:
             raise StepFailure("fixed-point continuity solve lost positivity", k, history, float(np.min(rho_t)))
 
-        hat = _hat(u)
-        m = rho_t * hat
-        mflux = _upwind_faces(m, up, um)
+        mflux = upwind_flux(rho_t * hat(u), up, um)
         p = params.pressure(rho_t)
         rhs = w_old / dt - (mflux[2:] - mflux[:-2]) / (2.0 * dx) - (p[1:] - p[:-1]) / dx
         abm = np.zeros((3, n - 1))
@@ -472,7 +435,6 @@ def advance(
     tol = floor = math.nan
     nr_prev = math.inf
     backtracks = 0
-    eps = cfg.regularize_upwind
 
     for it in range(1, cfg.max_newton_iters + 1):
         cont, mom = _residual_arrays(rho_old, w_old, rho, u, grid, params)
@@ -491,7 +453,7 @@ def advance(
         if (it >= 5 and stalled and nr > tol) or it == cfg.max_newton_iters:
             break  # diverging or out of iterations: hand over to the fallback
 
-        ab = _jacobian_ab(rho, u, grid, params, eps)
+        ab = _jacobian_ab(rho, u, grid, params)
         resid = _interleave(cont, mom)
         try:
             delta = solve_banded(_BANDS, ab, -resid)

@@ -137,8 +137,6 @@ def test_malformed_values_name_key_and_line():
         ("newton_tol", "inf"),
         ("newton_tol", "nan"),
         ("damping", "nan"),
-        ("regularize_upwind", "nan"),
-        ("regularize_upwind", "inf"),
         ("polish_floor", "nan"),
         ("polish_floor", "inf"),
     ],
@@ -147,10 +145,16 @@ def test_non_finite_values_are_config_errors(key, value):
     text = "[scenario]\nname = constant\n"
     if key == "dt":
         text += "couple_dt_dx = off\n"
-    if key in ("newton_tol", "damping", "regularize_upwind", "polish_floor"):
+    if key in ("newton_tol", "damping", "polish_floor"):
         text += "[solver]\n"
     with pytest.raises(ConfigError, match=key):
         parse_config(text + f"{key} = {value}\n")
+
+
+def test_removed_regularize_upwind_key_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, MINIMAL + "[solver]\nregularize_upwind = 0\n")
+    assert cli_main(["verify", "--config", cfg]) == 2
+    assert "unknown key 'regularize_upwind' in [solver] (line 4)" in capsys.readouterr().err
 
 
 def test_non_finite_viscosity_exits_2(tmp_path, capsys):
@@ -353,6 +357,24 @@ def test_verify_smooth_bump_passes_too(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[scenario]\nname = smooth-bump\nlevels = 16,32,64\n")
     assert run_cli(["verify", "--config", cfg]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_verify_prints_one_line_per_check(tmp_path, capsys):
+    """Every Check identity_checks returns is printed once, in order, as is."""
+    text = "[scenario]\nname = smooth-bump\nlevels = 16\n"
+    assert run_cli(["verify", "--config", write_cfg(tmp_path, text)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    sc = parse_config(text).scenario
+    checks = v.identity_checks(v.run(sc, sc.grid_for(16), sc.params))
+    expected = [
+        f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.value:.3e} <= {c.bound:.3e}"
+        for c in checks
+    ]
+    assert len(checks) == 14
+    assert lines[0].startswith("INFO positivity margins: ")
+    assert lines[1:15] == expected
+    assert lines[15].startswith("PASS inverse-gradient duality (relative): ")
+    assert lines[16:] == ["15/15 identity checks passed"]
 
 
 def test_verify_with_zero_final_time_passes(tmp_path, capsys):

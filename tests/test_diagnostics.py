@@ -7,8 +7,10 @@ import pytest
 import scipy.integrate
 
 import visco1d as v
+from visco1d import diagnostics
 from visco1d.diagnostics import _WindowQuadrature, _int_abs_linear_pow
 from visco1d.operators import diff_cell
+from visco1d.stepper import _old_fields, assemble_residual
 
 from conftest import constant_state, scenario_named, solve_level, with_levels
 
@@ -396,3 +398,68 @@ def test_diagnostics_stack_each_matrix_at_most_once(name, smooth_traj_64, monkey
     _STACKING_DIAGNOSTICS[name](smooth_traj_64)
     assert counts["rho_matrix"] <= 1
     assert counts["u_matrix"] <= 1
+
+
+# ======================================================================
+# the diagnostics check the scheme the solver solves
+# ======================================================================
+
+
+@pytest.mark.parametrize("name", ["riemann-like", "smooth-bump"])
+def test_diagnostics_use_the_solvers_own_scheme_pieces(name, monkeypatch):
+    """The continuity residual and face momentum the diagnostics evaluate are
+    bit for bit the ones the stepper's residual evaluates, on every step."""
+    traj = solve_level(scenario_named(name), 16)
+    seen: dict[str, list] = {"continuity_residual": [], "face_momentum": []}
+    for attr, calls in seen.items():
+
+        def spy(*args, original=getattr(diagnostics, attr), calls=calls):
+            calls.append(original(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(diagnostics, attr, spy)
+    v.positivity_report(traj)
+    v.flux_ledger(traj)
+
+    g, pp, states = traj.grid, traj.params, traj.states
+    assert len(seen["continuity_residual"]) == len(states) - 1 >= 4
+    for k, cont in enumerate(seen["continuity_residual"], start=1):
+        solver = assemble_residual(states[k - 1], states[k], g, pp).cont
+        assert cont.tobytes() == solver.tobytes()
+    assert len(seen["face_momentum"]) == len(states)
+    for k, w in enumerate(seen["face_momentum"]):
+        assert w.tobytes() == _old_fields(states[k])[1].tobytes()
+
+
+def test_identity_check_bounds_are_the_contract(smooth_traj_32):
+    """Each budget identity_checks applies is the stated formula in tol."""
+    traj = smooth_traj_32
+    tol = max(m.tol for m in traj.solver_meta)
+    steps = len(traj) - 1
+    gamma = traj.params.gamma
+    z = np.linspace(float(np.min(traj.rho_matrix)), float(np.max(traj.rho_matrix)), 4097)
+
+    def renorm_bound(deriv) -> float:
+        return 10.0 * tol * float(np.max(np.abs(deriv(z))))
+
+    expected = [
+        ("step residual max-norm", tol),
+        ("mass drift (relative)", 1e-12 * steps),
+        ("energy balance (fraction of tolerance)", 1.0),
+        ("numerical diffusion negativity", 1e-12),
+        ("renormalized continuity [square]", renorm_bound(lambda z: 2.0 * z)),
+        (f"renormalized continuity [power-{gamma:g}]",
+         renorm_bound(lambda z: gamma * z ** (gamma - 1.0))),
+        ("renormalized continuity [zlogz]", renorm_bound(lambda z: 1.0 + np.log(z))),
+        ("flux identity gap", 100.0 * tol * steps),
+    ] + [
+        (f"weak {eq} self-consistency [sin{j}]", 1e-8)
+        for j in (1, 2, 3)
+        for eq in ("continuity", "momentum")
+    ]
+    checks = v.identity_checks(traj)
+    assert [c.name for c in checks] == [name for name, _ in expected]
+    for check, (_, bound) in zip(checks, expected):
+        assert check.bound == pytest.approx(bound, rel=1e-12), check.name
+        assert check.passed == (check.value <= check.bound)
+    assert all(c.passed for c in checks)

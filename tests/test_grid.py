@@ -192,11 +192,13 @@ def test_eval_velocity_linear_interpolation():
 
 def test_hat_velocity_midpoints():
     st = v.FluidState(rho=np.array([1.0, 1.0]), u=np.array([0.0, 2.0, 0.0]))
-    np.testing.assert_allclose(v.hat_velocity(st), [1.0, 1.0])
+    np.testing.assert_allclose(v.hat(st.u), [1.0, 1.0])
     st0 = v.FluidState(rho=np.array([1.0, 1.0]), u=np.zeros(3))
-    np.testing.assert_array_equal(v.hat_velocity(st0), [0.0, 0.0])
+    np.testing.assert_array_equal(v.hat(st0.u), [0.0, 0.0])
     st3 = v.FluidState(rho=np.ones(3), u=np.array([0.0, 1.0, 3.0, 0.0]))
-    np.testing.assert_allclose(v.hat_velocity(st3), [0.5, 2.0, 1.5])
+    np.testing.assert_allclose(v.hat(st3.u), [0.5, 2.0, 1.5])
+    # one row per time level: the (M+1, N+1) velocity matrix of a trajectory
+    np.testing.assert_array_equal(v.hat(np.stack([st.u, st0.u])), [[1.0, 1.0], [0.0, 0.0]])
 
 
 def test_gauss_rule_integrates_high_degree_polynomials():
