@@ -31,6 +31,7 @@ from .operators import (
     face_momentum,
     hat,
     neumann_inv_grad,
+    positivity_floor,
     split_upwind,
     upwind_mass_flux,
     upwind_momentum_flux,
@@ -288,7 +289,7 @@ class PositivityReport:
     ``margin`` = min_rho - bound.  That bound does not actually hold for this
     discretization at inflow wall cells (the wall cell sees only its outgoing
     face), so ``divergence_bound`` also records the floor that *is* provable,
-    min rho_old minus the residual allowance, divided by 1 + dt*max(div u)+.
+    operators.positivity_floor, the one advance() enforces.
     """
 
     min_rho: np.ndarray
@@ -320,10 +321,7 @@ def positivity_report(traj: Trajectory) -> PositivityReport:
         min_rho[k - 1] = float(np.min(rho))
         bound[k - 1] = prev_min / (1.0 + g.dt * float(np.max(np.abs(u))))
         res = continuity_residual(rho_m[k - 1], rho, upwind_mass_flux(rho, u), g.dt, g.dx)
-        div_plus = max(float(np.max(np.diff(u) / g.dx)), 0.0)
-        div_bound[k - 1] = (prev_min - g.dt * float(np.max(np.abs(res)))) / (
-            1.0 + g.dt * div_plus
-        )
+        div_bound[k - 1] = positivity_floor(rho_m[k - 1], u, res, g.dt, g.dx)
     return PositivityReport(
         min_rho, bound, min_rho - bound, div_bound, min_rho - div_bound
     )

@@ -6,9 +6,10 @@ Two field layouts appear everywhere:
 * face fields — length ``N+1``, indexed by faces (both wall faces included).
 
 The scheme's own pieces come first: the upwind switches, ``hat``, the
-donor-cell flux, the face momentum and the continuity residual.  The exact
-identities only hold for the discretization the solver actually solves, so
-the stepper and the diagnostics both take these from here and nowhere else.
+donor-cell flux, the face momentum, the continuity residual, the viscous
+Laplacian and the provable positivity floor.  The exact identities only hold
+for the discretization the solver actually solves, so the stepper and the
+diagnostics both take these from here and nowhere else.
 
 ``diff_face`` maps cells to interior faces, ``diff_cell`` maps faces to cells,
 and they are adjoint up to sign (summation by parts) whenever the face field
@@ -38,6 +39,7 @@ __all__ = [
     "upwind_momentum_flux",
     "face_momentum",
     "continuity_residual",
+    "positivity_floor",
     "diff_face",
     "diff_cell",
     "laplace_velocity",
@@ -102,6 +104,19 @@ def continuity_residual(
     return (rho - rho_old) / dt + (flux[1:] - flux[:-1]) / dx
 
 
+def positivity_floor(
+    rho_old: np.ndarray, u: np.ndarray, cont: np.ndarray, dt: float, dx: float
+) -> float:
+    """Provable floor on min rho of a step with velocity u and continuity residual cont.
+
+    At the cell where the new density attains its minimum the neighbours are
+    at least as large, so the continuity update forces
+    min rho >= (min rho_old - dt*max|cont|) / (1 + dt * max (div u)+).
+    """
+    div_plus = max(float(np.max((u[1:] - u[:-1]) / dx)), 0.0)
+    return (float(np.min(rho_old)) - dt * float(np.max(np.abs(cont)))) / (1.0 + dt * div_plus)
+
+
 def diff_face(cellfield: np.ndarray, dx: float) -> np.ndarray:
     """Difference quotient cells -> interior faces: (f[i+1] - f[i]) / dx."""
     f = np.asarray(cellfield, dtype=float)
@@ -114,10 +129,10 @@ def diff_cell(facefield: np.ndarray, dx: float) -> np.ndarray:
     return (v[1:] - v[:-1]) / dx
 
 
-def laplace_velocity(u: np.ndarray, dx: float) -> np.ndarray:
-    """Three-point Laplacian of a face field, on interior faces only."""
+def laplace_velocity(u: np.ndarray, dx: float, mu: float = 1.0) -> np.ndarray:
+    """Viscous term mu * (u_{f-1} - 2 u_f + u_{f+1}) / dx^2 of a face field, on interior faces."""
     u = np.asarray(u, dtype=float)
-    return (u[:-2] - 2.0 * u[1:-1] + u[2:]) / dx**2
+    return mu * (u[:-2] - 2.0 * u[1:-1] + u[2:]) / dx**2
 
 
 # ======================================================================

@@ -14,14 +14,21 @@ interleaved as (rho_0, u_1, rho_1, u_2, ..., rho_{N-1}), giving a banded
 Jacobian with at most four sub- and four super-diagonals (the momentum row at
 face f reaches u_{f+-2} through the neighbouring momentum fluxes).  The
 Jacobian is written straight into those nine diagonals, the layout banded LU
-reads; assemble_jacobian returns the same band as a CSR matrix.
+reads; assemble_jacobian returns the same band as a CSR matrix.  Newton
+factors the band with LAPACK's dgbtrf and solves with dgbtrs, the same calls
+solve_banded makes, so the two give the same bits.
 
 The Newton iteration uses the active-set derivative of the upwind switches
 (d u+/du = 1 for u > 0 else 0, and symmetrically for u-; zero exactly at the
 kink), damps its steps until every density stays positive, and — because the
 downstream identity checks want residuals near machine precision, not merely
 below the acceptance tolerance — keeps polishing while the residual still
-drops geometrically.  On stagnation above tolerance it falls back to a Picard
+drops geometrically.  It rebuilds and refactors the Jacobian only while the
+residual is above newton_tol; below it, each polish iteration is a chord
+(Shamanskii) step: one residual and one dgbtrs with the factors in hand
+(C. T. Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
+1995, ch. 5).  An exact zero pivot or a non-finite Newton step hands over to
+the fallback.  On stagnation above tolerance it falls back to a Picard
 splitting whose continuity half is a tridiagonal M-matrix solve: that half
 preserves positivity and conserves mass exactly, so the fallback is slow but
 safe.  A NaN or infinite residual also hands over to the fallback, which
@@ -36,9 +43,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .grid import FluidState, GridSpec, PhysParams, Trajectory, init_state
-from .operators import continuity_residual, face_momentum, hat, split_upwind, upwind_flux
+from .operators import (
+    continuity_residual,
+    face_momentum,
+    hat,
+    laplace_velocity,
+    positivity_floor,
+    split_upwind,
+    upwind_flux,
+)
 
 __all__ = [
     "StepResidual",
@@ -106,7 +122,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class StepMeta:
-    """What one advance() did: iteration counts and the accepted residual."""
+    """What one advance() did: iteration counts and the accepted residual.
+
+    ``factorizations`` counts the Newton Jacobians built and LU-factored; the
+    fallback's tridiagonal solves are not counted.
+    """
 
     iterations: int
     residual_norm: float
@@ -115,6 +135,7 @@ class StepMeta:
     backtracks: int = 0
     fallback_used: bool = False
     fallback_iterations: int = 0
+    factorizations: int = 0
 
 
 class StepFailure(RuntimeError):
@@ -156,7 +177,7 @@ def _residual_arrays(
         (face_momentum(m) - w_old) / dt
         + (mflux[2:] - mflux[:-2]) / (2.0 * dx)
         + (p[1:] - p[:-1]) / dx
-        - params.mu * (u[:-2] - 2.0 * u[1:-1] + u[2:]) / dx**2
+        - laplace_velocity(u, dx, params.mu)
     )
     return cont, mom
 
@@ -291,6 +312,21 @@ def assemble_jacobian(
 # ======================================================================
 
 
+def _band_lu(
+    rho: np.ndarray, u: np.ndarray, grid: GridSpec, params: PhysParams
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """LAPACK banded LU of the Newton Jacobian: (lu, piv, info), info > 0 at a zero pivot.
+
+    The band sits in rows 4.. of the work array; rows 0..3 take the fill-in
+    of partial pivoting.  This is the factorization solve_banded performs.
+    """
+    kl, ku = _BANDS
+    ab = _jacobian_ab(rho, u, grid, params)
+    work = np.zeros((kl + ab.shape[0], ab.shape[1]), order="F")
+    work[kl:] = ab
+    return dgbtrf(work, kl, ku, overwrite_ab=1)
+
+
 def _interleave(cont: np.ndarray, mom: np.ndarray) -> np.ndarray:
     out = np.empty(cont.size + mom.size)
     out[0::2] = cont
@@ -393,24 +429,25 @@ def _picard_sweeps(
 
 
 def _check_divergence_bound(
-    prev: FluidState, rho: np.ndarray, u: np.ndarray, grid: GridSpec, nr: float, k: int
+    prev: FluidState,
+    rho: np.ndarray,
+    u: np.ndarray,
+    cont: np.ndarray,
+    grid: GridSpec,
+    k: int,
+    history: list[float],
 ) -> None:
-    """Provable per-step floor on the density minimum.
+    """Hard check of the accepted state against operators.positivity_floor.
 
-    At the cell where the new density attains its minimum, the neighbours are
-    at least as large, so the continuity update forces
-    min rho_new >= (min rho_old - dt*|residual|) / (1 + dt * max (div u)+).
-    Violations indicate a solver bug, so this is a hard check.  (The commonly
-    quoted variant with max|u| in place of the divergence is generally false
-    for this discretization - wall cells break it - and is only *reported*,
-    by diagnostics.positivity_report.)
+    Violations indicate a solver bug.  (The commonly quoted variant with
+    max|u| in place of the divergence is generally false for this
+    discretization - wall cells break it - and is only *reported*, by
+    diagnostics.positivity_report.)
     """
-    div = (u[1:] - u[:-1]) / grid.dx
-    denom = 1.0 + grid.dt * max(float(np.max(div, initial=0.0)), 0.0)
-    bound = (float(np.min(prev.rho)) - grid.dt * nr) / denom
+    bound = positivity_floor(prev.rho, u, cont, grid.dt, grid.dx)
     if float(np.min(rho)) < bound - 1e-12 * (1.0 + bound):
         raise StepFailure(
-            "accepted state undercuts the provable positivity floor", k, [nr], float(np.min(rho))
+            "accepted state undercuts the provable positivity floor", k, history, float(np.min(rho))
         )
 
 
@@ -434,7 +471,8 @@ def advance(
     history: list[float] = []
     tol = floor = math.nan
     nr_prev = math.inf
-    backtracks = 0
+    backtracks = factorizations = 0
+    factors = None
 
     for it in range(1, cfg.max_newton_iters + 1):
         cont, mom = _residual_arrays(rho_old, w_old, rho, u, grid, params)
@@ -447,18 +485,20 @@ def advance(
             floor = cfg.polish_floor * (1.0 + nr)
         stalled = nr > 0.5 * nr_prev
         if nr <= floor or (nr <= tol and stalled) or (nr <= tol and it == cfg.max_newton_iters):
-            meta = StepMeta(it, nr, tol, floor, backtracks, False, 0)
-            _check_divergence_bound(prev, rho, u, grid, nr, k)
+            meta = StepMeta(it, nr, tol, floor, backtracks, False, 0, factorizations)
+            _check_divergence_bound(prev, rho, u, cont, grid, k, history)
             return FluidState(rho=rho, u=u, k=k), meta
         if (it >= 5 and stalled and nr > tol) or it == cfg.max_newton_iters:
             break  # diverging or out of iterations: hand over to the fallback
 
-        ab = _jacobian_ab(rho, u, grid, params)
-        resid = _interleave(cont, mom)
-        try:
-            delta = solve_banded(_BANDS, ab, -resid)
-        except np.linalg.LinAlgError:
-            break
+        # Chord polish: refactor only above tol; below it, reuse the factors.
+        if factors is None or nr > tol:
+            factors = _band_lu(rho, u, grid, params)
+            factorizations += 1
+        lu, piv, info = factors
+        if info != 0:
+            break  # exact zero pivot: hand over to the fallback
+        delta, _ = dgbtrs(lu, *_BANDS, -_interleave(cont, mom), piv)
         if not np.all(np.isfinite(delta)):
             break
         drho = delta[0::2]
@@ -476,8 +516,9 @@ def advance(
     rho, u, sweeps, nr = _picard_sweeps(
         prev.rho.copy(), prev.u.copy(), rho_old, w_old, grid, params, cfg, tol, k, history
     )
-    meta = StepMeta(len(history), nr, tol, floor, backtracks, True, sweeps)
-    _check_divergence_bound(prev, rho, u, grid, nr, k)
+    meta = StepMeta(len(history), nr, tol, floor, backtracks, True, sweeps, factorizations)
+    cont, _ = _residual_arrays(rho_old, w_old, rho, u, grid, params)
+    _check_divergence_bound(prev, rho, u, cont, grid, k, history)
     return FluidState(rho=rho, u=u, k=k), meta
 
 

@@ -135,6 +135,17 @@ def test_laplace_velocity_examples():
     np.testing.assert_allclose(v.laplace_velocity(lin, 0.2), np.zeros(4), atol=1e-12)
 
 
+def test_laplace_velocity_scales_by_mu_without_rounding_change():
+    rng = np.random.default_rng(3)
+    for n in (3, 9, 65):
+        u = rng.standard_normal(n)
+        dx, mu = rng.uniform(0.01, 1.0), rng.uniform(0.01, 2.0)
+        bare = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / dx**2
+        assert v.laplace_velocity(u, dx).tobytes() == bare.tobytes()
+        scaled = mu * (u[:-2] - 2.0 * u[1:-1] + u[2:]) / dx**2
+        assert v.laplace_velocity(u, dx, mu).tobytes() == scaled.tobytes()
+
+
 @given(u=cell_field(min_size=3, max_size=30))
 @settings(max_examples=50, deadline=None)
 def test_laplacian_is_divergence_of_gradient(u):

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 import visco1d as v
-from visco1d.stepper import _jacobian_ab, advance, assemble_jacobian, assemble_residual
+from visco1d import stepper
+from visco1d.operators import face_momentum, hat, split_upwind, upwind_flux
+from visco1d.stepper import _band_lu, _jacobian_ab, advance, assemble_jacobian, assemble_residual
 
 from conftest import constant_state, scenario_named, solve_level
 
@@ -54,6 +57,27 @@ def test_residual_viscous_term_linear_in_mu():
     lap = v.laplace_velocity(u, g.dx)
     np.testing.assert_allclose(full.mom - tiny.mom, -2.0 * lap, rtol=1e-9, atol=1e-12)
     np.testing.assert_array_equal(full.cont, tiny.cont)
+
+
+def test_momentum_residual_is_the_inline_scheme():
+    """The residual's viscous term comes from laplace_velocity without a rounding change."""
+    rng = np.random.default_rng(41)
+    for n in range(2, 65, 3):
+        g = v.GridSpec(L=1.0, N=n, dt=1.0 / n, T=1.0)
+        pp = _params(mu=rng.uniform(0.01, 2.0), gamma=rng.uniform(1.2, 2.5))
+        prev, trial = _random_state(rng, n), _random_state(rng, n)
+        rho, u, dt, dx = trial.rho, trial.u, g.dt, g.dx
+        w_old = face_momentum(prev.rho * hat(prev.u))
+        m = rho * hat(u)
+        mflux = upwind_flux(m, *split_upwind(u))
+        p = pp.pressure(rho)
+        inline = (
+            (face_momentum(m) - w_old) / dt
+            + (mflux[2:] - mflux[:-2]) / (2.0 * dx)
+            + (p[1:] - p[:-1]) / dx
+            - pp.mu * (u[:-2] - 2.0 * u[1:-1] + u[2:]) / dx**2
+        )
+        assert assemble_residual(prev, trial, g, pp).mom.tobytes() == inline.tobytes()
 
 
 # ======================================================================
@@ -174,6 +198,25 @@ def test_band_jacobian_is_the_csr_jacobian():
     assert outer == {0, 8}
 
 
+def test_lapack_band_solve_is_solve_banded():
+    """Newton's dgbtrf + dgbtrs give solve_banded's bits on the (4, 4) band."""
+    rng = np.random.default_rng(29)
+    pp = _params(mu=0.3)
+    for n in (2, 3, 4, 5, 8, 17, 33, 64):
+        g = v.GridSpec(L=1.0, N=n, dt=1.0 / n, T=1.0)
+        for _ in range(5):
+            rho = rng.uniform(0.3, 3.0, size=n)
+            u = np.zeros(n + 1)
+            u[1:-1] = rng.uniform(-1.0, 1.0, size=n - 1)
+            u[1:-1][rng.random(n - 1) < 0.3] = 0.0  # exact upwind kinks
+            b = rng.standard_normal(2 * n - 1)
+            lu, piv, info = _band_lu(rho, u, g, pp)
+            assert info == 0
+            x, _ = scipy.linalg.lapack.dgbtrs(lu, 4, 4, b, piv)
+            ref = scipy.linalg.solve_banded((4, 4), _jacobian_ab(rho, u, g, pp), b)
+            assert x.tobytes() == ref.tobytes()
+
+
 def test_finite_difference_jacobian_vanishes_outside_the_band():
     rng = np.random.default_rng(17)
     pp = _params(mu=0.4)
@@ -196,6 +239,7 @@ def test_advance_constant_state_one_iteration():
     np.testing.assert_array_equal(out.rho, st.rho)
     np.testing.assert_array_equal(out.u, st.u)
     assert meta.iterations == 1
+    assert meta.factorizations == 0
     assert not meta.fallback_used
 
 
@@ -258,6 +302,34 @@ def test_advance_picard_fallback_reaches_tolerance():
     assert meta.residual_norm <= meta.tol
     ref, _ = advance(prev, g, sc.params)
     np.testing.assert_allclose(out.rho, ref.rho, atol=1e-7)
+
+
+def test_zero_pivot_hands_over_to_fallback(monkeypatch):
+    """An exactly singular Jacobian ends Newton; the fallback finishes the step."""
+    sc = scenario_named("smooth-bump")
+    g = sc.grid_for(8)
+    prev = v.init_state(g, sc.rho0_fn, sc.u0_fn)
+    real = stepper._jacobian_ab
+
+    def singular(*args):
+        ab = real(*args)
+        ab[:, 3] = 0.0  # a zero column of the matrix
+        return ab
+
+    monkeypatch.setattr(stepper, "_jacobian_ab", singular)
+    out, meta = advance(prev, g, sc.params, v.SolverConfig(fallback=4000))
+    assert meta.fallback_used
+    assert meta.factorizations == 1
+    assert meta.residual_norm <= meta.tol
+
+
+def test_advance_enforces_the_positivity_floor(monkeypatch):
+    sc = scenario_named("smooth-bump")
+    g = sc.grid_for(8)
+    prev = v.init_state(g, sc.rho0_fn, sc.u0_fn)
+    monkeypatch.setattr(stepper, "positivity_floor", lambda *args: 10.0)
+    with pytest.raises(v.StepFailure, match="undercuts the provable positivity floor"):
+        advance(prev, g, sc.params)
 
 
 def test_non_finite_pressure_raises_step_failure():
@@ -326,6 +398,15 @@ def test_run_requires_coupled_steps_by_default():
 def test_run_smooth_bump_mass_conservation_n64(smooth_traj_64):
     masses = v.mass_history(smooth_traj_64)
     assert np.max(np.abs(masses - masses[0])) / masses[0] <= 1e-11
+
+
+def test_polish_reuses_the_newton_factors(smooth_traj_64):
+    """Below newton_tol the polish solves with factors already in hand."""
+    metas = smooth_traj_64.solver_meta
+    assert not any(m.fallback_used for m in metas)
+    for m in metas:
+        assert m.factorizations <= m.iterations - 1
+    assert sum(m.factorizations for m in metas) < sum(m.iterations - 1 for m in metas)
 
 
 def test_run_is_bitwise_reproducible():
