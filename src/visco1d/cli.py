@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 solver failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections.abc import Iterable
@@ -195,21 +196,25 @@ def parse_config(text: str) -> RunConfig:
         raw, ln = sc[key]
         return _parse_float(raw, key, ln)
 
-    warnings: list[str] = []
     L = take_float("L", base.L)
     T = take_float("T", base.T)
     a = take_float("a", base.params.a)
     gamma = take_float("gamma", base.params.gamma)
     mu = take_float("mu", base.params.mu)
-    for key, val in (("L", L), ("a", a)):
-        if val <= 0:
-            raise ConfigError(f"'{key}' must be positive, got {val:g}", sc[key][1])
-    if T < 0:
-        raise ConfigError(f"'T' must be nonnegative, got {T:g}", sc["T"][1])
-    if mu < 0:
-        raise ConfigError(f"'mu' must be nonnegative, got {mu:g}", sc["mu"][1])
-    if gamma <= 1:
-        raise ConfigError(f"'gamma' must exceed 1, got {gamma:g}", sc["gamma"][1])
+    # The ranges PhysParams and ScenarioConfig enforce, checked here so that
+    # the error names the key's line; a NaN fails every comparison.
+    for key, val, ok, rule in (
+        ("L", L, L > 0, "positive"),
+        ("T", T, T >= 0, "nonnegative"),
+        ("a", a, a > 0, "positive"),
+        ("gamma", gamma, gamma > 1, "greater than 1"),
+        ("mu", mu, mu > 0, "positive"),
+    ):
+        if key in sc and not (ok and val < math.inf):
+            raise ConfigError(
+                f"'{key}' must be {rule} and finite, got {key}={val:g}", sc[key][1]
+            )
+    warnings: list[str] = []
     if not (1.5 < gamma < 2.0):
         warnings.append(
             f"gamma={gamma:g} outside 3/2<gamma<2 convergence regime"
@@ -230,6 +235,8 @@ def parse_config(text: str) -> RunConfig:
     if "dt" in sc:
         raw, ln = sc["dt"]
         dt = _parse_float(raw, "dt", ln)
+        if not couple and not (0.0 < dt < math.inf):
+            raise ConfigError(f"decoupled 'dt' must be positive and finite, got dt={dt:g}", ln)
 
     try:
         params = PhysParams(a=a, gamma=gamma, mu=mu)
@@ -247,29 +254,22 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"invalid scenario: {exc}", name_ln) from exc
 
-    so = sections["solver"]
     solver_kwargs: dict = {}
-    if "newton_tol" in so:
-        raw, ln = so["newton_tol"]
-        solver_kwargs["newton_tol"] = (
-            None if raw.lower() == "auto" else _parse_float(raw, "newton_tol", ln)
-        )
-    if "max_newton_iters" in so:
-        raw, ln = so["max_newton_iters"]
-        solver_kwargs["max_newton_iters"] = _parse_int(raw, "max_newton_iters", ln)
-    if "damping" in so:
-        raw, ln = so["damping"]
-        solver_kwargs["damping"] = _parse_float(raw, "damping", ln)
-    if "fallback" in so:
-        raw, ln = so["fallback"]
-        solver_kwargs["fallback"] = _parse_int(raw, "fallback", ln)
-    if "polish_floor" in so:
-        raw, ln = so["polish_floor"]
-        solver_kwargs["polish_floor"] = _parse_float(raw, "polish_floor", ln)
-    try:
-        solver = SolverConfig(**solver_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid solver setting: {exc}") from exc
+    for key, (raw, ln) in sections["solver"].items():
+        if key == "newton_tol" and raw.lower() == "auto":
+            val = None
+        elif key in ("max_newton_iters", "fallback"):
+            val = _parse_int(raw, key, ln)
+        else:
+            val = _parse_float(raw, key, ln)
+        # SolverConfig checks each field on its own, so one key at a time
+        # finds the offending line.
+        try:
+            SolverConfig(**{key: val})
+        except ValueError as exc:
+            raise ConfigError(f"invalid solver setting: {exc}", ln) from exc
+        solver_kwargs[key] = val
+    solver = SolverConfig(**solver_kwargs)
 
     out_dir = sections["output"].get("out_dir", (".", 0))[0]
     return RunConfig(

@@ -65,6 +65,7 @@ __all__ = [
     "b_pressure_potential",
     "sup_abs_deriv",
     "default_test_functions",
+    "probe_test_functions",
     "mass_history",
     "effective_newton_tol",
     "rho_power_integral",
@@ -112,6 +113,22 @@ class EnergyLedger:
         return np.diff(getattr(self, name))
 
 
+def _convexity_gaps(
+    b_old: np.ndarray, b: np.ndarray, db: np.ndarray, rho_old: np.ndarray, rho: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unscaled convexity gaps B(y) - B(x) - B'(x)(y - x) of one step.
+
+    ``b_old``, ``b`` and ``db`` are B(rho_old), B(rho) and B'(rho) per cell.
+    Returns (time, right, left): the gap from rho to rho_old in every cell,
+    and at every interior face the gap from the left cell to the right one
+    (right) and from the right cell to the left one (left).
+    """
+    time = b_old - b - db * (rho_old - rho)
+    right = b[1:] - b[:-1] - db[:-1] * (rho[1:] - rho[:-1])
+    left = b[:-1] - b[1:] - db[1:] * (rho[:-1] - rho[1:])
+    return time, right, left
+
+
 def energy_ledger(traj: Trajectory) -> EnergyLedger:
     """Evaluate the discrete energy equality along a trajectory.
 
@@ -145,13 +162,12 @@ def energy_ledger(traj: Trajectory) -> EnergyLedger:
         du = np.diff(u) / dx
         inc_d[k - 1] = pp.mu * dt * dx * float(du @ du)
 
-        inc["N1"][k - 1] = dx * float(
-            np.sum(pot[k - 1] - pot[k] - dpot[k] * (rho_m[k - 1] - rho))
+        time_gap, gap_right, gap_left = _convexity_gaps(
+            pot[k - 1], pot[k], dpot[k], rho_m[k - 1], rho
         )
+        inc["N1"][k - 1] = dx * float(np.sum(time_gap))
 
         up_int, um_int = split_upwind(u[1:-1])
-        gap_right = pot[k, 1:] - pot[k, :-1] - dpot[k, :-1] * (rho[1:] - rho[:-1])
-        gap_left = pot[k, :-1] - pot[k, 1:] - dpot[k, 1:] * (rho[:-1] - rho[1:])
         inc["N2"][k - 1] = dt * float(-(gap_right @ um_int) + gap_left @ up_int)
 
         inc["N3"][k - 1] = dx * float(
@@ -259,10 +275,8 @@ def renorm_residual(traj: Trajectory, B: BFunction) -> np.ndarray:
         bv_prev = np.asarray(B.value(rho_m[k - 1]), dtype=float)
         small_b = rho * bp - bv
 
-        time_gap = (bv_prev - bv - bp * (rho_m[k - 1] - rho)) / dt
+        time_gap, gap_right, gap_left = _convexity_gaps(bv_prev, bv, bp, rho_m[k - 1], rho)
         up_int, um_int = split_upwind(u[1:-1])
-        gap_right = bv[1:] - bv[:-1] - bp[:-1] * (rho[1:] - rho[:-1])
-        gap_left = bv[:-1] - bv[1:] - bp[1:] * (rho[:-1] - rho[1:])
         spatial = np.zeros(g.N)
         spatial[:-1] -= gap_right * um_int / dx
         spatial[1:] += gap_left * up_int / dx
@@ -270,7 +284,7 @@ def renorm_residual(traj: Trajectory, B: BFunction) -> np.ndarray:
         out[k - 1] = (
             continuity_residual(bv_prev, bv, upwind_mass_flux(bv, u), dt, dx)
             + small_b * diff_cell(u, dx)
-            + time_gap
+            + time_gap / dt
             + spatial
         )
     return out
@@ -451,32 +465,54 @@ def flux_ledger(traj: Trajectory, m: int | None = None) -> FluxLedger:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Smooth space-time test function with its x-derivative.
+    """Separable space-time test function phi(t, x) = space(x) * time(t).
 
-    ``value`` and ``deriv_x`` must accept broadcasting numpy arrays (t, x).
+    ``space``, its x-derivative ``space_deriv`` and ``time`` must accept
+    numpy arrays.  Both weak residuals are linear in the test function, so a
+    sum of separable terms is checked term by term: the product form loses
+    nothing, and it lets a residual integrate the two factors separately.
     """
 
-    value: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    deriv_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    space: Callable[[np.ndarray], np.ndarray]
+    space_deriv: Callable[[np.ndarray], np.ndarray]
+    time: Callable[[np.ndarray], np.ndarray]
     name: str = ""
+
+    def value(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return self.space(x) * self.time(t)
 
 
 def default_test_functions(
     L: float, T: float, js: Sequence[int] = (1, 2, 3)
 ) -> tuple[TestFunction, ...]:
     """sin(pi j x / L) * (1 - t/T)^2: vanish at t=T and at both walls."""
+
+    def time(t):
+        return (1.0 - t / T) ** 2
+
     out = []
     for j in js:
         kj = math.pi * j / L
 
-        def val(t, x, kj=kj):
-            return np.sin(kj * x) * (1.0 - t / T) ** 2
+        def space(x, kj=kj):
+            return np.sin(kj * x)
 
-        def der(t, x, kj=kj):
-            return kj * np.cos(kj * x) * (1.0 - t / T) ** 2
+        def space_deriv(x, kj=kj):
+            return kj * np.cos(kj * x)
 
-        out.append(TestFunction(val, der, name=f"sin{j}"))
+        out.append(TestFunction(space, space_deriv, time, name=f"sin{j}"))
     return tuple(out)
+
+
+def probe_test_functions(L: float, T: float) -> tuple[TestFunction, TestFunction]:
+    """(phi, v): the refinement study's probes of the density and momentum equations.
+
+    phi = sin1 is even about L/2.  v = sin2 is odd: for mirror-symmetric
+    scenarios the momentum field is odd, so an even v would pair to an exact
+    zero and the measured rate of P2 would be roundoff noise.
+    """
+    phi, v = default_test_functions(L, T, js=(1, 2))
+    return phi, v
 
 
 def _check_test_function(fn: TestFunction, L: float, T: float) -> None:
@@ -489,49 +525,25 @@ def _check_test_function(fn: TestFunction, L: float, T: float) -> None:
         raise ValueError("test function must vanish at x = 0 and x = L")
 
 
-class _WindowQuadrature:
-    """Shared tensor Gauss data: per-cell x-nodes and per-window t-nodes."""
+def _moments(traj: Trajectory, fn: TestFunction) -> tuple[np.ndarray, ...]:
+    """What the weak residuals need of a test function, by 5-point Gauss rules.
 
-    def __init__(self, traj: Trajectory):
-        g = traj.grid
-        self.g = g
-        cells = np.arange(g.N)
-        x, wx = gauss_panels(cells * g.dx, (cells + 1) * g.dx)
-        self.x = x.ravel()                       # (N*q,)
-        self.wx = wx.ravel()                     # (N*q,)
-        self.q = x.shape[1]
-        self.face_x = g.face_nodes
-        # row k-1 holds the nodes/weights of window k = (t^{k-1}, t^k]
-        windows = np.arange(len(traj) - 1)
-        self.tn, self.tw = gauss_panels(windows * g.dt, (windows + 1) * g.dt)
-        # velocity interpolation weights at the x-nodes
-        idx = np.minimum((self.x / g.dx).astype(int), g.N - 1)
-        self.cell_of_node = idx
-        self.frac = self.x / g.dx - idx
-
-    def t_nodes(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.tn[k - 1], self.tw[k - 1]
-
-    def u_at_nodes(self, u: np.ndarray) -> np.ndarray:
-        i = self.cell_of_node
-        return u[i] + self.frac * (u[i + 1] - u[i])
-
-    def averages(
-        self, fn: TestFunction, k: int, vals: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(cell-time averages, time averages at faces) of fn on window k.
-
-        ``vals`` is fn.value on the window's (t-node, x-node) grid, which the
-        callers have already evaluated.
-        """
-        tn, tw = self.t_nodes(k)
-        g = self.g
-        cell_avg = (
-            (tw[:, None] * vals * self.wx[None, :]).sum(axis=0).reshape(g.N, self.q).sum(axis=1)
-        ) / (g.dt * g.dx)
-        face_vals = fn.value(tn[:, None], self.face_x[None, :])
-        face_avg = (tw[:, None] * face_vals).sum(axis=0) / g.dt
-        return cell_avg, face_avg
+    Returns (tbar, mx, mdx, mfdx, xf): tbar[k-1] integrates ``time`` over
+    window k; per cell i, mx, mdx and mfdx are the Gauss sums of wx*X,
+    wx*X' and wx*frac*X', where frac = x/dx - i is the weight of u_{i+1} in
+    the velocity interpolant at the node; xf holds X at the N+1 faces.
+    """
+    g = traj.grid
+    _check_test_function(fn, g.L, g.T)
+    cells = np.arange(g.N)
+    x, wx = gauss_panels(cells * g.dx, (cells + 1) * g.dx)  # (N, 5) each
+    frac = x / g.dx - cells[:, None]
+    wdx = wx * fn.space_deriv(x)
+    windows = np.arange(len(traj) - 1)
+    tn, tw = gauss_panels(windows * g.dt, (windows + 1) * g.dt)
+    tbar = (tw * fn.time(tn)).sum(axis=1)
+    mx = (wx * fn.space(x)).sum(axis=1)
+    return tbar, mx, wdx.sum(axis=1), (frac * wdx).sum(axis=1), fn.space(g.face_nodes)
 
 
 def weak_residual_continuity(
@@ -546,38 +558,28 @@ def weak_residual_continuity(
     face traces of phi.  The two agree up to quadrature error plus the
     continuity residual paired with phi, which validates quadrature and
     assembly simultaneously.  phi must vanish at t=T and at both walls.
+
+    phi = X(x) tau(t) is separable, so each window's integrals are the
+    window integral of tau times dot products with the per-cell moments of X.
     """
     g = traj.grid
-    _check_test_function(phi, g.L, g.T)
-    quad = _WindowQuadrature(traj)
+    tbar, mx, mdx, mfdx, xf = _moments(traj, phi)
     dt, dx = g.dt, g.dx
+    # cell averages of X minus X at the interior face on the cell's left/right
+    gap_r = mx[1:] / dx - xf[1:-1]
+    gap_l = mx[:-1] / dx - xf[1:-1]
     rho_m = traj.rho_matrix
     u_m = traj.u_matrix
     lhs = 0.0
     p1 = 0.0
-    for k in range(1, len(traj)):
+    for k, tk in enumerate(tbar.tolist(), start=1):
         rho, u = rho_m[k], u_m[k]
-        tn, tw = quad.t_nodes(k)
-        phi_vals = phi.value(tn[:, None], quad.x[None, :])
-        phix_vals = phi.deriv_x(tn[:, None], quad.x[None, :])
-        dt_rho = ((rho - rho_m[k - 1]) / dt)[quad.cell_of_node]
-        rho_n = rho[quad.cell_of_node]
-        u_n = quad.u_at_nodes(u)
-        integrand = dt_rho[None, :] * phi_vals - (rho_n * u_n)[None, :] * phix_vals
-        lhs += float(tw @ (integrand @ quad.wx))
+        dt_rho = (rho - rho_m[k - 1]) / dt
+        transport = rho @ (u[:-1] * mdx + np.diff(u) * mfdx)
+        lhs += tk * float(dt_rho @ mx - transport)
 
-        cell_avg, face_avg = quad.averages(phi, k, phi_vals)
         up_int, um_int = split_upwind(u[1:-1])
-        jump = rho[1:] - rho[:-1]
-        p1 += -dt * float(
-            np.sum(
-                jump
-                * (
-                    up_int * (cell_avg[1:] - face_avg[1:-1])
-                    + um_int * (cell_avg[:-1] - face_avg[1:-1])
-                )
-            )
-        )
+        p1 -= tk * float(np.diff(rho) @ (up_int * gap_r + um_int * gap_l))
     return lhs, p1
 
 
@@ -590,48 +592,31 @@ def weak_residual_momentum(traj: Trajectory, v: TestFunction) -> tuple[float, fl
     consisting of the cell-vs-face trace gap against the momentum time
     difference plus the upwind trace asymmetry of the convection term.
     Pressure and viscosity pair exactly and leave no trace here.  v must
-    vanish at t=T and at both walls.
+    vanish at t=T and at both walls.  v is separable, as in
+    weak_residual_continuity.
     """
     g, pp = traj.grid, traj.params
-    _check_test_function(v, g.L, g.T)
-    quad = _WindowQuadrature(traj)
+    tbar, mx, mdx, _, xf = _moments(traj, v)
     dt, dx = g.dt, g.dx
+    # trapezoid of X over each cell minus its Gauss integral; jumps of X
+    trace_gap = 0.5 * dx * (xf[:-1] + xf[1:]) - mx
+    dxf = np.diff(xf)
     rho_mat = traj.rho_matrix
     u_mat = traj.u_matrix
     lhs = 0.0
     p2 = 0.0
-    for k in range(1, len(traj)):
+    for k, tk in enumerate(tbar.tolist(), start=1):
         rho, u = rho_mat[k], u_mat[k]
         hat_u = hat(u)
         mom = rho * hat_u
         dt_mom = (mom - rho_mat[k - 1] * hat(u_mat[k - 1])) / dt
         cell_coeff = -(mom * hat_u + pp.pressure(rho) - pp.mu * diff_cell(u, dx))
+        lhs += tk * float(dt_mom @ mx + cell_coeff @ mdx)
 
-        tn, tw = quad.t_nodes(k)
-        v_vals = v.value(tn[:, None], quad.x[None, :])
-        vx_vals = v.deriv_x(tn[:, None], quad.x[None, :])
-        integrand = (
-            dt_mom[quad.cell_of_node][None, :] * v_vals
-            + cell_coeff[quad.cell_of_node][None, :] * vx_vals
-        )
-        lhs += float(tw @ (integrand @ quad.wx))
-
-        cell_avg, face_avg = quad.averages(v, k, v_vals)
-        j1 = float(
-            np.sum(dt_mom * (0.5 * dx * (face_avg[:-1] + face_avg[1:]) - dx * cell_avg))
-        )
+        j1 = float(dt_mom @ trace_gap)
         up_int, um_int = split_upwind(u[1:-1])
-        dmom = mom[1:] - mom[:-1]
-        j2 = 0.5 * float(
-            np.sum(
-                dmom
-                * (
-                    up_int * (face_avg[2:] - face_avg[1:-1])
-                    - um_int * (face_avg[1:-1] - face_avg[:-2])
-                )
-            )
-        )
-        p2 += -dt * (j1 + j2)
+        j2 = 0.5 * float(np.diff(mom) @ (up_int * dxf[1:] - um_int * dxf[:-1]))
+        p2 -= tk * (j1 + j2)
     return lhs, p2
 
 
@@ -772,14 +757,9 @@ def error_rates(
     for tr in trajs:
         if not tr.meta.get("dt_dx_coupled", abs(tr.grid.dt - tr.grid.dx) <= 1e-12 * tr.grid.dx):
             raise ValueError("error_rates requires dt == dx at every level")
-    base = trajs[0]
-    if phi is None:
-        phi = default_test_functions(base.grid.L, base.grid.T, js=(1,))[0]
-    if v is None:
-        # j=2 is antisymmetric about L/2: for mirror-symmetric scenarios the
-        # momentum field is odd, so an even test function (j=1) pairs to an
-        # exact zero and the measured rate would be roundoff noise.
-        v = default_test_functions(base.grid.L, base.grid.T, js=(2,))[0]
+    probes = probe_test_functions(trajs[0].grid.L, trajs[0].grid.T)
+    phi = phi or probes[0]
+    v = v or probes[1]
 
     rows = []
     for tr in trajs:

@@ -285,9 +285,7 @@ def run_refinement(
     levels = scenario.levels
     if len(levels) < 3:
         raise ValueError("a refinement study needs at least 3 levels")
-    # phi (even about L/2) probes the density equation; the momentum probe v
-    # must be odd so it does not annihilate mirror-symmetric flows.
-    phi, v = diagnostics.default_test_functions(scenario.L, scenario.T, js=(1, 2))
+    phi, v = diagnostics.probe_test_functions(scenario.L, scenario.T)
 
     trajs: dict[int, Trajectory] = {}
     flags: list[str] = []

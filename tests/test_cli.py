@@ -134,6 +134,7 @@ def test_malformed_values_name_key_and_line():
         ("gamma", "inf"),
         ("mu", "inf"),
         ("mu", "nan"),
+        ("mu", "0"),
         ("newton_tol", "inf"),
         ("newton_tol", "nan"),
         ("damping", "nan"),
@@ -147,8 +148,11 @@ def test_non_finite_values_are_config_errors(key, value):
         text += "couple_dt_dx = off\n"
     if key in ("newton_tol", "damping", "polish_floor"):
         text += "[solver]\n"
-    with pytest.raises(ConfigError, match=key):
-        parse_config(text + f"{key} = {value}\n")
+    text += f"{key} = {value}\n"
+    with pytest.raises(ConfigError, match=key) as err:
+        parse_config(text)
+    assert err.value.line == text.count("\n")
+    assert f"(line {err.value.line})" in str(err.value)
 
 
 def test_removed_regularize_upwind_key_exits_2(tmp_path, capsys):

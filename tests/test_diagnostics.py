@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.integrate
 
 import visco1d as v
 from visco1d import diagnostics
-from visco1d.diagnostics import _WindowQuadrature, _int_abs_linear_pow
-from visco1d.operators import diff_cell
+from visco1d.diagnostics import _int_abs_linear_pow
+from visco1d.operators import diff_cell, hat, split_upwind
 from visco1d.stepper import _old_fields, assemble_residual
 
 from conftest import constant_state, scenario_named, solve_level, with_levels
@@ -218,9 +220,7 @@ def test_flux_ledger_checkpoint_must_be_valid(smooth_traj_32):
 
 def test_weak_residual_zero_test_function(smooth_traj_32):
     zero = v.TestFunction(
-        value=lambda t, x: np.zeros(np.broadcast(t, x).shape),
-        deriv_x=lambda t, x: np.zeros(np.broadcast(t, x).shape),
-        name="zero",
+        space=np.zeros_like, space_deriv=np.zeros_like, time=np.ones_like, name="zero"
     )
     assert v.weak_residual_continuity(smooth_traj_32, zero) == (0.0, 0.0)
     assert v.weak_residual_momentum(smooth_traj_32, zero) == (0.0, 0.0)
@@ -239,15 +239,14 @@ def test_weak_residual_steady_constant_state(constant_traj):
 def test_weak_residual_rejects_bad_test_functions(smooth_traj_32):
     T = smooth_traj_32.grid.T
     not_zero_at_T = v.TestFunction(
-        value=lambda t, x: np.ones(np.broadcast(t, x).shape),
-        deriv_x=lambda t, x: np.zeros(np.broadcast(t, x).shape),
-        name="one",
+        space=np.ones_like, space_deriv=np.zeros_like, time=np.ones_like, name="one"
     )
     with pytest.raises(ValueError):
         v.weak_residual_continuity(smooth_traj_32, not_zero_at_T)
     not_zero_at_wall = v.TestFunction(
-        value=lambda t, x: (1.0 - t / T) ** 2 * np.cos(np.pi * np.asarray(x)),
-        deriv_x=lambda t, x: -(1.0 - t / T) ** 2 * np.pi * np.sin(np.pi * np.asarray(x)),
+        space=lambda x: np.cos(np.pi * x),
+        space_deriv=lambda x: -np.pi * np.sin(np.pi * x),
+        time=lambda t: (1.0 - t / T) ** 2,
         name="cos",
     )
     with pytest.raises(ValueError):
@@ -262,19 +261,78 @@ def test_weak_self_consistency(smooth_traj_32):
         assert abs(lhs2 - p2) <= 1e-8
 
 
-@pytest.mark.parametrize("n", [2, 7, 64])
-def test_window_quadrature_nodes_are_the_per_cell_gauss_rules(n):
-    traj = synthetic_trajectory([constant_state(n)] * 41, L=0.7)
-    g = traj.grid
-    quad = _WindowQuadrature(traj)
-    xs, ws = zip(*(v.gauss_rule(i * g.dx, (i + 1) * g.dx, 1) for i in range(n)))
-    assert quad.x.tobytes() == np.concatenate(xs).tobytes()
-    assert quad.wx.tobytes() == np.concatenate(ws).tobytes()
+def reference_weak_residuals(traj, value, deriv_x):
+    """(lhs, P1, lhs, P2) by tensor Gauss quadrature, for a general phi(t, x).
+
+    ``value`` and ``deriv_x`` take broadcasting (t, x) arrays.  Every window
+    evaluates them on the product of its own t-nodes with every cell's
+    x-nodes, both built by gauss_rule, and integrates the extended fields
+    there; P1 and P2 pair the scheme with the cell-time and face-time
+    averages of phi on that window.
+    """
+    g, pp = traj.grid, traj.params
+    dt, dx, n = g.dt, g.dx, g.N
+    rules = [v.gauss_rule(i * dx, (i + 1) * dx) for i in range(n)]
+    x = np.concatenate([nodes for nodes, _ in rules])
+    wx = np.concatenate([weights for _, weights in rules])
+    cell = np.repeat(np.arange(n), x.size // n)
+    frac = x / dx - cell
+    lhs_c = p1 = lhs_m = p2 = 0.0
     for k in range(1, len(traj)):
-        tn, tw = quad.t_nodes(k)
-        ref_n, ref_w = v.gauss_rule((k - 1) * g.dt, k * g.dt, 1)
-        assert tn.tobytes() == ref_n.tobytes(), k
-        assert tw.tobytes() == ref_w.tobytes(), k
+        old, new = traj.states[k - 1], traj.states[k]
+        rho, u = new.rho, new.u
+        tn, tw = v.gauss_rule((k - 1) * dt, k * dt)
+        phi = value(tn[:, None], x[None, :])
+        phi_x = deriv_x(tn[:, None], x[None, :])
+        cell_avg = (tw @ (phi * wx)).reshape(n, -1).sum(axis=1) / (dt * dx)
+        face_avg = tw @ value(tn[:, None], g.face_nodes[None, :]) / dt
+        up, um = split_upwind(u[1:-1])
+
+        u_nodes = u[cell] + frac * (u[cell + 1] - u[cell])
+        integrand = ((rho - old.rho) / dt)[cell] * phi - (rho[cell] * u_nodes) * phi_x
+        lhs_c += tw @ integrand @ wx
+        p1 -= dt * np.sum(
+            np.diff(rho)
+            * (up * (cell_avg[1:] - face_avg[1:-1]) + um * (cell_avg[:-1] - face_avg[1:-1]))
+        )
+
+        mom = rho * hat(u)
+        dt_mom = (mom - old.rho * hat(old.u)) / dt
+        flux = mom * hat(u) + pp.pressure(rho) - pp.mu * diff_cell(u, dx)
+        lhs_m += tw @ (dt_mom[cell] * phi - flux[cell] * phi_x) @ wx
+        j1 = np.sum(dt_mom * (0.5 * dx * (face_avg[:-1] + face_avg[1:]) - dx * cell_avg))
+        j2 = 0.5 * np.sum(
+            np.diff(mom)
+            * (up * (face_avg[2:] - face_avg[1:-1]) - um * (face_avg[1:-1] - face_avg[:-2]))
+        )
+        p2 -= dt * (j1 + j2)
+    return lhs_c, p1, lhs_m, p2
+
+
+@pytest.mark.parametrize("name, n", [("smooth-bump", 32), ("riemann-like", 64), ("gamma-1.9", 64)])
+def test_weak_residuals_match_the_tensor_gauss_reference(name, n):
+    traj = solve_level(scenario_named(name), n)
+    for fn in v.default_test_functions(traj.grid.L, traj.grid.T):
+        got = v.weak_residual_continuity(traj, fn) + v.weak_residual_momentum(traj, fn)
+        ref = reference_weak_residuals(
+            traj, fn.value, lambda t, x, fn=fn: fn.space_deriv(x) * fn.time(t)
+        )
+        assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-14, fn.name
+        assert abs(ref[1]) > 1e-6 or abs(ref[3]) > 1e-6, fn.name  # not a trivial zero
+
+
+@pytest.mark.parametrize("residual", [v.weak_residual_continuity, v.weak_residual_momentum])
+def test_weak_residuals_call_the_test_function_once_per_level(residual, smooth_traj_32):
+    """The number of test-function calls does not grow with the number of windows."""
+    short = synthetic_trajectory(smooth_traj_32.states[:3])
+    calls = []
+    for traj in (short, smooth_traj_32):
+        fn = v.default_test_functions(traj.grid.L, traj.grid.T, js=(2,))[0]
+        mocks = [mock.Mock(side_effect=f) for f in (fn.space, fn.space_deriv, fn.time)]
+        residual(traj, v.TestFunction(*mocks))
+        calls.append([m.call_count for m in mocks])
+    assert len(smooth_traj_32) - 1 > 2 * (len(short) - 1)
+    assert calls[0] == calls[1]
 
 
 def test_p1_shrinks_under_refinement(smooth_ladder):
