@@ -24,7 +24,13 @@ import numpy as np
 
 from . import diagnostics
 from .grid import GridSpec, PhysParams, Trajectory
-from .harness import RefinementReport, ScenarioConfig, builtin_scenarios, run_refinement
+from .harness import (
+    RefinementReport,
+    ScenarioConfig,
+    builtin_scenarios,
+    check_levels,
+    run_refinement,
+)
 from .operators import dirichlet_inv_grad, hat, neumann_inv_grad
 from .stepper import SolverConfig, StepFailure, run
 
@@ -227,6 +233,10 @@ def parse_config(text: str) -> RunConfig:
         if not parts:
             raise ConfigError("'levels' must list at least one N", ln)
         levels = tuple(_parse_int(p.strip(), "levels", ln) for p in parts)
+        try:
+            check_levels(levels)
+        except ValueError as exc:
+            raise ConfigError(f"invalid scenario: {exc}", ln) from exc
     couple = base.couple_dt_dx
     if "couple_dt_dx" in sc:
         raw, ln = sc["couple_dt_dx"]

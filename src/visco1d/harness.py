@@ -25,6 +25,7 @@ __all__ = [
     "ScenarioConfig",
     "RefinementReport",
     "builtin_scenarios",
+    "check_levels",
     "run_refinement",
     "resolve_density_profile",
     "resolve_velocity_profile",
@@ -73,6 +74,19 @@ def resolve_velocity_profile(spec: str, L: float) -> Callable:
     raise ValueError(f"unknown velocity profile {spec!r}")
 
 
+def check_levels(levels: tuple[int, ...]) -> None:
+    """Raise ValueError unless the ladder is nonempty, positive, strictly
+    increasing, and nested (every level a multiple of the coarsest)."""
+    if not levels:
+        raise ValueError("scenario needs at least one level")
+    if any(n <= 0 for n in levels):
+        raise ValueError("levels must be positive")
+    if list(levels) != sorted(set(levels)):
+        raise ValueError("levels must be strictly increasing")
+    if any(n % levels[0] for n in levels):
+        raise ValueError("every level must be a multiple of the coarsest")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One named experiment: initial profiles, physics, and a level ladder.
@@ -102,15 +116,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not (0 < self.L < math.inf and 0 <= self.T < math.inf):
             raise ValueError("scenario needs finite L > 0 and T >= 0")
-        if not self.levels:
-            raise ValueError("scenario needs at least one level")
-        if any(n <= 0 for n in self.levels):
-            raise ValueError("levels must be positive")
-        if list(self.levels) != sorted(set(self.levels)):
-            raise ValueError("levels must be strictly increasing")
-        base = self.levels[0]
-        if any(n % base for n in self.levels):
-            raise ValueError("every level must be a multiple of the coarsest")
+        check_levels(self.levels)
         if not self.couple_dt_dx and self.dt is not None and not (0 < self.dt < math.inf):
             raise ValueError("decoupled dt must be positive and finite")
         probe = np.linspace(0.0, self.L, 513)
@@ -272,14 +278,79 @@ def _level_summary(traj: Trajectory, phi, v) -> dict:
     return summary
 
 
+def _solve_level(
+    scenario: ScenarioConfig, solver: SolverConfig, n: int, phi, v
+) -> tuple[Trajectory, dict]:
+    """Solve one level of the ladder and summarize its diagnostics."""
+    traj = run(
+        scenario,
+        scenario.grid_for(n),
+        scenario.params,
+        solver,
+        allow_decoupled_dt=not scenario.couple_dt_dx,
+    )
+    return traj, _level_summary(traj, phi, v)
+
+
+def _level_worker(conn, *args) -> None:
+    """Worker process body: send back _solve_level's result or its exception."""
+    try:
+        result = _solve_level(*args)
+    except Exception as exc:
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
+def _start_level_worker(*args):
+    """Fork a worker running _solve_level(*args); None where fork does not exist.
+
+    Levels are independent and the worker computes exactly what the parent
+    would, so the study's numbers do not depend on where a level ran.  A
+    forked worker starts from the parent's imports (a spawned one would pay
+    the numpy/scipy import again, about as long as the coarse levels take)
+    and needs none of its arguments pickled; only its result crosses back.
+    """
+    import multiprocessing
+
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:
+        return None
+    recv_end, send_end = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_level_worker, args=(send_end, *args), daemon=True)
+    proc.start()
+    send_end.close()
+    return proc, recv_end
+
+
+def _level_worker_result(worker, n: int) -> tuple[Trajectory, dict]:
+    """Wait for the worker's level; re-raise its exception in this process."""
+    proc, conn = worker
+    try:
+        result = conn.recv()
+    except EOFError:
+        proc.join()
+        raise RuntimeError(
+            f"level {n} worker exited with code {proc.exitcode} without a result"
+        ) from None
+    proc.join()
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def run_refinement(
     scenario: ScenarioConfig, solver: SolverConfig | None = None
 ) -> RefinementReport:
     """Run the scenario across its level ladder and assemble the report.
 
-    Levels are solved one after another, coarsest first.  A failing level
-    aborts the study: completed levels are reported, a flag records the
-    failure, and ``failed`` is set.
+    The finest level, whose cost alone exceeds that of all coarser ones
+    (about N^2 with dt = dx), is solved and summarized in a forked worker
+    process while this process solves the coarser levels one after another,
+    coarsest first.  A failing level aborts the study as if the levels ran
+    in order: completed levels are reported, a flag records the failure, and
+    ``failed`` is set; a failure below the finest level discards the worker.
     """
     solver = solver or SolverConfig()
     levels = scenario.levels
@@ -287,33 +358,42 @@ def run_refinement(
         raise ValueError("a refinement study needs at least 3 levels")
     phi, v = diagnostics.probe_test_functions(scenario.L, scenario.T)
 
-    trajs: dict[int, Trajectory] = {}
+    finest = levels[-1]
+    worker = _start_level_worker(scenario, solver, finest, phi, v)
+    results: dict[int, tuple[Trajectory, dict]] = {}
     flags: list[str] = []
     failed = False
-    for n in levels:
-        try:
-            trajs[n] = run(
-                scenario,
-                scenario.grid_for(n),
-                scenario.params,
-                solver,
-                allow_decoupled_dt=not scenario.couple_dt_dx,
-            )
-        except StepFailure as exc:
-            flags.append(f"level {n} solve failed: {exc}")
-            failed = True
-            break
+    try:
+        for n in levels:
+            try:
+                if n == finest and worker is not None:
+                    results[n] = _level_worker_result(worker, n)
+                else:
+                    results[n] = _solve_level(scenario, solver, n, phi, v)
+            except StepFailure as exc:
+                flags.append(f"level {n} solve failed: {exc}")
+                failed = True
+                break
+    finally:
+        if worker is not None:
+            # A no-op once the worker's result is in; after a failure below
+            # the finest level, the worker is stopped and its level dropped.
+            proc, conn = worker
+            conn.close()
+            proc.terminate()
+            proc.join()
 
-    done = list(trajs)
-    per_level = tuple(_level_summary(trajs[n], phi, v) for n in done)
+    done = list(results)
+    trajs = [traj for traj, _ in results.values()]
+    per_level = tuple(summary for _, summary in results.values())
     for row in per_level:
         if row["fallback_steps"]:
             flags.append(f"level {row['N']}: {row['fallback_steps']} fixed-point fallback steps")
 
     cauchy_rho: list[float] = []
     cauchy_u: list[float] = []
-    for a, b in zip(done, done[1:]):
-        l1, l2 = cauchy_differences(trajs[a], trajs[b])
+    for coarse, fine in zip(trajs, trajs[1:]):
+        l1, l2 = cauchy_differences(coarse, fine)
         cauchy_rho.append(l1)
         cauchy_u.append(l2)
 

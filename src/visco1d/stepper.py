@@ -147,9 +147,15 @@ class StepFailure(RuntimeError):
             f"{message} (step k={k}, min rho={min_rho:.6e}, "
             f"recent residual norms: [{hist}])"
         )
+        self.message = message
         self.k = k
         self.residual_history = list(residual_history)
         self.min_rho = min_rho
+
+    def __reduce__(self):
+        # The default reduce passes only the formatted text back to __init__,
+        # which needs all four fields; a failure must cross a process boundary.
+        return type(self), (self.message, self.k, self.residual_history, self.min_rho)
 
 
 # ======================================================================

@@ -7,10 +7,24 @@ read-only (states are frozen arrays, so accidental mutation raises).
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 import visco1d as v
+
+
+@pytest.fixture(autouse=True)
+def no_live_child_processes():
+    """Fail any test that leaves a worker process running."""
+    yield
+    alive = multiprocessing.active_children()
+    for proc in alive:
+        proc.terminate()
+        proc.join()
+    if alive:
+        pytest.fail(f"test left live child processes: {alive}")
 
 
 def scenario_named(name: str) -> v.ScenarioConfig:

@@ -122,6 +122,10 @@ def test_malformed_values_name_key_and_line():
         parse_config("[scenario]\nname = constant\ncouple_dt_dx = maybe\n")
     with pytest.raises(ConfigError, match=r"'levels' is not an integer"):
         parse_config("[scenario]\nname = constant\nlevels = 8,big\n")
+    with pytest.raises(ConfigError, match=r"strictly increasing \(line 3\)"):
+        parse_config("[scenario]\nname = constant\nlevels = 8,4\n")
+    with pytest.raises(ConfigError, match=r"multiple of the coarsest \(line 3\)"):
+        parse_config("[scenario]\nname = constant\nlevels = 8,12\n")
 
 
 @pytest.mark.parametrize(

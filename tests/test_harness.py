@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import visco1d as v
-from visco1d import diagnostics
+from visco1d import diagnostics, harness
 from visco1d.harness import resolve_density_profile, resolve_velocity_profile
 
 from conftest import scenario_named, solve_level, with_levels
@@ -202,27 +209,37 @@ def test_run_refinement_per_level_summary_fields(smooth_ladder):
     assert row["h"] == pytest.approx(1.0 / 64.0)
 
 
-def test_run_refinement_orders_are_error_rates_without_recomputing(monkeypatch):
+def test_run_refinement_orders_are_error_rates_without_recomputing(monkeypatch, tmp_path):
     sc = with_levels(scenario_named("smooth-bump"), (16, 32, 64))
-    calls: dict[str, int] = {}
-    for name in ("flux_ledger", "weak_residual_continuity",
-                 "weak_residual_momentum", "rho_power_integral"):
+    # One line per call, appended to a file, so that calls made in the
+    # finest level's worker process are counted too.
+    log = tmp_path / "calls.log"
+    log.touch()
+
+    def record(name: str) -> None:
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(name + "\n")
+
+    names = ("flux_ledger", "weak_residual_continuity",
+             "weak_residual_momentum", "rho_power_integral")
+    for name in names:
         original = getattr(diagnostics, name)
 
         def counted(*args, name=name, original=original, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            record(name)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(diagnostics, name, counted)
     error_rates = diagnostics.error_rates
 
     def forbidden(*args, **kwargs):
+        record("error_rates")
         raise AssertionError("run_refinement recomputed the level diagnostics")
 
     monkeypatch.setattr(diagnostics, "error_rates", forbidden)
     rep = v.run_refinement(sc)
-    assert calls == dict.fromkeys(calls, len(sc.levels))
-    assert len(calls) == 4
+    calls = Counter(log.read_text(encoding="utf-8").split())
+    assert calls == dict.fromkeys(names, len(sc.levels))
 
     rates = error_rates([solve_level(sc, n) for n in sc.levels])
     for key in ("E1", "E2", "P1", "P2"):
@@ -241,3 +258,112 @@ def test_run_refinement_without_steps_reports_no_orders():
     assert [row["steps"] for row in rep.per_level] == [0, 0, 0]
     assert rep.orders == {}
     assert rep.boundedness["rho_gamma_plus_1"]["values"] == [0.0, 0.0, 0.0]
+
+
+# ======================================================================
+# the finest level's worker process
+# ======================================================================
+
+
+def _inline(monkeypatch):
+    """Make run_refinement solve every level in this process."""
+    monkeypatch.setattr(harness, "_start_level_worker", lambda *args: None)
+
+
+def _fail_at(monkeypatch, level: int, exc: Exception) -> None:
+    solve = harness.run
+
+    def run(scenario, grid, *args, **kwargs):
+        if grid.N == level:
+            raise exc
+        return solve(scenario, grid, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", run)
+
+
+def test_run_refinement_worker_matches_in_process_levels(monkeypatch):
+    sc = with_levels(scenario_named("smooth-bump"), (16, 32, 64))
+    rep = v.run_refinement(sc)
+    assert multiprocessing.active_children() == []
+
+    phi, psi = diagnostics.probe_test_functions(sc.L, sc.T)
+    trajs = [solve_level(sc, n) for n in sc.levels]
+    assert rep.per_level == tuple(harness._level_summary(t, phi, psi) for t in trajs)
+    pairs = [v.cauchy_differences(a, b) for a, b in zip(trajs, trajs[1:])]
+    assert rep.cauchy_rho == tuple(l1 for l1, _ in pairs)
+    assert rep.cauchy_u == tuple(l2 for _, l2 in pairs)
+
+    _inline(monkeypatch)
+    serial = v.run_refinement(sc)
+    assert rep.orders == serial.orders
+    assert rep == serial
+
+
+@pytest.mark.parametrize("level", [32, 64])
+def test_run_refinement_step_failure_stops_at_the_failing_level(monkeypatch, level):
+    sc = with_levels(scenario_named("smooth-bump"), (16, 32, 64))
+    _fail_at(monkeypatch, level, v.StepFailure("injected", 4, [1.0, 0.5], 0.25))
+    rep = v.run_refinement(sc)
+    assert multiprocessing.active_children() == []
+    assert rep.failed
+    assert rep.levels == tuple(n for n in sc.levels if n < level)
+    assert rep.flags[0] == (
+        f"level {level} solve failed: injected (step k=4, min rho=2.500000e-01, "
+        "recent residual norms: [1.000e+00, 5.000e-01])"
+    )
+
+    _inline(monkeypatch)
+    serial = v.run_refinement(sc)
+    assert (rep.levels, rep.flags, rep.failed) == (serial.levels, serial.flags, serial.failed)
+
+
+def test_run_refinement_reraises_worker_exception_type(monkeypatch):
+    sc = with_levels(scenario_named("constant"), (8, 16, 32))
+    exc = LookupError("injected")
+    _fail_at(monkeypatch, 32, exc)
+    with pytest.raises(LookupError, match="^injected$") as err:
+        v.run_refinement(sc)
+    assert err.value is not exc  # a copy, sent back by the worker
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the finest level runs in process without fork")
+def test_run_refinement_names_a_worker_that_died(monkeypatch):
+    sc = with_levels(scenario_named("constant"), (8, 16, 32))
+    parent = os.getpid()
+    solve = harness.run
+
+    def run(scenario, grid, *args, **kwargs):
+        if grid.N == 32 and os.getpid() != parent:
+            os._exit(7)
+        return solve(scenario, grid, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", run)
+    with pytest.raises(RuntimeError, match=r"level 32 worker exited with code 7"):
+        v.run_refinement(sc)
+    assert multiprocessing.active_children() == []
+
+
+def test_refine_cli_writes_each_line_once(tmp_path):
+    """Output buffered before the worker forks is written once, not twice."""
+    cfg = tmp_path / "warn.cfg"
+    cfg.write_text("[scenario]\nname = smooth-bump\ngamma = 1.4\nlevels = 8,16,32\n",
+                   encoding="utf-8")
+    script = (
+        "from visco1d.cli import main\n"
+        "print('before refine')\n"  # stdout is a pipe: this stays buffered
+        "main()\n"
+    )
+    src = str(Path(v.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)  # buffer stdout, as a plain run does
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "refine", "--config", str(cfg), "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "before refine", f"wrote {tmp_path / 'report.csv'} (3 levels)"]
+    assert proc.stderr.splitlines() == [
+        "WARNING gamma=1.4 outside 3/2<gamma<2 convergence regime"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -344,6 +346,16 @@ def test_non_finite_pressure_raises_step_failure():
             advance(prev, g, pp)
     assert err.value.k == 1
     assert np.isnan(err.value.residual_history[-1])
+
+
+def test_step_failure_survives_pickle():
+    """A failure raised in a worker process must arrive whole in its parent."""
+    exc = v.StepFailure("boom", 3, [1.0, 0.25], 0.5)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is v.StepFailure
+    assert str(back) == str(exc)
+    assert (back.message, back.k, back.residual_history, back.min_rho) == (
+        "boom", 3, [1.0, 0.25], 0.5)
 
 
 def test_solver_config_validation():
