@@ -14,10 +14,11 @@ Exit codes: 0 success, 1 solver failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,7 +30,11 @@ from .harness import (
     ScenarioConfig,
     builtin_scenarios,
     check_levels,
+    check_profiles,
+    fork_worker,
     run_refinement,
+    stop_worker,
+    worker_result,
 )
 from .operators import dirichlet_inv_grad, hat, neumann_inv_grad
 from .stepper import SolverConfig, StepFailure, run
@@ -247,13 +252,22 @@ def parse_config(text: str) -> RunConfig:
         dt = _parse_float(raw, "dt", ln)
         if not couple and not (0.0 < dt < math.inf):
             raise ConfigError(f"decoupled 'dt' must be positive and finite, got dt={dt:g}", ln)
+    profiles = {"rho0": base.rho0, "u0": base.u0}
+    for key in profiles:
+        if key not in sc:
+            continue
+        raw, ln = sc[key]
+        try:  # one profile at a time, so that the error names its line
+            check_profiles(**{"rho0": None, "u0": None, key: raw}, L=L)
+        except ValueError as exc:
+            raise ConfigError(f"invalid scenario: {exc}", ln) from exc
+        profiles[key] = raw
 
     try:
         params = PhysParams(a=a, gamma=gamma, mu=mu)
         scenario = ScenarioConfig(
             name=name,
-            rho0=sc["rho0"][0] if "rho0" in sc else base.rho0,
-            u0=sc["u0"][0] if "u0" in sc else base.u0,
+            **profiles,
             L=L,
             T=T,
             params=params,
@@ -298,33 +312,47 @@ def _config_header(config: RunConfig | None) -> list[str]:
     return ["# " + line for line in config.to_text().splitlines()]
 
 
+def _state_blocks(
+    grid: GridSpec,
+    levels: Iterable[tuple[np.ndarray, np.ndarray]],
+    config: RunConfig | None,
+) -> Iterator[str]:
+    """The state CSV as text: the header, then one block per (rho, u) level.
+
+    The grid columns are formatted once, into a %-template that formats a
+    whole time level in one call.
+    """
+    n = grid.N
+    centers = map(_fmt_float, grid.cell_centers.tolist())
+    faces = [_fmt_float(x) for x in grid.face_nodes.tolist()]
+    template = "".join(
+        [f"%s{i},{c},%.17g,{f},%.17g,%.17g\n" for i, (c, f) in enumerate(zip(centers, faces))]
+        + [f"%s{n},,,{faces[n]},%.17g,\n"]
+    )
+    yield "\n".join(_config_header(config) + ["k,t,i,x_center,rho,x_face,u,hat_u"]) + "\n"
+    # Row i < N takes (k and t, rho_i, u_i, hat_u_i) and the last row (k and
+    # t, u_N): four interleaved strides, with u_N closing the rho stride.
+    args: list = [None] * (4 * n + 2)
+    for k, (rho, u) in enumerate(levels):
+        u_list = u.tolist()
+        args[0::4] = [f"{k},{_fmt(k * grid.dt)},"] * (n + 1)
+        args[1::4] = rho.tolist() + u_list[n:]
+        args[2::4] = u_list[:n]
+        args[3::4] = hat(u).tolist()
+        yield template % tuple(args)
+
+
 def write_state_csv(traj: Trajectory, path: str, config: RunConfig | None = None) -> None:
     """Write a trajectory as one CSV block per time level.
 
     Columns: k, t, i, x_center, rho, x_face, u, hat_u.  Each level has N+1
     rows (one per face); the final face row leaves the cell-centered columns
-    empty.  The effective configuration rides along as '#' comments.  The
-    grid columns are formatted once, and each level is written as soon as it
-    is built, so memory stays at one level's text.
+    empty.  The effective configuration rides along as '#' comments.  Each
+    level is written as soon as it is formatted, so memory stays at one
+    level's text.
     """
-    g = traj.grid
-    heads = [f"{i},{x}," for i, x in enumerate(map(_fmt_float, g.cell_centers.tolist()))]
-    heads.append(f"{g.N},,")
-    mids = [f",{x}," for x in map(_fmt_float, g.face_nodes.tolist())]
-
-    def blocks():
-        yield "\n".join(_config_header(config) + ["k,t,i,x_center,rho,x_face,u,hat_u"]) + "\n"
-        for k, state in enumerate(traj.states):
-            kt = f"{k},{_fmt(k * g.dt)},"
-            rho = [*map(_fmt_float, state.rho.tolist()), ""]
-            hat_u = [*map(_fmt_float, hat(state.u).tolist()), ""]
-            u = map(_fmt_float, state.u.tolist())
-            yield "".join([
-                f"{kt}{head}{r}{mid}{v},{h}\n"
-                for head, r, mid, v, h in zip(heads, rho, mids, u, hat_u)
-            ])
-
-    _write_text(path, blocks())
+    levels = ((state.rho, state.u) for state in traj.states)
+    _write_text(path, _state_blocks(traj.grid, levels, config))
 
 
 def read_state_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -452,7 +480,7 @@ def _write_text(path: str, content: str | Iterable[str]) -> None:
 # ======================================================================
 
 
-def _solve_first_level(config: RunConfig) -> Trajectory:
+def _solve_first_level(config: RunConfig, observer=None) -> Trajectory:
     """Solve the scenario at its coarsest level, as run, verify and flux do."""
     scenario = config.scenario
     return run(
@@ -461,7 +489,72 @@ def _solve_first_level(config: RunConfig) -> Trajectory:
         scenario.params,
         config.solver,
         allow_decoupled_dt=not scenario.couple_dt_dx,
+        observer=observer,
     )
+
+
+def _state_writer(conn, grid: GridSpec, config: RunConfig, tmp: str) -> None:
+    """Writer process body: write each time level the parent sends to tmp,
+    until the empty message that ends the solve."""
+
+    def levels():
+        while data := conn.recv_bytes():
+            level = np.frombuffer(data)
+            yield level[: grid.N], level[grid.N :]
+
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(_state_blocks(grid, levels(), config))
+
+
+def _solve_writing_state(config: RunConfig, path: str) -> Trajectory:
+    """Solve the first level and write its state CSV to ``path``.
+
+    A forked writer process formats and writes each time level while the
+    solver computes the next.  It writes a temporary file next to ``path``,
+    which replaces ``path`` only after the solve has finished and the writer
+    has closed it; on any failure the temporary file is removed and ``path``
+    is left as it was.  Any failure of the writer, or of the replace, is an
+    OSError "cannot write <path>".  Where fork does not exist, the CSV is
+    written in process after the solve.
+    """
+    scenario = config.scenario
+    grid = scenario.grid_for(scenario.levels[0])
+    tmp = f"{path}.{os.getpid()}.tmp"
+    writer = fork_worker(_state_writer, grid, config, tmp)
+    if writer is None:
+        traj = _solve_first_level(config)
+        write_state_csv(traj, path, config)
+        return traj
+    conn = writer[1]
+
+    def wait_for_writer() -> None:
+        try:
+            worker_result(writer, "state.csv writer")
+        except Exception as exc:
+            raise OSError(f"cannot write {path}: {exc}") from exc
+
+    def send(data) -> None:
+        try:
+            conn.send_bytes(data)
+        except ConnectionError:
+            wait_for_writer()  # raises what stopped the writer
+            raise
+
+    try:
+        traj = _solve_first_level(
+            config, observer=lambda state: send(np.concatenate((state.rho, state.u)))
+        )
+        send(b"")  # the solve is done: the writer closes its file
+        wait_for_writer()
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(f"cannot write {path}: {exc}") from exc
+    finally:
+        stop_worker(writer)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+    return traj
 
 
 def _verify(config: RunConfig, out) -> int:
@@ -541,9 +634,8 @@ def cli_main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             out_dir = args.out or config.out_dir
             os.makedirs(out_dir, exist_ok=True)
-            traj = _solve_first_level(config)
             path = os.path.join(out_dir, "state.csv")
-            write_state_csv(traj, path, config)
+            traj = _solve_writing_state(config, path)
             print(f"wrote {path} ({len(traj)} time levels, N={traj.grid.N})", file=out)
             return 0
 

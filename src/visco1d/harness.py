@@ -26,6 +26,7 @@ __all__ = [
     "RefinementReport",
     "builtin_scenarios",
     "check_levels",
+    "check_profiles",
     "run_refinement",
     "resolve_density_profile",
     "resolve_velocity_profile",
@@ -87,6 +88,32 @@ def check_levels(levels: tuple[int, ...]) -> None:
         raise ValueError("every level must be a multiple of the coarsest")
 
 
+def check_profiles(rho0: str | None, u0: str | None, L: float) -> None:
+    """Raise ValueError, naming the profile, unless each given spec resolves
+    and is finite on [0, L], and the density is strictly positive there.
+
+    ``None`` skips a profile, so that a config parser can check each key on
+    its own line.
+    """
+    probe = np.linspace(0.0, L, 513)
+    for key, spec, resolve in (
+        ("rho0", rho0, resolve_density_profile),
+        ("u0", u0, resolve_velocity_profile),
+    ):
+        if spec is None:
+            continue
+        try:
+            profile = resolve(spec, L)
+        except ValueError as exc:
+            raise ValueError(f"bad {key} profile {spec!r}: {exc}") from None
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 is NaN
+            vals = np.asarray(profile(probe), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"{key} profile {spec!r} is not finite on [0, L]")
+        if key == "rho0" and not (float(np.min(vals)) > 0.0):
+            raise ValueError(f"{key} profile {spec!r}: initial density must be strictly positive")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One named experiment: initial profiles, physics, and a level ladder.
@@ -119,11 +146,7 @@ class ScenarioConfig:
         check_levels(self.levels)
         if not self.couple_dt_dx and self.dt is not None and not (0 < self.dt < math.inf):
             raise ValueError("decoupled dt must be positive and finite")
-        probe = np.linspace(0.0, self.L, 513)
-        vals = np.asarray(self.rho0_fn(probe), dtype=float)
-        if float(np.min(vals)) <= 0.0:
-            raise ValueError("initial density must be strictly positive")
-        self.u0_fn  # fail fast on a bad velocity spec
+        check_profiles(self.rho0, self.u0, self.L)
 
     @property
     def rho0_fn(self):
@@ -292,24 +315,14 @@ def _solve_level(
     return traj, _level_summary(traj, phi, v)
 
 
-def _level_worker(conn, *args) -> None:
-    """Worker process body: send back _solve_level's result or its exception."""
-    try:
-        result = _solve_level(*args)
-    except Exception as exc:
-        result = exc
-    conn.send(result)
-    conn.close()
+def fork_worker(target, *args):
+    """Fork a process running target(conn, *args); None where fork does not exist.
 
-
-def _start_level_worker(*args):
-    """Fork a worker running _solve_level(*args); None where fork does not exist.
-
-    Levels are independent and the worker computes exactly what the parent
-    would, so the study's numbers do not depend on where a level ran.  A
-    forked worker starts from the parent's imports (a spawned one would pay
-    the numpy/scipy import again, about as long as the coarse levels take)
-    and needs none of its arguments pickled; only its result crosses back.
+    Returns (process, conn), conn being this process's end of a duplex pipe
+    whose other end target gets.  The child's last message is target's
+    return value, or the exception it raised.  A forked child starts from the
+    parent's imports (a spawned one would pay the numpy/scipy import again)
+    and needs none of its arguments pickled; only its messages cross.
     """
     import multiprocessing
 
@@ -317,27 +330,59 @@ def _start_level_worker(*args):
         ctx = multiprocessing.get_context("fork")
     except ValueError:
         return None
-    recv_end, send_end = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_level_worker, args=(send_end, *args), daemon=True)
+    conn, child_conn = ctx.Pipe()
+    proc = ctx.Process(
+        target=_forked_main, args=(conn, child_conn, target, args), daemon=True
+    )
     proc.start()
-    send_end.close()
-    return proc, recv_end
+    child_conn.close()
+    return proc, conn
 
 
-def _level_worker_result(worker, n: int) -> tuple[Trajectory, dict]:
-    """Wait for the worker's level; re-raise its exception in this process."""
+def _forked_main(parent_conn, conn, target, args) -> None:
+    """Child process body: send back target's result or its exception."""
+    # The child inherits the parent's end too; holding it open would keep
+    # the child from ever seeing the parent close the pipe.
+    parent_conn.close()
+    try:
+        result = target(conn, *args)
+    except Exception as exc:
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
+def worker_result(worker, name: str):
+    """Wait for a forked worker's result and reap it; re-raise its exception here."""
     proc, conn = worker
     try:
         result = conn.recv()
     except EOFError:
         proc.join()
         raise RuntimeError(
-            f"level {n} worker exited with code {proc.exitcode} without a result"
+            f"{name} exited with code {proc.exitcode} without a result"
         ) from None
     proc.join()
     if isinstance(result, Exception):
         raise result
     return result
+
+
+def stop_worker(worker) -> None:
+    """Stop and reap a forked worker (a no-op once it has ended), then close its pipe."""
+    proc, conn = worker
+    proc.terminate()
+    proc.join()
+    conn.close()
+
+
+def _start_level_worker(*args):
+    """Fork a worker running _solve_level(*args); None where fork does not exist.
+
+    Levels are independent and the worker computes exactly what the parent
+    would, so the study's numbers do not depend on where a level ran.
+    """
+    return fork_worker(lambda _conn, *level: _solve_level(*level), *args)
 
 
 def run_refinement(
@@ -367,7 +412,7 @@ def run_refinement(
         for n in levels:
             try:
                 if n == finest and worker is not None:
-                    results[n] = _level_worker_result(worker, n)
+                    results[n] = worker_result(worker, f"level {n} worker")
                 else:
                     results[n] = _solve_level(scenario, solver, n, phi, v)
             except StepFailure as exc:
@@ -376,12 +421,8 @@ def run_refinement(
                 break
     finally:
         if worker is not None:
-            # A no-op once the worker's result is in; after a failure below
-            # the finest level, the worker is stopped and its level dropped.
-            proc, conn = worker
-            conn.close()
-            proc.terminate()
-            proc.join()
+            # After a failure below the finest level, the worker's level is dropped.
+            stop_worker(worker)
 
     done = list(results)
     trajs = [traj for traj, _ in results.values()]

@@ -39,9 +39,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-import scipy.sparse
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
@@ -306,6 +306,8 @@ def assemble_jacobian(
     derivative.  Upwind kinks use the active-set convention.  This is the
     band Newton solves with, in CSR form.
     """
+    import scipy.sparse  # Newton never needs the CSR form, so the CLI skips this import
+
     del prev  # the residual is affine in the old state
     ab = _jacobian_ab(trial.rho, trial.u, grid, params)
     size = ab.shape[1]
@@ -534,6 +536,7 @@ def run(
     params: PhysParams,
     cfg: SolverConfig | None = None,
     allow_decoupled_dt: bool = False,
+    observer: Callable[[FluidState], object] | None = None,
 ) -> Trajectory:
     """March the scheme from the scenario's initial data to grid.T.
 
@@ -541,7 +544,9 @@ def run(
     harness.ScenarioConfig), a plain (rho0, u0) pair of callables, or an
     initial FluidState.  Unless ``allow_decoupled_dt`` is set, requires the
     refinement coupling dt == dx; the choice is recorded in the trajectory's
-    ``meta``.
+    ``meta``.  ``observer``, if given, is called with the initial state and
+    then with each accepted state, in order, as soon as it exists; an
+    exception it raises aborts the run.
     """
     cfg = cfg or SolverConfig()
     coupled = abs(grid.dt - grid.dx) <= 1e-12 * grid.dx
@@ -570,6 +575,8 @@ def run(
 
     states = [state]
     metas = []
+    if observer is not None:
+        observer(state)
     for _ in range(grid.M_steps):
         try:
             state, meta = advance(state, grid, params, cfg)
@@ -579,6 +586,8 @@ def run(
             ) from exc
         states.append(state)
         metas.append(meta)
+        if observer is not None:
+            observer(state)
     return Trajectory(
         grid=grid,
         params=params,

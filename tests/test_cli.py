@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import errno
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import visco1d as v
+from visco1d import cli, harness
 from visco1d.cli import (
     ConfigError,
     cli_main,
@@ -18,6 +26,15 @@ from visco1d.cli import (
 
 
 MINIMAL = "[scenario]\nname = constant\n"
+# p = 3**1000 overflows at the first step.
+OVERFLOW = (
+    "[scenario]\nname = overflow\nrho0 = piecewise:0.5|3,1\nu0 = zero\n"
+    "gamma = 1000\nlevels = 16\nT = 0.0625\n"
+)
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="run writes in process without fork",
+)
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -126,6 +143,10 @@ def test_malformed_values_name_key_and_line():
         parse_config("[scenario]\nname = constant\nlevels = 8,4\n")
     with pytest.raises(ConfigError, match=r"multiple of the coarsest \(line 3\)"):
         parse_config("[scenario]\nname = constant\nlevels = 8,12\n")
+    with pytest.raises(ConfigError, match=r"bad rho0 profile 'bump:abc'.*\(line 4\)"):
+        parse_config("[scenario]\nname = constant\nT = 0.1\nrho0 = bump:abc\n")
+    with pytest.raises(ConfigError, match=r"unknown velocity profile 'tanh'.*\(line 3\)"):
+        parse_config("[scenario]\nname = smooth-bump\nu0 = tanh\nT = 0.1\n")
 
 
 @pytest.mark.parametrize(
@@ -144,6 +165,10 @@ def test_malformed_values_name_key_and_line():
         ("damping", "nan"),
         ("polish_floor", "nan"),
         ("polish_floor", "inf"),
+        ("rho0", "constant:nan"),
+        ("rho0", "bump:nan"),
+        ("rho0", "piecewise:0.5|nan,1"),
+        ("u0", "sin2pi:inf"),
     ],
 )
 def test_non_finite_values_are_config_errors(key, value):
@@ -153,7 +178,8 @@ def test_non_finite_values_are_config_errors(key, value):
     if key in ("newton_tol", "damping", "polish_floor"):
         text += "[solver]\n"
     text += f"{key} = {value}\n"
-    with pytest.raises(ConfigError, match=key) as err:
+    with pytest.raises(ConfigError, match=key) as err, warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
         parse_config(text)
     assert err.value.line == text.count("\n")
     assert f"(line {err.value.line})" in str(err.value)
@@ -174,11 +200,7 @@ def test_non_finite_viscosity_exits_2(tmp_path, capsys):
 
 def test_non_finite_residual_exits_1_with_step_and_history(tmp_path, capsys):
     """p = 3**1000 overflows: the step fails loudly instead of copying the state."""
-    cfg = write_cfg(
-        tmp_path,
-        "[scenario]\nname = overflow\nrho0 = piecewise:0.5|3,1\nu0 = zero\n"
-        "gamma = 1000\nlevels = 16\nT = 0.0625\n",
-    )
+    cfg = write_cfg(tmp_path, OVERFLOW)
     with np.errstate(over="ignore", invalid="ignore"):
         assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
@@ -243,6 +265,117 @@ def test_state_csv_write_error_exits_1(tmp_path, capsys):
     (out / "state.csv").mkdir(parents=True)
     assert run_cli(["run", "--config", cfg, "--out", str(out)]) == 1
     assert "i/o error: cannot write" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    assert os.listdir(out) == ["state.csv"]  # no temporary file is left
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "earlier"])
+def test_solver_failure_leaves_state_csv_as_it_was(tmp_path, capsys, earlier):
+    cfg = write_cfg(tmp_path, OVERFLOW)
+    out = tmp_path / "out"
+    out.mkdir()
+    if earlier:
+        (out / "state.csv").write_bytes(b"an earlier run's state.csv\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_cli(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert "solver failure" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    assert os.listdir(out) == (["state.csv"] if earlier else [])
+    if earlier:
+        assert (out / "state.csv").read_bytes() == b"an earlier run's state.csv\n"
+
+
+def test_writer_error_exits_1_and_leaves_no_file(tmp_path, capsys, monkeypatch):
+    def failing_blocks(grid, levels, config):
+        yield "k,t,i,x_center,rho,x_face,u,hat_u\n"
+        next(iter(levels))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "_state_blocks", failing_blocks)
+    cfg = write_cfg(tmp_path, "[scenario]\nname = smooth-bump\nlevels = 16\n")
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"i/o error: cannot write {out / 'state.csv'}: [Errno 28] No space left" in err
+    assert multiprocessing.active_children() == []
+    assert os.listdir(out) == []
+
+
+@needs_fork
+def test_writer_killed_mid_stream_exits_1(tmp_path, capsys, monkeypatch):
+    solve = cli.run
+
+    def run(*args, observer, **kwargs):
+        def observe(state):
+            if state.k == 3:
+                (writer,) = multiprocessing.active_children()
+                os.kill(writer.pid, signal.SIGKILL)
+                writer.join()
+            observer(state)
+
+        return solve(*args, observer=observe, **kwargs)
+
+    monkeypatch.setattr(cli, "run", run)
+    cfg = write_cfg(tmp_path, "[scenario]\nname = smooth-bump\nlevels = 32\n")
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"i/o error: cannot write {out / 'state.csv'}: " in err
+    assert "writer exited with code -9" in err
+    assert multiprocessing.active_children() == []
+    assert os.listdir(out) == []
+
+
+@needs_fork
+@pytest.mark.parametrize("name", ["smooth-bump", "riemann-like"])
+def test_run_without_fork_writes_the_same_bytes(tmp_path, monkeypatch, name):
+    forked = []
+
+    def fork_worker(*args):
+        worker = harness.fork_worker(*args)
+        forked.append(worker is not None)
+        return worker
+
+    cfg = write_cfg(tmp_path, f"[scenario]\nname = {name}\nlevels = 64\n")
+    monkeypatch.setattr(cli, "fork_worker", fork_worker)
+    assert run_cli(["run", "--config", cfg, "--out", str(tmp_path / "forked")]) == 0
+
+    get_context = multiprocessing.get_context
+
+    def no_fork(method=None):
+        if method == "fork":
+            raise ValueError("cannot find context for 'fork'")
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    assert run_cli(["run", "--config", cfg, "--out", str(tmp_path / "inline")]) == 0
+    assert forked == [True, False]
+    assert os.listdir(tmp_path / "inline") == ["state.csv"]
+    forked_bytes = (tmp_path / "forked" / "state.csv").read_bytes()
+    assert (tmp_path / "inline" / "state.csv").read_bytes() == forked_bytes
+
+
+def test_run_cli_writes_each_line_once(tmp_path):
+    """Output buffered before the writer forks is written once, not twice."""
+    cfg = write_cfg(tmp_path, "[scenario]\nname = smooth-bump\ngamma = 1.4\nlevels = 8\n")
+    script = (
+        "from visco1d.cli import main\n"
+        "print('before run')\n"  # stdout is a pipe: this stays buffered
+        "main()\n"
+    )
+    src = str(Path(v.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)  # buffer stdout, as a plain run does
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "run", "--config", cfg, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "before run", f"wrote {out / 'state.csv'} (3 time levels, N=8)"]
+    assert proc.stderr.splitlines() == [
+        "WARNING gamma=1.4 outside 3/2<gamma<2 convergence regime"]
 
 
 def _reference_fmt(x) -> str:

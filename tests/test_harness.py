@@ -63,6 +63,22 @@ def test_scenario_rejects_nonpositive_density():
         v.ScenarioConfig(name="bad", rho0="constant:-1")
 
 
+@pytest.mark.parametrize(
+    "profiles, message",
+    [
+        (dict(rho0="constant:nan"), "rho0 profile 'constant:nan' is not finite"),
+        (dict(rho0="bump:nan"), "rho0 profile 'bump:nan' is not finite"),
+        (dict(rho0="piecewise:0.5|nan,1"), "rho0 profile 'piecewise:0.5|nan,1' is not finite"),
+        (dict(rho0="piecewise:0.5|0,1"), "initial density must be strictly positive"),
+        (dict(u0="sin2pi:inf"), "u0 profile 'sin2pi:inf' is not finite"),
+        (dict(u0="sin2pi:x"), "bad u0 profile 'sin2pi:x'"),
+    ],
+)
+def test_scenario_rejects_non_finite_profiles(profiles, message):
+    with pytest.raises(ValueError, match=message.replace("|", r"\|")):
+        v.ScenarioConfig(name="bad", **profiles)
+
+
 def test_scenario_grid_couples_dt_to_dx():
     sc = v.ScenarioConfig(name="x", levels=(8, 16, 32))
     g = sc.grid_for(16)

@@ -382,6 +382,32 @@ def test_run_zero_horizon_returns_initial_state_only():
     assert traj.states[0].k == 0
 
 
+@pytest.mark.parametrize("T", [0.0, 0.25], ids=["T0", "T0.25"])
+def test_run_observer_sees_every_state_in_order(T):
+    sc = scenario_named("smooth-bump")
+    g = v.GridSpec(L=1.0, N=16, dt=1.0 / 16, T=T)
+    seen = []
+    traj = v.run(sc, g, sc.params, observer=seen.append)
+    assert len(seen) == len(traj.states) == (1 if T == 0 else 5)
+    assert all(a is b for a, b in zip(seen, traj.states))
+
+
+def test_run_observer_sees_only_accepted_states_before_a_failure(monkeypatch):
+    step = stepper.advance
+
+    def advance(prev, *args):
+        if prev.k == 3:
+            raise v.StepFailure("injected", 4, [1.0], 0.5)
+        return step(prev, *args)
+
+    monkeypatch.setattr(stepper, "advance", advance)
+    sc = scenario_named("riemann-like")
+    seen = []
+    with pytest.raises(v.StepFailure, match="run aborted: injected"):
+        v.run(sc, sc.grid_for(16), sc.params, observer=seen.append)
+    assert [state.k for state in seen] == [0, 1, 2, 3]
+
+
 def test_run_constant_scenario_all_states_identical(constant_traj):
     first = constant_traj.states[0]
     for st in constant_traj.states[1:]:
