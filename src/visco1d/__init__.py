@@ -20,7 +20,6 @@ from .diagnostics import (
     PositivityReport,
     TestFunction,
     b_power,
-    b_pressure_potential,
     b_square,
     b_zlogz,
     default_test_functions,
@@ -45,8 +44,6 @@ from .grid import (
     PiecewiseConstant,
     Trajectory,
     cell_averages,
-    eval_density,
-    eval_velocity,
     gauss_rule,
     init_state,
 )
@@ -104,7 +101,6 @@ __all__ = [
     "assemble_jacobian",
     "assemble_residual",
     "b_power",
-    "b_pressure_potential",
     "b_square",
     "b_zlogz",
     "builtin_scenarios",
@@ -117,8 +113,6 @@ __all__ = [
     "effective_newton_tol",
     "energy_ledger",
     "error_rates",
-    "eval_density",
-    "eval_velocity",
     "flux_ledger",
     "gauss_rule",
     "hat",

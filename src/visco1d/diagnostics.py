@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .grid import FluidState, GridSpec, PhysParams, Trajectory, gauss_panels
+from .grid import Trajectory, gauss_panels
 from .operators import (
     continuity_residual,
     diff_cell,
@@ -54,6 +54,8 @@ __all__ = [
     "positivity_report",
     "flux_ledger",
     "error_rates",
+    "level_magnitudes",
+    "linear_l2_sq",
     "rates_from_levels",
     "boundedness",
     "weak_residual_continuity",
@@ -62,7 +64,6 @@ __all__ = [
     "b_square",
     "b_power",
     "b_zlogz",
-    "b_pressure_potential",
     "sup_abs_deriv",
     "default_test_functions",
     "probe_test_functions",
@@ -221,15 +222,6 @@ def b_power(gamma: float) -> BFunction:
 
 def b_zlogz() -> BFunction:
     return BFunction("zlogz", lambda z: z * np.log(z), lambda z: 1.0 + np.log(z))
-
-
-def b_pressure_potential(params: PhysParams) -> BFunction:
-    """B with z*B'(z) - B(z) = p(z): the internal-energy density."""
-    return BFunction(
-        "pressure-potential",
-        params.pressure_potential,
-        lambda z: params.dpressure(z) / (params.gamma - 1.0),
-    )
 
 
 def sup_abs_deriv(B: BFunction, lo: float, hi: float, samples: int = 4097) -> float:
@@ -646,6 +638,12 @@ def _int_abs_linear_pow(a: np.ndarray, b: np.ndarray, w: float, s: float) -> np.
     return np.where(small, mid, exact)
 
 
+def linear_l2_sq(d: np.ndarray, dx: float) -> float:
+    """Exact squared L2 norm of the piecewise-linear field with nodes d, spacing dx."""
+    dl, dr = d[:-1], d[1:]
+    return (dx / 3.0) * float(np.sum(dl * dl + dl * dr + dr * dr))
+
+
 def rho_power_integral(traj: Trajectory, power: float | None = None) -> float:
     """Space-time integral of rho^power (default gamma+1) over [0,T)."""
     if power is None:
@@ -694,10 +692,9 @@ def norm_suite(traj: Trajectory) -> dict[str, float]:
     h1_sq = linf_sq = ru_g = ru2_r = 0.0
     for k in range(1, steps + 1):
         u = u_mat[k]
-        ul, ur = u[:-1], u[1:]
-        int_u2 = (dx / 3.0) * float(np.sum(ul * ul + ul * ur + ur * ur))
+        ul = u[:-1]
         int_dudx2 = float(np.sum(np.diff(u) ** 2)) / dx
-        h1_sq += dt * (int_u2 + int_dudx2)
+        h1_sq += dt * (linear_l2_sq(u, dx) + int_dudx2)
         linf_sq += dt * float(np.max(np.abs(u))) ** 2
 
         rho = rho_m[k]
@@ -745,34 +742,48 @@ def error_rates(
     """Observed decay orders of the named error functionals across levels.
 
     Requires at least three trajectories of the same scenario at increasing
-    resolution, each with dt == dx.  Orders are per-pair log ratios of
-    successive magnitudes against the h-ratio; the headline ``order`` is
-    their mean, or the string "exact" when every level is exactly zero.
-    The space-time integral of rho^(gamma+1) is reported with its max/min
-    ratio as the boundedness proxy instead of an order.
+    resolution, each with dt == dx and at least one step.  Orders are
+    per-pair log ratios of successive magnitudes against the h-ratio; the
+    headline ``order`` is their mean, or the string "exact" when every level
+    is exactly zero.  The space-time integral of rho^(gamma+1) is reported
+    with its max/min ratio as the boundedness proxy instead of an order.
     """
     trajs = sorted(trajectories, key=lambda tr: tr.grid.N)
     if len(trajs) < 3:
         raise ValueError("error_rates needs at least 3 refinement levels")
     for tr in trajs:
-        if not tr.meta.get("dt_dx_coupled", abs(tr.grid.dt - tr.grid.dx) <= 1e-12 * tr.grid.dx):
+        if not tr.grid.dt_dx_coupled:
             raise ValueError("error_rates requires dt == dx at every level")
+        if len(tr) == 1:
+            raise ValueError("error_rates needs at least one step at every level")
     probes = probe_test_functions(trajs[0].grid.L, trajs[0].grid.T)
     phi = phi or probes[0]
     v = v or probes[1]
+    return rates_from_levels([level_magnitudes(tr, phi, v) for tr in trajs])
 
-    rows = []
-    for tr in trajs:
-        ledger = flux_ledger(tr)
-        rows.append({
-            "h": tr.grid.dx,
-            "E1": abs(ledger.E1),
-            "E2": abs(ledger.E2),
-            "P1": abs(weak_residual_continuity(tr, phi)[1]),
-            "P2": abs(weak_residual_momentum(tr, v)[1]),
-            "rho_gamma_plus_1": rho_power_integral(tr),
-        })
-    return rates_from_levels(rows)
+
+def level_magnitudes(traj: Trajectory, phi: TestFunction, v: TestFunction) -> dict[str, float]:
+    """One refinement level's decaying magnitudes, as the study reports them.
+
+    Keys: the mesh size "h"; "E1", "E2" and "flux_identity_gap", the absolute
+    values from one flux_ledger over the whole run; "P1" and "P2", the
+    absolute closed-form weak residuals against phi and v; and
+    "rho_gamma_plus_1".  A run without steps has no time window, so every
+    magnitude is 0.0.
+    """
+    keys = ("E1", "E2", "P1", "P2", "rho_gamma_plus_1", "flux_identity_gap")
+    if len(traj) == 1:
+        return {"h": traj.grid.dx, **dict.fromkeys(keys, 0.0)}
+    ledger = flux_ledger(traj)
+    return {
+        "h": traj.grid.dx,
+        "E1": abs(ledger.E1),
+        "E2": abs(ledger.E2),
+        "P1": abs(weak_residual_continuity(traj, phi)[1]),
+        "P2": abs(weak_residual_momentum(traj, v)[1]),
+        "rho_gamma_plus_1": rho_power_integral(traj),
+        "flux_identity_gap": abs(ledger.identity_gap),
+    }
 
 
 def boundedness(values: Sequence[float]) -> dict:

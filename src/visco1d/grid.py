@@ -1,4 +1,4 @@
-"""Staggered 1D grid, discrete flow states, and their continuum extensions.
+"""Staggered 1D grid, discrete flow states, initial data and Gauss quadrature.
 
 Geometry convention used throughout the package:
 
@@ -12,13 +12,15 @@ A :class:`FluidState` is one time level of that layout.  Between grid points,
 density extends as a piecewise constant (right-open cells) and velocity as the
 continuous piecewise-linear interpolant of its face values; ``operators.hat``
 is the cell average of that interpolant, which for a linear function is just
-the midpoint value ``(u[i] + u[i+1]) / 2``.
+the midpoint value ``(u[i] + u[i+1]) / 2``.  No pointwise evaluator of these
+extensions is public: the diagnostics integrate them per cell, in closed form
+or by Gauss quadrature.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,8 +32,6 @@ __all__ = [
     "Trajectory",
     "PiecewiseConstant",
     "init_state",
-    "eval_density",
-    "eval_velocity",
     "gauss_rule",
     "gauss_panels",
     "cell_averages",
@@ -91,6 +91,11 @@ class GridSpec:
     @property
     def dx(self) -> float:
         return self.L / self.N
+
+    @property
+    def dt_dx_coupled(self) -> bool:
+        """Whether dt == dx (to 1e-12 relative), the coupling refinement studies need."""
+        return abs(self.dt - self.dx) <= 1e-12 * self.dx
 
     @property
     def M_steps(self) -> int:
@@ -197,14 +202,12 @@ class Trajectory:
     """A full run: states for k = 0..M_steps plus per-step solver metadata.
 
     ``solver_meta[k]`` describes the solve that produced ``states[k+1]``.
-    ``meta`` carries run-level flags (e.g. whether dt == dx was enforced).
     """
 
     grid: GridSpec
     params: PhysParams
     states: tuple[FluidState, ...]
     solver_meta: tuple = ()
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.states:
@@ -329,58 +332,3 @@ def init_state(
     u[0] = 0.0
     u[-1] = 0.0
     return FluidState(rho=rho, u=u, k=0)
-
-
-# ======================================================================
-# Extensions and projections
-# ======================================================================
-
-
-def _pick_state(state_or_traj, t_index: int) -> tuple[FluidState, GridSpec | None]:
-    if isinstance(state_or_traj, Trajectory):
-        states = state_or_traj.states
-        if not (0 <= t_index < len(states)):
-            raise IndexError(f"t_index {t_index} outside 0..{len(states) - 1}")
-        return states[t_index], state_or_traj.grid
-    if isinstance(state_or_traj, FluidState):
-        if t_index != state_or_traj.k:
-            raise IndexError(
-                f"t_index {t_index} does not match state level k={state_or_traj.k}"
-            )
-        return state_or_traj, None
-    raise TypeError(f"expected FluidState or Trajectory, got {type(state_or_traj)!r}")
-
-
-def _check_domain(x: np.ndarray, L: float) -> None:
-    if np.any(x < 0) or np.any(x > L):
-        raise ValueError(f"evaluation point outside [0, {L}]")
-
-
-def eval_density(state_or_traj, grid: GridSpec, t_index: int, x):
-    """Piecewise-constant density extension at position(s) x.
-
-    Cells are right-open, so a point sitting exactly on an interior face picks
-    the cell to its right; x = L belongs to the last cell.  Accepts either a
-    Trajectory (with ``t_index`` selecting the level) or a single FluidState
-    (whose ``k`` must equal ``t_index``).
-    """
-    state, traj_grid = _pick_state(state_or_traj, t_index)
-    grid = traj_grid or grid
-    xa = np.asarray(x, dtype=float)
-    _check_domain(xa, grid.L)
-    idx = np.minimum((xa / grid.dx).astype(int), grid.N - 1)
-    out = state.rho[idx]
-    return out if np.ndim(x) else float(out)
-
-
-def eval_velocity(state_or_traj, grid: GridSpec, t_index: int, x):
-    """Continuous piecewise-linear velocity extension at position(s) x."""
-    state, traj_grid = _pick_state(state_or_traj, t_index)
-    grid = traj_grid or grid
-    xa = np.asarray(x, dtype=float)
-    _check_domain(xa, grid.L)
-    dx = grid.dx
-    idx = np.minimum((xa / dx).astype(int), grid.N - 1)
-    frac = xa / dx - idx
-    out = state.u[idx] + frac * (state.u[idx + 1] - state.u[idx])
-    return out if np.ndim(x) else float(out)

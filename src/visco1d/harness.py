@@ -199,12 +199,6 @@ def restrict_faces(fine: np.ndarray, ratio: int) -> np.ndarray:
     return fine[::ratio]
 
 
-def _linear_l2_sq(d: np.ndarray, dx: float) -> float:
-    """Exact squared L2 norm of the piecewise-linear field with nodes d."""
-    dl, dr = d[:-1], d[1:]
-    return (dx / 3.0) * float(np.sum(dl * dl + dl * dr + dr * dr))
-
-
 def cauchy_differences(coarse: Trajectory, fine: Trajectory) -> tuple[float, float]:
     """(L1-in-space-time density gap, L2-in-space-time velocity gap).
 
@@ -229,7 +223,7 @@ def cauchy_differences(coarse: Trajectory, fine: Trajectory) -> tuple[float, flo
         rho_gap = coarse.states[k].rho - project_cells(fine.states[j].rho, ratio)
         l1 += dt_f * dx_c * float(np.sum(np.abs(rho_gap)))
         u_gap = coarse.states[k].u - restrict_faces(fine.states[j].u, ratio)
-        l2_sq += dt_f * _linear_l2_sq(u_gap, dx_c)
+        l2_sq += dt_f * diagnostics.linear_l2_sq(u_gap, dx_c)
     return l1, math.sqrt(l2_sq)
 
 
@@ -276,11 +270,9 @@ def _level_summary(traj: Trajectory, phi, v) -> dict:
     ledger = diagnostics.energy_ledger(traj)
     tol_eff = diagnostics.effective_newton_tol(traj)
     steps = len(traj) - 1
-    flux = diagnostics.flux_ledger(traj) if steps else None
     pos = diagnostics.positivity_report(traj)
     summary = {
         "N": traj.grid.N,
-        "h": traj.grid.dx,
         "steps": steps,
         "newton_tol_max": tol_eff,
         "max_iterations": max((m.iterations for m in traj.solver_meta), default=0),
@@ -290,13 +282,8 @@ def _level_summary(traj: Trajectory, phi, v) -> dict:
         "energy_tol": diagnostics.energy_budget(tol_eff, steps),
         "diffusion_min_increment": diagnostics.diffusion_min_increment(ledger),
         "positivity_margin_min": pos.worst_margin if steps else math.inf,
-        "E1": abs(flux.E1) if flux else 0.0,
-        "E2": abs(flux.E2) if flux else 0.0,
-        "flux_identity_gap": abs(flux.identity_gap) if flux else 0.0,
-        "P1": abs(diagnostics.weak_residual_continuity(traj, phi)[1]) if steps else 0.0,
-        "P2": abs(diagnostics.weak_residual_momentum(traj, v)[1]) if steps else 0.0,
-        "rho_gamma_plus_1": diagnostics.rho_power_integral(traj),
     }
+    summary.update(diagnostics.level_magnitudes(traj, phi, v))
     summary.update(diagnostics.norm_suite(traj))
     return summary
 
@@ -357,7 +344,7 @@ def worker_result(worker, name: str):
     proc, conn = worker
     try:
         result = conn.recv()
-    except EOFError:
+    except (EOFError, ConnectionError):  # a killed child can reset the pipe
         proc.join()
         raise RuntimeError(
             f"{name} exited with code {proc.exitcode} without a result"
@@ -376,15 +363,6 @@ def stop_worker(worker) -> None:
     conn.close()
 
 
-def _start_level_worker(*args):
-    """Fork a worker running _solve_level(*args); None where fork does not exist.
-
-    Levels are independent and the worker computes exactly what the parent
-    would, so the study's numbers do not depend on where a level ran.
-    """
-    return fork_worker(lambda _conn, *level: _solve_level(*level), *args)
-
-
 def run_refinement(
     scenario: ScenarioConfig, solver: SolverConfig | None = None
 ) -> RefinementReport:
@@ -396,6 +374,9 @@ def run_refinement(
     coarsest first.  A failing level aborts the study as if the levels ran
     in order: completed levels are reported, a flag records the failure, and
     ``failed`` is set; a failure below the finest level discards the worker.
+    Levels are independent and the worker computes exactly what this process
+    would, so the study's numbers do not depend on where a level ran.  Where
+    fork does not exist, every level runs in this process.
     """
     solver = solver or SolverConfig()
     levels = scenario.levels
@@ -404,7 +385,7 @@ def run_refinement(
     phi, v = diagnostics.probe_test_functions(scenario.L, scenario.T)
 
     finest = levels[-1]
-    worker = _start_level_worker(scenario, solver, finest, phi, v)
+    worker = fork_worker(lambda _conn: _solve_level(scenario, solver, finest, phi, v))
     results: dict[int, tuple[Trajectory, dict]] = {}
     flags: list[str] = []
     failed = False

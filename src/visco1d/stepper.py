@@ -39,9 +39,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+import scipy  # resolves assemble_jacobian's return annotation; scipy.sparse loads on use
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
@@ -55,6 +56,9 @@ from .operators import (
     split_upwind,
     upwind_flux,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "StepResidual",
@@ -543,14 +547,12 @@ def run(
     ``scenario`` is anything with ``rho0``/``u0`` attributes (such as
     harness.ScenarioConfig), a plain (rho0, u0) pair of callables, or an
     initial FluidState.  Unless ``allow_decoupled_dt`` is set, requires the
-    refinement coupling dt == dx; the choice is recorded in the trajectory's
-    ``meta``.  ``observer``, if given, is called with the initial state and
-    then with each accepted state, in order, as soon as it exists; an
-    exception it raises aborts the run.
+    refinement coupling ``grid.dt_dx_coupled``.  ``observer``, if given, is
+    called with the initial state and then with each accepted state, in
+    order, as soon as it exists; an exception it raises aborts the run.
     """
     cfg = cfg or SolverConfig()
-    coupled = abs(grid.dt - grid.dx) <= 1e-12 * grid.dx
-    if not coupled and not allow_decoupled_dt:
+    if not grid.dt_dx_coupled and not allow_decoupled_dt:
         raise ValueError(
             f"dt={grid.dt} != dx={grid.dx}; pass allow_decoupled_dt=True to override"
         )
@@ -593,5 +595,4 @@ def run(
         params=params,
         states=tuple(states),
         solver_meta=tuple(metas),
-        meta={"dt_dx_coupled": coupled},
     )

@@ -7,6 +7,7 @@ read-only (states are frozen arrays, so accidental mutation raises).
 
 from __future__ import annotations
 
+import errno
 import multiprocessing
 
 import numpy as np
@@ -90,3 +91,34 @@ def tiny_grid() -> v.GridSpec:
 
 def constant_state(n: int, rho: float = 1.0) -> v.FluidState:
     return v.FluidState(rho=np.full(n, rho), u=np.zeros(n + 1))
+
+
+class _DeadProcess:
+    """A worker process that has already exited with ``exitcode``."""
+
+    def __init__(self, exitcode: int):
+        self.exitcode = exitcode
+
+    def join(self) -> None:
+        pass
+
+    def terminate(self) -> None:
+        pass
+
+
+class _ResetPipe:
+    """The parent's end of a pipe whose child was killed: every transfer
+    raises ConnectionResetError, as it can after a SIGKILL."""
+
+    def _reset(self, *args):
+        raise ConnectionResetError(errno.ECONNRESET, "Connection reset by peer")
+
+    send_bytes = recv = _reset
+
+    def close(self) -> None:
+        pass
+
+
+def reset_worker(exitcode: int):
+    """A harness.fork_worker result for a worker killed before it sent anything."""
+    return _DeadProcess(exitcode), _ResetPipe()

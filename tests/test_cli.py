@@ -24,6 +24,8 @@ from visco1d.cli import (
     write_state_csv,
 )
 
+from conftest import reset_worker
+
 
 MINIMAL = "[scenario]\nname = constant\n"
 # p = 3**1000 overflows at the first step.
@@ -323,6 +325,19 @@ def test_writer_killed_mid_stream_exits_1(tmp_path, capsys, monkeypatch):
     assert f"i/o error: cannot write {out / 'state.csv'}: " in err
     assert "writer exited with code -9" in err
     assert multiprocessing.active_children() == []
+    assert os.listdir(out) == []
+
+
+def test_writer_with_reset_pipe_exits_1_naming_the_writer(tmp_path, capsys, monkeypatch):
+    """A killed writer's pipe can raise ConnectionResetError instead of EOFError."""
+    monkeypatch.setattr(cli, "fork_worker", lambda *args: reset_worker(-9))
+    cfg = write_cfg(tmp_path, "[scenario]\nname = smooth-bump\nlevels = 16\n")
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"i/o error: cannot write {out / 'state.csv'}: "
+        "state.csv writer exited with code -9 without a result\n"
+    )
     assert os.listdir(out) == []
 
 

@@ -25,7 +25,6 @@ def synthetic_trajectory(states, L=1.0, params=None) -> v.Trajectory:
         grid=g,
         params=params or v.PhysParams(),
         states=tuple(states),
-        meta={"dt_dx_coupled": True},
     )
 
 
@@ -140,8 +139,7 @@ def test_positivity_bound_formula():
     nxt = v.FluidState(rho=np.array([1.0, 3.0]), u=np.array([0.0, 2.0, 0.0]), k=1)
     # dt = dx = 0.5 is forced by the synthetic wrapper; rebuild with dt = 0.1
     g = v.GridSpec(L=1.0, N=2, dt=0.1, T=0.1)
-    traj = v.Trajectory(grid=g, params=v.PhysParams(), states=(prev, nxt),
-                        meta={"dt_dx_coupled": False})
+    traj = v.Trajectory(grid=g, params=v.PhysParams(), states=(prev, nxt))
     rep = v.positivity_report(traj)
     assert rep.bound[0] == pytest.approx(1.0 / 1.2)
     assert rep.min_rho[0] == 1.0
@@ -397,6 +395,13 @@ def test_int_abs_linear_pow_against_quadrature():
 def test_error_rates_requires_three_levels(smooth_ladder):
     with pytest.raises(ValueError):
         v.error_rates([smooth_ladder[64], smooth_ladder[128]])
+
+
+def test_error_rates_requires_steps_at_every_level():
+    sc = v.ScenarioConfig(name="constant", T=0.0)
+    trajs = [solve_level(sc, n) for n in (8, 16, 32)]
+    with pytest.raises(ValueError, match="at least one step at every level"):
+        v.error_rates(trajs)
 
 
 def test_error_rates_requires_coupled_dt():

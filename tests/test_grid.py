@@ -169,27 +169,6 @@ def test_cell_averages_project_linear_functions_exactly(n, coefs):
     np.testing.assert_allclose(got, offset + slope * g.cell_centers, atol=1e-13)
 
 
-# ======================================================================
-# Field extensions
-# ======================================================================
-
-
-def test_eval_density_right_open_convention():
-    g = v.GridSpec(L=1.0, N=2, dt=0.5, T=0.0)
-    st = v.FluidState(rho=np.array([2.0, 5.0]), u=np.zeros(3))
-    assert v.eval_density(st, g, 0, 0.25) == 2.0
-    assert v.eval_density(st, g, 0, 0.5) == 5.0  # boundary point goes right
-    assert v.eval_density(st, g, 0, 1.0) == 5.0  # x = L belongs to last cell
-
-
-def test_eval_velocity_linear_interpolation():
-    g = v.GridSpec(L=1.0, N=2, dt=0.5, T=0.0)
-    st = v.FluidState(rho=np.array([1.0, 1.0]), u=np.array([0.0, 1.0, 0.0]))
-    assert v.eval_velocity(st, g, 0, 0.25) == pytest.approx(0.5)
-    assert v.eval_velocity(st, g, 0, 0.5) == pytest.approx(1.0)
-    assert v.eval_velocity(st, g, 0, 0.0) == 0.0
-
-
 def test_hat_velocity_midpoints():
     st = v.FluidState(rho=np.array([1.0, 1.0]), u=np.array([0.0, 2.0, 0.0]))
     np.testing.assert_allclose(v.hat(st.u), [1.0, 1.0])

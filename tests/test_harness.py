@@ -16,7 +16,7 @@ import visco1d as v
 from visco1d import diagnostics, harness
 from visco1d.harness import resolve_density_profile, resolve_velocity_profile
 
-from conftest import scenario_named, solve_level, with_levels
+from conftest import reset_worker, scenario_named, solve_level, with_levels
 
 
 # ======================================================================
@@ -149,7 +149,6 @@ def test_cauchy_differences_detect_known_gap():
             v.FluidState(rho=np.full(g.N, val), u=np.zeros(g.N + 1), k=k)
             for k in range(steps + 1)
         ),
-        meta={"dt_dx_coupled": True},
     )
     coarse = mk(g8, 1.0, 1)
     fine = mk(g16, 1.25, 2)
@@ -283,7 +282,7 @@ def test_run_refinement_without_steps_reports_no_orders():
 
 def _inline(monkeypatch):
     """Make run_refinement solve every level in this process."""
-    monkeypatch.setattr(harness, "_start_level_worker", lambda *args: None)
+    monkeypatch.setattr(harness, "fork_worker", lambda *args: None)
 
 
 def _fail_at(monkeypatch, level: int, exc: Exception) -> None:
@@ -359,6 +358,16 @@ def test_run_refinement_names_a_worker_that_died(monkeypatch):
     with pytest.raises(RuntimeError, match=r"level 32 worker exited with code 7"):
         v.run_refinement(sc)
     assert multiprocessing.active_children() == []
+
+
+def test_run_refinement_names_a_worker_whose_pipe_was_reset(monkeypatch):
+    """A killed worker's pipe can raise ConnectionResetError instead of EOFError."""
+    sc = with_levels(scenario_named("constant"), (8, 16, 32))
+    monkeypatch.setattr(harness, "fork_worker", lambda *args: reset_worker(-9))
+    with pytest.raises(
+        RuntimeError, match=r"^level 32 worker exited with code -9 without a result$"
+    ):
+        v.run_refinement(sc)
 
 
 def test_refine_cli_writes_each_line_once(tmp_path):

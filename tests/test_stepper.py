@@ -430,7 +430,7 @@ def test_run_requires_coupled_steps_by_default():
     with pytest.raises(ValueError):
         v.run(sc, g, sc.params)
     traj = v.run(sc, g, sc.params, allow_decoupled_dt=True)
-    assert traj.meta["dt_dx_coupled"] is False
+    assert traj.grid.dt_dx_coupled is False
 
 
 def test_run_smooth_bump_mass_conservation_n64(smooth_traj_64):
