@@ -3,9 +3,13 @@
 The config format is a flat INI-like text with three sections —
 ``[scenario]``, ``[solver]``, ``[output]`` — and ``key = value`` lines.
 Parsing is deliberately hand-rolled so every diagnostic can name the exact
-key and line; unknown keys and sections are errors, not warnings.  All
-numeric output uses 17 significant digits, which round-trips IEEE doubles
-exactly, and repeated invocations produce byte-identical files.
+key and line; unknown keys and sections are errors, not warnings.  The
+parser states no value range itself: each key is applied, one at a time in
+field order, to the object that owns its rule (``PhysParams``,
+``ScenarioConfig`` or ``SolverConfig``), and the ``ValueError`` that object
+raises becomes a ConfigError naming the key and its line.  All numeric
+output uses 17 significant digits, which round-trips IEEE doubles exactly,
+and repeated invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 solver failure, 2 configuration error,
 3 verification failure.
@@ -15,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -24,13 +27,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import diagnostics
-from .grid import GridSpec, PhysParams, Trajectory
+from .grid import GridSpec, Trajectory
 from .harness import (
     RefinementReport,
     ScenarioConfig,
     builtin_scenarios,
-    check_levels,
-    check_profiles,
     fork_worker,
     run_refinement,
     stop_worker,
@@ -117,10 +118,6 @@ class RunConfig:
         return "\n".join(lines)
 
 
-_SCENARIO_KEYS = {
-    "name", "rho0", "u0", "L", "T", "a", "gamma", "mu", "levels",
-    "couple_dt_dx", "dt",
-}
 _SOLVER_KEYS = {
     "newton_tol", "max_newton_iters", "damping", "fallback", "polish_floor",
 }
@@ -152,14 +149,41 @@ def _parse_bool(raw: str, key: str, line: int) -> bool:
         raise ConfigError(f"value for '{key}' is not on/off: {raw!r}", line) from None
 
 
+def _parse_levels(raw: str, key: str, line: int) -> tuple[int, ...]:
+    return tuple(_parse_int(p.strip(), key, line) for p in raw.split(",") if p.strip())
+
+
+def _parse_text(raw: str, key: str, line: int) -> str:
+    return raw
+
+
+# The [scenario] keys after ``name``, in ScenarioConfig's field order (a,
+# gamma and mu are PhysParams fields), each with its parser.
+_SCENARIO_PARSERS = {
+    "rho0": _parse_text,
+    "u0": _parse_text,
+    "L": _parse_float,
+    "T": _parse_float,
+    "a": _parse_float,
+    "gamma": _parse_float,
+    "mu": _parse_float,
+    "levels": _parse_levels,
+    "couple_dt_dx": _parse_bool,
+    "dt": _parse_float,
+}
+_PHYS_KEYS = {"a", "gamma", "mu"}
+_SCENARIO_KEYS = {"name", *_SCENARIO_PARSERS}
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse config text into a validated RunConfig with defaults recorded.
 
     A ``name`` matching a built-in scenario seeds every scenario field, and
     explicit keys override it; an unknown name requires at least ``rho0`` so
-    that the scenario is fully specified.  Out-of-range values raise
-    ConfigError naming the key and line; a gamma outside the (3/2, 2)
-    convergence window is accepted but recorded as a warning.
+    that the scenario is fully specified.  Each key is checked by the
+    object that owns its rule, in field order, and an out-of-range value
+    raises ConfigError naming the key and its line; a gamma outside the
+    (3/2, 2) convergence window is accepted but recorded as a warning.
     """
     sections: dict[str, dict[str, tuple[str, int]]] = {
         "scenario": {}, "solver": {}, "output": {},
@@ -193,92 +217,32 @@ def parse_config(text: str) -> RunConfig:
     if "name" not in sc:
         raise ConfigError("missing required key 'name' in [scenario]")
     name, name_ln = sc["name"]
-    base = next((s for s in builtin_scenarios() if s.name == name), None)
-    if base is None:
+    scenario = next((s for s in builtin_scenarios() if s.name == name), None)
+    if scenario is None:
         if "rho0" not in sc:
             raise ConfigError(
                 f"unknown scenario '{name}' and no rho0 profile given", name_ln
             )
-        base = ScenarioConfig(name=name)
-
-    def take_float(key: str, default: float) -> float:
-        if key not in sc:
-            return default
-        raw, ln = sc[key]
-        return _parse_float(raw, key, ln)
-
-    L = take_float("L", base.L)
-    T = take_float("T", base.T)
-    a = take_float("a", base.params.a)
-    gamma = take_float("gamma", base.params.gamma)
-    mu = take_float("mu", base.params.mu)
-    # The ranges PhysParams and ScenarioConfig enforce, checked here so that
-    # the error names the key's line; a NaN fails every comparison.
-    for key, val, ok, rule in (
-        ("L", L, L > 0, "positive"),
-        ("T", T, T >= 0, "nonnegative"),
-        ("a", a, a > 0, "positive"),
-        ("gamma", gamma, gamma > 1, "greater than 1"),
-        ("mu", mu, mu > 0, "positive"),
-    ):
-        if key in sc and not (ok and val < math.inf):
-            raise ConfigError(
-                f"'{key}' must be {rule} and finite, got {key}={val:g}", sc[key][1]
-            )
-    warnings: list[str] = []
-    if not (1.5 < gamma < 2.0):
-        warnings.append(
-            f"gamma={gamma:g} outside 3/2<gamma<2 convergence regime"
-        )
-
-    levels = base.levels
-    if "levels" in sc:
-        raw, ln = sc["levels"]
-        parts = [p for p in raw.split(",") if p.strip()]
-        if not parts:
-            raise ConfigError("'levels' must list at least one N", ln)
-        levels = tuple(_parse_int(p.strip(), "levels", ln) for p in parts)
-        try:
-            check_levels(levels)
-        except ValueError as exc:
-            raise ConfigError(f"invalid scenario: {exc}", ln) from exc
-    couple = base.couple_dt_dx
-    if "couple_dt_dx" in sc:
-        raw, ln = sc["couple_dt_dx"]
-        couple = _parse_bool(raw, "couple_dt_dx", ln)
-    dt = base.dt
-    if "dt" in sc:
-        raw, ln = sc["dt"]
-        dt = _parse_float(raw, "dt", ln)
-        if not couple and not (0.0 < dt < math.inf):
-            raise ConfigError(f"decoupled 'dt' must be positive and finite, got dt={dt:g}", ln)
-    profiles = {"rho0": base.rho0, "u0": base.u0}
-    for key in profiles:
+        scenario = ScenarioConfig(name=name)
+    # Each key is checked by the object that owns its rule, one key at a
+    # time in field order, so that an error names the key's own line.
+    for key, parse in _SCENARIO_PARSERS.items():
         if key not in sc:
             continue
         raw, ln = sc[key]
-        try:  # one profile at a time, so that the error names its line
-            check_profiles(**{"rho0": None, "u0": None, key: raw}, L=L)
+        val = parse(raw, key, ln)
+        try:
+            if key in _PHYS_KEYS:
+                scenario = replace(scenario, params=replace(scenario.params, **{key: val}))
+            else:
+                scenario = replace(scenario, **{key: val})
         except ValueError as exc:
             raise ConfigError(f"invalid scenario: {exc}", ln) from exc
-        profiles[key] = raw
+    warnings: list[str] = []
+    if not scenario.params.in_theory_range:
+        warnings.append(f"gamma={scenario.params.gamma:g} outside 3/2<gamma<2 convergence regime")
 
-    try:
-        params = PhysParams(a=a, gamma=gamma, mu=mu)
-        scenario = ScenarioConfig(
-            name=name,
-            **profiles,
-            L=L,
-            T=T,
-            params=params,
-            levels=levels,
-            couple_dt_dx=couple,
-            dt=dt,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid scenario: {exc}", name_ln) from exc
-
-    solver_kwargs: dict = {}
+    solver = SolverConfig()
     for key, (raw, ln) in sections["solver"].items():
         if key == "newton_tol" and raw.lower() == "auto":
             val = None
@@ -286,14 +250,10 @@ def parse_config(text: str) -> RunConfig:
             val = _parse_int(raw, key, ln)
         else:
             val = _parse_float(raw, key, ln)
-        # SolverConfig checks each field on its own, so one key at a time
-        # finds the offending line.
         try:
-            SolverConfig(**{key: val})
+            solver = replace(solver, **{key: val})
         except ValueError as exc:
             raise ConfigError(f"invalid solver setting: {exc}", ln) from exc
-        solver_kwargs[key] = val
-    solver = SolverConfig(**solver_kwargs)
 
     out_dir = sections["output"].get("out_dir", (".", 0))[0]
     return RunConfig(

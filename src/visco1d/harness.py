@@ -25,8 +25,6 @@ __all__ = [
     "ScenarioConfig",
     "RefinementReport",
     "builtin_scenarios",
-    "check_levels",
-    "check_profiles",
     "run_refinement",
     "resolve_density_profile",
     "resolve_velocity_profile",
@@ -75,45 +73,6 @@ def resolve_velocity_profile(spec: str, L: float) -> Callable:
     raise ValueError(f"unknown velocity profile {spec!r}")
 
 
-def check_levels(levels: tuple[int, ...]) -> None:
-    """Raise ValueError unless the ladder is nonempty, positive, strictly
-    increasing, and nested (every level a multiple of the coarsest)."""
-    if not levels:
-        raise ValueError("scenario needs at least one level")
-    if any(n <= 0 for n in levels):
-        raise ValueError("levels must be positive")
-    if list(levels) != sorted(set(levels)):
-        raise ValueError("levels must be strictly increasing")
-    if any(n % levels[0] for n in levels):
-        raise ValueError("every level must be a multiple of the coarsest")
-
-
-def check_profiles(rho0: str | None, u0: str | None, L: float) -> None:
-    """Raise ValueError, naming the profile, unless each given spec resolves
-    and is finite on [0, L], and the density is strictly positive there.
-
-    ``None`` skips a profile, so that a config parser can check each key on
-    its own line.
-    """
-    probe = np.linspace(0.0, L, 513)
-    for key, spec, resolve in (
-        ("rho0", rho0, resolve_density_profile),
-        ("u0", u0, resolve_velocity_profile),
-    ):
-        if spec is None:
-            continue
-        try:
-            profile = resolve(spec, L)
-        except ValueError as exc:
-            raise ValueError(f"bad {key} profile {spec!r}: {exc}") from None
-        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 is NaN
-            vals = np.asarray(profile(probe), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"{key} profile {spec!r} is not finite on [0, L]")
-        if key == "rho0" and not (float(np.min(vals)) > 0.0):
-            raise ValueError(f"{key} profile {spec!r}: initial density must be strictly positive")
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One named experiment: initial profiles, physics, and a level ladder.
@@ -141,12 +100,38 @@ class ScenarioConfig:
     dt: float | None = None
 
     def __post_init__(self) -> None:
-        if not (0 < self.L < math.inf and 0 <= self.T < math.inf):
-            raise ValueError("scenario needs finite L > 0 and T >= 0")
-        check_levels(self.levels)
+        if not (0 < self.L < math.inf):
+            raise ValueError(f"L must be positive and finite, got L={self.L}")
+        if not (0 <= self.T < math.inf):
+            raise ValueError(f"T must be nonnegative and finite, got T={self.T}")
+        levels = self.levels
+        if not levels:
+            raise ValueError("levels must list at least one N")
+        if any(n <= 0 for n in levels):
+            raise ValueError("levels must be positive")
+        if list(levels) != sorted(set(levels)):
+            raise ValueError("levels must be strictly increasing")
+        if any(n % levels[0] for n in levels):
+            raise ValueError("every level must be a multiple of the coarsest")
         if not self.couple_dt_dx and self.dt is not None and not (0 < self.dt < math.inf):
             raise ValueError("decoupled dt must be positive and finite")
-        check_profiles(self.rho0, self.u0, self.L)
+        # Each profile must resolve and be finite on [0, L], and the density
+        # strictly positive there.
+        probe = np.linspace(0.0, self.L, 513)
+        for key, spec, resolve in (
+            ("rho0", self.rho0, resolve_density_profile),
+            ("u0", self.u0, resolve_velocity_profile),
+        ):
+            try:
+                profile = resolve(spec, self.L)
+            except ValueError as exc:
+                raise ValueError(f"bad {key} profile {spec!r}: {exc}") from None
+            with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 is NaN
+                vals = np.asarray(profile(probe), dtype=float)
+            if not np.all(np.isfinite(vals)):
+                raise ValueError(f"{key} profile {spec!r} is not finite on [0, L]")
+            if key == "rho0" and not (float(np.min(vals)) > 0.0):
+                raise ValueError(f"{key} profile {spec!r}: initial density must be strictly positive")
 
     @property
     def rho0_fn(self):
@@ -274,13 +259,10 @@ def _level_summary(traj: Trajectory, phi, v) -> dict:
     summary = {
         "N": traj.grid.N,
         "steps": steps,
-        "newton_tol_max": tol_eff,
-        "max_iterations": max((m.iterations for m in traj.solver_meta), default=0),
         "fallback_steps": sum(m.fallback_used for m in traj.solver_meta),
         "mass_drift_rel": diagnostics.mass_drift(traj),
         "energy_balance_max": float(np.max(ledger.balance_residual)),
         "energy_tol": diagnostics.energy_budget(tol_eff, steps),
-        "diffusion_min_increment": diagnostics.diffusion_min_increment(ledger),
         "positivity_margin_min": pos.worst_margin if steps else math.inf,
     }
     summary.update(diagnostics.level_magnitudes(traj, phi, v))

@@ -187,6 +187,37 @@ def test_non_finite_values_are_config_errors(key, value):
     assert f"(line {err.value.line})" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("L", "0", "L must be positive and finite, got L=0"),
+        ("T", "-1", "T must be nonnegative and finite, got T=-1"),
+        ("a", "0", "got a=0"),
+        ("gamma", "1", "got gamma=1"),
+        ("dt", "0", "decoupled dt must be positive and finite"),
+        ("levels", "0", "levels must be positive"),
+        ("levels", "", "levels must list at least one N"),
+        ("rho0", "constant:-1", "rho0 profile 'constant:-1'"),
+    ],
+)
+def test_out_of_range_values_name_key_and_line(key, value, message):
+    text = "[scenario]\nname = constant\n"
+    if key == "dt":
+        text += "couple_dt_dx = off\n"
+    text += f"{key} = {value}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert message in str(err.value)
+    assert err.value.line == text.count("\n")
+    assert str(err.value).endswith(f"(line {err.value.line})")
+
+
+def test_decoupled_dt_error_names_dt_line_before_couple_key():
+    text = "[scenario]\nname = constant\ndt = 0\ncouple_dt_dx = off\n"
+    with pytest.raises(ConfigError, match=r"decoupled dt .*\(line 3\)$"):
+        parse_config(text)
+
+
 def test_removed_regularize_upwind_key_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MINIMAL + "[solver]\nregularize_upwind = 0\n")
     assert cli_main(["verify", "--config", cfg]) == 2

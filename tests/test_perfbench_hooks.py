@@ -1,30 +1,35 @@
-"""The benchmark's tracing hooks still find every call site they wrap.
+"""The benchmark's hooks still find every part of the package they use.
 
 ``perfbench/tracing.py`` replaces module attributes of the package (such as
 ``cli.neumann_inv_grad`` or ``diagnostics.energy_ledger``) with timing
-wrappers.  A refactor that renames or drops one of them makes every traced
-benchmark job fail, so this installs the hooks, runs one traced command and
-restores them.
+wrappers, and ``perfbench/probe.py`` calls ``cli.parse_config``,
+``stepper.run``, ``traj.states[k]``, ``stepper.assemble_residual``,
+``stepper.assemble_jacobian`` and ``SolverConfig.polish_floor``.  A refactor
+that renames or drops one of them makes the benchmark's jobs fail, so this
+installs the hooks, runs one traced command and restores them, and runs the
+probe on a small config.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 from visco1d import cli, diagnostics, grid, harness, stepper
 
 
-def _load_tracing():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def _load(name: str):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracing_hooks_install_and_restore(tmp_path, capsys):
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     owners = (cli, diagnostics, grid.Trajectory, harness, stepper)
     before = [dict(vars(owner)) for owner in owners]
     cfg = tmp_path / "run.cfg"
@@ -46,3 +51,16 @@ def test_tracing_hooks_install_and_restore(tmp_path, capsys):
         assert name in names
     assert not any(span.get("repeat") for span in spans)
     assert "15/15 identity checks passed" in capsys.readouterr().out
+
+
+def test_probe_reports_counts_and_kernel_timings(tmp_path, monkeypatch):
+    probe = _load("probe")
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text("[scenario]\nname = smooth-bump\nlevels = 8\n", encoding="utf-8")
+    result = tmp_path / "probe.json"
+    monkeypatch.setattr(sys, "argv", ["probe.py", str(result), str(cfg)])
+    assert probe.main() == 0
+    record = json.loads(result.read_text(encoding="utf-8"))
+    assert record["iters_to_tol"] > 0
+    assert record["assemble_residual_us"] > 0
+    assert record["assemble_jacobian_us"] > 0
