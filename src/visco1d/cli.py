@@ -135,7 +135,7 @@ def _parse_float(raw: str, key: str, line: int) -> float:
         raise ConfigError(f"value for '{key}' is not a number: {raw!r}", line) from None
 
 
-def _parse_int(raw: str, key: str, line: int) -> int:
+def _parse_int(raw: str, key: str, line: int | None) -> int:
     try:
         return int(raw)
     except ValueError:
@@ -149,7 +149,7 @@ def _parse_bool(raw: str, key: str, line: int) -> bool:
         raise ConfigError(f"value for '{key}' is not on/off: {raw!r}", line) from None
 
 
-def _parse_levels(raw: str, key: str, line: int) -> tuple[int, ...]:
+def _parse_levels(raw: str, key: str, line: int | None) -> tuple[int, ...]:
     return tuple(_parse_int(p.strip(), key, line) for p in raw.split(",") if p.strip())
 
 
@@ -448,7 +448,6 @@ def _solve_first_level(config: RunConfig, observer=None) -> Trajectory:
         scenario.grid_for(scenario.levels[0]),
         scenario.params,
         config.solver,
-        allow_decoupled_dt=not scenario.couple_dt_dx,
         observer=observer,
     )
 
@@ -601,16 +600,15 @@ def cli_main(argv: list[str] | None = None) -> int:
 
         if args.command == "refine":
             if args.levels:
+                levels = _parse_levels(args.levels, "--levels", None)
                 try:
-                    levels = tuple(int(p) for p in args.levels.split(",") if p.strip())
-                except ValueError:
-                    raise ConfigError(f"--levels must be integers, got {args.levels!r}")
-                config = replace(config, scenario=replace(config.scenario, levels=levels))
-            if len(config.scenario.levels) < 3:
-                raise ConfigError("refine needs at least 3 levels")
+                    scenario = replace(config.scenario, levels=levels)
+                except ValueError as exc:
+                    raise ConfigError(f"--levels {args.levels}: {exc}") from exc
+                config = replace(config, scenario=scenario)
+            report = run_refinement(config.scenario, config.solver)
             out_dir = args.out or config.out_dir
             os.makedirs(out_dir, exist_ok=True)
-            report = run_refinement(config.scenario, config.solver)
             path = os.path.join(out_dir, "report.csv")
             write_report(report, path, config)
             print(f"wrote {path} ({len(report.levels)} levels)", file=out)
@@ -635,10 +633,7 @@ def cli_main(argv: list[str] | None = None) -> int:
             return 0
 
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except StepFailure as exc:

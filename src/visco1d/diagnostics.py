@@ -100,7 +100,6 @@ class EnergyLedger:
     up to the solver residual, and balance_residual[m] is the absolute gap.
     """
 
-    times: np.ndarray
     energy: np.ndarray
     dissipation: np.ndarray
     N1: np.ndarray
@@ -186,8 +185,7 @@ def energy_ledger(traj: Trajectory) -> EnergyLedger:
     dissipation = cum(inc_d)
     n1, n2, n3, n4 = (cum(inc[k]) for k in ("N1", "N2", "N3", "N4"))
     balance = np.abs(energy - energy[0] + dissipation + n1 + n2 + n3 + n4)
-    times = dt * np.arange(steps + 1)
-    return EnergyLedger(times, energy, dissipation, n1, n2, n3, n4, balance)
+    return EnergyLedger(energy, dissipation, n1, n2, n3, n4, balance)
 
 
 # ======================================================================
@@ -197,16 +195,11 @@ def energy_ledger(traj: Trajectory) -> EnergyLedger:
 
 @dataclass(frozen=True)
 class BFunction:
-    """A C^1 rescaling function z -> B(z) with its derivative.
-
-    ``convex`` marks whether the remainder terms carry a sign; it only
-    affects which inequalities downstream checks may assert.
-    """
+    """A C^1 rescaling function z -> B(z) with its derivative."""
 
     name: str
     value: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
-    convex: bool = True
 
 
 def b_square() -> BFunction:
@@ -215,8 +208,7 @@ def b_square() -> BFunction:
 
 def b_power(gamma: float) -> BFunction:
     return BFunction(
-        f"power-{gamma:g}", lambda z: z**gamma, lambda z: gamma * z ** (gamma - 1.0),
-        convex=gamma >= 1.0,
+        f"power-{gamma:g}", lambda z: z**gamma, lambda z: gamma * z ** (gamma - 1.0)
     )
 
 

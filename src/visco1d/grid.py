@@ -306,7 +306,6 @@ def init_state(
     grid: GridSpec,
     rho0: Callable[[np.ndarray], np.ndarray],
     u0: Callable[[np.ndarray], np.ndarray],
-    rho_floor: float = 1e-12,
 ) -> FluidState:
     """Numerical initial data: averaged density, face-sampled velocity.
 
@@ -315,19 +314,17 @@ def init_state(
         rho0: initial density profile; averaged over each cell
             (exactly for :class:`PiecewiseConstant` and for values constant
             on a cell, otherwise by Gauss quadrature, exact through degree 9
-            up to roundoff).  Averages must stay above ``rho_floor``.
+            up to roundoff).  Averages must stay above 1e-12, an
+            input-validation floor never applied during solves.
         u0: initial velocity, sampled pointwise at the faces; the wall values
             are overwritten with zero regardless of ``u0``.
-        rho_floor: input-validation floor, never applied during solves.
 
     Returns:
         The k = 0 :class:`FluidState`.
     """
     rho = cell_averages(grid, rho0)
-    if not np.all(rho > rho_floor):
-        raise ValueError(
-            f"averaged initial density dips to {rho.min()} <= floor {rho_floor}"
-        )
+    if not np.all(rho > 1e-12):
+        raise ValueError(f"averaged initial density dips to {rho.min()} <= floor 1e-12")
     u = np.asarray(u0(grid.face_nodes), dtype=float) * np.ones(grid.N + 1)
     u[0] = 0.0
     u[-1] = 0.0

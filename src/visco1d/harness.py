@@ -80,7 +80,7 @@ class ScenarioConfig:
     ``levels`` must be strictly increasing with every entry a multiple of the
     coarsest, so that coarse cells are unions of fine cells and the Cauchy
     projections below are exact.  ``dt`` is only consulted when
-    ``couple_dt_dx`` is off.
+    ``couple_dt_dx`` is off; without it every level runs at dt = dx.
 
     ``name`` is a label only; it does not look up a built-in scenario.  With
     the default ``rho0``/``u0``, ``ScenarioConfig(name="riemann-like")`` is a
@@ -100,10 +100,6 @@ class ScenarioConfig:
     dt: float | None = None
 
     def __post_init__(self) -> None:
-        if not (0 < self.L < math.inf):
-            raise ValueError(f"L must be positive and finite, got L={self.L}")
-        if not (0 <= self.T < math.inf):
-            raise ValueError(f"T must be nonnegative and finite, got T={self.T}")
         levels = self.levels
         if not levels:
             raise ValueError("levels must list at least one N")
@@ -113,8 +109,11 @@ class ScenarioConfig:
             raise ValueError("levels must be strictly increasing")
         if any(n % levels[0] for n in levels):
             raise ValueError("every level must be a multiple of the coarsest")
-        if not self.couple_dt_dx and self.dt is not None and not (0 < self.dt < math.inf):
-            raise ValueError("decoupled dt must be positive and finite")
+        if self.dt is not None and not (0 < self.dt < math.inf):
+            raise ValueError(f"dt must be positive and finite, got dt={self.dt}")
+        # GridSpec states the grid rules (L, T, N >= 2 and the time step).
+        for n in levels:
+            self.grid_for(n)
         # Each profile must resolve and be finite on [0, L], and the density
         # strictly positive there.
         probe = np.linspace(0.0, self.L, 513)
@@ -241,7 +240,6 @@ class RefinementReport:
 
     scenario: str
     levels: tuple[int, ...]
-    hs: tuple[float, ...]
     per_level: tuple[dict, ...]
     cauchy_rho: tuple[float, ...]
     cauchy_u: tuple[float, ...]
@@ -274,13 +272,7 @@ def _solve_level(
     scenario: ScenarioConfig, solver: SolverConfig, n: int, phi, v
 ) -> tuple[Trajectory, dict]:
     """Solve one level of the ladder and summarize its diagnostics."""
-    traj = run(
-        scenario,
-        scenario.grid_for(n),
-        scenario.params,
-        solver,
-        allow_decoupled_dt=not scenario.couple_dt_dx,
-    )
+    traj = run(scenario, scenario.grid_for(n), scenario.params, solver)
     return traj, _level_summary(traj, phi, v)
 
 
@@ -365,6 +357,7 @@ def run_refinement(
     if len(levels) < 3:
         raise ValueError("a refinement study needs at least 3 levels")
     phi, v = diagnostics.probe_test_functions(scenario.L, scenario.T)
+    coupled = all(scenario.grid_for(n).dt_dx_coupled for n in levels)
 
     finest = levels[-1]
     worker = fork_worker(lambda _conn: _solve_level(scenario, solver, finest, phi, v))
@@ -405,7 +398,7 @@ def run_refinement(
     # Decay orders are only meaningful on the dt = dx line, and need three
     # completed levels, each with at least one step, to telescope; otherwise
     # report magnitudes alone.
-    if len(done) >= 3 and scenario.couple_dt_dx and all(row["steps"] for row in per_level):
+    if len(done) >= 3 and coupled and all(row["steps"] for row in per_level):
         rates = diagnostics.rates_from_levels(per_level)
         for key in ("E1", "E2", "P1", "P2"):
             entry = dict(rates[key])
@@ -432,7 +425,7 @@ def run_refinement(
         )
     }
 
-    if not scenario.couple_dt_dx:
+    if not coupled:
         flags.append("outside convergence-theory regime (dt decoupled from dx)")
     if not scenario.params.in_theory_range:
         flags.append(
@@ -442,7 +435,6 @@ def run_refinement(
     return RefinementReport(
         scenario=scenario.name,
         levels=tuple(done),
-        hs=tuple(scenario.L / n for n in done),
         per_level=per_level,
         cauchy_rho=tuple(cauchy_rho),
         cauchy_u=tuple(cauchy_u),

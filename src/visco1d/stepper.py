@@ -539,42 +539,18 @@ def run(
     grid: GridSpec,
     params: PhysParams,
     cfg: SolverConfig | None = None,
-    allow_decoupled_dt: bool = False,
     observer: Callable[[FluidState], object] | None = None,
 ) -> Trajectory:
     """March the scheme from the scenario's initial data to grid.T.
 
-    ``scenario`` is anything with ``rho0``/``u0`` attributes (such as
-    harness.ScenarioConfig), a plain (rho0, u0) pair of callables, or an
-    initial FluidState.  Unless ``allow_decoupled_dt`` is set, requires the
-    refinement coupling ``grid.dt_dx_coupled``.  ``observer``, if given, is
-    called with the initial state and then with each accepted state, in
+    ``scenario`` is a harness.ScenarioConfig, or anything with its resolved
+    profiles ``rho0_fn`` and ``u0_fn``.  Any time step runs; code that needs
+    dt == dx checks ``grid.dt_dx_coupled`` itself.  ``observer``, if given,
+    is called with the initial state and then with each accepted state, in
     order, as soon as it exists; an exception it raises aborts the run.
     """
     cfg = cfg or SolverConfig()
-    if not grid.dt_dx_coupled and not allow_decoupled_dt:
-        raise ValueError(
-            f"dt={grid.dt} != dx={grid.dx}; pass allow_decoupled_dt=True to override"
-        )
-
-    if isinstance(scenario, FluidState):
-        state = scenario
-        if state.k != 0:
-            state = FluidState(rho=state.rho, u=state.u, k=0)
-    else:
-        if isinstance(scenario, tuple):
-            rho0, u0 = scenario
-        else:
-            # scenario objects may hold profile *specs* (strings) in rho0/u0
-            # and expose the resolved callables as rho0_fn/u0_fn
-            rho0 = getattr(scenario, "rho0_fn", None)
-            u0 = getattr(scenario, "u0_fn", None)
-            if rho0 is None:
-                rho0 = scenario.rho0
-            if u0 is None:
-                u0 = scenario.u0
-        state = init_state(grid, rho0, u0)
-
+    state = init_state(grid, scenario.rho0_fn, scenario.u0_fn)
     states = [state]
     metas = []
     if observer is not None:

@@ -190,11 +190,11 @@ def test_non_finite_values_are_config_errors(key, value):
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("L", "0", "L must be positive and finite, got L=0"),
-        ("T", "-1", "T must be nonnegative and finite, got T=-1"),
+        ("L", "0", "domain length must be positive and finite, got L=0.0"),
+        ("T", "-1", "final time must be nonnegative and finite, got T=-1.0"),
         ("a", "0", "got a=0"),
         ("gamma", "1", "got gamma=1"),
-        ("dt", "0", "decoupled dt must be positive and finite"),
+        ("dt", "0", "dt must be positive and finite, got dt=0.0"),
         ("levels", "0", "levels must be positive"),
         ("levels", "", "levels must list at least one N"),
         ("rho0", "constant:-1", "rho0 profile 'constant:-1'"),
@@ -214,8 +214,23 @@ def test_out_of_range_values_name_key_and_line(key, value, message):
 
 def test_decoupled_dt_error_names_dt_line_before_couple_key():
     text = "[scenario]\nname = constant\ndt = 0\ncouple_dt_dx = off\n"
-    with pytest.raises(ConfigError, match=r"decoupled dt .*\(line 3\)$"):
+    with pytest.raises(ConfigError, match=r"dt must be positive and finite.*\(line 3\)$"):
         parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("dt", "-1", "dt must be positive and finite, got dt=-1.0"),  # coupling on
+        ("levels", "1,2,4", "need at least 2 cells, got N=1"),
+    ],
+)
+def test_grid_rules_name_key_and_line(key, value, message):
+    text = f"[scenario]\nname = constant\n{key} = {value}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert message in str(err.value)
+    assert str(err.value).endswith("(line 3)")
 
 
 def test_removed_regularize_upwind_key_exits_2(tmp_path, capsys):
@@ -529,6 +544,21 @@ def test_refine_rejects_garbage_level_override(tmp_path, capsys):
     cfg = constant_cfg(tmp_path)
     code = run_cli(["refine", "--config", cfg, "--levels", "8,many", "--out", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "levels, message",
+    [
+        ("8,16", "a refinement study needs at least 3 levels"),
+        ("8,4,2", "--levels 8,4,2: levels must be strictly increasing"),
+    ],
+)
+def test_refine_rejected_ladder_exits_2_without_out_dir(tmp_path, capsys, levels, message):
+    cfg = constant_cfg(tmp_path)
+    out = tmp_path / "rep"
+    assert run_cli(["refine", "--config", cfg, "--levels", levels, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_constant_all_identities_pass(tmp_path, capsys):

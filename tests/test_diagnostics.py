@@ -82,7 +82,7 @@ def test_energy_dissipation_matches_velocity_gradient(smooth_traj_32):
 
 def test_renorm_identity_linear_b_is_continuity(smooth_traj_32):
     """B(z)=z has zero convexity remainders: residual == continuity residual."""
-    lin = v.BFunction(name="identity", value=lambda z: z, deriv=lambda z: np.ones_like(z), convex=False)
+    lin = v.BFunction(name="identity", value=lambda z: z, deriv=lambda z: np.ones_like(z))
     res = v.renorm_residual(smooth_traj_32, lin)
     g = smooth_traj_32.grid
     for k in range(1, len(smooth_traj_32)):
@@ -407,7 +407,7 @@ def test_error_rates_requires_steps_at_every_level():
 def test_error_rates_requires_coupled_dt():
     sc = scenario_named("constant")
     g = v.GridSpec(L=1.0, N=8, dt=0.01, T=0.05)
-    odd = v.run(sc, g, sc.params, allow_decoupled_dt=True)
+    odd = v.run(sc, g, sc.params)
     good = [solve_level(sc, n) for n in (8, 16, 32)]
     with pytest.raises(ValueError):
         v.error_rates([odd, good[1], good[2]])

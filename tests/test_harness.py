@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,18 @@ def test_run_refinement_flags_decoupled_dt():
     rep = v.run_refinement(sc)
     assert any("outside convergence-theory regime" in f for f in rep.flags)
     assert rep.orders == {}  # rates are not meaningful off the dt = dx line
+
+
+def test_run_refinement_decoupled_without_dt_stays_on_dt_eq_dx():
+    """couple_dt_dx = off without dt still runs every level at dt = dx."""
+    sc = v.ScenarioConfig(
+        name="free", rho0="bump", u0="sin2pi", T=0.125,
+        levels=(8, 16, 32), couple_dt_dx=False, params=v.PhysParams(mu=0.05),
+    )
+    rep = v.run_refinement(sc)
+    assert not any("outside convergence-theory regime" in f for f in rep.flags)
+    assert set(rep.orders) == {"E1", "E2", "P1", "P2", "cauchy_rho", "cauchy_u"}
+    assert rep.orders == v.run_refinement(replace(sc, couple_dt_dx=True)).orders
 
 
 def test_run_refinement_flags_gamma_outside_window():

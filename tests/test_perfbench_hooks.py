@@ -6,7 +6,8 @@ wrappers, and ``perfbench/probe.py`` calls ``cli.parse_config``,
 ``stepper.run``, ``traj.states[k]``, ``stepper.assemble_residual``,
 ``stepper.assemble_jacobian`` and ``SolverConfig.polish_floor``.  A refactor
 that renames or drops one of them makes the benchmark's jobs fail, so this
-installs the hooks, runs one traced command and restores them, and runs the
+installs the hooks, runs traced ``verify``, ``refine`` and ``run`` commands
+(each wrapped call site must see its calls) and restores them, and runs the
 probe on a small config.
 """
 
@@ -51,6 +52,33 @@ def test_tracing_hooks_install_and_restore(tmp_path, capsys):
         assert name in names
     assert not any(span.get("repeat") for span in spans)
     assert "15/15 identity checks passed" in capsys.readouterr().out
+
+
+def _traced(argv: list[str]) -> tuple[int, list[str]]:
+    """Run the CLI with the benchmark's hooks installed: (exit code, span names)."""
+    tracing = _load("tracing")
+    tracer = tracing.Tracer()
+    traced_main = tracing.install(tracer)
+    try:
+        code = traced_main(argv)
+    finally:
+        tracer.restore()
+    return code, [span["name"] for span in tracer.dump()["spans"]]
+
+
+def test_traced_refine_and_run_reach_their_call_sites(tmp_path):
+    """refine solves through ``harness.run``, run through ``cli.run``."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[scenario]\nname = smooth-bump\nlevels = 8,16,32\n", encoding="utf-8")
+    code, names = _traced(["refine", "--config", str(cfg), "--out", str(tmp_path / "rep")])
+    assert code == 0
+    # The finest level runs in a forked worker, whose spans stay in that process.
+    assert names.count("stepper.run") >= 2
+    for name in ("harness.run_refinement", "harness.cauchy_differences", "cli.write_report"):
+        assert name in names
+    code, names = _traced(["run", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code == 0
+    assert "stepper.run" in names
 
 
 def test_probe_reports_counts_and_kernel_timings(tmp_path, monkeypatch):

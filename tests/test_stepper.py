@@ -415,21 +415,10 @@ def test_run_constant_scenario_all_states_identical(constant_traj):
         np.testing.assert_array_equal(st.u, first.u)
 
 
-def test_run_accepts_plain_profile_pair():
-    g = v.GridSpec(L=1.0, N=4, dt=0.25, T=0.25)
-    traj = v.run(
-        (lambda x: np.ones_like(x), lambda x: np.zeros_like(x)), g, _params()
-    )
-    assert len(traj) == 2
-    np.testing.assert_array_equal(traj.rho_matrix, 1.0)
-
-
 def test_run_requires_coupled_steps_by_default():
     sc = scenario_named("constant")
     g = v.GridSpec(L=1.0, N=8, dt=0.01, T=0.1)  # dt != dx
-    with pytest.raises(ValueError):
-        v.run(sc, g, sc.params)
-    traj = v.run(sc, g, sc.params, allow_decoupled_dt=True)
+    traj = v.run(sc, g, sc.params)
     assert traj.grid.dt_dx_coupled is False
 
 
