@@ -606,9 +606,12 @@ def cli_main(argv: list[str] | None = None) -> int:
                 except ValueError as exc:
                     raise ConfigError(f"--levels {args.levels}: {exc}") from exc
                 config = replace(config, scenario=scenario)
-            report = run_refinement(config.scenario, config.solver)
+            # Reject the ladder, then the output directory, before any solve;
+            # a rejected ladder leaves no directory behind.
+            diagnostics.check_study_levels(len(config.scenario.levels))
             out_dir = args.out or config.out_dir
             os.makedirs(out_dir, exist_ok=True)
+            report = run_refinement(config.scenario, config.solver)
             path = os.path.join(out_dir, "report.csv")
             write_report(report, path, config)
             print(f"wrote {path} ({len(report.levels)} levels)", file=out)

@@ -54,6 +54,7 @@ __all__ = [
     "positivity_report",
     "flux_ledger",
     "error_rates",
+    "check_study_levels",
     "level_magnitudes",
     "linear_l2_sq",
     "rates_from_levels",
@@ -75,7 +76,16 @@ __all__ = [
 
 def mass_history(traj: Trajectory) -> np.ndarray:
     """Total mass dx * sum(rho) at every time level (index 0..M)."""
-    return traj.grid.dx * traj.rho_matrix.sum(axis=1)
+    sums = np.fromiter((np.sum(s.rho) for s in traj.states), float, len(traj))
+    return traj.grid.dx * sums
+
+
+def _density_range(traj: Trajectory) -> tuple[float, float]:
+    """(min, max) of the density over every cell and time level."""
+    return (
+        min(float(np.min(s.rho)) for s in traj.states),
+        max(float(np.max(s.rho)) for s in traj.states),
+    )
 
 
 def effective_newton_tol(traj: Trajectory) -> float:
@@ -145,39 +155,38 @@ def energy_ledger(traj: Trajectory) -> EnergyLedger:
     """
     g, pp = traj.grid, traj.params
     dt, dx = g.dt, g.dx
-    rho_m = traj.rho_matrix
-    u_m = traj.u_matrix
-    steps = rho_m.shape[0] - 1
+    states = traj.states
+    steps = len(states) - 1
 
-    hat_m = hat(u_m)
-    pot = pp.pressure_potential(rho_m)
-    energy = dx * (0.5 * rho_m * hat_m**2 + pot).sum(axis=1)
+    def level(state) -> tuple[np.ndarray, np.ndarray, float]:
+        hat_u = hat(state.u)
+        pot = pp.pressure_potential(state.rho)
+        return hat_u, pot, dx * float(np.sum(0.5 * state.rho * hat_u**2 + pot))
 
-    dpot = pp.dpressure(rho_m) / (pp.gamma - 1.0)
-
+    energy = np.empty(steps + 1)
+    hat_prev, pot_prev, energy[0] = level(states[0])
     inc_d = np.zeros(steps)
     inc = {k: np.zeros(steps) for k in ("N1", "N2", "N3", "N4")}
     for k in range(1, steps + 1):
-        rho, u = rho_m[k], u_m[k]
+        rho_prev, rho, u = states[k - 1].rho, states[k].rho, states[k].u
+        hat_u, pot, energy[k] = level(states[k])
         du = np.diff(u) / dx
         inc_d[k - 1] = pp.mu * dt * dx * float(du @ du)
 
-        time_gap, gap_right, gap_left = _convexity_gaps(
-            pot[k - 1], pot[k], dpot[k], rho_m[k - 1], rho
-        )
+        dpot = pp.dpressure(rho) / (pp.gamma - 1.0)
+        time_gap, gap_right, gap_left = _convexity_gaps(pot_prev, pot, dpot, rho_prev, rho)
         inc["N1"][k - 1] = dx * float(np.sum(time_gap))
 
         up_int, um_int = split_upwind(u[1:-1])
         inc["N2"][k - 1] = dt * float(-(gap_right @ um_int) + gap_left @ up_int)
 
-        inc["N3"][k - 1] = dx * float(
-            np.sum(0.5 * rho_m[k - 1] * (hat_m[k] - hat_m[k - 1]) ** 2)
-        )
+        inc["N3"][k - 1] = dx * float(np.sum(0.5 * rho_prev * (hat_u - hat_prev) ** 2))
 
         flux = upwind_mass_flux(rho, u)
         inc["N4"][k - 1] = dt * float(
-            np.sum(0.5 * np.abs(flux[1:-1]) * np.diff(hat_m[k]) ** 2)
+            np.sum(0.5 * np.abs(flux[1:-1]) * np.diff(hat_u) ** 2)
         )
+        hat_prev, pot_prev = hat_u, pot
 
     def cum(a: np.ndarray) -> np.ndarray:
         return np.concatenate(([0.0], np.cumsum(a)))
@@ -243,23 +252,22 @@ def renorm_residual(traj: Trajectory, B: BFunction) -> np.ndarray:
     """
     g = traj.grid
     dt, dx = g.dt, g.dx
-    rho_m = traj.rho_matrix
-    u_m = traj.u_matrix
-    steps = rho_m.shape[0] - 1
-    lo, hi = float(np.min(rho_m)), float(np.max(rho_m))
+    states = traj.states
+    steps = len(states) - 1
+    lo, hi = _density_range(traj)
     sup_abs_deriv(B, lo, hi, samples=257)  # rejects non-C^1-on-range inputs
     if not np.all(np.isfinite(np.asarray(B.value(np.array([lo, hi]))))):
         raise ValueError(f"B ({B.name}) is not finite on the density range")
 
     out = np.empty((steps, g.N))
+    bv_prev = np.asarray(B.value(states[0].rho), dtype=float)
     for k in range(1, steps + 1):
-        rho, u = rho_m[k], u_m[k]
+        rho_prev, rho, u = states[k - 1].rho, states[k].rho, states[k].u
         bv = np.asarray(B.value(rho), dtype=float)
         bp = np.asarray(B.deriv(rho), dtype=float)
-        bv_prev = np.asarray(B.value(rho_m[k - 1]), dtype=float)
         small_b = rho * bp - bv
 
-        time_gap, gap_right, gap_left = _convexity_gaps(bv_prev, bv, bp, rho_m[k - 1], rho)
+        time_gap, gap_right, gap_left = _convexity_gaps(bv_prev, bv, bp, rho_prev, rho)
         up_int, um_int = split_upwind(u[1:-1])
         spatial = np.zeros(g.N)
         spatial[:-1] -= gap_right * um_int / dx
@@ -271,6 +279,7 @@ def renorm_residual(traj: Trajectory, B: BFunction) -> np.ndarray:
             + time_gap / dt
             + spatial
         )
+        bv_prev = bv
     return out
 
 
@@ -307,19 +316,17 @@ class PositivityReport:
 
 def positivity_report(traj: Trajectory) -> PositivityReport:
     g = traj.grid
-    rho_m = traj.rho_matrix
-    u_m = traj.u_matrix
-    steps = rho_m.shape[0] - 1
+    states = traj.states
+    steps = len(states) - 1
     min_rho = np.empty(steps)
     bound = np.empty(steps)
     div_bound = np.empty(steps)
     for k in range(1, steps + 1):
-        rho, u = rho_m[k], u_m[k]
-        prev_min = float(np.min(rho_m[k - 1]))
+        rho_prev, rho, u = states[k - 1].rho, states[k].rho, states[k].u
         min_rho[k - 1] = float(np.min(rho))
-        bound[k - 1] = prev_min / (1.0 + g.dt * float(np.max(np.abs(u))))
-        res = continuity_residual(rho_m[k - 1], rho, upwind_mass_flux(rho, u), g.dt, g.dx)
-        div_bound[k - 1] = positivity_floor(rho_m[k - 1], u, res, g.dt, g.dx)
+        bound[k - 1] = float(np.min(rho_prev)) / (1.0 + g.dt * float(np.max(np.abs(u))))
+        res = continuity_residual(rho_prev, rho, upwind_mass_flux(rho, u), g.dt, g.dx)
+        div_bound[k - 1] = positivity_floor(rho_prev, u, res, g.dt, g.dx)
     return PositivityReport(
         min_rho, bound, min_rho - bound, div_bound, min_rho - div_bound
     )
@@ -509,6 +516,14 @@ def _check_test_function(fn: TestFunction, L: float, T: float) -> None:
         raise ValueError("test function must vanish at x = 0 and x = L")
 
 
+def _panel_sums(
+    f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """5-point Gauss integral of f over each panel [a[j], b[j]]."""
+    nodes, weights = gauss_panels(a, b)
+    return (weights * f(nodes)).sum(axis=1)
+
+
 def _moments(traj: Trajectory, fn: TestFunction) -> tuple[np.ndarray, ...]:
     """What the weak residuals need of a test function, by 5-point Gauss rules.
 
@@ -519,13 +534,12 @@ def _moments(traj: Trajectory, fn: TestFunction) -> tuple[np.ndarray, ...]:
     """
     g = traj.grid
     _check_test_function(fn, g.L, g.T)
+    windows = np.arange(len(traj) - 1)
+    tbar = _panel_sums(fn.time, windows * g.dt, (windows + 1) * g.dt)
     cells = np.arange(g.N)
     x, wx = gauss_panels(cells * g.dx, (cells + 1) * g.dx)  # (N, 5) each
     frac = x / g.dx - cells[:, None]
     wdx = wx * fn.space_deriv(x)
-    windows = np.arange(len(traj) - 1)
-    tn, tw = gauss_panels(windows * g.dt, (windows + 1) * g.dt)
-    tbar = (tw * fn.time(tn)).sum(axis=1)
     mx = (wx * fn.space(x)).sum(axis=1)
     return tbar, mx, wdx.sum(axis=1), (frac * wdx).sum(axis=1), fn.space(g.face_nodes)
 
@@ -552,13 +566,12 @@ def weak_residual_continuity(
     # cell averages of X minus X at the interior face on the cell's left/right
     gap_r = mx[1:] / dx - xf[1:-1]
     gap_l = mx[:-1] / dx - xf[1:-1]
-    rho_m = traj.rho_matrix
-    u_m = traj.u_matrix
+    states = traj.states
     lhs = 0.0
     p1 = 0.0
     for k, tk in enumerate(tbar.tolist(), start=1):
-        rho, u = rho_m[k], u_m[k]
-        dt_rho = (rho - rho_m[k - 1]) / dt
+        rho, u = states[k].rho, states[k].u
+        dt_rho = (rho - states[k - 1].rho) / dt
         transport = rho @ (u[:-1] * mdx + np.diff(u) * mfdx)
         lhs += tk * float(dt_rho @ mx - transport)
 
@@ -585,15 +598,15 @@ def weak_residual_momentum(traj: Trajectory, v: TestFunction) -> tuple[float, fl
     # trapezoid of X over each cell minus its Gauss integral; jumps of X
     trace_gap = 0.5 * dx * (xf[:-1] + xf[1:]) - mx
     dxf = np.diff(xf)
-    rho_mat = traj.rho_matrix
-    u_mat = traj.u_matrix
+    states = traj.states
     lhs = 0.0
     p2 = 0.0
+    mom_prev = states[0].rho * hat(states[0].u)
     for k, tk in enumerate(tbar.tolist(), start=1):
-        rho, u = rho_mat[k], u_mat[k]
+        rho, u = states[k].rho, states[k].u
         hat_u = hat(u)
         mom = rho * hat_u
-        dt_mom = (mom - rho_mat[k - 1] * hat(u_mat[k - 1])) / dt
+        dt_mom = (mom - mom_prev) / dt
         cell_coeff = -(mom * hat_u + pp.pressure(rho) - pp.mu * diff_cell(u, dx))
         lhs += tk * float(dt_mom @ mx + cell_coeff @ mdx)
 
@@ -601,6 +614,7 @@ def weak_residual_momentum(traj: Trajectory, v: TestFunction) -> tuple[float, fl
         up_int, um_int = split_upwind(u[1:-1])
         j2 = 0.5 * float(np.diff(mom) @ (up_int * dxf[1:] - um_int * dxf[:-1]))
         p2 -= tk * (j1 + j2)
+        mom_prev = mom
     return lhs, p2
 
 
@@ -641,10 +655,15 @@ def rho_power_integral(traj: Trajectory, power: float | None = None) -> float:
     if power is None:
         power = traj.params.gamma + 1.0
     g = traj.grid
-    rho_m = traj.rho_matrix
-    if rho_m.shape[0] == 1:
+    if len(traj) == 1:
         return 0.0
-    return g.dt * g.dx * float(np.sum(rho_m[1:] ** power))
+    # One sum over every cell of every window, not a sum of per-level sums:
+    # the pairwise summation order, and so every bit of the result, depends
+    # on it.  This is the one diagnostic that builds an (M, N) array it does
+    # not return.
+    rho = np.concatenate([s.rho for s in traj.states[1:]])
+    rho **= power
+    return g.dt * g.dx * float(np.sum(rho))
 
 
 def norm_suite(traj: Trajectory) -> dict[str, float]:
@@ -667,34 +686,40 @@ def norm_suite(traj: Trajectory) -> dict[str, float]:
     dt, dx = g.dt, g.dx
     gamma = pp.gamma
     r = 2.0 * gamma / (gamma + 1.0)
-    rho_m = traj.rho_matrix
-    u_mat = traj.u_matrix
-    hat_m = hat(u_mat)
 
-    out: dict[str, float] = {}
-    out["rho_Linf_Lgamma"] = float(np.max((dx * np.sum(rho_m**gamma, axis=1)) ** (1.0 / gamma)))
-    out["pressure_Linf_L1"] = float(np.max(dx * np.sum(pp.pressure(rho_m), axis=1)))
-    mom = rho_m * hat_m
-    out["momentum_Linf_Lr"] = float(
-        np.max((dx * np.sum(np.abs(mom) ** r, axis=1)) ** (1.0 / r))
-    )
-    out["kinetic_Linf_L1"] = float(np.max(dx * np.sum(rho_m * hat_m**2, axis=1)))
-
-    steps = rho_m.shape[0] - 1
+    # One sum per level for each supremum-in-time norm.  Their roots are taken
+    # over the whole series at once: numpy's vector power differs from the
+    # scalar one in the last bit for some inputs, and the report keeps them all.
+    levels = len(traj)
+    sum_rho_g, sum_p, sum_mom_r, sum_kin = (np.empty(levels) for _ in range(4))
     h1_sq = linf_sq = ru_g = ru2_r = 0.0
-    for k in range(1, steps + 1):
-        u = u_mat[k]
+    for k, state in enumerate(traj.states):
+        rho, u = state.rho, state.u
+        hat_u = hat(u)
+        rho_g = rho**gamma
+        sum_rho_g[k] = np.sum(rho_g)
+        sum_p[k] = np.sum(pp.pressure(rho))
+        sum_mom_r[k] = np.sum(np.abs(rho * hat_u) ** r)
+        sum_kin[k] = np.sum(rho * hat_u**2)
+        if k == 0:
+            continue
+
         ul = u[:-1]
         int_dudx2 = float(np.sum(np.diff(u) ** 2)) / dx
         h1_sq += dt * (linear_l2_sq(u, dx) + int_dudx2)
         linf_sq += dt * float(np.max(np.abs(u))) ** 2
 
-        rho = rho_m[k]
         slope = np.diff(u) / dx
         int_abs_u_g = _int_abs_linear_pow(ul, slope, dx, gamma)
-        ru_g += dt * float(np.sum(rho**gamma * int_abs_u_g)) ** (2.0 / gamma)
+        ru_g += dt * float(np.sum(rho_g * int_abs_u_g)) ** (2.0 / gamma)
         int_abs_u_2r = _int_abs_linear_pow(ul, slope, dx, 2.0 * r)
         ru2_r += dt * float(np.sum(rho**r * int_abs_u_2r)) ** (2.0 / r)
+
+    out: dict[str, float] = {}
+    out["rho_Linf_Lgamma"] = float(np.max((dx * sum_rho_g) ** (1.0 / gamma)))
+    out["pressure_Linf_L1"] = float(np.max(dx * sum_p))
+    out["momentum_Linf_Lr"] = float(np.max((dx * sum_mom_r) ** (1.0 / r)))
+    out["kinetic_Linf_L1"] = float(np.max(dx * sum_kin))
     out["u_L2_H1"] = math.sqrt(h1_sq)
     out["u_L2_Linf"] = math.sqrt(linf_sq)
     out["rho_u_L2_Lgamma"] = math.sqrt(ru_g)
@@ -733,16 +758,15 @@ def error_rates(
 ) -> dict[str, dict]:
     """Observed decay orders of the named error functionals across levels.
 
-    Requires at least three trajectories of the same scenario at increasing
-    resolution, each with dt == dx and at least one step.  Orders are
-    per-pair log ratios of successive magnitudes against the h-ratio; the
-    headline ``order`` is their mean, or the string "exact" when every level
-    is exactly zero.  The space-time integral of rho^(gamma+1) is reported
+    Requires a study's worth of trajectories (check_study_levels) of the
+    same scenario at increasing resolution, each with dt == dx and at least
+    one step.  Orders are per-pair log ratios of successive magnitudes
+    against the h-ratio; the headline ``order`` is their mean, or the string
+    "exact" when every level is exactly zero.  The space-time integral of rho^(gamma+1) is reported
     with its max/min ratio as the boundedness proxy instead of an order.
     """
     trajs = sorted(trajectories, key=lambda tr: tr.grid.N)
-    if len(trajs) < 3:
-        raise ValueError("error_rates needs at least 3 refinement levels")
+    check_study_levels(len(trajs))
     for tr in trajs:
         if not tr.grid.dt_dx_coupled:
             raise ValueError("error_rates requires dt == dx at every level")
@@ -752,6 +776,16 @@ def error_rates(
     phi = phi or probes[0]
     v = v or probes[1]
     return rates_from_levels([level_magnitudes(tr, phi, v) for tr in trajs])
+
+
+# Three levels give two pair orders, the fewest whose agreement shows a rate.
+STUDY_MIN_LEVELS = 3
+
+
+def check_study_levels(count: int) -> None:
+    """Reject a refinement study of fewer than STUDY_MIN_LEVELS levels."""
+    if count < STUDY_MIN_LEVELS:
+        raise ValueError(f"a refinement study needs at least {STUDY_MIN_LEVELS} levels")
 
 
 def level_magnitudes(traj: Trajectory, phi: TestFunction, v: TestFunction) -> dict[str, float]:
@@ -860,10 +894,11 @@ def identity_checks(traj: Trajectory) -> tuple[Check, ...]:
     if not steps:
         return tuple(checks)
 
-    rho_m = traj.rho_matrix
-    lo, hi = float(np.min(rho_m)), float(np.max(rho_m))
+    lo, hi = _density_range(traj)
     for B in (b_square(), b_power(traj.params.gamma), b_zlogz()):
-        res = float(np.max(np.abs(renorm_residual(traj, B))))
+        field = renorm_residual(traj, B)
+        res = float(np.max(np.abs(field, out=field)))
+        del field  # or it would outlive the building of the next B's field
         bound = 10.0 * tol * sup_abs_deriv(B, lo, hi)
         checks.append(Check(f"renormalized continuity [{B.name}]", res, bound))
 

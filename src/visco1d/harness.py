@@ -354,8 +354,7 @@ def run_refinement(
     """
     solver = solver or SolverConfig()
     levels = scenario.levels
-    if len(levels) < 3:
-        raise ValueError("a refinement study needs at least 3 levels")
+    diagnostics.check_study_levels(len(levels))
     phi, v = diagnostics.probe_test_functions(scenario.L, scenario.T)
     coupled = all(scenario.grid_for(n).dt_dx_coupled for n in levels)
 
@@ -395,10 +394,11 @@ def run_refinement(
         cauchy_u.append(l2)
 
     orders: dict[str, dict] = {}
-    # Decay orders are only meaningful on the dt = dx line, and need three
-    # completed levels, each with at least one step, to telescope; otherwise
-    # report magnitudes alone.
-    if len(done) >= 3 and coupled and all(row["steps"] for row in per_level):
+    # Decay orders are only meaningful on the dt = dx line, and need a study's
+    # worth of completed levels, each with at least one step, to telescope;
+    # otherwise report magnitudes alone.
+    steps_everywhere = all(row["steps"] for row in per_level)
+    if len(done) >= diagnostics.STUDY_MIN_LEVELS and coupled and steps_everywhere:
         rates = diagnostics.rates_from_levels(per_level)
         for key in ("E1", "E2", "P1", "P2"):
             entry = dict(rates[key])

@@ -561,6 +561,21 @@ def test_refine_rejected_ladder_exits_2_without_out_dir(tmp_path, capsys, levels
     assert not out.exists()
 
 
+def test_refine_unusable_out_fails_before_any_level_is_solved(tmp_path, capsys, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a level was solved before --out was checked")
+
+    monkeypatch.setattr(harness, "_solve_level", no_solve)
+    cfg = constant_cfg(tmp_path)
+    blocker = tmp_path / "afile"
+    blocker.write_text("", encoding="utf-8")
+    argv = ["refine", "--config", cfg, "--levels", "8,16,32", "--out", str(blocker / "sub")]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:")
+    assert os.strerror(errno.ENOTDIR) in err
+
+
 def test_verify_constant_all_identities_pass(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[scenario]\nname = constant\nlevels = 8,16,32\n")
     assert run_cli(["verify", "--config", cfg]) == 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 import scipy.integrate
 
 import visco1d as v
-from visco1d import diagnostics
+from visco1d import diagnostics, harness
 from visco1d.diagnostics import _int_abs_linear_pow
 from visco1d.operators import diff_cell, hat, split_upwind
 from visco1d.stepper import _old_fields, assemble_residual
@@ -429,25 +431,39 @@ def test_effective_newton_tol_default_for_trivial_run(constant_traj):
 
 
 # ======================================================================
-# cost: each diagnostic stacks the trajectory once, not once per step
+# memory: every diagnostic walks the trajectory one time level at a time
 # ======================================================================
 
 
-_STACKING_DIAGNOSTICS = {
+def _probes(tr):
+    return v.default_test_functions(tr.grid.L, tr.grid.T)
+
+
+_ROW_WISE_DIAGNOSTICS = {
     "energy_ledger": lambda tr: v.energy_ledger(tr),
-    "renorm_residual": lambda tr: v.renorm_residual(tr, v.b_square()),
+    "norm_suite": lambda tr: v.norm_suite(tr),
+    "renorm_residual": lambda tr: v.renorm_residual(tr, v.b_power(tr.params.gamma)),
     "positivity_report": lambda tr: v.positivity_report(tr),
-    "weak_residual_continuity": lambda tr: v.weak_residual_continuity(
-        tr, v.default_test_functions(tr.grid.L, tr.grid.T)[0]
-    ),
-    "weak_residual_momentum": lambda tr: v.weak_residual_momentum(
-        tr, v.default_test_functions(tr.grid.L, tr.grid.T)[1]
+    "weak_residual_continuity": lambda tr: v.weak_residual_continuity(tr, _probes(tr)[0]),
+    "weak_residual_momentum": lambda tr: v.weak_residual_momentum(tr, _probes(tr)[1]),
+    "mass_history": lambda tr: v.mass_history(tr),
+    "mass_drift": lambda tr: diagnostics.mass_drift(tr),
+    "flux_ledger": lambda tr: v.flux_ledger(tr),
+    # One flattened sum over every window, so it holds one (M, N) array.
+    "rho_power_integral": lambda tr: v.rho_power_integral(tr),
+}
+_STACK_FREE = {
+    **_ROW_WISE_DIAGNOSTICS,
+    "identity_checks": lambda tr: v.identity_checks(tr),
+    "harness._level_summary": lambda tr: harness._level_summary(
+        tr, *diagnostics.probe_test_functions(tr.grid.L, tr.grid.T)
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(_STACKING_DIAGNOSTICS))
+@pytest.mark.parametrize("name", sorted(_STACK_FREE))
 def test_diagnostics_stack_each_matrix_at_most_once(name, smooth_traj_64, monkeypatch):
+    """No diagnostic stacks the trajectory into an (M+1)-row matrix at all."""
     assert len(smooth_traj_64) - 1 >= 16
     counts = {"rho_matrix": 0, "u_matrix": 0}
     for attr in counts:
@@ -458,9 +474,35 @@ def test_diagnostics_stack_each_matrix_at_most_once(name, smooth_traj_64, monkey
             return original.fget(self)
 
         monkeypatch.setattr(v.Trajectory, attr, property(counted))
-    _STACKING_DIAGNOSTICS[name](smooth_traj_64)
-    assert counts["rho_matrix"] <= 1
-    assert counts["u_matrix"] <= 1
+    _STACK_FREE[name](smooth_traj_64)
+    assert counts == {"rho_matrix": 0, "u_matrix": 0}
+
+
+@pytest.fixture(scope="module")
+def long_smooth_traj_128() -> v.Trajectory:
+    """256 steps at N=128: the O(N) work arrays of a step and the O(M) series
+    then stay below a quarter of the (M+1) x N trajectory, which one stacked
+    copy fills."""
+    sc = replace(scenario_named("smooth-bump"), T=2.0)
+    return solve_level(sc, 128)
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_WISE_DIAGNOSTICS))
+def test_diagnostics_peak_below_a_quarter_trajectory(name, long_smooth_traj_128):
+    """tracemalloc peak of each diagnostic beyond what it returns, against one
+    (M+1) x N float64 matrix; rho_power_integral is the one exception."""
+    traj = long_smooth_traj_128
+    diag = _ROW_WISE_DIAGNOSTICS[name]
+    diag(traj)  # lazy imports and first-call caches are not the diagnostic's
+    matrix = len(traj) * traj.grid.N * 8
+    tracemalloc.start()
+    try:
+        result = diag(traj)  # held, so that what it returns counts as kept
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    limit = 1.25 * matrix if name == "rho_power_integral" else 0.25 * matrix
+    assert peak - kept < limit
 
 
 # ======================================================================
