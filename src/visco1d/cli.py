@@ -41,13 +41,10 @@ from .operators import dirichlet_inv_grad, hat, neumann_inv_grad
 from .stepper import SolverConfig, StepFailure, run
 
 __all__ = [
-    "ConfigError",
-    "RunConfig",
     "parse_config",
     "write_state_csv",
     "read_state_csv",
     "write_report",
-    "write_flux_csv",
     "cli_main",
     "main",
 ]
@@ -625,10 +622,10 @@ def cli_main(argv: list[str] | None = None) -> int:
             return _verify(config, out)
 
         if args.command == "flux":
+            os.makedirs(config.out_dir, exist_ok=True)
             traj = _solve_first_level(config)
             ledger = diagnostics.flux_ledger(traj, args.step)
             path = os.path.join(config.out_dir, "flux.csv")
-            os.makedirs(config.out_dir, exist_ok=True)
             write_flux_csv(ledger, path, config)
             print(f"wrote {path} (checkpoint m={ledger.m})", file=out)
             print(f"lhs {_fmt(ledger.lhs)} rhs {_fmt(ledger.rhs_total)} "

@@ -32,9 +32,7 @@ __all__ = [
     "Trajectory",
     "PiecewiseConstant",
     "init_state",
-    "gauss_rule",
     "gauss_panels",
-    "cell_averages",
 ]
 
 # 5-point Gauss-Legendre on [-1, 1]; exact for polynomials of degree <= 9.
@@ -48,13 +46,6 @@ def gauss_panels(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nodes = mid[:, None] + half[:, None] * _GAUSS_X[None, :]
     weights = half[:, None] * _GAUSS_W[None, :]
     return nodes, weights
-
-
-def gauss_rule(a: float, b: float, n_sub: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Composite 5-point Gauss nodes/weights on [a, b] split into n_sub panels."""
-    edges = np.linspace(a, b, n_sub + 1)
-    nodes, weights = gauss_panels(edges[:-1], edges[1:])
-    return nodes.ravel(), weights.ravel()
 
 
 # ======================================================================

@@ -26,11 +26,10 @@ __all__ = [
     "RefinementReport",
     "builtin_scenarios",
     "run_refinement",
-    "resolve_density_profile",
-    "resolve_velocity_profile",
     "cauchy_differences",
-    "project_cells",
-    "restrict_faces",
+    "fork_worker",
+    "worker_result",
+    "stop_worker",
 ]
 
 
@@ -261,7 +260,7 @@ def _level_summary(traj: Trajectory, phi, v) -> dict:
         "mass_drift_rel": diagnostics.mass_drift(traj),
         "energy_balance_max": float(np.max(ledger.balance_residual)),
         "energy_tol": diagnostics.energy_budget(tol_eff, steps),
-        "positivity_margin_min": pos.worst_margin if steps else math.inf,
+        "positivity_margin_min": pos.worst_margin,
     }
     summary.update(diagnostics.level_magnitudes(traj, phi, v))
     summary.update(diagnostics.norm_suite(traj))

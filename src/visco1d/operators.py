@@ -11,9 +11,10 @@ Laplacian and the provable positivity floor.  The exact identities only hold
 for the discretization the solver actually solves, so the stepper and the
 diagnostics both take these from here and nowhere else.
 
-``diff_face`` maps cells to interior faces, ``diff_cell`` maps faces to cells,
-and they are adjoint up to sign (summation by parts) whenever the face field
-vanishes at the walls.  The two inverse operators at the bottom —
+``diff_cell`` maps faces to cells.  Whenever the face field vanishes at the
+walls it is, up to sign, the adjoint of the cell-to-interior-face difference
+``np.diff(f) / dx`` (summation by parts), which no module needs as an
+operator of its own.  The two inverse operators at the bottom —
 ``neumann_inv_grad`` (gradient of a zero-flux inverse Laplacian on cells) and
 ``dirichlet_inv_grad`` (negative gradient of a wall-pinned inverse Laplacian
 on faces) — satisfy the duality
@@ -35,12 +36,9 @@ __all__ = [
     "split_upwind",
     "hat",
     "upwind_flux",
-    "upwind_mass_flux",
-    "upwind_momentum_flux",
     "face_momentum",
     "continuity_residual",
     "positivity_floor",
-    "diff_face",
     "diff_cell",
     "laplace_velocity",
     "neumann_inv_grad",
@@ -76,22 +74,6 @@ def upwind_flux(q: np.ndarray, up: np.ndarray, um: np.ndarray) -> np.ndarray:
     return flux
 
 
-def upwind_mass_flux(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Donor-cell mass flux at faces: rho_left*u+ + rho_right*u-."""
-    rho = np.asarray(rho, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if u.size != rho.size + 1:
-        raise ValueError(f"face/cell size mismatch: {u.size} vs {rho.size}")
-    return upwind_flux(rho, *split_upwind(u))
-
-
-def upwind_momentum_flux(
-    rho: np.ndarray, hat_u: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """Donor-cell flux of the averaged momentum rho*hat_u, at faces."""
-    return upwind_mass_flux(np.asarray(rho, dtype=float) * np.asarray(hat_u, dtype=float), u)
-
-
 def face_momentum(m: np.ndarray) -> np.ndarray:
     """Face momentum W_f = (m_{f-1} + m_f)/2 on interior faces, for m = rho * hat(u)."""
     return 0.5 * (m[:-1] + m[1:])
@@ -115,12 +97,6 @@ def positivity_floor(
     """
     div_plus = max(float(np.max((u[1:] - u[:-1]) / dx)), 0.0)
     return (float(np.min(rho_old)) - dt * float(np.max(np.abs(cont)))) / (1.0 + dt * div_plus)
-
-
-def diff_face(cellfield: np.ndarray, dx: float) -> np.ndarray:
-    """Difference quotient cells -> interior faces: (f[i+1] - f[i]) / dx."""
-    f = np.asarray(cellfield, dtype=float)
-    return (f[1:] - f[:-1]) / dx
 
 
 def diff_cell(facefield: np.ndarray, dx: float) -> np.ndarray:

@@ -61,7 +61,6 @@ if TYPE_CHECKING:
     import scipy.sparse
 
 __all__ = [
-    "StepResidual",
     "SolverConfig",
     "StepMeta",
     "StepFailure",

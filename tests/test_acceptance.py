@@ -22,8 +22,7 @@ import time
 import numpy as np
 import pytest
 
-import visco1d as v
-from visco1d import diagnostics
+from visco1d import diagnostics, grid, harness
 from visco1d.operators import dirichlet_inv_grad, neumann_inv_grad
 from visco1d.stepper import assemble_jacobian
 
@@ -52,7 +51,7 @@ def test_criterion_01_residual_newton_runtime(all_scenario_runs, capsys):
             worst = max(worst, meta.residual_norm / meta.tol)
     const_iters = {m.iterations for m in all_scenario_runs[("constant", 64)].solver_meta}
     timings = {}
-    for sc in v.builtin_scenarios():
+    for sc in harness.builtin_scenarios():
         t0 = time.perf_counter()
         solve_level(sc, 64)
         timings[sc.name] = time.perf_counter() - t0
@@ -311,7 +310,7 @@ def test_criterion_10_cauchy_strictly_decreasing(smooth_ladder, riemann_ladder, 
     ok = True
     for name, ladder in (("smooth-bump", smooth_ladder), ("riemann-like", riemann_ladder)):
         diffs = [
-            v.cauchy_differences(ladder[a], ladder[b])[0]
+            harness.cauchy_differences(ladder[a], ladder[b])[0]
             for a, b in ((64, 128), (128, 256), (256, 512))
         ]
         ok = ok and diffs[0] > diffs[1] > diffs[2] > 0.0
@@ -330,16 +329,16 @@ def test_criterion_11_jacobian_vs_finite_differences(capsys):
     worst = 0.0
     for case in range(200):
         n = int(rng.integers(3, 9))
-        grid = v.GridSpec(L=1.0, N=n, dt=1.0 / n, T=1.0)
-        params = v.PhysParams(
+        g = grid.GridSpec(L=1.0, N=n, dt=1.0 / n, T=1.0)
+        params = grid.PhysParams(
             a=float(rng.uniform(0.5, 2.0)),
             gamma=float(rng.uniform(1.51, 1.99)),
             mu=float(rng.uniform(0.01, 1.0)),
         )
         prev = _random_state(rng, n)
         trial = _random_state(rng, n)
-        jac = assemble_jacobian(prev, trial, grid, params).toarray()
-        fd = _fd_jacobian(prev, trial, grid, params)
+        jac = assemble_jacobian(prev, trial, g, params).toarray()
+        fd = _fd_jacobian(prev, trial, g, params)
         scale = np.maximum(np.abs(fd), 1.0)
         worst = max(worst, float(np.max(np.abs(jac - fd) / scale)))
     ok = worst <= 1e-6

@@ -14,8 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import visco1d as v
-from visco1d import cli, harness
+from visco1d import cli, diagnostics, grid, harness, stepper
 from visco1d.cli import (
     ConfigError,
     cli_main,
@@ -56,7 +55,7 @@ def test_minimal_config_fills_every_default():
     assert sc.name == "constant"
     assert sc.levels == (64, 128, 256, 512)
     assert sc.couple_dt_dx is True
-    assert rc.solver == v.SolverConfig()
+    assert rc.solver == stepper.SolverConfig()
     assert rc.out_dir == "."
     assert rc.warnings == ()
 
@@ -298,8 +297,8 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_state_csv_round_trip_is_bit_exact(tmp_path):
-    sc = next(s for s in v.builtin_scenarios() if s.name == "smooth-bump")
-    traj = v.run(sc, sc.grid_for(8), sc.params)
+    sc = next(s for s in harness.builtin_scenarios() if s.name == "smooth-bump")
+    traj = stepper.run(sc, sc.grid_for(8), sc.params)
     path = str(tmp_path / "state.csv")
     write_state_csv(traj, path)
     rho, u = read_state_csv(path)
@@ -424,7 +423,7 @@ def test_run_cli_writes_each_line_once(tmp_path):
         "print('before run')\n"  # stdout is a pipe: this stays buffered
         "main()\n"
     )
-    src = str(Path(v.__file__).resolve().parents[1])
+    src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     env.pop("PYTHONUNBUFFERED", None)  # buffer stdout, as a plain run does
     out = tmp_path / "out"
@@ -481,20 +480,20 @@ def _unchecked(cls, **fields):
 _AWKWARD = np.array([-0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf, 0.1, 1 / 3, -2.5e-17])
 
 
-def hand_built_trajectory(n: int, levels: int = _AWKWARD.size) -> v.Trajectory:
+def hand_built_trajectory(n: int, levels: int = _AWKWARD.size) -> grid.Trajectory:
     """N cells (N = 1 included) carrying signed zeros, subnormals, huge and
     non-finite values, which the solver's own validation would refuse."""
     rng = np.random.default_rng(n)
-    grid = _unchecked(v.GridSpec, L=3.0, N=n, dt=0.1, T=0.1 * (levels - 1))
+    g = _unchecked(grid.GridSpec, L=3.0, N=n, dt=0.1, T=0.1 * (levels - 1))
     states = []
     for k in range(levels):
         rho = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
         u = rng.standard_normal(n + 1)
         rho[k % n] = _AWKWARD[k % _AWKWARD.size]
         u[: _AWKWARD.size] = np.roll(_AWKWARD, k)[: n + 1]
-        states.append(_unchecked(v.FluidState, rho=rho, u=u, k=k))
+        states.append(_unchecked(grid.FluidState, rho=rho, u=u, k=k))
     return _unchecked(
-        v.Trajectory, grid=grid, params=v.PhysParams(), states=tuple(states),
+        grid.Trajectory, grid=g, params=grid.PhysParams(), states=tuple(states),
         solver_meta=(), meta={},
     )
 
@@ -597,7 +596,7 @@ def test_verify_prints_one_line_per_check(tmp_path, capsys):
     assert run_cli(["verify", "--config", write_cfg(tmp_path, text)]) == 0
     lines = capsys.readouterr().out.splitlines()
     sc = parse_config(text).scenario
-    checks = v.identity_checks(v.run(sc, sc.grid_for(16), sc.params))
+    checks = diagnostics.identity_checks(stepper.run(sc, sc.grid_for(16), sc.params))
     expected = [
         f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.value:.3e} <= {c.bound:.3e}"
         for c in checks
@@ -666,6 +665,20 @@ def test_flux_subcommand_writes_ledger(tmp_path, capsys):
 def test_flux_step_out_of_range_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[scenario]\nname = constant\nlevels = 4\n")
     assert run_cli(["flux", "--config", cfg, "--step", "99"]) == 2
+
+
+def test_flux_unusable_out_dir_fails_before_the_level_is_solved(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the level was solved before out_dir was checked")
+
+    monkeypatch.setattr(cli, "_solve_first_level", no_solve)
+    blocker = tmp_path / "afile"
+    blocker.write_text("", encoding="utf-8")
+    cfg = constant_cfg(tmp_path, f"[output]\nout_dir = {blocker / 'sub'}\n")
+    assert run_cli(["flux", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:")
+    assert os.strerror(errno.ENOTDIR) in err
 
 
 def test_warning_goes_to_stderr_and_run_succeeds(tmp_path, capsys):

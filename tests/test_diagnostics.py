@@ -10,22 +10,21 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-import visco1d as v
-from visco1d import diagnostics, harness
+from visco1d import diagnostics, grid, harness, stepper
 from visco1d.diagnostics import _int_abs_linear_pow
-from visco1d.operators import diff_cell, hat, split_upwind
+from visco1d.operators import diff_cell, hat, split_upwind, upwind_flux
 from visco1d.stepper import _old_fields, assemble_residual
 
 from conftest import constant_state, scenario_named, solve_level, with_levels
 
 
-def synthetic_trajectory(states, L=1.0, params=None) -> v.Trajectory:
+def synthetic_trajectory(states, L=1.0, params=None) -> grid.Trajectory:
     """Wrap hand-built states (dt = dx) without running the solver."""
     n = states[0].rho.size
-    g = v.GridSpec(L=L, N=n, dt=L / n, T=(len(states) - 1) * L / n)
-    return v.Trajectory(
+    g = grid.GridSpec(L=L, N=n, dt=L / n, T=(len(states) - 1) * L / n)
+    return grid.Trajectory(
         grid=g,
-        params=params or v.PhysParams(),
+        params=params or grid.PhysParams(),
         states=tuple(states),
     )
 
@@ -36,7 +35,7 @@ def synthetic_trajectory(states, L=1.0, params=None) -> v.Trajectory:
 
 
 def test_energy_constant_run_is_inert(constant_traj):
-    led = v.energy_ledger(constant_traj)
+    led = diagnostics.energy_ledger(constant_traj)
     np.testing.assert_allclose(led.energy, led.energy[0], atol=1e-15)
     np.testing.assert_array_equal(led.dissipation, 0.0)
     for name in ("N1", "N2", "N3", "N4"):
@@ -48,17 +47,17 @@ def test_energy_initial_value_formula():
     # rho = 1, u = 0, a = 1, gamma = 5/3 on unit interval: E = 1/(gamma-1)
     st = constant_state(4)
     traj = synthetic_trajectory([st])
-    led = v.energy_ledger(traj)
+    led = diagnostics.energy_ledger(traj)
     assert led.energy[0] == pytest.approx(1.5, abs=1e-15)
 
 
 def test_energy_balance_smooth_bump_n32(smooth_traj_32):
-    led = v.energy_ledger(smooth_traj_32)
+    led = diagnostics.energy_ledger(smooth_traj_32)
     assert float(np.max(led.balance_residual)) <= 1e-8
 
 
 def test_energy_diffusion_terms_nonnegative(smooth_traj_32):
-    led = v.energy_ledger(smooth_traj_32)
+    led = diagnostics.energy_ledger(smooth_traj_32)
     for name in ("N1", "N2", "N3", "N4"):
         assert float(np.min(led.step_increments(name))) >= -1e-12
         # cumulative series therefore (weakly) increase
@@ -68,7 +67,7 @@ def test_energy_diffusion_terms_nonnegative(smooth_traj_32):
 
 
 def test_energy_dissipation_matches_velocity_gradient(smooth_traj_32):
-    led = v.energy_ledger(smooth_traj_32)
+    led = diagnostics.energy_ledger(smooth_traj_32)
     g, pp = smooth_traj_32.grid, smooth_traj_32.params
     total = 0.0
     for k in range(1, len(smooth_traj_32)):
@@ -84,32 +83,32 @@ def test_energy_dissipation_matches_velocity_gradient(smooth_traj_32):
 
 def test_renorm_identity_linear_b_is_continuity(smooth_traj_32):
     """B(z)=z has zero convexity remainders: residual == continuity residual."""
-    lin = v.BFunction(name="identity", value=lambda z: z, deriv=lambda z: np.ones_like(z))
-    res = v.renorm_residual(smooth_traj_32, lin)
+    lin = diagnostics.BFunction(name="identity", value=lambda z: z, deriv=lambda z: np.ones_like(z))
+    res = diagnostics.renorm_residual(smooth_traj_32, lin)
     g = smooth_traj_32.grid
     for k in range(1, len(smooth_traj_32)):
         rho, rho_prev = smooth_traj_32.rho_matrix[k], smooth_traj_32.rho_matrix[k - 1]
         u = smooth_traj_32.u_matrix[k]
         cont = (rho - rho_prev) / g.dt + diff_cell(
-            v.upwind_mass_flux(rho, u), g.dx
+            upwind_flux(rho, *split_upwind(u)), g.dx
         )
         np.testing.assert_allclose(res[k - 1], cont, atol=1e-13)
 
 
-@pytest.mark.parametrize("maker", [v.b_square, v.b_zlogz])
+@pytest.mark.parametrize("maker", [diagnostics.b_square, diagnostics.b_zlogz])
 def test_renorm_residual_tracks_weighted_continuity(smooth_traj_32, maker):
     """The identity's residual is exactly B'(rho) times the scheme residual."""
     B = maker()
-    res = v.renorm_residual(smooth_traj_32, B)
-    tol = v.effective_newton_tol(smooth_traj_32)
+    res = diagnostics.renorm_residual(smooth_traj_32, B)
+    tol = diagnostics.effective_newton_tol(smooth_traj_32)
     lo = float(np.min(smooth_traj_32.rho_matrix))
     hi = float(np.max(smooth_traj_32.rho_matrix))
-    assert float(np.max(np.abs(res))) <= 10.0 * tol * v.sup_abs_deriv(B, lo, hi)
+    assert float(np.max(np.abs(res))) <= 10.0 * tol * diagnostics.sup_abs_deriv(B, lo, hi)
 
 
 def test_renorm_power_matches_gamma_law(smooth_traj_32):
-    B = v.b_power(smooth_traj_32.params.gamma)
-    res = v.renorm_residual(smooth_traj_32, B)
+    B = diagnostics.b_power(smooth_traj_32.params.gamma)
+    res = diagnostics.renorm_residual(smooth_traj_32, B)
     assert float(np.max(np.abs(res))) < 1e-10
 
 
@@ -128,7 +127,8 @@ def test_entropy_inequality_zlogz(smooth_traj_32):
 
 
 def test_sup_abs_deriv_square():
-    assert v.sup_abs_deriv(v.b_square(), 0.5, 2.0) == pytest.approx(4.0, rel=1e-3)
+    sup = diagnostics.sup_abs_deriv(diagnostics.b_square(), 0.5, 2.0)
+    assert sup == pytest.approx(4.0, rel=1e-3)
 
 
 # ======================================================================
@@ -137,25 +137,25 @@ def test_sup_abs_deriv_square():
 
 
 def test_positivity_bound_formula():
-    prev = v.FluidState(rho=np.array([1.0, 3.0]), u=np.zeros(3))
-    nxt = v.FluidState(rho=np.array([1.0, 3.0]), u=np.array([0.0, 2.0, 0.0]), k=1)
+    prev = grid.FluidState(rho=np.array([1.0, 3.0]), u=np.zeros(3))
+    nxt = grid.FluidState(rho=np.array([1.0, 3.0]), u=np.array([0.0, 2.0, 0.0]), k=1)
     # dt = dx = 0.5 is forced by the synthetic wrapper; rebuild with dt = 0.1
-    g = v.GridSpec(L=1.0, N=2, dt=0.1, T=0.1)
-    traj = v.Trajectory(grid=g, params=v.PhysParams(), states=(prev, nxt))
-    rep = v.positivity_report(traj)
+    g = grid.GridSpec(L=1.0, N=2, dt=0.1, T=0.1)
+    traj = grid.Trajectory(grid=g, params=grid.PhysParams(), states=(prev, nxt))
+    rep = diagnostics.positivity_report(traj)
     assert rep.bound[0] == pytest.approx(1.0 / 1.2)
     assert rep.min_rho[0] == 1.0
 
 
 def test_positivity_zero_velocity_is_equality(constant_traj):
-    rep = v.positivity_report(constant_traj)
+    rep = diagnostics.positivity_report(constant_traj)
     np.testing.assert_allclose(rep.bound, rep.min_rho, atol=1e-15)
     np.testing.assert_allclose(rep.margin, 0.0, atol=1e-15)
 
 
 def test_positivity_provable_bound_holds_on_runs(smooth_traj_64, riemann_ladder):
-    assert v.positivity_report(smooth_traj_64).worst_divergence_margin >= -1e-12
-    assert v.positivity_report(riemann_ladder[64]).worst_divergence_margin >= -1e-12
+    assert diagnostics.positivity_report(smooth_traj_64).worst_divergence_margin >= -1e-12
+    assert diagnostics.positivity_report(riemann_ladder[64]).worst_divergence_margin >= -1e-12
 
 
 # ======================================================================
@@ -166,7 +166,7 @@ def test_positivity_provable_bound_holds_on_runs(smooth_traj_64, riemann_ladder)
 def test_flux_ledger_still_constant_trajectory_all_zero():
     st = constant_state(6)
     traj = synthetic_trajectory([st, st.__class__(rho=st.rho, u=st.u, k=1)])
-    led = v.flux_ledger(traj)
+    led = diagnostics.flux_ledger(traj)
     assert led.lhs == 0.0
     assert led.E1 == 0.0 and led.E2 == 0.0
     assert led.rhs_total == 0.0
@@ -177,9 +177,9 @@ def test_flux_ledger_zero_velocity_kills_e_terms():
     """Synthetic still state with nonuniform density: E1, E2 carry u factors."""
     rho = np.array([2.0, 1.5, 1.0, 0.5])
     states = [
-        v.FluidState(rho=rho, u=np.zeros(5), k=k) for k in range(3)
+        grid.FluidState(rho=rho, u=np.zeros(5), k=k) for k in range(3)
     ]
-    led = v.flux_ledger(synthetic_trajectory(states))
+    led = diagnostics.flux_ledger(synthetic_trajectory(states))
     assert led.E1 == 0.0
     assert led.E2 == 0.0
     # lhs reduces to the pressure term, which is genuinely nonzero here
@@ -189,16 +189,16 @@ def test_flux_ledger_zero_velocity_kills_e_terms():
 
 def test_flux_identity_closes_on_solved_run(smooth_traj_32):
     steps = len(smooth_traj_32) - 1
-    tol = v.effective_newton_tol(smooth_traj_32)
+    tol = diagnostics.effective_newton_tol(smooth_traj_32)
     for m in (max(1, steps // 2), steps):
-        led = v.flux_ledger(smooth_traj_32, m)
+        led = diagnostics.flux_ledger(smooth_traj_32, m)
         assert abs(led.identity_gap) <= 100.0 * tol * m
         assert abs(led.pairing_gap) <= 100.0 * tol * m
         assert abs(led.decomposition_gap) <= 1e-12
 
 
 def test_flux_ledger_rhs_terms_schema(smooth_traj_32):
-    led = v.flux_ledger(smooth_traj_32)
+    led = diagnostics.flux_ledger(smooth_traj_32)
     assert set(led.rhs_terms) == {"mean_flux", "boundary", "E1", "E2"}
     assert led.rhs_terms["boundary"] == pytest.approx(
         led.boundary_terminal + led.boundary_initial
@@ -208,9 +208,9 @@ def test_flux_ledger_rhs_terms_schema(smooth_traj_32):
 
 def test_flux_ledger_checkpoint_must_be_valid(smooth_traj_32):
     with pytest.raises(ValueError):
-        v.flux_ledger(smooth_traj_32, 0)
+        diagnostics.flux_ledger(smooth_traj_32, 0)
     with pytest.raises(ValueError):
-        v.flux_ledger(smooth_traj_32, len(smooth_traj_32))
+        diagnostics.flux_ledger(smooth_traj_32, len(smooth_traj_32))
 
 
 # ======================================================================
@@ -219,45 +219,45 @@ def test_flux_ledger_checkpoint_must_be_valid(smooth_traj_32):
 
 
 def test_weak_residual_zero_test_function(smooth_traj_32):
-    zero = v.TestFunction(
+    zero = diagnostics.TestFunction(
         space=np.zeros_like, space_deriv=np.zeros_like, time=np.ones_like, name="zero"
     )
-    assert v.weak_residual_continuity(smooth_traj_32, zero) == (0.0, 0.0)
-    assert v.weak_residual_momentum(smooth_traj_32, zero) == (0.0, 0.0)
+    assert diagnostics.weak_residual_continuity(smooth_traj_32, zero) == (0.0, 0.0)
+    assert diagnostics.weak_residual_momentum(smooth_traj_32, zero) == (0.0, 0.0)
 
 
 def test_weak_residual_steady_constant_state(constant_traj):
-    phi = v.default_test_functions(1.0, constant_traj.grid.T)[0]
-    lhs, p1 = v.weak_residual_continuity(constant_traj, phi)
+    phi = diagnostics.default_test_functions(1.0, constant_traj.grid.T)[0]
+    lhs, p1 = diagnostics.weak_residual_continuity(constant_traj, phi)
     assert lhs == pytest.approx(0.0, abs=1e-15)
     assert p1 == pytest.approx(0.0, abs=1e-15)
-    lhs2, p2 = v.weak_residual_momentum(constant_traj, phi)
+    lhs2, p2 = diagnostics.weak_residual_momentum(constant_traj, phi)
     assert lhs2 == pytest.approx(0.0, abs=1e-15)
     assert p2 == pytest.approx(0.0, abs=1e-15)
 
 
 def test_weak_residual_rejects_bad_test_functions(smooth_traj_32):
     T = smooth_traj_32.grid.T
-    not_zero_at_T = v.TestFunction(
+    not_zero_at_T = diagnostics.TestFunction(
         space=np.ones_like, space_deriv=np.zeros_like, time=np.ones_like, name="one"
     )
     with pytest.raises(ValueError):
-        v.weak_residual_continuity(smooth_traj_32, not_zero_at_T)
-    not_zero_at_wall = v.TestFunction(
+        diagnostics.weak_residual_continuity(smooth_traj_32, not_zero_at_T)
+    not_zero_at_wall = diagnostics.TestFunction(
         space=lambda x: np.cos(np.pi * x),
         space_deriv=lambda x: -np.pi * np.sin(np.pi * x),
         time=lambda t: (1.0 - t / T) ** 2,
         name="cos",
     )
     with pytest.raises(ValueError):
-        v.weak_residual_momentum(smooth_traj_32, not_zero_at_wall)
+        diagnostics.weak_residual_momentum(smooth_traj_32, not_zero_at_wall)
 
 
 def test_weak_self_consistency(smooth_traj_32):
-    for fn in v.default_test_functions(1.0, smooth_traj_32.grid.T):
-        lhs, p1 = v.weak_residual_continuity(smooth_traj_32, fn)
+    for fn in diagnostics.default_test_functions(1.0, smooth_traj_32.grid.T):
+        lhs, p1 = diagnostics.weak_residual_continuity(smooth_traj_32, fn)
         assert abs(lhs - p1) <= 1e-8
-        lhs2, p2 = v.weak_residual_momentum(smooth_traj_32, fn)
+        lhs2, p2 = diagnostics.weak_residual_momentum(smooth_traj_32, fn)
         assert abs(lhs2 - p2) <= 1e-8
 
 
@@ -266,22 +266,22 @@ def reference_weak_residuals(traj, value, deriv_x):
 
     ``value`` and ``deriv_x`` take broadcasting (t, x) arrays.  Every window
     evaluates them on the product of its own t-nodes with every cell's
-    x-nodes, both built by gauss_rule, and integrates the extended fields
+    x-nodes, both built by gauss_panels, and integrates the extended fields
     there; P1 and P2 pair the scheme with the cell-time and face-time
     averages of phi on that window.
     """
     g, pp = traj.grid, traj.params
     dt, dx, n = g.dt, g.dx, g.N
-    rules = [v.gauss_rule(i * dx, (i + 1) * dx) for i in range(n)]
-    x = np.concatenate([nodes for nodes, _ in rules])
-    wx = np.concatenate([weights for _, weights in rules])
+    x, wx = (a.ravel() for a in grid.gauss_panels(g.face_nodes[:-1], g.face_nodes[1:]))
+    steps = len(traj) - 1
+    t_nodes, t_weights = grid.gauss_panels(np.arange(steps) * dt, np.arange(1, steps + 1) * dt)
     cell = np.repeat(np.arange(n), x.size // n)
     frac = x / dx - cell
     lhs_c = p1 = lhs_m = p2 = 0.0
     for k in range(1, len(traj)):
         old, new = traj.states[k - 1], traj.states[k]
         rho, u = new.rho, new.u
-        tn, tw = v.gauss_rule((k - 1) * dt, k * dt)
+        tn, tw = t_nodes[k - 1], t_weights[k - 1]
         phi = value(tn[:, None], x[None, :])
         phi_x = deriv_x(tn[:, None], x[None, :])
         cell_avg = (tw @ (phi * wx)).reshape(n, -1).sum(axis=1) / (dt * dx)
@@ -312,8 +312,9 @@ def reference_weak_residuals(traj, value, deriv_x):
 @pytest.mark.parametrize("name, n", [("smooth-bump", 32), ("riemann-like", 64), ("gamma-1.9", 64)])
 def test_weak_residuals_match_the_tensor_gauss_reference(name, n):
     traj = solve_level(scenario_named(name), n)
-    for fn in v.default_test_functions(traj.grid.L, traj.grid.T):
-        got = v.weak_residual_continuity(traj, fn) + v.weak_residual_momentum(traj, fn)
+    for fn in diagnostics.default_test_functions(traj.grid.L, traj.grid.T):
+        got = (diagnostics.weak_residual_continuity(traj, fn)
+               + diagnostics.weak_residual_momentum(traj, fn))
         ref = reference_weak_residuals(
             traj, fn.value, lambda t, x, fn=fn: fn.space_deriv(x) * fn.time(t)
         )
@@ -321,23 +322,28 @@ def test_weak_residuals_match_the_tensor_gauss_reference(name, n):
         assert abs(ref[1]) > 1e-6 or abs(ref[3]) > 1e-6, fn.name  # not a trivial zero
 
 
-@pytest.mark.parametrize("residual", [v.weak_residual_continuity, v.weak_residual_momentum])
+@pytest.mark.parametrize(
+    "residual", [diagnostics.weak_residual_continuity, diagnostics.weak_residual_momentum]
+)
 def test_weak_residuals_call_the_test_function_once_per_level(residual, smooth_traj_32):
     """The number of test-function calls does not grow with the number of windows."""
     short = synthetic_trajectory(smooth_traj_32.states[:3])
     calls = []
     for traj in (short, smooth_traj_32):
-        fn = v.default_test_functions(traj.grid.L, traj.grid.T, js=(2,))[0]
+        fn = diagnostics.default_test_functions(traj.grid.L, traj.grid.T, js=(2,))[0]
         mocks = [mock.Mock(side_effect=f) for f in (fn.space, fn.space_deriv, fn.time)]
-        residual(traj, v.TestFunction(*mocks))
+        residual(traj, diagnostics.TestFunction(*mocks))
         calls.append([m.call_count for m in mocks])
     assert len(smooth_traj_32) - 1 > 2 * (len(short) - 1)
     assert calls[0] == calls[1]
 
 
 def test_p1_shrinks_under_refinement(smooth_ladder):
-    phi = v.default_test_functions(1.0, smooth_ladder[64].grid.T, js=(1,))[0]
-    mags = [abs(v.weak_residual_continuity(smooth_ladder[n], phi)[1]) for n in (64, 128, 256, 512)]
+    phi = diagnostics.default_test_functions(1.0, smooth_ladder[64].grid.T, js=(1,))[0]
+    mags = [
+        abs(diagnostics.weak_residual_continuity(smooth_ladder[n], phi)[1])
+        for n in (64, 128, 256, 512)
+    ]
     assert all(a > b for a, b in zip(mags, mags[1:]))
     # roughly h^(1/2) or better per the theory; halving should shave >= 2^0.45
     orders = [np.log2(a / b) for a, b in zip(mags, mags[1:])]
@@ -351,7 +357,7 @@ def test_p1_shrinks_under_refinement(smooth_ladder):
 
 def test_norm_suite_constant_state():
     traj = synthetic_trajectory([constant_state(8)])
-    norms = v.norm_suite(traj)
+    norms = diagnostics.norm_suite(traj)
     assert norms["rho_Linf_Lgamma"] == pytest.approx(1.0, abs=1e-14)
     assert norms["u_L2_H1"] == 0.0
     assert norms["u_L2_Linf"] == 0.0
@@ -365,7 +371,7 @@ def test_norm_suite_constant_state():
 def test_norm_suite_density_homogeneity():
     one = synthetic_trajectory([constant_state(8, rho=1.0)])
     two = synthetic_trajectory([constant_state(8, rho=2.0)])
-    n1, n2 = v.norm_suite(one), v.norm_suite(two)
+    n1, n2 = diagnostics.norm_suite(one), diagnostics.norm_suite(two)
     assert n2["rho_Linf_Lgamma"] == pytest.approx(2.0 * n1["rho_Linf_Lgamma"], rel=1e-13)
 
 
@@ -373,8 +379,8 @@ def test_rho_power_integral_constant():
     traj = solve_level(scenario_named("constant"), 8)
     gamma = traj.params.gamma
     # integrand is 1, so the space-time integral is T
-    assert v.rho_power_integral(traj) == pytest.approx(traj.grid.T, rel=1e-13)
-    assert v.rho_power_integral(traj, power=2.0) == pytest.approx(traj.grid.T, rel=1e-13)
+    assert diagnostics.rho_power_integral(traj) == pytest.approx(traj.grid.T, rel=1e-13)
+    assert diagnostics.rho_power_integral(traj, power=2.0) == pytest.approx(traj.grid.T, rel=1e-13)
 
 
 def test_int_abs_linear_pow_against_quadrature():
@@ -396,29 +402,29 @@ def test_int_abs_linear_pow_against_quadrature():
 
 def test_error_rates_requires_three_levels(smooth_ladder):
     with pytest.raises(ValueError):
-        v.error_rates([smooth_ladder[64], smooth_ladder[128]])
+        diagnostics.error_rates([smooth_ladder[64], smooth_ladder[128]])
 
 
 def test_error_rates_requires_steps_at_every_level():
-    sc = v.ScenarioConfig(name="constant", T=0.0)
+    sc = harness.ScenarioConfig(name="constant", T=0.0)
     trajs = [solve_level(sc, n) for n in (8, 16, 32)]
     with pytest.raises(ValueError, match="at least one step at every level"):
-        v.error_rates(trajs)
+        diagnostics.error_rates(trajs)
 
 
 def test_error_rates_requires_coupled_dt():
     sc = scenario_named("constant")
-    g = v.GridSpec(L=1.0, N=8, dt=0.01, T=0.05)
-    odd = v.run(sc, g, sc.params)
+    g = grid.GridSpec(L=1.0, N=8, dt=0.01, T=0.05)
+    odd = stepper.run(sc, g, sc.params)
     good = [solve_level(sc, n) for n in (8, 16, 32)]
     with pytest.raises(ValueError):
-        v.error_rates([odd, good[1], good[2]])
+        diagnostics.error_rates([odd, good[1], good[2]])
 
 
 def test_error_rates_constant_scenario_exact():
     sc = scenario_named("constant")
     trajs = [solve_level(sc, n) for n in (8, 16, 32)]
-    rates = v.error_rates(trajs)
+    rates = diagnostics.error_rates(trajs)
     for key in ("E1", "E2", "P1", "P2"):
         assert rates[key]["order"] == "exact"
         assert all(m == 0.0 for m in rates[key]["magnitudes"])
@@ -427,7 +433,7 @@ def test_error_rates_constant_scenario_exact():
 
 def test_effective_newton_tol_default_for_trivial_run(constant_traj):
     # constant data: residual starts at 0, so the scaled tolerance is 1e-10
-    assert v.effective_newton_tol(constant_traj) == pytest.approx(1e-10)
+    assert diagnostics.effective_newton_tol(constant_traj) == pytest.approx(1e-10)
 
 
 # ======================================================================
@@ -436,25 +442,26 @@ def test_effective_newton_tol_default_for_trivial_run(constant_traj):
 
 
 def _probes(tr):
-    return v.default_test_functions(tr.grid.L, tr.grid.T)
+    return diagnostics.default_test_functions(tr.grid.L, tr.grid.T)
 
 
 _ROW_WISE_DIAGNOSTICS = {
-    "energy_ledger": lambda tr: v.energy_ledger(tr),
-    "norm_suite": lambda tr: v.norm_suite(tr),
-    "renorm_residual": lambda tr: v.renorm_residual(tr, v.b_power(tr.params.gamma)),
-    "positivity_report": lambda tr: v.positivity_report(tr),
-    "weak_residual_continuity": lambda tr: v.weak_residual_continuity(tr, _probes(tr)[0]),
-    "weak_residual_momentum": lambda tr: v.weak_residual_momentum(tr, _probes(tr)[1]),
-    "mass_history": lambda tr: v.mass_history(tr),
+    "energy_ledger": lambda tr: diagnostics.energy_ledger(tr),
+    "norm_suite": lambda tr: diagnostics.norm_suite(tr),
+    "renorm_residual":
+        lambda tr: diagnostics.renorm_residual(tr, diagnostics.b_power(tr.params.gamma)),
+    "positivity_report": lambda tr: diagnostics.positivity_report(tr),
+    "weak_residual_continuity": lambda tr: diagnostics.weak_residual_continuity(tr, _probes(tr)[0]),
+    "weak_residual_momentum": lambda tr: diagnostics.weak_residual_momentum(tr, _probes(tr)[1]),
+    "mass_history": lambda tr: diagnostics.mass_history(tr),
     "mass_drift": lambda tr: diagnostics.mass_drift(tr),
-    "flux_ledger": lambda tr: v.flux_ledger(tr),
+    "flux_ledger": lambda tr: diagnostics.flux_ledger(tr),
     # One flattened sum over every window, so it holds one (M, N) array.
-    "rho_power_integral": lambda tr: v.rho_power_integral(tr),
+    "rho_power_integral": lambda tr: diagnostics.rho_power_integral(tr),
 }
 _STACK_FREE = {
     **_ROW_WISE_DIAGNOSTICS,
-    "identity_checks": lambda tr: v.identity_checks(tr),
+    "identity_checks": lambda tr: diagnostics.identity_checks(tr),
     "harness._level_summary": lambda tr: harness._level_summary(
         tr, *diagnostics.probe_test_functions(tr.grid.L, tr.grid.T)
     ),
@@ -467,19 +474,19 @@ def test_diagnostics_stack_each_matrix_at_most_once(name, smooth_traj_64, monkey
     assert len(smooth_traj_64) - 1 >= 16
     counts = {"rho_matrix": 0, "u_matrix": 0}
     for attr in counts:
-        original = getattr(v.Trajectory, attr)
+        original = getattr(grid.Trajectory, attr)
 
         def counted(self, attr=attr, original=original):
             counts[attr] += 1
             return original.fget(self)
 
-        monkeypatch.setattr(v.Trajectory, attr, property(counted))
+        monkeypatch.setattr(grid.Trajectory, attr, property(counted))
     _STACK_FREE[name](smooth_traj_64)
     assert counts == {"rho_matrix": 0, "u_matrix": 0}
 
 
 @pytest.fixture(scope="module")
-def long_smooth_traj_128() -> v.Trajectory:
+def long_smooth_traj_128() -> grid.Trajectory:
     """256 steps at N=128: the O(N) work arrays of a step and the O(M) series
     then stay below a quarter of the (M+1) x N trajectory, which one stacked
     copy fills."""
@@ -523,8 +530,8 @@ def test_diagnostics_use_the_solvers_own_scheme_pieces(name, monkeypatch):
             return calls[-1]
 
         monkeypatch.setattr(diagnostics, attr, spy)
-    v.positivity_report(traj)
-    v.flux_ledger(traj)
+    diagnostics.positivity_report(traj)
+    diagnostics.flux_ledger(traj)
 
     g, pp, states = traj.grid, traj.params, traj.states
     assert len(seen["continuity_residual"]) == len(states) - 1 >= 4
@@ -562,7 +569,7 @@ def test_identity_check_bounds_are_the_contract(smooth_traj_32):
         for j in (1, 2, 3)
         for eq in ("continuity", "momentum")
     ]
-    checks = v.identity_checks(traj)
+    checks = diagnostics.identity_checks(traj)
     assert [c.name for c in checks] == [name for name, _ in expected]
     for check, (_, bound) in zip(checks, expected):
         assert check.bound == pytest.approx(bound, rel=1e-12), check.name

@@ -9,18 +9,17 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-import visco1d as v
-from visco1d import stepper
+from visco1d import diagnostics, grid, operators, stepper
 from visco1d.operators import face_momentum, hat, split_upwind, upwind_flux
 from visco1d.stepper import _band_lu, _jacobian_ab, advance, assemble_jacobian, assemble_residual
 
 from conftest import constant_state, scenario_named, solve_level
 
 
-def _params(**kw) -> v.PhysParams:
+def _params(**kw) -> grid.PhysParams:
     base = dict(a=1.0, gamma=5.0 / 3.0, mu=1.0)
     base.update(kw)
-    return v.PhysParams(**base)
+    return grid.PhysParams(**base)
 
 
 # ======================================================================
@@ -29,7 +28,7 @@ def _params(**kw) -> v.PhysParams:
 
 
 def test_residual_zero_at_constant_steady_state():
-    g = v.GridSpec(L=1.0, N=6, dt=1.0 / 6.0, T=1.0)
+    g = grid.GridSpec(L=1.0, N=6, dt=1.0 / 6.0, T=1.0)
     st = constant_state(6, rho=2.5)
     res = assemble_residual(st, st, g, _params())
     assert res.max_norm == 0.0
@@ -38,9 +37,9 @@ def test_residual_zero_at_constant_steady_state():
 def test_residual_frozen_small_perturbation():
     """N=2 hand expansion: interior velocity eps against flat unit density."""
     eps = 1e-3
-    g = v.GridSpec(L=1.0, N=2, dt=0.5, T=0.5)
+    g = grid.GridSpec(L=1.0, N=2, dt=0.5, T=0.5)
     prev = constant_state(2)
-    trial = v.FluidState(rho=np.array([1.0, 1.0]), u=np.array([0.0, eps, 0.0]))
+    trial = grid.FluidState(rho=np.array([1.0, 1.0]), u=np.array([0.0, eps, 0.0]))
     res = assemble_residual(prev, trial, g, _params())
     np.testing.assert_allclose(res.cont, [eps / g.dx, -eps / g.dx], rtol=1e-13)
     mom_expected = eps / (2.0 * g.dt) + 2.0 * _params().mu * eps / g.dx**2
@@ -48,15 +47,15 @@ def test_residual_frozen_small_perturbation():
 
 
 def test_residual_viscous_term_linear_in_mu():
-    g = v.GridSpec(L=1.0, N=4, dt=0.25, T=0.25)
+    g = grid.GridSpec(L=1.0, N=4, dt=0.25, T=0.25)
     rng = np.random.default_rng(5)
     prev = constant_state(4)
     u = np.zeros(5)
     u[1:-1] = 0.1 * rng.standard_normal(3)
-    trial = v.FluidState(rho=np.array([1.1, 0.9, 1.2, 0.8]), u=u)
+    trial = grid.FluidState(rho=np.array([1.1, 0.9, 1.2, 0.8]), u=u)
     full = assemble_residual(prev, trial, g, _params(mu=2.0))
     tiny = assemble_residual(prev, trial, g, _params(mu=1e-12))
-    lap = v.laplace_velocity(u, g.dx)
+    lap = operators.laplace_velocity(u, g.dx)
     np.testing.assert_allclose(full.mom - tiny.mom, -2.0 * lap, rtol=1e-9, atol=1e-12)
     np.testing.assert_array_equal(full.cont, tiny.cont)
 
@@ -65,7 +64,7 @@ def test_momentum_residual_is_the_inline_scheme():
     """The residual's viscous term comes from laplace_velocity without a rounding change."""
     rng = np.random.default_rng(41)
     for n in range(2, 65, 3):
-        g = v.GridSpec(L=1.0, N=n, dt=1.0 / n, T=1.0)
+        g = grid.GridSpec(L=1.0, N=n, dt=1.0 / n, T=1.0)
         pp = _params(mu=rng.uniform(0.01, 2.0), gamma=rng.uniform(1.2, 2.5))
         prev, trial = _random_state(rng, n), _random_state(rng, n)
         rho, u, dt, dx = trial.rho, trial.u, g.dt, g.dx
@@ -87,9 +86,9 @@ def test_momentum_residual_is_the_inline_scheme():
 # ======================================================================
 
 
-def _fd_jacobian(prev, trial, grid, params, step=1e-7):
+def _fd_jacobian(prev, trial, g, params, step=1e-7):
     """Central finite differences of the interleaved residual vector."""
-    n = grid.N
+    n = g.N
     size = 2 * n - 1
 
     def unpack(z):
@@ -97,10 +96,10 @@ def _fd_jacobian(prev, trial, grid, params, step=1e-7):
         u = trial.u.copy()
         rho[:] = z[0::2]
         u[1:-1] = z[1::2]
-        return v.FluidState(rho=rho, u=u)
+        return grid.FluidState(rho=rho, u=u)
 
     def resvec(z):
-        r = assemble_residual(prev, unpack(z), grid, params)
+        r = assemble_residual(prev, unpack(z), g, params)
         out = np.empty(size)
         out[0::2] = r.cont
         out[1::2] = r.mom
@@ -125,12 +124,12 @@ def _random_state(rng, n):
     # keep |u| away from the upwind kink at 0 so FD comparison is fair
     mags = rng.uniform(0.05, 1.0, size=n - 1)
     u[1:-1] = np.where(rng.random(n - 1) < 0.5, -mags, mags)
-    return v.FluidState(rho=rho, u=u)
+    return grid.FluidState(rho=rho, u=u)
 
 
 def test_jacobian_matches_finite_differences_sample():
     rng = np.random.default_rng(123)
-    g = v.GridSpec(L=1.0, N=6, dt=1.0 / 6.0, T=1.0)
+    g = grid.GridSpec(L=1.0, N=6, dt=1.0 / 6.0, T=1.0)
     pp = _params(mu=0.4)
     for _ in range(25):
         prev = _random_state(rng, g.N)
@@ -142,7 +141,7 @@ def test_jacobian_matches_finite_differences_sample():
 
 
 def test_jacobian_trivial_entries():
-    g = v.GridSpec(L=1.0, N=4, dt=0.25, T=0.25)
+    g = grid.GridSpec(L=1.0, N=4, dt=0.25, T=0.25)
     pp = _params(a=2.0, gamma=1.8)
     st = constant_state(4, rho=1.5)
     jac = assemble_jacobian(st, st, g, pp).toarray()
@@ -157,7 +156,7 @@ def test_jacobian_trivial_entries():
 
 
 def test_jacobian_bandwidth_respects_interleaving():
-    g = v.GridSpec(L=1.0, N=8, dt=0.125, T=0.125)
+    g = grid.GridSpec(L=1.0, N=8, dt=0.125, T=0.125)
     rng = np.random.default_rng(9)
     st = _random_state(rng, 8)
     jac = assemble_jacobian(st, st, g, _params()).toarray()
@@ -183,13 +182,13 @@ def test_band_jacobian_is_the_csr_jacobian():
     pp = _params(mu=0.7)
     outer = set()
     for n in range(2, 9):
-        g = v.GridSpec(L=1.0, N=n, dt=1.0 / n, T=1.0)
+        g = grid.GridSpec(L=1.0, N=n, dt=1.0 / n, T=1.0)
         for _ in range(6):
             rho = rng.uniform(0.3, 3.0, size=n)
             u = np.zeros(n + 1)
             u[1:-1] = rng.uniform(-1.0, 1.0, size=n - 1)
             u[1:-1][rng.random(n - 1) < 0.3] = 0.0  # exact upwind kinks
-            st = v.FluidState(rho=rho, u=u)
+            st = grid.FluidState(rho=rho, u=u)
             ab = _jacobian_ab(st.rho, st.u, g, pp)
             assert ab.shape == (9, 2 * n - 1)
             dense = _unpack_band(ab)
@@ -205,7 +204,7 @@ def test_lapack_band_solve_is_solve_banded():
     rng = np.random.default_rng(29)
     pp = _params(mu=0.3)
     for n in (2, 3, 4, 5, 8, 17, 33, 64):
-        g = v.GridSpec(L=1.0, N=n, dt=1.0 / n, T=1.0)
+        g = grid.GridSpec(L=1.0, N=n, dt=1.0 / n, T=1.0)
         for _ in range(5):
             rho = rng.uniform(0.3, 3.0, size=n)
             u = np.zeros(n + 1)
@@ -223,7 +222,7 @@ def test_finite_difference_jacobian_vanishes_outside_the_band():
     rng = np.random.default_rng(17)
     pp = _params(mu=0.4)
     for n in (4, 7):
-        g = v.GridSpec(L=1.0, N=n, dt=1.0 / n, T=1.0)
+        g = grid.GridSpec(L=1.0, N=n, dt=1.0 / n, T=1.0)
         fd = _fd_jacobian(_random_state(rng, n), _random_state(rng, n), g, pp)
         r, c = np.indices(fd.shape)
         assert np.all(fd[np.abs(r - c) > 4] == 0.0)
@@ -235,7 +234,7 @@ def test_finite_difference_jacobian_vanishes_outside_the_band():
 
 
 def test_advance_constant_state_one_iteration():
-    g = v.GridSpec(L=1.0, N=8, dt=0.125, T=0.125)
+    g = grid.GridSpec(L=1.0, N=8, dt=0.125, T=0.125)
     st = constant_state(8, rho=1.7)
     out, meta = advance(st, g, _params())
     np.testing.assert_array_equal(out.rho, st.rho)
@@ -248,19 +247,19 @@ def test_advance_constant_state_one_iteration():
 def test_advance_conserves_mass_exactly():
     sc = scenario_named("smooth-bump")
     g = sc.grid_for(16)
-    prev = v.init_state(g, sc.rho0_fn, sc.u0_fn)
+    prev = grid.init_state(g, sc.rho0_fn, sc.u0_fn)
     out, _ = advance(prev, g, sc.params)
     assert g.dx * out.rho.sum() == pytest.approx(g.dx * prev.rho.sum(), rel=1e-14)
 
 
 def test_advance_matches_brute_force_n2_oracle():
     """Single interior face: compare against scipy.optimize on the raw system."""
-    g = v.GridSpec(L=1.0, N=2, dt=0.5, T=0.5)
+    g = grid.GridSpec(L=1.0, N=2, dt=0.5, T=0.5)
     pp = _params(mu=0.3)
-    prev = v.FluidState(rho=np.array([1.4, 0.8]), u=np.array([0.0, 0.25, 0.0]))
+    prev = grid.FluidState(rho=np.array([1.4, 0.8]), u=np.array([0.0, 0.25, 0.0]))
 
     def raw_system(z):
-        trial = v.FluidState(rho=np.array([z[0], z[2]]), u=np.array([0.0, z[1], 0.0]))
+        trial = grid.FluidState(rho=np.array([z[0], z[2]]), u=np.array([0.0, z[1], 0.0]))
         r = assemble_residual(prev, trial, g, pp)
         return [r.cont[0], r.mom[0], r.cont[1]]
 
@@ -274,7 +273,7 @@ def test_advance_matches_brute_force_n2_oracle():
 def test_advance_is_deterministic():
     sc = scenario_named("smooth-bump")
     g = sc.grid_for(16)
-    prev = v.init_state(g, sc.rho0_fn, sc.u0_fn)
+    prev = grid.init_state(g, sc.rho0_fn, sc.u0_fn)
     a1, _ = advance(prev, g, sc.params)
     a2, _ = advance(prev, g, sc.params)
     np.testing.assert_array_equal(a1.rho, a2.rho)
@@ -285,9 +284,9 @@ def test_advance_respects_mirror_symmetry():
     """x -> L-x with u -> -u is a discrete symmetry of the scheme."""
     sc = scenario_named("smooth-bump")
     g = sc.grid_for(16)
-    prev = v.init_state(g, sc.rho0_fn, sc.u0_fn)
+    prev = grid.init_state(g, sc.rho0_fn, sc.u0_fn)
     out, _ = advance(prev, g, sc.params)
-    mirror_prev = v.FluidState(rho=prev.rho[::-1], u=-prev.u[::-1])
+    mirror_prev = grid.FluidState(rho=prev.rho[::-1], u=-prev.u[::-1])
     mout, _ = advance(mirror_prev, g, sc.params)
     np.testing.assert_allclose(mout.rho, out.rho[::-1], atol=1e-12)
     np.testing.assert_allclose(mout.u, -out.u[::-1], atol=1e-12)
@@ -297,8 +296,8 @@ def test_advance_picard_fallback_reaches_tolerance():
     """Starve Newton (one iteration, no progress) and let the fallback finish."""
     sc = scenario_named("smooth-bump")
     g = sc.grid_for(8)
-    prev = v.init_state(g, sc.rho0_fn, sc.u0_fn)
-    cfg = v.SolverConfig(max_newton_iters=1, fallback=4000)
+    prev = grid.init_state(g, sc.rho0_fn, sc.u0_fn)
+    cfg = stepper.SolverConfig(max_newton_iters=1, fallback=4000)
     out, meta = advance(prev, g, sc.params, cfg)
     assert meta.fallback_used
     assert meta.residual_norm <= meta.tol
@@ -310,7 +309,7 @@ def test_zero_pivot_hands_over_to_fallback(monkeypatch):
     """An exactly singular Jacobian ends Newton; the fallback finishes the step."""
     sc = scenario_named("smooth-bump")
     g = sc.grid_for(8)
-    prev = v.init_state(g, sc.rho0_fn, sc.u0_fn)
+    prev = grid.init_state(g, sc.rho0_fn, sc.u0_fn)
     real = stepper._jacobian_ab
 
     def singular(*args):
@@ -319,7 +318,7 @@ def test_zero_pivot_hands_over_to_fallback(monkeypatch):
         return ab
 
     monkeypatch.setattr(stepper, "_jacobian_ab", singular)
-    out, meta = advance(prev, g, sc.params, v.SolverConfig(fallback=4000))
+    out, meta = advance(prev, g, sc.params, stepper.SolverConfig(fallback=4000))
     assert meta.fallback_used
     assert meta.factorizations == 1
     assert meta.residual_norm <= meta.tol
@@ -328,21 +327,21 @@ def test_zero_pivot_hands_over_to_fallback(monkeypatch):
 def test_advance_enforces_the_positivity_floor(monkeypatch):
     sc = scenario_named("smooth-bump")
     g = sc.grid_for(8)
-    prev = v.init_state(g, sc.rho0_fn, sc.u0_fn)
+    prev = grid.init_state(g, sc.rho0_fn, sc.u0_fn)
     monkeypatch.setattr(stepper, "positivity_floor", lambda *args: 10.0)
-    with pytest.raises(v.StepFailure, match="undercuts the provable positivity floor"):
+    with pytest.raises(stepper.StepFailure, match="undercuts the provable positivity floor"):
         advance(prev, g, sc.params)
 
 
 def test_non_finite_pressure_raises_step_failure():
     """An overflowing pressure makes the residual NaN; that must not pass as 0."""
-    g = v.GridSpec(L=1.0, N=16, dt=1.0 / 16.0, T=1.0 / 16.0)
+    g = grid.GridSpec(L=1.0, N=16, dt=1.0 / 16.0, T=1.0 / 16.0)
     rho = np.where(np.arange(16) < 8, 3.0, 1.0)
-    prev = v.FluidState(rho=rho, u=np.zeros(17))
-    pp = v.PhysParams(gamma=1000.0)
+    prev = grid.FluidState(rho=rho, u=np.zeros(17))
+    pp = grid.PhysParams(gamma=1000.0)
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(assemble_residual(prev, prev, g, pp).max_norm)
-        with pytest.raises(v.StepFailure, match="non-finite") as err:
+        with pytest.raises(stepper.StepFailure, match="non-finite") as err:
             advance(prev, g, pp)
     assert err.value.k == 1
     assert np.isnan(err.value.residual_history[-1])
@@ -350,9 +349,9 @@ def test_non_finite_pressure_raises_step_failure():
 
 def test_step_failure_survives_pickle():
     """A failure raised in a worker process must arrive whole in its parent."""
-    exc = v.StepFailure("boom", 3, [1.0, 0.25], 0.5)
+    exc = stepper.StepFailure("boom", 3, [1.0, 0.25], 0.5)
     back = pickle.loads(pickle.dumps(exc))
-    assert type(back) is v.StepFailure
+    assert type(back) is stepper.StepFailure
     assert str(back) == str(exc)
     assert (back.message, back.k, back.residual_history, back.min_rho) == (
         "boom", 3, [1.0, 0.25], 0.5)
@@ -360,13 +359,13 @@ def test_step_failure_survives_pickle():
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        v.SolverConfig(damping=0.0)
+        stepper.SolverConfig(damping=0.0)
     with pytest.raises(ValueError):
-        v.SolverConfig(damping=1.5)
+        stepper.SolverConfig(damping=1.5)
     with pytest.raises(ValueError):
-        v.SolverConfig(newton_tol=-1e-10)
+        stepper.SolverConfig(newton_tol=-1e-10)
     with pytest.raises(ValueError):
-        v.SolverConfig(max_newton_iters=0)
+        stepper.SolverConfig(max_newton_iters=0)
 
 
 # ======================================================================
@@ -376,8 +375,8 @@ def test_solver_config_validation():
 
 def test_run_zero_horizon_returns_initial_state_only():
     sc = scenario_named("smooth-bump")
-    g = v.GridSpec(L=1.0, N=8, dt=0.125, T=0.0)
-    traj = v.run(sc, g, sc.params)
+    g = grid.GridSpec(L=1.0, N=8, dt=0.125, T=0.0)
+    traj = stepper.run(sc, g, sc.params)
     assert len(traj) == 1
     assert traj.states[0].k == 0
 
@@ -385,9 +384,9 @@ def test_run_zero_horizon_returns_initial_state_only():
 @pytest.mark.parametrize("T", [0.0, 0.25], ids=["T0", "T0.25"])
 def test_run_observer_sees_every_state_in_order(T):
     sc = scenario_named("smooth-bump")
-    g = v.GridSpec(L=1.0, N=16, dt=1.0 / 16, T=T)
+    g = grid.GridSpec(L=1.0, N=16, dt=1.0 / 16, T=T)
     seen = []
-    traj = v.run(sc, g, sc.params, observer=seen.append)
+    traj = stepper.run(sc, g, sc.params, observer=seen.append)
     assert len(seen) == len(traj.states) == (1 if T == 0 else 5)
     assert all(a is b for a, b in zip(seen, traj.states))
 
@@ -397,14 +396,14 @@ def test_run_observer_sees_only_accepted_states_before_a_failure(monkeypatch):
 
     def advance(prev, *args):
         if prev.k == 3:
-            raise v.StepFailure("injected", 4, [1.0], 0.5)
+            raise stepper.StepFailure("injected", 4, [1.0], 0.5)
         return step(prev, *args)
 
     monkeypatch.setattr(stepper, "advance", advance)
     sc = scenario_named("riemann-like")
     seen = []
-    with pytest.raises(v.StepFailure, match="run aborted: injected"):
-        v.run(sc, sc.grid_for(16), sc.params, observer=seen.append)
+    with pytest.raises(stepper.StepFailure, match="run aborted: injected"):
+        stepper.run(sc, sc.grid_for(16), sc.params, observer=seen.append)
     assert [state.k for state in seen] == [0, 1, 2, 3]
 
 
@@ -417,13 +416,13 @@ def test_run_constant_scenario_all_states_identical(constant_traj):
 
 def test_run_requires_coupled_steps_by_default():
     sc = scenario_named("constant")
-    g = v.GridSpec(L=1.0, N=8, dt=0.01, T=0.1)  # dt != dx
-    traj = v.run(sc, g, sc.params)
+    g = grid.GridSpec(L=1.0, N=8, dt=0.01, T=0.1)  # dt != dx
+    traj = stepper.run(sc, g, sc.params)
     assert traj.grid.dt_dx_coupled is False
 
 
 def test_run_smooth_bump_mass_conservation_n64(smooth_traj_64):
-    masses = v.mass_history(smooth_traj_64)
+    masses = diagnostics.mass_history(smooth_traj_64)
     assert np.max(np.abs(masses - masses[0])) / masses[0] <= 1e-11
 
 
@@ -439,8 +438,8 @@ def test_polish_reuses_the_newton_factors(smooth_traj_64):
 def test_run_is_bitwise_reproducible():
     sc = scenario_named("riemann-like")
     g = sc.grid_for(16)
-    t1 = v.run(sc, g, sc.params)
-    t2 = v.run(sc, g, sc.params)
+    t1 = stepper.run(sc, g, sc.params)
+    t2 = stepper.run(sc, g, sc.params)
     np.testing.assert_array_equal(t1.rho_matrix, t2.rho_matrix)
     np.testing.assert_array_equal(t1.u_matrix, t2.u_matrix)
 
