@@ -3,9 +3,10 @@
 The config format is a flat INI-like text with three sections —
 ``[scenario]``, ``[solver]``, ``[output]`` — and ``key = value`` lines.
 Parsing is deliberately hand-rolled so every diagnostic can name the exact
-key and line; unknown keys and sections are errors, not warnings.  The
-parser states no value range itself: each key is applied, one at a time in
-field order, to the object that owns its rule (``PhysParams``,
+key and line; unknown keys and sections are errors, not warnings.  One
+table, ``_KEYS``, lists every key, and both the parser and the writer walk
+it.  The parser states no value range itself: each key is applied, one at a
+time in field order, to the object that owns its rule (``PhysParams``,
 ``ScenarioConfig`` or ``SolverConfig``), and the ``ValueError`` that object
 raises becomes a ConfigError naming the key and its line.  All numeric
 output uses 17 significant digits, which round-trips IEEE doubles exactly,
@@ -57,8 +58,8 @@ _fmt_float = "{:.17g}".format
 def _fmt(x) -> str:
     if isinstance(x, str):
         return x
-    if isinstance(x, (bool, np.bool_)):
-        return "on" if x else "off"
+    if isinstance(x, tuple):
+        return ",".join(map(_fmt, x))
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return _fmt_float(float(x))
@@ -70,59 +71,6 @@ class ConfigError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"{message} (line {line})")
         self.line = line
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective configuration: scenario + solver + output destination."""
-
-    scenario: ScenarioConfig
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    out_dir: str = "."
-    warnings: tuple[str, ...] = ()
-
-    def to_text(self) -> str:
-        """Serialize every effective value; parse_config() round-trips it."""
-        sc, so = self.scenario, self.solver
-        lines = [
-            "[scenario]",
-            f"name = {sc.name}",
-            f"rho0 = {sc.rho0}",
-            f"u0 = {sc.u0}",
-            f"L = {_fmt(sc.L)}",
-            f"T = {_fmt(sc.T)}",
-            f"a = {_fmt(sc.params.a)}",
-            f"gamma = {_fmt(sc.params.gamma)}",
-            f"mu = {_fmt(sc.params.mu)}",
-            "levels = " + ",".join(str(n) for n in sc.levels),
-            f"couple_dt_dx = {_fmt(sc.couple_dt_dx)}",
-        ]
-        if sc.dt is not None:
-            lines.append(f"dt = {_fmt(sc.dt)}")
-        lines += [
-            "",
-            "[solver]",
-            "newton_tol = " + ("auto" if so.newton_tol is None else _fmt(so.newton_tol)),
-            f"max_newton_iters = {so.max_newton_iters}",
-            f"damping = {_fmt(so.damping)}",
-            f"fallback = {so.fallback}",
-            f"polish_floor = {_fmt(so.polish_floor)}",
-            "",
-            "[output]",
-            f"out_dir = {self.out_dir}",
-            "",
-        ]
-        return "\n".join(lines)
-
-
-_SOLVER_KEYS = {
-    "newton_tol", "max_newton_iters", "damping", "fallback", "polish_floor",
-}
-_OUTPUT_KEYS = {"out_dir"}
-_BOOL_WORDS = {
-    "on": True, "off": False, "true": True, "false": False,
-    "yes": True, "no": False, "1": True, "0": False,
-}
 
 
 def _parse_float(raw: str, key: str, line: int) -> float:
@@ -139,13 +87,6 @@ def _parse_int(raw: str, key: str, line: int | None) -> int:
         raise ConfigError(f"value for '{key}' is not an integer: {raw!r}", line) from None
 
 
-def _parse_bool(raw: str, key: str, line: int) -> bool:
-    try:
-        return _BOOL_WORDS[raw.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"value for '{key}' is not on/off: {raw!r}", line) from None
-
-
 def _parse_levels(raw: str, key: str, line: int | None) -> tuple[int, ...]:
     return tuple(_parse_int(p.strip(), key, line) for p in raw.split(",") if p.strip())
 
@@ -154,22 +95,73 @@ def _parse_text(raw: str, key: str, line: int) -> str:
     return raw
 
 
-# The [scenario] keys after ``name``, in ScenarioConfig's field order (a,
-# gamma and mu are PhysParams fields), each with its parser.
-_SCENARIO_PARSERS = {
-    "rho0": _parse_text,
-    "u0": _parse_text,
-    "L": _parse_float,
-    "T": _parse_float,
-    "a": _parse_float,
-    "gamma": _parse_float,
-    "mu": _parse_float,
-    "levels": _parse_levels,
-    "couple_dt_dx": _parse_bool,
-    "dt": _parse_float,
+def _parse_tol(raw: str, key: str, line: int) -> float | None:
+    """A number, or ``auto`` (None): the tolerance adapts to each step."""
+    return None if raw.lower() == "auto" else _parse_float(raw, key, line)
+
+
+# Each section's keys, in field order, with the parser of each value.  A
+# [scenario] key is a ScenarioConfig field, or a field of its PhysParams
+# ``params`` (a, gamma, mu); a [solver] key is a SolverConfig field, and an
+# [output] key a RunConfig field.
+_KEYS = {
+    "scenario": {
+        "name": _parse_text,
+        "rho0": _parse_text,
+        "u0": _parse_text,
+        "L": _parse_float,
+        "T": _parse_float,
+        "a": _parse_float,
+        "gamma": _parse_float,
+        "mu": _parse_float,
+        "levels": _parse_levels,
+        "dt": _parse_float,
+    },
+    "solver": {
+        "newton_tol": _parse_tol,
+        "max_newton_iters": _parse_int,
+        "fallback": _parse_int,
+        "polish_floor": _parse_float,
+    },
+    "output": {"out_dir": _parse_text},
 }
-_PHYS_KEYS = {"a", "gamma", "mu"}
-_SCENARIO_KEYS = {"name", *_SCENARIO_PARSERS}
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Effective configuration: scenario + solver + output destination."""
+
+    scenario: ScenarioConfig
+    solver: SolverConfig = field(default_factory=SolverConfig)
+    out_dir: str = "."
+
+    def to_text(self) -> str:
+        """Serialize every effective value; parse_config() round-trips it."""
+        lines = []
+        for section, keys in _KEYS.items():
+            obj = self if section == "output" else getattr(self, section)
+            lines.append(f"[{section}]")
+            for key, parse in keys.items():
+                value = getattr(obj, key) if hasattr(obj, key) else getattr(obj.params, key)
+                if value is None:
+                    if parse is not _parse_tol:
+                        continue  # no dt: every level runs at dt = dx
+                    value = "auto"
+                lines.append(f"{key} = {_fmt(value)}")
+            lines.append("")
+        return "\n".join(lines)
+
+
+def _with_key(config: RunConfig, section: str, key: str, value) -> RunConfig:
+    """config with one key's field replaced, checked by the object that owns it."""
+    if section == "output":
+        return replace(config, **{key: value})
+    obj = getattr(config, section)
+    if hasattr(obj, key):
+        obj = replace(obj, **{key: value})
+    else:
+        obj = replace(obj, params=replace(obj.params, **{key: value}))
+    return replace(config, **{section: obj})
 
 
 def parse_config(text: str) -> RunConfig:
@@ -179,13 +171,9 @@ def parse_config(text: str) -> RunConfig:
     explicit keys override it; an unknown name requires at least ``rho0`` so
     that the scenario is fully specified.  Each key is checked by the
     object that owns its rule, in field order, and an out-of-range value
-    raises ConfigError naming the key and its line; a gamma outside the
-    (3/2, 2) convergence window is accepted but recorded as a warning.
+    raises ConfigError naming the key and its line.
     """
-    sections: dict[str, dict[str, tuple[str, int]]] = {
-        "scenario": {}, "solver": {}, "output": {},
-    }
-    allowed = {"scenario": _SCENARIO_KEYS, "solver": _SOLVER_KEYS, "output": _OUTPUT_KEYS}
+    sections: dict[str, dict[str, tuple[str, int]]] = {name: {} for name in _KEYS}
     current: str | None = None
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].split(";", 1)[0].strip()
@@ -204,7 +192,7 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in allowed[current]:
+        if key not in _KEYS[current]:
             raise ConfigError(f"unknown key '{key}' in [{current}]", ln)
         if key in sections[current]:
             raise ConfigError(f"duplicate key '{key}' in [{current}]", ln)
@@ -223,39 +211,18 @@ def parse_config(text: str) -> RunConfig:
         scenario = ScenarioConfig(name=name)
     # Each key is checked by the object that owns its rule, one key at a
     # time in field order, so that an error names the key's own line.
-    for key, parse in _SCENARIO_PARSERS.items():
-        if key not in sc:
-            continue
-        raw, ln = sc[key]
-        val = parse(raw, key, ln)
-        try:
-            if key in _PHYS_KEYS:
-                scenario = replace(scenario, params=replace(scenario.params, **{key: val}))
-            else:
-                scenario = replace(scenario, **{key: val})
-        except ValueError as exc:
-            raise ConfigError(f"invalid scenario: {exc}", ln) from exc
-    warnings: list[str] = []
-    if not scenario.params.in_theory_range:
-        warnings.append(f"gamma={scenario.params.gamma:g} outside 3/2<gamma<2 convergence regime")
-
-    solver = SolverConfig()
-    for key, (raw, ln) in sections["solver"].items():
-        if key == "newton_tol" and raw.lower() == "auto":
-            val = None
-        elif key in ("max_newton_iters", "fallback"):
-            val = _parse_int(raw, key, ln)
-        else:
-            val = _parse_float(raw, key, ln)
-        try:
-            solver = replace(solver, **{key: val})
-        except ValueError as exc:
-            raise ConfigError(f"invalid solver setting: {exc}", ln) from exc
-
-    out_dir = sections["output"].get("out_dir", (".", 0))[0]
-    return RunConfig(
-        scenario=scenario, solver=solver, out_dir=out_dir, warnings=tuple(warnings)
-    )
+    config = RunConfig(scenario=scenario)
+    for section, keys in _KEYS.items():
+        for key, parse in keys.items():
+            if key not in sections[section]:
+                continue
+            raw, ln = sections[section][key]
+            value = parse(raw, key, ln)
+            try:
+                config = _with_key(config, section, key, value)
+            except ValueError as exc:
+                raise ConfigError(f"invalid {section}: {exc}", ln) from exc
+    return config
 
 
 # ======================================================================
@@ -584,8 +551,9 @@ def cli_main(argv: list[str] | None = None) -> int:
     out = sys.stdout
     try:
         config = _load_config(args.config)
-        for w in config.warnings:
-            print(f"WARNING {w}", file=sys.stderr)
+        params = config.scenario.params
+        if not params.in_theory_range:
+            print(f"WARNING {params.gamma_note}", file=sys.stderr)
 
         if args.command == "run":
             out_dir = args.out or config.out_dir
@@ -596,13 +564,12 @@ def cli_main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "refine":
-            if args.levels:
+            if args.levels is not None:
                 levels = _parse_levels(args.levels, "--levels", None)
                 try:
-                    scenario = replace(config.scenario, levels=levels)
+                    config = _with_key(config, "scenario", "levels", levels)
                 except ValueError as exc:
                     raise ConfigError(f"--levels {args.levels}: {exc}") from exc
-                config = replace(config, scenario=scenario)
             # Reject the ladder, then the output directory, before any solve;
             # a rejected ladder leaves no directory behind.
             diagnostics.check_study_levels(len(config.scenario.levels))
@@ -622,6 +589,8 @@ def cli_main(argv: list[str] | None = None) -> int:
             return _verify(config, out)
 
         if args.command == "flux":
+            first = config.scenario.grid_for(config.scenario.levels[0])
+            diagnostics.check_checkpoint(args.step, first.M_steps)  # before the solve
             os.makedirs(config.out_dir, exist_ok=True)
             traj = _solve_first_level(config)
             ledger = diagnostics.flux_ledger(traj, args.step)

@@ -30,6 +30,7 @@ from .operators import (
     dirichlet_inv_grad,
     face_momentum,
     hat,
+    momentum_convection,
     neumann_inv_grad,
     positivity_floor,
     split_upwind,
@@ -50,6 +51,7 @@ __all__ = [
     "error_rates",
     "STUDY_MIN_LEVELS",
     "check_study_levels",
+    "check_checkpoint",
     "level_magnitudes",
     "linear_l2_sq",
     "rates_from_levels",
@@ -167,12 +169,12 @@ def energy_ledger(traj: Trajectory) -> EnergyLedger:
         time_gap, gap_right, gap_left = _convexity_gaps(pot_prev, pot, dpot, rho_prev, rho)
         inc["N1"][k - 1] = dx * float(np.sum(time_gap))
 
-        up_int, um_int = split_upwind(u[1:-1])
-        inc["N2"][k - 1] = dt * float(-(gap_right @ um_int) + gap_left @ up_int)
+        up, um = split_upwind(u)
+        inc["N2"][k - 1] = dt * float(-(gap_right @ um[1:-1]) + gap_left @ up[1:-1])
 
         inc["N3"][k - 1] = dx * float(np.sum(0.5 * rho_prev * (hat_u - hat_prev) ** 2))
 
-        flux = upwind_flux(rho, *split_upwind(u))
+        flux = upwind_flux(rho, up, um)
         inc["N4"][k - 1] = dt * float(
             np.sum(0.5 * np.abs(flux[1:-1]) * np.diff(hat_u) ** 2)
         )
@@ -258,13 +260,13 @@ def renorm_residual(traj: Trajectory, B: BFunction) -> np.ndarray:
         small_b = rho * bp - bv
 
         time_gap, gap_right, gap_left = _convexity_gaps(bv_prev, bv, bp, rho_prev, rho)
-        up_int, um_int = split_upwind(u[1:-1])
+        up, um = split_upwind(u)
         spatial = np.zeros(g.N)
-        spatial[:-1] -= gap_right * um_int / dx
-        spatial[1:] += gap_left * up_int / dx
+        spatial[:-1] -= gap_right * um[1:-1] / dx
+        spatial[1:] += gap_left * up[1:-1] / dx
 
         out[k - 1] = (
-            continuity_residual(bv_prev, bv, upwind_flux(bv, *split_upwind(u)), dt, dx)
+            continuity_residual(bv_prev, bv, upwind_flux(bv, up, um), dt, dx)
             + small_b * diff_cell(u, dx)
             + time_gap / dt
             + spatial
@@ -382,15 +384,20 @@ class FluxLedger:
         return (self.S1 + self.S2) - self.rhs_total
 
 
+def check_checkpoint(m: int | None, steps: int) -> int:
+    """The flux checkpoint m of a run of ``steps`` steps: 1..steps, None the last."""
+    m = steps if m is None else m
+    if not (1 <= m <= steps):
+        raise ValueError(f"checkpoint m={m} outside 1..{steps}")
+    return m
+
+
 def flux_ledger(traj: Trajectory, m: int | None = None) -> FluxLedger:
     """Accumulate the flux identity through step m (default: the full run)."""
     g, pp = traj.grid, traj.params
     dt, dx = g.dt, g.dx
     steps = len(traj) - 1
-    if m is None:
-        m = steps
-    if not (1 <= m <= steps):
-        raise ValueError(f"checkpoint m={m} outside 1..{steps}")
+    m = check_checkpoint(m, steps)
 
     lhs = s1 = s2 = e1 = e2 = mean_flux = transport = 0.0
     w_prev = face_momentum(traj.states[0].rho * hat(traj.states[0].u))
@@ -409,7 +416,7 @@ def flux_ledger(traj: Trajectory, m: int | None = None) -> FluxLedger:
 
         up, um = split_upwind(u)
         mom_flux = upwind_flux(rho * hat_u, up, um)
-        conv = (mom_flux[2:] - mom_flux[:-2]) / (2.0 * dx)
+        conv = momentum_convection(mom_flux, dx)
         s2 += dt * dx * float(conv @ v)
 
         mean_flux += dt * dx * rbar * float(np.sum(mom_flux[1:-1]))

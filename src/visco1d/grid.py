@@ -110,7 +110,7 @@ class PhysParams:
     The compactness theory behind the refinement diagnostics needs
     3/2 < gamma < 2; the solver itself runs for any gamma > 1.
     ``in_theory_range`` records which side of that fence we are on so the
-    harness can warn without refusing.
+    CLI and the harness can warn without refusing, with ``gamma_note``.
     """
 
     a: float = 1.0
@@ -128,6 +128,11 @@ class PhysParams:
     @property
     def in_theory_range(self) -> bool:
         return 1.5 < self.gamma < 2.0
+
+    @property
+    def gamma_note(self) -> str:
+        """The warning for a gamma outside the convergence window."""
+        return f"gamma={self.gamma:g} outside 3/2<gamma<2 convergence regime"
 
     def pressure(self, rho: np.ndarray) -> np.ndarray:
         return self.a * rho**self.gamma

@@ -2,7 +2,7 @@
 
 A scenario couples initial profiles (named analytic shapes or piecewise
 constants), domain/physics parameters, and a ladder of resolutions with the
-time step tied to the mesh (dt == dx) unless explicitly decoupled.  The
+time step tied to the mesh (dt == dx) unless a dt is given.  The
 refinement driver runs every level, gathers the identity diagnostics, forms
 Cauchy differences between successive levels by exact projection, and turns
 decaying error functionals into observed orders with their theoretical floors
@@ -78,8 +78,9 @@ class ScenarioConfig:
 
     ``levels`` must be strictly increasing with every entry a multiple of the
     coarsest, so that coarse cells are unions of fine cells and the Cauchy
-    projections below are exact.  ``dt`` is only consulted when
-    ``couple_dt_dx`` is off; without it every level runs at dt = dx.
+    projections below are exact.  A given ``dt`` is every level's time step;
+    without it every level runs at dt = dx, the coupling refinement studies
+    need.  ``GridSpec`` checks each level's grid, the time step included.
 
     ``name`` is a label only; it does not look up a built-in scenario.  With
     the default ``rho0``/``u0``, ``ScenarioConfig(name="riemann-like")`` is a
@@ -95,7 +96,6 @@ class ScenarioConfig:
     T: float = 0.25
     params: PhysParams = field(default_factory=PhysParams)
     levels: tuple[int, ...] = (64, 128, 256, 512)
-    couple_dt_dx: bool = True
     dt: float | None = None
 
     def __post_init__(self) -> None:
@@ -108,8 +108,6 @@ class ScenarioConfig:
             raise ValueError("levels must be strictly increasing")
         if any(n % levels[0] for n in levels):
             raise ValueError("every level must be a multiple of the coarsest")
-        if self.dt is not None and not (0 < self.dt < math.inf):
-            raise ValueError(f"dt must be positive and finite, got dt={self.dt}")
         # GridSpec states the grid rules (L, T, N >= 2 and the time step).
         for n in levels:
             self.grid_for(n)
@@ -141,8 +139,7 @@ class ScenarioConfig:
 
     def grid_for(self, n: int) -> GridSpec:
         dx = self.L / n
-        dt = dx if self.couple_dt_dx else (self.dt if self.dt is not None else dx)
-        return GridSpec(L=self.L, N=n, dt=dt, T=self.T)
+        return GridSpec(L=self.L, N=n, dt=dx if self.dt is None else self.dt, T=self.T)
 
 
 def builtin_scenarios() -> tuple[ScenarioConfig, ...]:
@@ -427,9 +424,7 @@ def run_refinement(
     if not coupled:
         flags.append("outside convergence-theory regime (dt decoupled from dx)")
     if not scenario.params.in_theory_range:
-        flags.append(
-            f"gamma={scenario.params.gamma:g} outside 3/2<gamma<2 convergence regime"
-        )
+        flags.append(scenario.params.gamma_note)
 
     return RefinementReport(
         scenario=scenario.name,

@@ -6,8 +6,9 @@ Two field layouts appear everywhere:
 * face fields — length ``N+1``, indexed by faces (both wall faces included).
 
 The scheme's own pieces come first: the upwind switches, ``hat``, the
-donor-cell flux, the face momentum, the continuity residual, the viscous
-Laplacian and the provable positivity floor.  The exact identities only hold
+donor-cell flux, the face momentum, the continuity residual, the momentum
+convection, the pressure gradient, the viscous Laplacian and the provable
+positivity floor.  The exact identities only hold
 for the discretization the solver actually solves, so the stepper and the
 diagnostics both take these from here and nowhere else.
 
@@ -38,6 +39,8 @@ __all__ = [
     "upwind_flux",
     "face_momentum",
     "continuity_residual",
+    "momentum_convection",
+    "pressure_gradient",
     "positivity_floor",
     "diff_cell",
     "laplace_velocity",
@@ -84,6 +87,17 @@ def continuity_residual(
 ) -> np.ndarray:
     """Continuity residual per cell, for ``flux`` the donor-cell flux of ``rho``."""
     return (rho - rho_old) / dt + (flux[1:] - flux[:-1]) / dx
+
+
+def momentum_convection(mflux: np.ndarray, dx: float) -> np.ndarray:
+    """Convection (UpM_{f+1} - UpM_{f-1}) / (2 dx) on interior faces, for UpM the
+    donor-cell flux of the momentum m = rho * hat(u)."""
+    return (mflux[2:] - mflux[:-2]) / (2.0 * dx)
+
+
+def pressure_gradient(p: np.ndarray, dx: float) -> np.ndarray:
+    """Pressure gradient (p_f - p_{f-1}) / dx of a cell field, on interior faces."""
+    return (p[1:] - p[:-1]) / dx
 
 
 def positivity_floor(

@@ -52,7 +52,9 @@ from .operators import (
     face_momentum,
     hat,
     laplace_velocity,
+    momentum_convection,
     positivity_floor,
+    pressure_gradient,
     split_upwind,
     upwind_flux,
 )
@@ -92,12 +94,12 @@ class StepResidual:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton/Picard knobs.
+    """Newton/Picard knobs.  Newton's positivity line search is not one of
+    them: it halves a step until every density stays positive.
 
     newton_tol: accepted residual max-norm.  ``None`` (default) resolves
         per step to 1e-10 * (1 + |residual at the initial guess|).
     max_newton_iters: Newton iteration cap (counted as residual evaluations).
-    damping: backtracking factor in (0, 1) for the positivity line search.
     fallback: Picard sweep cap used when Newton stagnates above tolerance.
     polish_floor: scale of the near-machine residual floor the solver keeps
         polishing toward once newton_tol is met (exact-identity diagnostics
@@ -106,15 +108,12 @@ class SolverConfig:
 
     newton_tol: float | None = None
     max_newton_iters: int = 50
-    damping: float = 0.5
     fallback: int = 500
     polish_floor: float = 1e-14
 
     def __post_init__(self) -> None:
         if self.newton_tol is not None and not (0 < self.newton_tol < math.inf):
             raise ValueError("newton_tol must be positive and finite (or None for adaptive)")
-        if not (0.0 < self.damping < 1.0):
-            raise ValueError(f"damping must lie in (0,1), got {self.damping}")
         if self.max_newton_iters < 1:
             raise ValueError("max_newton_iters must be at least 1")
         if not (0.0 < self.polish_floor < math.inf):
@@ -184,8 +183,8 @@ def _residual_arrays(
     p = params.pressure(rho)
     mom = (
         (face_momentum(m) - w_old) / dt
-        + (mflux[2:] - mflux[:-2]) / (2.0 * dx)
-        + (p[1:] - p[:-1]) / dx
+        + momentum_convection(mflux, dx)
+        + pressure_gradient(p, dx)
         - laplace_velocity(u, dx, params.mu)
     )
     return cont, mom
@@ -345,13 +344,11 @@ def _interleave(cont: np.ndarray, mom: np.ndarray) -> np.ndarray:
     return out
 
 
-def _positivity_step(
-    rho: np.ndarray, drho: np.ndarray, lam: float, damping: float
-) -> tuple[float, int]:
-    """Shrink lam until rho + lam*drho stays strictly positive."""
-    backtracks = 0
+def _positivity_step(rho: np.ndarray, drho: np.ndarray) -> tuple[float, int]:
+    """Halve the step length lam from 1 until rho + lam*drho stays strictly positive."""
+    lam, backtracks = 1.0, 0
     while np.min(rho + lam * drho) <= 0.0:
-        lam *= damping
+        lam *= 0.5
         backtracks += 1
         if backtracks > 200:
             raise FloatingPointError("positivity backtracking collapsed the step")
@@ -410,7 +407,7 @@ def _picard_sweeps(
 
         mflux = upwind_flux(rho_t * hat(u), up, um)
         p = params.pressure(rho_t)
-        rhs = w_old / dt - (mflux[2:] - mflux[:-2]) / (2.0 * dx) - (p[1:] - p[:-1]) / dx
+        rhs = w_old / dt - momentum_convection(mflux, dx) - pressure_gradient(p, dx)
         abm = np.zeros((3, n - 1))
         abm[1, :] = (rho_t[:-1] + rho_t[1:]) / (4.0 * dt) + 2.0 * params.mu / dx**2
         abm[0, 1:] = rho_t[1:-1] / (4.0 * dt) - params.mu / dx**2
@@ -515,7 +512,7 @@ def advance(
         drho = delta[0::2]
         du = delta[1::2]
         try:
-            lam, bt = _positivity_step(rho, drho, 1.0, cfg.damping)
+            lam, bt = _positivity_step(rho, drho)
         except FloatingPointError:
             break
         backtracks += bt

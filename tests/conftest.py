@@ -37,7 +37,7 @@ def scenario_named(name: str) -> harness.ScenarioConfig:
 def with_levels(sc: harness.ScenarioConfig, levels: tuple[int, ...]) -> harness.ScenarioConfig:
     return harness.ScenarioConfig(
         name=sc.name, rho0=sc.rho0, u0=sc.u0, L=sc.L, T=sc.T,
-        params=sc.params, levels=levels, couple_dt_dx=sc.couple_dt_dx, dt=sc.dt,
+        params=sc.params, levels=levels, dt=sc.dt,
     )
 
 

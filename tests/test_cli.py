@@ -54,10 +54,9 @@ def test_minimal_config_fills_every_default():
     sc = rc.scenario
     assert sc.name == "constant"
     assert sc.levels == (64, 128, 256, 512)
-    assert sc.couple_dt_dx is True
+    assert sc.dt is None
     assert rc.solver == stepper.SolverConfig()
     assert rc.out_dir == "."
-    assert rc.warnings == ()
 
 
 def test_to_text_round_trips_through_parse():
@@ -79,6 +78,43 @@ def test_to_text_round_trips_through_parse():
     assert rc2.to_text() == rc.to_text()
 
 
+def test_to_text_names_every_key_once_and_round_trips():
+    """Every key of the format's table, set away from its default, is written
+    exactly once, in table order, and parses back to the same config."""
+    values = {
+        "scenario": {
+            "name": "custom", "rho0": "bump:0.25", "u0": "sin2pi:0.2", "L": "2",
+            "T": "0.5", "a": "1.5", "gamma": "1.75", "mu": "0.25", "levels": "4,8,16",
+            "dt": "0.0625",
+        },
+        "solver": {
+            "newton_tol": "1e-09", "max_newton_iters": "7", "fallback": "9",
+            "polish_floor": "1e-12",
+        },
+        "output": {"out_dir": "elsewhere"},
+    }
+    assert {s: list(keys) for s, keys in values.items()} == {
+        s: list(keys) for s, keys in cli._KEYS.items()
+    }
+    text = "".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for section, keys in values.items()
+    )
+
+    def key_lines(config: cli.RunConfig) -> dict[str, str]:
+        pairs = [ln.split(" = ") for ln in config.to_text().splitlines() if " = " in ln]
+        assert len({k for k, _ in pairs}) == len(pairs)  # no key written twice
+        return dict(pairs)
+
+    rc = parse_config(text)
+    written = rc.to_text()
+    assert list(key_lines(rc)) == [k for section in cli._KEYS.values() for k in section]
+    defaults = key_lines(cli.RunConfig(scenario=harness.ScenarioConfig(name="custom")))
+    assert all(defaults.get(k) != v for k, v in key_lines(rc).items() if k != "name")
+    assert parse_config(written) == rc
+    assert parse_config(written).to_text() == written
+
+
 def test_auto_newton_tol_round_trips():
     rc = parse_config(MINIMAL)
     assert rc.solver.newton_tol is None
@@ -98,7 +134,8 @@ def test_comments_and_blank_lines_ignored():
 def test_gamma_outside_window_is_warning_not_error():
     rc = parse_config(MINIMAL + "gamma = 1.4\n")
     assert rc.scenario.params.gamma == 1.4
-    assert any("outside 3/2<gamma<2 convergence regime" in w for w in rc.warnings)
+    assert not rc.scenario.params.in_theory_range
+    assert "outside 3/2<gamma<2 convergence regime" in rc.scenario.params.gamma_note
 
 
 def test_negative_mu_is_error_naming_key_and_line():
@@ -136,8 +173,6 @@ def test_missing_or_unknown_name():
 def test_malformed_values_name_key_and_line():
     with pytest.raises(ConfigError, match=r"'L' is not a number.*\(line 3\)"):
         parse_config("[scenario]\nname = constant\nL = fast\n")
-    with pytest.raises(ConfigError, match=r"not on/off.*\(line 3\)"):
-        parse_config("[scenario]\nname = constant\ncouple_dt_dx = maybe\n")
     with pytest.raises(ConfigError, match=r"'levels' is not an integer"):
         parse_config("[scenario]\nname = constant\nlevels = 8,big\n")
     with pytest.raises(ConfigError, match=r"strictly increasing \(line 3\)"):
@@ -163,7 +198,6 @@ def test_malformed_values_name_key_and_line():
         ("mu", "0"),
         ("newton_tol", "inf"),
         ("newton_tol", "nan"),
-        ("damping", "nan"),
         ("polish_floor", "nan"),
         ("polish_floor", "inf"),
         ("rho0", "constant:nan"),
@@ -174,9 +208,7 @@ def test_malformed_values_name_key_and_line():
 )
 def test_non_finite_values_are_config_errors(key, value):
     text = "[scenario]\nname = constant\n"
-    if key == "dt":
-        text += "couple_dt_dx = off\n"
-    if key in ("newton_tol", "damping", "polish_floor"):
+    if key in ("newton_tol", "polish_floor"):
         text += "[solver]\n"
     text += f"{key} = {value}\n"
     with pytest.raises(ConfigError, match=key) as err, warnings.catch_warnings():
@@ -193,17 +225,14 @@ def test_non_finite_values_are_config_errors(key, value):
         ("T", "-1", "final time must be nonnegative and finite, got T=-1.0"),
         ("a", "0", "got a=0"),
         ("gamma", "1", "got gamma=1"),
-        ("dt", "0", "dt must be positive and finite, got dt=0.0"),
+        ("dt", "0", "time step must be positive and finite, got dt=0.0"),
         ("levels", "0", "levels must be positive"),
         ("levels", "", "levels must list at least one N"),
         ("rho0", "constant:-1", "rho0 profile 'constant:-1'"),
     ],
 )
 def test_out_of_range_values_name_key_and_line(key, value, message):
-    text = "[scenario]\nname = constant\n"
-    if key == "dt":
-        text += "couple_dt_dx = off\n"
-    text += f"{key} = {value}\n"
+    text = f"[scenario]\nname = constant\n{key} = {value}\n"
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert message in str(err.value)
@@ -211,16 +240,10 @@ def test_out_of_range_values_name_key_and_line(key, value, message):
     assert str(err.value).endswith(f"(line {err.value.line})")
 
 
-def test_decoupled_dt_error_names_dt_line_before_couple_key():
-    text = "[scenario]\nname = constant\ndt = 0\ncouple_dt_dx = off\n"
-    with pytest.raises(ConfigError, match=r"dt must be positive and finite.*\(line 3\)$"):
-        parse_config(text)
-
-
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("dt", "-1", "dt must be positive and finite, got dt=-1.0"),  # coupling on
+        ("dt", "-1", "time step must be positive and finite, got dt=-1.0"),
         ("levels", "1,2,4", "need at least 2 cells, got N=1"),
     ],
 )
@@ -232,10 +255,18 @@ def test_grid_rules_name_key_and_line(key, value, message):
     assert str(err.value).endswith("(line 3)")
 
 
-def test_removed_regularize_upwind_key_exits_2(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, MINIMAL + "[solver]\nregularize_upwind = 0\n")
+@pytest.mark.parametrize(
+    "section, key",
+    [("solver", "regularize_upwind"), ("scenario", "couple_dt_dx"), ("solver", "damping")],
+    ids=lambda x: x,
+)
+def test_removed_key_exits_2(tmp_path, capsys, section, key):
+    extra = "" if section == "scenario" else f"[{section}]\n"
+    text = MINIMAL + extra + f"{key} = 0\n"
+    cfg = write_cfg(tmp_path, text)
     assert cli_main(["verify", "--config", cfg]) == 2
-    assert "unknown key 'regularize_upwind' in [solver] (line 4)" in capsys.readouterr().err
+    line = text.count("\n")
+    assert f"unknown key '{key}' in [{section}] (line {line})" in capsys.readouterr().err
 
 
 def test_non_finite_viscosity_exits_2(tmp_path, capsys):
@@ -550,6 +581,7 @@ def test_refine_rejects_garbage_level_override(tmp_path, capsys):
     [
         ("8,16", "a refinement study needs at least 3 levels"),
         ("8,4,2", "--levels 8,4,2: levels must be strictly increasing"),
+        ("", "--levels : levels must list at least one N"),
     ],
 )
 def test_refine_rejected_ladder_exits_2_without_out_dir(tmp_path, capsys, levels, message):
@@ -631,7 +663,7 @@ def test_verify_with_zero_final_time_passes(tmp_path, capsys):
 def test_decoupled_dt_is_accepted_by_every_command(tmp_path, capsys, command, expected):
     cfg = write_cfg(
         tmp_path,
-        "[scenario]\nname = smooth-bump\nlevels = 64\ncouple_dt_dx = off\ndt = 0.01\n"
+        "[scenario]\nname = smooth-bump\nlevels = 64\ndt = 0.01\n"
         f"[output]\nout_dir = {tmp_path / 'o'}\n",
     )
     argv = [command, "--config", cfg]
@@ -662,9 +694,17 @@ def test_flux_subcommand_writes_ledger(tmp_path, capsys):
     assert abs(gap) < 1e-10
 
 
-def test_flux_step_out_of_range_is_config_error(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "[scenario]\nname = constant\nlevels = 4\n")
-    assert run_cli(["flux", "--config", cfg, "--step", "99"]) == 2
+def test_flux_step_out_of_range_is_config_error(tmp_path, capsys, monkeypatch):
+    """--step is checked against 1..M before the level is solved."""
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the level was solved before --step was checked")
+
+    monkeypatch.setattr(cli, "run", no_solve)
+    cfg = write_cfg(tmp_path, "[scenario]\nname = constant\nlevels = 4\n")  # M = 1
+    for step in ("99", "0"):
+        assert run_cli(["flux", "--config", cfg, "--step", step]) == 2
+        assert f"checkpoint m={step} outside 1..1" in capsys.readouterr().err
 
 
 def test_flux_unusable_out_dir_fails_before_the_level_is_solved(tmp_path, capsys, monkeypatch):

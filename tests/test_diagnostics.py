@@ -12,7 +12,16 @@ import scipy.integrate
 
 from visco1d import diagnostics, grid, harness, stepper
 from visco1d.diagnostics import _int_abs_linear_pow
-from visco1d.operators import diff_cell, hat, split_upwind, upwind_flux
+from visco1d.operators import (
+    diff_cell,
+    face_momentum,
+    hat,
+    laplace_velocity,
+    momentum_convection,
+    pressure_gradient,
+    split_upwind,
+    upwind_flux,
+)
 from visco1d.stepper import _old_fields, assemble_residual
 
 from conftest import constant_state, scenario_named, solve_level, with_levels
@@ -519,10 +528,14 @@ def test_diagnostics_peak_below_a_quarter_trajectory(name, long_smooth_traj_128)
 
 @pytest.mark.parametrize("name", ["riemann-like", "smooth-bump"])
 def test_diagnostics_use_the_solvers_own_scheme_pieces(name, monkeypatch):
-    """The continuity residual and face momentum the diagnostics evaluate are
-    bit for bit the ones the stepper's residual evaluates, on every step."""
+    """The continuity residual, face momentum and momentum convection the
+    diagnostics evaluate are bit for bit the ones the stepper's residual
+    evaluates, on every step; its momentum residual is the operators' pieces,
+    the pressure gradient included, summed in one fixed order."""
     traj = solve_level(scenario_named(name), 16)
-    seen: dict[str, list] = {"continuity_residual": [], "face_momentum": []}
+    seen: dict[str, list] = {
+        "continuity_residual": [], "face_momentum": [], "momentum_convection": [],
+    }
     for attr, calls in seen.items():
 
         def spy(*args, original=getattr(diagnostics, attr), calls=calls):
@@ -535,9 +548,23 @@ def test_diagnostics_use_the_solvers_own_scheme_pieces(name, monkeypatch):
 
     g, pp, states = traj.grid, traj.params, traj.states
     assert len(seen["continuity_residual"]) == len(states) - 1 >= 4
-    for k, cont in enumerate(seen["continuity_residual"], start=1):
-        solver = assemble_residual(states[k - 1], states[k], g, pp).cont
-        assert cont.tobytes() == solver.tobytes()
+    assert len(seen["momentum_convection"]) == len(states) - 1
+    for k, (cont, conv) in enumerate(
+        zip(seen["continuity_residual"], seen["momentum_convection"]), start=1
+    ):
+        solver = assemble_residual(states[k - 1], states[k], g, pp)
+        assert cont.tobytes() == solver.cont.tobytes()
+        rho, u = states[k].rho, states[k].u
+        m = rho * hat(u)
+        solver_conv = momentum_convection(upwind_flux(m, *split_upwind(u)), g.dx)
+        assert conv.tobytes() == solver_conv.tobytes()
+        mom = (
+            (face_momentum(m) - _old_fields(states[k - 1])[1]) / g.dt
+            + solver_conv
+            + pressure_gradient(pp.pressure(rho), g.dx)
+            - laplace_velocity(u, g.dx, pp.mu)
+        )
+        assert mom.tobytes() == solver.mom.tobytes()
     assert len(seen["face_momentum"]) == len(states)
     for k, w in enumerate(seen["face_momentum"]):
         assert w.tobytes() == _old_fields(states[k])[1].tobytes()

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -83,8 +82,8 @@ def test_scenario_grid_couples_dt_to_dx():
     sc = harness.ScenarioConfig(name="x", levels=(8, 16, 32))
     g = sc.grid_for(16)
     assert g.dt == pytest.approx(g.dx)
-    free = harness.ScenarioConfig(name="y", levels=(8, 16, 32), couple_dt_dx=False, dt=0.01)
-    assert free.grid_for(16).dt == pytest.approx(0.01)
+    free = harness.ScenarioConfig(name="y", levels=(8, 16, 32), dt=0.01)
+    assert [free.grid_for(n).dt for n in free.levels] == [0.01] * 3
 
 
 def test_builtin_scenarios_roster():
@@ -195,7 +194,7 @@ def test_run_refinement_reports_floors_next_to_orders(smooth_ladder):
 def test_run_refinement_flags_decoupled_dt():
     sc = harness.ScenarioConfig(
         name="decoupled", rho0="bump", u0="zero", T=0.05,
-        levels=(8, 16, 32), couple_dt_dx=False, dt=0.01,
+        levels=(8, 16, 32), dt=0.01,
         params=grid.PhysParams(mu=0.05),
     )
     rep = harness.run_refinement(sc)
@@ -204,15 +203,15 @@ def test_run_refinement_flags_decoupled_dt():
 
 
 def test_run_refinement_decoupled_without_dt_stays_on_dt_eq_dx():
-    """couple_dt_dx = off without dt still runs every level at dt = dx."""
+    """Without dt every level runs at dt = dx, and the study keeps its six orders."""
     sc = harness.ScenarioConfig(
         name="free", rho0="bump", u0="sin2pi", T=0.125,
-        levels=(8, 16, 32), couple_dt_dx=False, params=grid.PhysParams(mu=0.05),
+        levels=(8, 16, 32), params=grid.PhysParams(mu=0.05),
     )
+    assert all(sc.grid_for(n).dt_dx_coupled for n in sc.levels)
     rep = harness.run_refinement(sc)
     assert not any("outside convergence-theory regime" in f for f in rep.flags)
     assert set(rep.orders) == {"E1", "E2", "P1", "P2", "cauchy_rho", "cauchy_u"}
-    assert rep.orders == harness.run_refinement(replace(sc, couple_dt_dx=True)).orders
 
 
 def test_run_refinement_flags_gamma_outside_window():

@@ -359,10 +359,6 @@ def test_step_failure_survives_pickle():
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        stepper.SolverConfig(damping=0.0)
-    with pytest.raises(ValueError):
-        stepper.SolverConfig(damping=1.5)
-    with pytest.raises(ValueError):
         stepper.SolverConfig(newton_tol=-1e-10)
     with pytest.raises(ValueError):
         stepper.SolverConfig(max_newton_iters=0)
