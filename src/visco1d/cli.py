@@ -5,12 +5,12 @@ The config format is a flat INI-like text with three sections —
 Parsing is deliberately hand-rolled so every diagnostic can name the exact
 key and line; unknown keys and sections are errors, not warnings.  One
 table, ``_KEYS``, lists every key, and both the parser and the writer walk
-it.  The parser states no value range itself: each key is applied, one at a
-time in field order, to the object that owns its rule (``PhysParams``,
-``ScenarioConfig`` or ``SolverConfig``), and the ``ValueError`` that object
-raises becomes a ConfigError naming the key and its line.  All numeric
-output uses 17 significant digits, which round-trips IEEE doubles exactly,
-and repeated invocations produce byte-identical files.
+it.  The parser states no value range itself: each key is applied to the
+object that owns its rule (``PhysParams``, ``ScenarioConfig`` or
+``SolverConfig``), and the ``ValueError`` that object raises becomes a
+ConfigError naming the key and its line.  All numeric output uses 17
+significant digits, which round-trips IEEE doubles exactly, and repeated
+invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 solver failure, 2 configuration error,
 3 verification failure.
@@ -152,16 +152,16 @@ class RunConfig:
         return "\n".join(lines)
 
 
-def _with_key(config: RunConfig, section: str, key: str, value) -> RunConfig:
-    """config with one key's field replaced, checked by the object that owns it."""
+def _with_keys(config: RunConfig, section: str, values: dict) -> RunConfig:
+    """config with one section's keys replaced, checked by the objects that own them."""
     if section == "output":
-        return replace(config, **{key: value})
+        return replace(config, **values)
     obj = getattr(config, section)
-    if hasattr(obj, key):
-        obj = replace(obj, **{key: value})
-    else:
-        obj = replace(obj, params=replace(obj.params, **{key: value}))
-    return replace(config, **{section: obj})
+    fields = {key: value for key, value in values.items() if hasattr(obj, key)}
+    params = {key: value for key, value in values.items() if key not in fields}
+    if params:
+        fields["params"] = replace(obj.params, **params)
+    return replace(config, **{section: replace(obj, **fields)})
 
 
 def parse_config(text: str) -> RunConfig:
@@ -170,8 +170,8 @@ def parse_config(text: str) -> RunConfig:
     A ``name`` matching a built-in scenario seeds every scenario field, and
     explicit keys override it; an unknown name requires at least ``rho0`` so
     that the scenario is fully specified.  Each key is checked by the
-    object that owns its rule, in field order, and an out-of-range value
-    raises ConfigError naming the key and its line.
+    object that owns its rule, and an out-of-range value raises ConfigError
+    naming the key and its line.
     """
     sections: dict[str, dict[str, tuple[str, int]]] = {name: {} for name in _KEYS}
     current: str | None = None
@@ -209,20 +209,41 @@ def parse_config(text: str) -> RunConfig:
                 f"unknown scenario '{name}' and no rho0 profile given", name_ln
             )
         scenario = ScenarioConfig(name=name)
-    # Each key is checked by the object that owns its rule, one key at a
-    # time in field order, so that an error names the key's own line.
-    config = RunConfig(scenario=scenario)
+    given = []  # (section, key, value, line) in field order
     for section, keys in _KEYS.items():
         for key, parse in keys.items():
-            if key not in sections[section]:
-                continue
-            raw, ln = sections[section][key]
-            value = parse(raw, key, ln)
-            try:
-                config = _with_key(config, section, key, value)
-            except ValueError as exc:
-                raise ConfigError(f"invalid {section}: {exc}", ln) from exc
-    return config
+            if key in sections[section]:
+                raw, ln = sections[section][key]
+                given.append((section, key, parse(raw, key, ln), ln))
+
+    def build(items) -> RunConfig:
+        config = RunConfig(scenario=scenario)
+        for section in _KEYS:
+            values = {key: value for s, key, value, _ in items if s == section}
+            config = _with_keys(config, section, values)
+        return config
+
+    # The keys are applied all at once, so that a rule joining keys (T a
+    # whole number of every level's time steps) judges the config as
+    # written, not a mix of given and default values.
+    try:
+        return build(given)
+    except ValueError as exc:
+        error = exc
+    # Name the one key without which the config would be taken.
+    for i, (section, _, _, ln) in enumerate(given):
+        try:
+            build(given[:i] + given[i + 1:])
+        except ValueError:
+            continue
+        raise ConfigError(f"invalid {section}: {error}", ln) from error
+    # More than one key is at fault: name the first, in field order.
+    for i, (section, _, _, ln) in enumerate(given):
+        try:
+            build(given[: i + 1])
+        except ValueError as exc:
+            raise ConfigError(f"invalid {section}: {exc}", ln) from exc
+    raise error  # not reached: the whole config is the last prefix tried
 
 
 # ======================================================================
@@ -567,7 +588,7 @@ def cli_main(argv: list[str] | None = None) -> int:
             if args.levels is not None:
                 levels = _parse_levels(args.levels, "--levels", None)
                 try:
-                    config = _with_key(config, "scenario", "levels", levels)
+                    config = _with_keys(config, "scenario", {"levels": levels})
                 except ValueError as exc:
                     raise ConfigError(f"--levels {args.levels}: {exc}") from exc
             # Reject the ladder, then the output directory, before any solve;

@@ -43,7 +43,6 @@ __all__ = [
     "mass_drift",
     "energy_budget",
     "summarize_orders",
-    "TestFunction",
     "energy_ledger",
     "renorm_residual",
     "positivity_report",
@@ -59,7 +58,6 @@ __all__ = [
     "weak_residual_continuity",
     "weak_residual_momentum",
     "norm_suite",
-    "probe_test_functions",
     "mass_history",
     "effective_newton_tol",
     "rho_power_integral",
@@ -452,114 +450,47 @@ def flux_ledger(traj: Trajectory, m: int | None = None) -> FluxLedger:
 # ======================================================================
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """Separable space-time test function phi(t, x) = space(x) * time(t).
+def _moments(traj: Trajectory, j: int) -> tuple[np.ndarray, ...]:
+    """What the weak residuals need of the sine mode j, by 5-point Gauss rules.
 
-    ``space``, its x-derivative ``space_deriv`` and ``time`` must accept
-    numpy arrays.  Both weak residuals are linear in the test function, so a
-    sum of separable terms is checked term by term: the product form loses
-    nothing, and it lets a residual integrate the two factors separately.
-    """
-
-    space: Callable[[np.ndarray], np.ndarray]
-    space_deriv: Callable[[np.ndarray], np.ndarray]
-    time: Callable[[np.ndarray], np.ndarray]
-    name: str = ""
-
-    def value(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self.space(x) * self.time(t)
-
-
-def default_test_functions(
-    L: float, T: float, js: Sequence[int] = (1, 2, 3)
-) -> tuple[TestFunction, ...]:
-    """sin(pi j x / L) * (1 - t/T)^2: vanish at t=T and at both walls."""
-
-    def time(t):
-        return (1.0 - t / T) ** 2
-
-    out = []
-    for j in js:
-        kj = math.pi * j / L
-
-        def space(x, kj=kj):
-            return np.sin(kj * x)
-
-        def space_deriv(x, kj=kj):
-            return kj * np.cos(kj * x)
-
-        out.append(TestFunction(space, space_deriv, time, name=f"sin{j}"))
-    return tuple(out)
-
-
-def probe_test_functions(L: float, T: float) -> tuple[TestFunction, TestFunction]:
-    """(phi, v): the refinement study's probes of the density and momentum equations.
-
-    phi = sin1 is even about L/2.  v = sin2 is odd: for mirror-symmetric
-    scenarios the momentum field is odd, so an even v would pair to an exact
-    zero and the measured rate of P2 would be roundoff noise.
-    """
-    phi, v = default_test_functions(L, T, js=(1, 2))
-    return phi, v
-
-
-def _check_test_function(fn: TestFunction, L: float, T: float) -> None:
-    x = np.linspace(0.0, L, 17)
-    t = np.linspace(0.0, T, 17)
-    if np.max(np.abs(fn.value(np.full_like(x, T), x))) > 1e-12:
-        raise ValueError("test function must vanish at t = T")
-    walls = np.abs(fn.value(t, np.zeros_like(t))) + np.abs(fn.value(t, np.full_like(t, L)))
-    if np.max(walls) > 1e-12:
-        raise ValueError("test function must vanish at x = 0 and x = L")
-
-
-def _panel_sums(
-    f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """5-point Gauss integral of f over each panel [a[j], b[j]]."""
-    nodes, weights = gauss_panels(a, b)
-    return (weights * f(nodes)).sum(axis=1)
-
-
-def _moments(traj: Trajectory, fn: TestFunction) -> tuple[np.ndarray, ...]:
-    """What the weak residuals need of a test function, by 5-point Gauss rules.
-
-    Returns (tbar, mx, mdx, mfdx, xf): tbar[k-1] integrates ``time`` over
-    window k; per cell i, mx, mdx and mfdx are the Gauss sums of wx*X,
-    wx*X' and wx*frac*X', where frac = x/dx - i is the weight of u_{i+1} in
-    the velocity interpolant at the node; xf holds X at the N+1 faces.
+    The mode is phi(t, x) = X(x) tau(t) with X = sin(pi j x / L) and
+    tau = (1 - t/T)^2.  Returns (tbar, mx, mdx, mfdx, xf): tbar[k-1]
+    integrates tau over window k; per cell i, mx, mdx and mfdx are the Gauss
+    sums of wx*X, wx*X' and wx*frac*X', where frac = x/dx - i is the weight
+    of u_{i+1} in the velocity interpolant at the node; xf holds X at the
+    N+1 faces.
     """
     g = traj.grid
-    _check_test_function(fn, g.L, g.T)
+    kj = math.pi * j / g.L
     windows = np.arange(len(traj) - 1)
-    tbar = _panel_sums(fn.time, windows * g.dt, (windows + 1) * g.dt)
+    t, wt = gauss_panels(windows * g.dt, (windows + 1) * g.dt)
+    tbar = (wt * (1.0 - t / g.T) ** 2).sum(axis=1)
     cells = np.arange(g.N)
     x, wx = gauss_panels(cells * g.dx, (cells + 1) * g.dx)  # (N, 5) each
     frac = x / g.dx - cells[:, None]
-    wdx = wx * fn.space_deriv(x)
-    mx = (wx * fn.space(x)).sum(axis=1)
-    return tbar, mx, wdx.sum(axis=1), (frac * wdx).sum(axis=1), fn.space(g.face_nodes)
+    wdx = wx * (kj * np.cos(kj * x))
+    mx = (wx * np.sin(kj * x)).sum(axis=1)
+    return tbar, mx, wdx.sum(axis=1), (frac * wdx).sum(axis=1), np.sin(kj * g.face_nodes)
 
 
-def weak_residual_continuity(
-    traj: Trajectory, phi: TestFunction
-) -> tuple[float, float]:
+def weak_residual_continuity(traj: Trajectory, j: int) -> tuple[float, float]:
     """Space-time weak residual of the density equation and its exact value.
 
-    Returns (lhs_weak, P1): lhs_weak integrates d_t^h rho_h * phi minus
-    rho_h u_h phi_x over [0,T)x(0,L) by per-cell/per-window Gauss quadrature
-    on the extended fields; P1 is the same quantity reduced to the closed
-    upwind form coupling density jumps to the gap between cell-averaged and
-    face traces of phi.  The two agree up to quadrature error plus the
+    The test function is the sine mode phi = sin(pi j x / L) (1 - t/T)^2,
+    which vanishes at both walls and at t = T.  Returns (lhs_weak, P1):
+    lhs_weak integrates d_t^h rho_h * phi minus rho_h u_h phi_x over
+    [0,T)x(0,L) by per-cell/per-window Gauss quadrature on the extended
+    fields; P1 is the same quantity reduced to the closed upwind form
+    coupling density jumps to the gap between cell-averaged and face traces
+    of phi.  The two agree up to quadrature error plus the
     continuity residual paired with phi, which validates quadrature and
-    assembly simultaneously.  phi must vanish at t=T and at both walls.
+    assembly simultaneously.
 
     phi = X(x) tau(t) is separable, so each window's integrals are the
     window integral of tau times dot products with the per-cell moments of X.
     """
     g = traj.grid
-    tbar, mx, mdx, mfdx, xf = _moments(traj, phi)
+    tbar, mx, mdx, mfdx, xf = _moments(traj, j)
     dt, dx = g.dt, g.dx
     # cell averages of X minus X at the interior face on the cell's left/right
     gap_r = mx[1:] / dx - xf[1:-1]
@@ -578,20 +509,20 @@ def weak_residual_continuity(
     return lhs, p1
 
 
-def weak_residual_momentum(traj: Trajectory, v: TestFunction) -> tuple[float, float]:
+def weak_residual_momentum(traj: Trajectory, j: int) -> tuple[float, float]:
     """Weak residual of the momentum equation and its exact closed form.
 
-    Returns (lhs_weak, P2): lhs_weak integrates d_t^h(rho_h hat_u_h) v minus
-    (rho_h hat_u_h^2 + p(rho_h) - mu (u_h)_x) v_x by Gauss quadrature; P2 is
-    the exact mismatch between that integral and the face-collocated scheme,
-    consisting of the cell-vs-face trace gap against the momentum time
-    difference plus the upwind trace asymmetry of the convection term.
-    Pressure and viscosity pair exactly and leave no trace here.  v must
-    vanish at t=T and at both walls.  v is separable, as in
-    weak_residual_continuity.
+    The test function is the sine mode v = sin(pi j x / L) (1 - t/T)^2, as
+    in weak_residual_continuity.  Returns (lhs_weak, P2): lhs_weak
+    integrates d_t^h(rho_h hat_u_h) v minus (rho_h hat_u_h^2 + p(rho_h)
+    - mu (u_h)_x) v_x by Gauss quadrature; P2 is the exact mismatch between
+    that integral and the face-collocated scheme, consisting of the
+    cell-vs-face trace gap against the momentum time difference plus the
+    upwind trace asymmetry of the convection term.  Pressure and viscosity
+    pair exactly and leave no trace here.
     """
     g, pp = traj.grid, traj.params
-    tbar, mx, mdx, _, xf = _moments(traj, v)
+    tbar, mx, mdx, _, xf = _moments(traj, j)
     dt, dx = g.dt, g.dx
     # trapezoid of X over each cell minus its Gauss integral; jumps of X
     trace_gap = 0.5 * dx * (xf[:-1] + xf[1:]) - mx
@@ -749,11 +680,7 @@ def summarize_orders(magnitudes: Sequence[float], hs: Sequence[float]) -> dict:
     return {"magnitudes": list(magnitudes), "orders": orders, "order": headline}
 
 
-def error_rates(
-    trajectories: Sequence[Trajectory],
-    phi: TestFunction | None = None,
-    v: TestFunction | None = None,
-) -> dict[str, dict]:
+def error_rates(trajectories: Sequence[Trajectory]) -> dict[str, dict]:
     """Observed decay orders of the named error functionals across levels.
 
     Requires a study's worth of trajectories (check_study_levels) of the
@@ -770,10 +697,7 @@ def error_rates(
             raise ValueError("error_rates requires dt == dx at every level")
         if len(tr) == 1:
             raise ValueError("error_rates needs at least one step at every level")
-    probes = probe_test_functions(trajs[0].grid.L, trajs[0].grid.T)
-    phi = phi or probes[0]
-    v = v or probes[1]
-    return rates_from_levels([level_magnitudes(tr, phi, v) for tr in trajs])
+    return rates_from_levels([level_magnitudes(tr) for tr in trajs])
 
 
 # Three levels give two pair orders, the fewest whose agreement shows a rate.
@@ -786,12 +710,12 @@ def check_study_levels(count: int) -> None:
         raise ValueError(f"a refinement study needs at least {STUDY_MIN_LEVELS} levels")
 
 
-def level_magnitudes(traj: Trajectory, phi: TestFunction, v: TestFunction) -> dict[str, float]:
+def level_magnitudes(traj: Trajectory) -> dict[str, float]:
     """One refinement level's decaying magnitudes, as the study reports them.
 
     Keys: the mesh size "h"; "E1", "E2" and "flux_identity_gap", the absolute
     values from one flux_ledger over the whole run; "P1" and "P2", the
-    absolute closed-form weak residuals against phi and v; and
+    absolute closed-form weak residuals against the sine modes 1 and 2; and
     "rho_gamma_plus_1".  A run without steps has no time window, so every
     magnitude is 0.0.
     """
@@ -799,12 +723,16 @@ def level_magnitudes(traj: Trajectory, phi: TestFunction, v: TestFunction) -> di
     if len(traj) == 1:
         return {"h": traj.grid.dx, **dict.fromkeys(keys, 0.0)}
     ledger = flux_ledger(traj)
+    # Mode 1 is even about L/2 and mode 2 odd.  A mirror-symmetric scenario
+    # has an even density and an odd momentum, which pair with the other
+    # parity to roundoff zeros, whose rate would be noise: so P1 at mode 1
+    # and P2 at mode 2.
     return {
         "h": traj.grid.dx,
         "E1": abs(ledger.E1),
         "E2": abs(ledger.E2),
-        "P1": abs(weak_residual_continuity(traj, phi)[1]),
-        "P2": abs(weak_residual_momentum(traj, v)[1]),
+        "P1": abs(weak_residual_continuity(traj, 1)[1]),
+        "P2": abs(weak_residual_momentum(traj, 2)[1]),
         "rho_gamma_plus_1": rho_power_integral(traj),
         "flux_identity_gap": abs(ledger.identity_gap),
     }
@@ -903,9 +831,9 @@ def identity_checks(traj: Trajectory) -> tuple[Check, ...]:
     gap = abs(flux_ledger(traj).identity_gap)
     checks.append(Check("flux identity gap", gap, energy_budget(tol, steps)))
 
-    for fn in default_test_functions(traj.grid.L, traj.grid.T):
-        lw, p1 = weak_residual_continuity(traj, fn)
-        checks.append(Check(f"weak continuity self-consistency [{fn.name}]", abs(lw - p1), 1e-8))
-        lw, p2 = weak_residual_momentum(traj, fn)
-        checks.append(Check(f"weak momentum self-consistency [{fn.name}]", abs(lw - p2), 1e-8))
+    for j in (1, 2, 3):
+        lw, p1 = weak_residual_continuity(traj, j)
+        checks.append(Check(f"weak continuity self-consistency [sin{j}]", abs(lw - p1), 1e-8))
+        lw, p2 = weak_residual_momentum(traj, j)
+        checks.append(Check(f"weak momentum self-consistency [sin{j}]", abs(lw - p2), 1e-8))
     return tuple(checks)

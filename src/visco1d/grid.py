@@ -61,7 +61,9 @@ class GridSpec:
         L: domain length.
         N: number of cells (>= 2).
         dt: time step.
-        T: final time; the run takes ``M_steps = ceil(T/dt)`` steps.
+        T: final time, a whole number of time steps: the run takes
+            ``M_steps = T/dt`` steps, and a ``T/dt`` more than 1e-9 from a
+            whole number is rejected, so that every run ends at ``T``.
     """
 
     L: float
@@ -78,6 +80,12 @@ class GridSpec:
             raise ValueError(f"time step must be positive and finite, got dt={self.dt}")
         if not (0 <= self.T < math.inf):
             raise ValueError(f"final time must be nonnegative and finite, got T={self.T}")
+        steps = self.T / self.dt
+        if not (steps < math.inf and abs(steps - round(steps)) <= 1e-9):
+            raise ValueError(
+                f"final time must be a whole number of time steps, got T={self.T}, "
+                f"dt={self.dt} (T/dt = {steps:g})"
+            )
 
     @property
     def dx(self) -> float:
@@ -90,9 +98,7 @@ class GridSpec:
 
     @property
     def M_steps(self) -> int:
-        # ceil(T/dt), robust against T/dt landing a hair above an integer.
-        ratio = self.T / self.dt
-        return max(0, math.ceil(ratio - 1e-9))
+        return round(self.T / self.dt)
 
     @property
     def cell_centers(self) -> np.ndarray:

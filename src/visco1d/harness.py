@@ -245,7 +245,7 @@ class RefinementReport:
     failed: bool = False
 
 
-def _level_summary(traj: Trajectory, phi, v) -> dict:
+def _level_summary(traj: Trajectory) -> dict:
     ledger = diagnostics.energy_ledger(traj)
     tol_eff = diagnostics.effective_newton_tol(traj)
     steps = len(traj) - 1
@@ -259,17 +259,17 @@ def _level_summary(traj: Trajectory, phi, v) -> dict:
         "energy_tol": diagnostics.energy_budget(tol_eff, steps),
         "positivity_margin_min": pos.worst_margin,
     }
-    summary.update(diagnostics.level_magnitudes(traj, phi, v))
+    summary.update(diagnostics.level_magnitudes(traj))
     summary.update(diagnostics.norm_suite(traj))
     return summary
 
 
 def _solve_level(
-    scenario: ScenarioConfig, solver: SolverConfig, n: int, phi, v
+    scenario: ScenarioConfig, solver: SolverConfig, n: int
 ) -> tuple[Trajectory, dict]:
     """Solve one level of the ladder and summarize its diagnostics."""
     traj = run(scenario, scenario.grid_for(n), scenario.params, solver)
-    return traj, _level_summary(traj, phi, v)
+    return traj, _level_summary(traj)
 
 
 def fork_worker(target, *args):
@@ -351,11 +351,10 @@ def run_refinement(
     solver = solver or SolverConfig()
     levels = scenario.levels
     diagnostics.check_study_levels(len(levels))
-    phi, v = diagnostics.probe_test_functions(scenario.L, scenario.T)
     coupled = all(scenario.grid_for(n).dt_dx_coupled for n in levels)
 
     finest = levels[-1]
-    worker = fork_worker(lambda _conn: _solve_level(scenario, solver, finest, phi, v))
+    worker = fork_worker(lambda _conn: _solve_level(scenario, solver, finest))
     results: dict[int, tuple[Trajectory, dict]] = {}
     flags: list[str] = []
     failed = False
@@ -365,7 +364,7 @@ def run_refinement(
                 if n == finest and worker is not None:
                     results[n] = worker_result(worker, f"level {n} worker")
                 else:
-                    results[n] = _solve_level(scenario, solver, n, phi, v)
+                    results[n] = _solve_level(scenario, solver, n)
             except StepFailure as exc:
                 flags.append(f"level {n} solve failed: {exc}")
                 failed = True

@@ -256,6 +256,36 @@ def test_grid_rules_name_key_and_line(key, value, message):
 
 
 @pytest.mark.parametrize(
+    "body, line",
+    [
+        ("levels = 64\ndt = 0.1\n", 4),  # T/dt = 2.5
+        ("levels = 6,12,24\n", 3),  # T/dx = 1.5 at N = 6
+    ],
+    ids=["dt", "levels"],
+)
+def test_final_time_off_the_step_grid_exits_2_at_its_line(tmp_path, capsys, body, line):
+    cfg = write_cfg(tmp_path, "[scenario]\nname = smooth-bump\n" + body)
+    assert cli_main(["verify", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "final time must be a whole number of time steps, got T=0.25" in err
+    assert err.rstrip().endswith(f"(line {line})")
+
+
+def test_keys_are_judged_together_not_against_the_defaults():
+    """T = 0.1 is no whole number of the default ladder's steps (dx = 1/64),
+    but it is of the ladder the same config gives."""
+    text = "[scenario]\nname = smooth-bump\nT = 0.1\nlevels = 10,20,40\n"
+    rc = parse_config(text)
+    assert rc.scenario.T == 0.1
+    assert [rc.scenario.grid_for(n).M_steps for n in rc.scenario.levels] == [1, 2, 4]
+    # The one key at fault is named, not T, which alone fails the defaults.
+    with pytest.raises(ConfigError, match=r"got mu=-1.0 \(line 5\)$"):
+        parse_config(text + "mu = -1\n")
+    with pytest.raises(ConfigError, match=r"T=0.1, dt=0.03 .* \(line 5\)$"):
+        parse_config(text + "dt = 0.03\n")
+
+
+@pytest.mark.parametrize(
     "section, key",
     [("solver", "regularize_upwind"), ("scenario", "couple_dt_dx"), ("solver", "damping")],
     ids=lambda x: x,
@@ -297,7 +327,8 @@ def run_cli(argv):
 
 
 def constant_cfg(tmp_path, extra=""):
-    return write_cfg(tmp_path, "[scenario]\nname = constant\nlevels = 2\n" + extra)
+    # T = 0.5 is one step at N = 2 (dt = dx = 0.5)
+    return write_cfg(tmp_path, "[scenario]\nname = constant\nlevels = 2\nT = 0.5\n" + extra)
 
 
 def test_run_constant_state_csv_shape(tmp_path, capsys):
@@ -307,7 +338,7 @@ def test_run_constant_state_csv_shape(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
     lines = (out / "state.csv").read_text().splitlines()
     data = [ln for ln in lines if ln and not ln.startswith("#") and not ln.startswith("k,")]
-    # N=2, T=0.25, dt=dx=0.5 -> one step -> time levels k=0 and k=1
+    # N=2, T=0.5, dt=dx=0.5 -> one step -> time levels k=0 and k=1
     ks = sorted({int(ln.split(",")[0]) for ln in data})
     assert ks == [0, 1]
     for k in ks:
@@ -574,6 +605,7 @@ def test_refine_rejects_garbage_level_override(tmp_path, capsys):
     cfg = constant_cfg(tmp_path)
     code = run_cli(["refine", "--config", cfg, "--levels", "8,many", "--out", str(tmp_path)])
     assert code == 2
+    assert "value for '--levels' is not an integer: 'many'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -227,46 +227,20 @@ def test_flux_ledger_checkpoint_must_be_valid(smooth_traj_32):
 # ======================================================================
 
 
-def test_weak_residual_zero_test_function(smooth_traj_32):
-    zero = diagnostics.TestFunction(
-        space=np.zeros_like, space_deriv=np.zeros_like, time=np.ones_like, name="zero"
-    )
-    assert diagnostics.weak_residual_continuity(smooth_traj_32, zero) == (0.0, 0.0)
-    assert diagnostics.weak_residual_momentum(smooth_traj_32, zero) == (0.0, 0.0)
-
-
 def test_weak_residual_steady_constant_state(constant_traj):
-    phi = diagnostics.default_test_functions(1.0, constant_traj.grid.T)[0]
-    lhs, p1 = diagnostics.weak_residual_continuity(constant_traj, phi)
+    lhs, p1 = diagnostics.weak_residual_continuity(constant_traj, 1)
     assert lhs == pytest.approx(0.0, abs=1e-15)
     assert p1 == pytest.approx(0.0, abs=1e-15)
-    lhs2, p2 = diagnostics.weak_residual_momentum(constant_traj, phi)
+    lhs2, p2 = diagnostics.weak_residual_momentum(constant_traj, 1)
     assert lhs2 == pytest.approx(0.0, abs=1e-15)
     assert p2 == pytest.approx(0.0, abs=1e-15)
 
 
-def test_weak_residual_rejects_bad_test_functions(smooth_traj_32):
-    T = smooth_traj_32.grid.T
-    not_zero_at_T = diagnostics.TestFunction(
-        space=np.ones_like, space_deriv=np.zeros_like, time=np.ones_like, name="one"
-    )
-    with pytest.raises(ValueError):
-        diagnostics.weak_residual_continuity(smooth_traj_32, not_zero_at_T)
-    not_zero_at_wall = diagnostics.TestFunction(
-        space=lambda x: np.cos(np.pi * x),
-        space_deriv=lambda x: -np.pi * np.sin(np.pi * x),
-        time=lambda t: (1.0 - t / T) ** 2,
-        name="cos",
-    )
-    with pytest.raises(ValueError):
-        diagnostics.weak_residual_momentum(smooth_traj_32, not_zero_at_wall)
-
-
 def test_weak_self_consistency(smooth_traj_32):
-    for fn in diagnostics.default_test_functions(1.0, smooth_traj_32.grid.T):
-        lhs, p1 = diagnostics.weak_residual_continuity(smooth_traj_32, fn)
+    for j in (1, 2, 3):
+        lhs, p1 = diagnostics.weak_residual_continuity(smooth_traj_32, j)
         assert abs(lhs - p1) <= 1e-8
-        lhs2, p2 = diagnostics.weak_residual_momentum(smooth_traj_32, fn)
+        lhs2, p2 = diagnostics.weak_residual_momentum(smooth_traj_32, j)
         assert abs(lhs2 - p2) <= 1e-8
 
 
@@ -321,36 +295,59 @@ def reference_weak_residuals(traj, value, deriv_x):
 @pytest.mark.parametrize("name, n", [("smooth-bump", 32), ("riemann-like", 64), ("gamma-1.9", 64)])
 def test_weak_residuals_match_the_tensor_gauss_reference(name, n):
     traj = solve_level(scenario_named(name), n)
-    for fn in diagnostics.default_test_functions(traj.grid.L, traj.grid.T):
-        got = (diagnostics.weak_residual_continuity(traj, fn)
-               + diagnostics.weak_residual_momentum(traj, fn))
+    L, T = traj.grid.L, traj.grid.T
+    for j in (1, 2, 3):
+        k = np.pi * j / L
+        got = (diagnostics.weak_residual_continuity(traj, j)
+               + diagnostics.weak_residual_momentum(traj, j))
         ref = reference_weak_residuals(
-            traj, fn.value, lambda t, x, fn=fn: fn.space_deriv(x) * fn.time(t)
+            traj,
+            lambda t, x: np.sin(k * x) * (1.0 - t / T) ** 2,
+            lambda t, x: k * np.cos(k * x) * (1.0 - t / T) ** 2,
         )
-        assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-14, fn.name
-        assert abs(ref[1]) > 1e-6 or abs(ref[3]) > 1e-6, fn.name  # not a trivial zero
+        assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-14, j
+        assert abs(ref[1]) > 1e-6 or abs(ref[3]) > 1e-6, j  # not a trivial zero
 
 
 @pytest.mark.parametrize(
     "residual", [diagnostics.weak_residual_continuity, diagnostics.weak_residual_momentum]
 )
-def test_weak_residuals_call_the_test_function_once_per_level(residual, smooth_traj_32):
-    """The number of test-function calls does not grow with the number of windows."""
+def test_weak_residuals_call_the_test_function_once_per_level(
+    residual, smooth_traj_32, monkeypatch
+):
+    """The test function is sampled on one set of Gauss nodes per level:
+    the number of gauss_panels calls does not grow with the number of windows."""
     short = synthetic_trajectory(smooth_traj_32.states[:3])
     calls = []
+    spy = mock.Mock(side_effect=grid.gauss_panels)
+    monkeypatch.setattr(diagnostics, "gauss_panels", spy)
     for traj in (short, smooth_traj_32):
-        fn = diagnostics.default_test_functions(traj.grid.L, traj.grid.T, js=(2,))[0]
-        mocks = [mock.Mock(side_effect=f) for f in (fn.space, fn.space_deriv, fn.time)]
-        residual(traj, diagnostics.TestFunction(*mocks))
-        calls.append([m.call_count for m in mocks])
+        spy.reset_mock()
+        residual(traj, 2)
+        calls.append(spy.call_count)
     assert len(smooth_traj_32) - 1 > 2 * (len(short) - 1)
-    assert calls[0] == calls[1]
+    assert calls[0] == calls[1] > 0
+
+
+def test_level_magnitudes_probe_each_equation_with_the_mode_it_does_not_cancel(
+    smooth_traj_64,
+):
+    """The mirror-symmetric smooth bump pairs the momentum equation with the
+    even mode 1, and the density equation with the odd mode 2, to roundoff
+    zeros; level_magnitudes takes P1 at mode 1 and P2 at mode 2 instead."""
+    traj = smooth_traj_64
+    p1 = {j: diagnostics.weak_residual_continuity(traj, j)[1] for j in (1, 2)}
+    p2 = {j: diagnostics.weak_residual_momentum(traj, j)[1] for j in (1, 2)}
+    assert abs(p2[1]) <= 1e-10 * abs(p2[2])
+    assert abs(p1[2]) <= 1e-10 * abs(p1[1])
+    row = diagnostics.level_magnitudes(traj)
+    assert row["P1"] == abs(p1[1])
+    assert row["P2"] == abs(p2[2])
 
 
 def test_p1_shrinks_under_refinement(smooth_ladder):
-    phi = diagnostics.default_test_functions(1.0, smooth_ladder[64].grid.T, js=(1,))[0]
     mags = [
-        abs(diagnostics.weak_residual_continuity(smooth_ladder[n], phi)[1])
+        abs(diagnostics.weak_residual_continuity(smooth_ladder[n], 1)[1])
         for n in (64, 128, 256, 512)
     ]
     assert all(a > b for a, b in zip(mags, mags[1:]))
@@ -450,18 +447,14 @@ def test_effective_newton_tol_default_for_trivial_run(constant_traj):
 # ======================================================================
 
 
-def _probes(tr):
-    return diagnostics.default_test_functions(tr.grid.L, tr.grid.T)
-
-
 _ROW_WISE_DIAGNOSTICS = {
     "energy_ledger": lambda tr: diagnostics.energy_ledger(tr),
     "norm_suite": lambda tr: diagnostics.norm_suite(tr),
     "renorm_residual":
         lambda tr: diagnostics.renorm_residual(tr, diagnostics.b_power(tr.params.gamma)),
     "positivity_report": lambda tr: diagnostics.positivity_report(tr),
-    "weak_residual_continuity": lambda tr: diagnostics.weak_residual_continuity(tr, _probes(tr)[0]),
-    "weak_residual_momentum": lambda tr: diagnostics.weak_residual_momentum(tr, _probes(tr)[1]),
+    "weak_residual_continuity": lambda tr: diagnostics.weak_residual_continuity(tr, 1),
+    "weak_residual_momentum": lambda tr: diagnostics.weak_residual_momentum(tr, 2),
     "mass_history": lambda tr: diagnostics.mass_history(tr),
     "mass_drift": lambda tr: diagnostics.mass_drift(tr),
     "flux_ledger": lambda tr: diagnostics.flux_ledger(tr),
@@ -471,9 +464,7 @@ _ROW_WISE_DIAGNOSTICS = {
 _STACK_FREE = {
     **_ROW_WISE_DIAGNOSTICS,
     "identity_checks": lambda tr: diagnostics.identity_checks(tr),
-    "harness._level_summary": lambda tr: harness._level_summary(
-        tr, *diagnostics.probe_test_functions(tr.grid.L, tr.grid.T)
-    ),
+    "harness._level_summary": lambda tr: harness._level_summary(tr),
 }
 
 

@@ -39,6 +39,12 @@ def test_grid_step_count_rounding():
         dict(L=-1.0, N=4, dt=0.1, T=1.0),
         dict(L=1.0, N=4, dt=0.0, T=1.0),
         dict(L=1.0, N=4, dt=0.1, T=-0.5),
+        # T must be a whole number of steps, so that a run ends at T
+        dict(L=1.0, N=4, dt=0.1, T=0.25),
+        dict(L=1.0, N=4, dt=0.5, T=0.25),
+        dict(L=1.0, N=4, dt=1.0 / 6.0, T=0.25),
+        dict(L=1.0, N=4, dt=0.1, T=0.3 + 2e-9),
+        dict(L=1.0, N=4, dt=1e-320, T=1.0),  # T/dt overflows to inf
     ],
 )
 def test_grid_rejects_bad_geometry(kwargs):

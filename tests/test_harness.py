@@ -316,9 +316,8 @@ def test_run_refinement_worker_matches_in_process_levels(monkeypatch):
     rep = harness.run_refinement(sc)
     assert multiprocessing.active_children() == []
 
-    phi, psi = diagnostics.probe_test_functions(sc.L, sc.T)
     trajs = [solve_level(sc, n) for n in sc.levels]
-    assert rep.per_level == tuple(harness._level_summary(t, phi, psi) for t in trajs)
+    assert rep.per_level == tuple(harness._level_summary(t) for t in trajs)
     pairs = [harness.cauchy_differences(a, b) for a, b in zip(trajs, trajs[1:])]
     assert rep.cauchy_rho == tuple(l1 for l1, _ in pairs)
     assert rep.cauchy_u == tuple(l2 for _, l2 in pairs)
