@@ -25,6 +25,10 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
+# Before numpy loads OpenBLAS: the band solves are too small for BLAS threads,
+# which would only spin idle.  A value the user has set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import diagnostics
@@ -636,3 +640,7 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     raise SystemExit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

@@ -27,11 +27,16 @@ drops geometrically.  It rebuilds and refactors the Jacobian only while the
 residual is above newton_tol; below it, each polish iteration is a chord
 (Shamanskii) step: one residual and one dgbtrs with the factors in hand
 (C. T. Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
-1995, ch. 5).  An exact zero pivot or a non-finite Newton step hands over to
-the fallback.  On stagnation above tolerance it falls back to a Picard
-splitting whose continuity half is a tridiagonal M-matrix solve: that half
-preserves positivity and conserves mass exactly, so the fallback is slow but
-safe.  A NaN or infinite residual also hands over to the fallback, which
+1995, ch. 5).  run() carries the factors a step ends with into the next
+step, whose first update is a chord step with them: they were built near the
+state that step starts from.  From iterate 2 on Newton refactors above
+newton_tol as without the carry, so a step makes about one factorization
+instead of two.  A step that ends in the fallback or meets a zero pivot drops
+the carry.  An exact zero pivot or a non-finite Newton step hands over to the
+fallback.  On stagnation above tolerance it falls back to a Picard splitting
+whose continuity half is a tridiagonal M-matrix solve: that half preserves
+positivity and conserves mass exactly, so the fallback is slow but safe.  A
+NaN or infinite residual also hands over to the fallback, which
 raises StepFailure when it meets non-finite data itself.
 """
 
@@ -460,13 +465,25 @@ def _check_divergence_bound(
 
 
 def advance(
-    prev: FluidState, grid: GridSpec, params: PhysParams, cfg: SolverConfig | None = None
+    prev: FluidState,
+    grid: GridSpec,
+    params: PhysParams,
+    cfg: SolverConfig | None = None,
+    carry: list | None = None,
 ) -> tuple[FluidState, StepMeta]:
     """One implicit step from ``prev``; returns the new state and its StepMeta.
 
     Iterations are counted as residual evaluations, so a state that already
     satisfies the scheme (e.g. any constant state) reports one iteration and
     performs zero linear solves.
+
+    ``carry`` is the factor slot that run() threads from step to step: a list
+    that is empty or holds the LU factors the previous step ended with.  If
+    it holds factors, the first update is a chord step with them instead of a
+    fresh factorization; from iterate 2 on Newton refactors while the
+    residual is above tol, as without a slot.  A step accepted by Newton
+    leaves its last factors in the slot; a fallback or a zero pivot empties
+    it.  Without a slot every step factors at iterate 1.
     """
     cfg = cfg or SolverConfig()
     if prev.N != grid.N:
@@ -480,7 +497,7 @@ def advance(
     tol = floor = math.nan
     nr_prev = math.inf
     backtracks = factorizations = 0
-    factors = None
+    factors = carry[0] if carry else None
 
     for it in range(1, cfg.max_newton_iters + 1):
         cont, mom = _residual_arrays(rho_old, w_old, rho, u, grid, params)
@@ -495,12 +512,15 @@ def advance(
         if nr <= floor or (nr <= tol and stalled) or (nr <= tol and it == cfg.max_newton_iters):
             meta = StepMeta(it, nr, tol, floor, backtracks, False, 0, factorizations)
             _check_divergence_bound(prev, rho, u, cont, grid, k, history)
+            if carry is not None and factors is not None:
+                carry[:] = [factors]
             return FluidState(rho=rho, u=u, k=k), meta
         if (it >= 5 and stalled and nr > tol) or it == cfg.max_newton_iters:
             break  # diverging or out of iterations: hand over to the fallback
 
-        # Chord polish: refactor only above tol; below it, reuse the factors.
-        if factors is None or nr > tol:
+        # Chord steps: the carried factors at iterate 1, and the polish below
+        # tol; above tol from iterate 2 on, refactor.
+        if factors is None or (nr > tol and it > 1):
             factors = _band_lu(rho, u, grid, params)
             factorizations += 1
         lu, piv, info = factors
@@ -521,6 +541,8 @@ def advance(
         u[1:-1] += lam * du
         nr_prev = nr
 
+    if carry is not None:
+        carry.clear()
     rho, u, sweeps, nr = _picard_sweeps(
         prev.rho.copy(), prev.u.copy(), rho_old, w_old, grid, params, cfg, tol, k, history
     )
@@ -549,11 +571,12 @@ def run(
     state = init_state(grid, scenario.rho0_fn, scenario.u0_fn)
     states = [state]
     metas = []
+    carry: list = []  # the factors one step hands the next
     if observer is not None:
         observer(state)
     for _ in range(grid.M_steps):
         try:
-            state, meta = advance(state, grid, params, cfg)
+            state, meta = advance(state, grid, params, cfg, carry)
         except StepFailure as exc:
             raise StepFailure(
                 f"run aborted: {exc}", exc.k, exc.residual_history, exc.min_rho

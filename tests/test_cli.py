@@ -477,6 +477,52 @@ def test_run_without_fork_writes_the_same_bytes(tmp_path, monkeypatch, name):
     assert (tmp_path / "inline" / "state.csv").read_bytes() == forked_bytes
 
 
+def cli_env() -> dict[str, str]:
+    """This environment with the package's source first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    cfg = write_cfg(tmp_path, "[scenario]\nname = constant\nlevels = 8\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "visco1d.cli", "verify", "--config", cfg],
+        capture_output=True, text=True, env=cli_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "15/15 identity checks passed" in proc.stdout.splitlines()
+
+
+def _import_cli(blas_threads: str | None) -> list[str]:
+    """Import visco1d.cli in a fresh interpreter: its OPENBLAS_NUM_THREADS, then its
+    thread count ('' without /proc/self/task)."""
+    env = cli_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    script = (
+        "import os, visco1d.cli\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+        "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else '')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_cli_import_pins_blas_to_one_thread():
+    value, tasks = _import_cli(None)
+    assert value == "1"
+    if not tasks:
+        pytest.skip("no /proc/self/task to count threads in")
+    assert tasks == "1"
+
+
+def test_cli_import_keeps_a_user_set_blas_thread_count():
+    assert _import_cli("2")[0] == "2"
+
+
 def test_run_cli_writes_each_line_once(tmp_path):
     """Output buffered before the writer forks is written once, not twice."""
     cfg = write_cfg(tmp_path, "[scenario]\nname = smooth-bump\ngamma = 1.4\nlevels = 8\n")
@@ -485,8 +531,7 @@ def test_run_cli_writes_each_line_once(tmp_path):
         "print('before run')\n"  # stdout is a pipe: this stays buffered
         "main()\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = cli_env()
     env.pop("PYTHONUNBUFFERED", None)  # buffer stdout, as a plain run does
     out = tmp_path / "out"
     proc = subprocess.run(

@@ -431,6 +431,80 @@ def test_polish_reuses_the_newton_factors(smooth_traj_64):
     assert sum(m.factorizations for m in metas) < sum(m.iterations - 1 for m in metas)
 
 
+def _bare_loop(sc, n: int) -> tuple[list, list]:
+    """States and metas of advance() called step by step without a slot."""
+    g = sc.grid_for(n)
+    state = grid.init_state(g, sc.rho0_fn, sc.u0_fn)
+    states, metas = [state], []
+    for _ in range(g.M_steps):
+        state, meta = advance(state, g, sc.params)
+        states.append(state)
+        metas.append(meta)
+    return states, metas
+
+
+def test_run_carries_the_last_factors_into_the_next_step(smooth_ladder):
+    """run's first update of a step is a chord step with the previous step's factors."""
+    sc = scenario_named("smooth-bump")
+    counts = {"bare": [0, 0], "run": [0, 0]}  # factorizations, residual evaluations
+    for n in (64, 128, 256):
+        states, metas = _bare_loop(sc, n)
+        traj = smooth_ladder[n]
+        assert not any(m.fallback_used for m in traj.solver_meta)
+        for key, ms in (("bare", metas), ("run", traj.solver_meta)):
+            counts[key][0] += sum(m.factorizations for m in ms)
+            counts[key][1] += sum(m.iterations for m in ms)
+        for a, b in zip(states, traj.states):  # the carry changes the path, not the solution
+            np.testing.assert_allclose(b.rho, a.rho, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(b.u, a.u, rtol=0, atol=1e-12)
+    assert counts["run"][0] <= 0.75 * counts["bare"][0]
+    assert counts["run"][1] <= 1.01 * counts["bare"][1]
+
+
+def test_run_constant_scenario_never_factors(constant_traj):
+    assert all(m.iterations == 1 for m in constant_traj.solver_meta)
+    assert all(m.factorizations == 0 for m in constant_traj.solver_meta)
+
+
+def _same_step(a, b) -> None:
+    (state_a, meta_a), (state_b, meta_b) = a, b
+    assert state_a.rho.tobytes() == state_b.rho.tobytes()
+    assert state_a.u.tobytes() == state_b.u.tobytes()
+    assert meta_a == meta_b
+
+
+def test_an_empty_slot_steps_as_no_slot_and_receives_the_factors():
+    sc = scenario_named("smooth-bump")
+    g = sc.grid_for(32)
+    states, metas = _bare_loop(sc, 32)
+    for prev, state, meta in zip(states, states[1:], metas):
+        slot: list = []
+        _same_step(advance(prev, g, sc.params, None, slot), (state, meta))
+        assert len(slot) == 1 and slot[0][2] == 0
+
+
+@pytest.mark.parametrize("how", ["fallback", "zero-pivot"])
+def test_a_step_that_leaves_newton_empties_the_slot(monkeypatch, how):
+    """After a fallback or a zero pivot, the next step factors at iterate 1."""
+    sc = scenario_named("smooth-bump")
+    g = sc.grid_for(8)
+    slot: list = []
+    s1, _ = advance(grid.init_state(g, sc.rho0_fn, sc.u0_fn), g, sc.params, None, slot)
+    assert len(slot) == 1
+    if how == "fallback":
+        cfg = stepper.SolverConfig(max_newton_iters=1, fallback=4000)
+    else:
+        cfg = stepper.SolverConfig(fallback=4000)
+        real = stepper._band_lu
+        monkeypatch.setattr(stepper, "_band_lu", lambda *args: (*real(*args)[:2], 1))
+    s2, meta = advance(s1, g, sc.params, cfg, slot)
+    monkeypatch.undo()
+    assert meta.fallback_used
+    assert meta.factorizations == (0 if how == "fallback" else 1)
+    assert slot == []
+    _same_step(advance(s2, g, sc.params, None, slot), advance(s2, g, sc.params))
+
+
 def test_run_is_bitwise_reproducible():
     sc = scenario_named("riemann-like")
     g = sc.grid_for(16)
