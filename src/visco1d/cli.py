@@ -38,7 +38,9 @@ from .harness import (
     ScenarioConfig,
     builtin_scenarios,
     fork_worker,
+    recv_states,
     run_refinement,
+    send_state,
     stop_worker,
     worker_result,
 )
@@ -444,14 +446,8 @@ def _solve_first_level(config: RunConfig, observer=None) -> Trajectory:
 def _state_writer(conn, grid: GridSpec, config: RunConfig, tmp: str) -> None:
     """Writer process body: write each time level the parent sends to tmp,
     until the empty message that ends the solve."""
-
-    def levels():
-        while data := conn.recv_bytes():
-            level = np.frombuffer(data)
-            yield level[: grid.N], level[grid.N :]
-
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_state_blocks(grid, levels(), config))
+        fh.writelines(_state_blocks(grid, recv_states(conn, grid.N), config))
 
 
 def _solve_writing_state(config: RunConfig, path: str) -> Trajectory:
@@ -481,18 +477,16 @@ def _solve_writing_state(config: RunConfig, path: str) -> Trajectory:
         except Exception as exc:
             raise OSError(f"cannot write {path}: {exc}") from exc
 
-    def send(data) -> None:
+    def send(state) -> None:
         try:
-            conn.send_bytes(data)
+            send_state(conn, state)
         except ConnectionError:
             wait_for_writer()  # raises what stopped the writer
             raise
 
     try:
-        traj = _solve_first_level(
-            config, observer=lambda state: send(np.concatenate((state.rho, state.u)))
-        )
-        send(b"")  # the solve is done: the writer closes its file
+        traj = _solve_first_level(config, observer=send)
+        send(None)  # the solve is done: the writer closes its file
         wait_for_writer()
         try:
             os.replace(tmp, path)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -226,6 +226,38 @@ def sup_abs_deriv(B: BFunction, lo: float, hi: float, samples: int = 4097) -> fl
     return float(np.max(vals))
 
 
+def _renorm_rows(traj: Trajectory, B: BFunction) -> Iterator[np.ndarray]:
+    """The rows of ``renorm_residual``, one step at a time (see there)."""
+    g = traj.grid
+    dt, dx = g.dt, g.dx
+    states = traj.states
+    lo, hi = _density_range(traj)
+    sup_abs_deriv(B, lo, hi, samples=257)  # rejects non-C^1-on-range inputs
+    if not np.all(np.isfinite(np.asarray(B.value(np.array([lo, hi]))))):
+        raise ValueError(f"B ({B.name}) is not finite on the density range")
+
+    bv_prev = np.asarray(B.value(states[0].rho), dtype=float)
+    for k in range(1, len(states)):
+        rho_prev, rho, u = states[k - 1].rho, states[k].rho, states[k].u
+        bv = np.asarray(B.value(rho), dtype=float)
+        bp = np.asarray(B.deriv(rho), dtype=float)
+        small_b = rho * bp - bv
+
+        time_gap, gap_right, gap_left = _convexity_gaps(bv_prev, bv, bp, rho_prev, rho)
+        up, um = split_upwind(u)
+        spatial = np.zeros(g.N)
+        spatial[:-1] -= gap_right * um[1:-1] / dx
+        spatial[1:] += gap_left * up[1:-1] / dx
+
+        yield (
+            continuity_residual(bv_prev, bv, upwind_flux(bv, up, um), dt, dx)
+            + small_b * diff_cell(u, dx)
+            + time_gap / dt
+            + spatial
+        )
+        bv_prev = bv
+
+
 def renorm_residual(traj: Trajectory, B: BFunction) -> np.ndarray:
     """Residual of the rescaled continuity identity, one row per step.
 
@@ -240,36 +272,9 @@ def renorm_residual(traj: Trajectory, B: BFunction) -> np.ndarray:
     max-norm is bounded by the solver tolerance times sup|B'| on the state
     range.  B must be finite with finite derivative on that range.
     """
-    g = traj.grid
-    dt, dx = g.dt, g.dx
-    states = traj.states
-    steps = len(states) - 1
-    lo, hi = _density_range(traj)
-    sup_abs_deriv(B, lo, hi, samples=257)  # rejects non-C^1-on-range inputs
-    if not np.all(np.isfinite(np.asarray(B.value(np.array([lo, hi]))))):
-        raise ValueError(f"B ({B.name}) is not finite on the density range")
-
-    out = np.empty((steps, g.N))
-    bv_prev = np.asarray(B.value(states[0].rho), dtype=float)
-    for k in range(1, steps + 1):
-        rho_prev, rho, u = states[k - 1].rho, states[k].rho, states[k].u
-        bv = np.asarray(B.value(rho), dtype=float)
-        bp = np.asarray(B.deriv(rho), dtype=float)
-        small_b = rho * bp - bv
-
-        time_gap, gap_right, gap_left = _convexity_gaps(bv_prev, bv, bp, rho_prev, rho)
-        up, um = split_upwind(u)
-        spatial = np.zeros(g.N)
-        spatial[:-1] -= gap_right * um[1:-1] / dx
-        spatial[1:] += gap_left * up[1:-1] / dx
-
-        out[k - 1] = (
-            continuity_residual(bv_prev, bv, upwind_flux(bv, up, um), dt, dx)
-            + small_b * diff_cell(u, dx)
-            + time_gap / dt
-            + spatial
-        )
-        bv_prev = bv
+    out = np.empty((len(traj) - 1, traj.grid.N))
+    for k, row in enumerate(_renorm_rows(traj, B)):
+        out[k] = row
     return out
 
 
@@ -822,9 +827,11 @@ def identity_checks(traj: Trajectory) -> tuple[Check, ...]:
 
     lo, hi = _density_range(traj)
     for B in (b_square(), b_power(traj.params.gamma), b_zlogz()):
-        field = renorm_residual(traj, B)
-        res = float(np.max(np.abs(field, out=field)))
-        del field  # or it would outlive the building of the next B's field
+        # np.max, not max(): a NaN step must fail the check.
+        step_max = np.fromiter(
+            (np.max(np.abs(row)) for row in _renorm_rows(traj, B)), float, count=steps
+        )
+        res = float(np.max(step_max))
         bound = 10.0 * tol * sup_abs_deriv(B, lo, hi)
         checks.append(Check(f"renormalized continuity [{B.name}]", res, bound))
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .grid import GridSpec, PhysParams, PiecewiseConstant, Trajectory
+from .grid import FluidState, GridSpec, PhysParams, PiecewiseConstant, Trajectory
 from . import diagnostics
 from .stepper import SolverConfig, StepFailure, run
 
@@ -28,6 +28,8 @@ __all__ = [
     "run_refinement",
     "cauchy_differences",
     "fork_worker",
+    "send_state",
+    "recv_states",
     "worker_result",
     "stop_worker",
 ]
@@ -276,10 +278,12 @@ def fork_worker(target, *args):
     """Fork a process running target(conn, *args); None where fork does not exist.
 
     Returns (process, conn), conn being this process's end of a duplex pipe
-    whose other end target gets.  The child's last message is target's
-    return value, or the exception it raised.  A forked child starts from the
-    parent's imports (a spawned one would pay the numpy/scipy import again)
-    and needs none of its arguments pickled; only its messages cross.
+    whose other end target gets.  Either side may send the other time levels
+    with ``send_state``/``recv_states`` while target runs.  The child's last
+    message is target's return value, or the exception it raised, which
+    ``worker_result`` receives.  A forked child starts from the parent's
+    imports (a spawned one would pay the numpy/scipy import again) and needs
+    none of its arguments pickled; only its messages cross.
     """
     import multiprocessing
 
@@ -294,6 +298,20 @@ def fork_worker(target, *args):
     proc.start()
     child_conn.close()
     return proc, conn
+
+
+def send_state(conn, state: FluidState | None) -> None:
+    """Send one time level as one message of N + (N+1) doubles, rho then u;
+    None sends the empty message that ends the levels."""
+    conn.send_bytes(b"" if state is None else np.concatenate((state.rho, state.u)))
+
+
+def recv_states(conn, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield each (rho, u) level ``send_state`` sent on an N = n grid, until
+    the empty message."""
+    while data := conn.recv_bytes():
+        level = np.frombuffer(data)
+        yield level[:n], level[n:]
 
 
 def _forked_main(parent_conn, conn, target, args) -> None:
@@ -333,6 +351,34 @@ def stop_worker(worker) -> None:
     conn.close()
 
 
+def _send_states(conn, traj: Trajectory) -> None:
+    """Send a trajectory's states to a worker, then the end message.  A worker
+    that has ended cannot take them; worker_result then says what ended it."""
+    try:
+        for state in traj.states:
+            send_state(conn, state)
+        send_state(conn, None)
+    except ConnectionError:
+        pass
+
+
+def _finest_level_worker(
+    conn, scenario: ScenarioConfig, solver: SolverConfig, n: int, n_coarse: int
+) -> tuple[dict, tuple[float, float]]:
+    """Worker body: solve and summarize level n, then read level n_coarse's
+    states from conn and return (summary, its Cauchy pair with level n)."""
+    fine, summary = _solve_level(scenario, solver, n)
+    coarse = Trajectory(
+        grid=scenario.grid_for(n_coarse),
+        params=scenario.params,
+        states=tuple(
+            FluidState(rho=rho, u=u, k=k)
+            for k, (rho, u) in enumerate(recv_states(conn, n_coarse))
+        ),
+    )
+    return summary, cauchy_differences(coarse, fine)
+
+
 def run_refinement(
     scenario: ScenarioConfig, solver: SolverConfig | None = None
 ) -> RefinementReport:
@@ -341,52 +387,64 @@ def run_refinement(
     The finest level, whose cost alone exceeds that of all coarser ones
     (about N^2 with dt = dx), is solved and summarized in a forked worker
     process while this process solves the coarser levels one after another,
-    coarsest first.  A failing level aborts the study as if the levels ran
-    in order: completed levels are reported, a flag records the failure, and
+    coarsest first, and takes each Cauchy pair as soon as its finer level is
+    done.  Once the next-to-finest level is solved, this process sends its
+    states to the worker (``send_state``); the worker sends back only its
+    level's summary and the last Cauchy pair, so the finest trajectory never
+    leaves it.  A failing level aborts the study as if the levels ran in
+    order: completed levels are reported, a flag records the failure, and
     ``failed`` is set; a failure below the finest level discards the worker.
-    Levels are independent and the worker computes exactly what this process
-    would, so the study's numbers do not depend on where a level ran.  Where
-    fork does not exist, every level runs in this process.
+    A worker that ended before it read the coarse level is reported by
+    ``worker_result``, with what ended it.  Levels are independent and the
+    worker computes exactly what this process would, so the study's numbers
+    do not depend on where a level ran.  Where fork does not exist, every
+    level runs in this process.
     """
     solver = solver or SolverConfig()
     levels = scenario.levels
     diagnostics.check_study_levels(len(levels))
     coupled = all(scenario.grid_for(n).dt_dx_coupled for n in levels)
 
-    finest = levels[-1]
-    worker = fork_worker(lambda _conn: _solve_level(scenario, solver, finest))
-    results: dict[int, tuple[Trajectory, dict]] = {}
+    finest, next_finest = levels[-1], levels[-2]
+    worker = fork_worker(_finest_level_worker, scenario, solver, finest, next_finest)
+    done: list[int] = []
+    summaries: list[dict] = []
+    cauchy_rho: list[float] = []
+    cauchy_u: list[float] = []
     flags: list[str] = []
     failed = False
+    coarse = None  # the last level solved here, until its Cauchy pair is taken
     try:
         for n in levels:
+            pair = None
             try:
                 if n == finest and worker is not None:
-                    results[n] = worker_result(worker, f"level {n} worker")
+                    summary, pair = worker_result(worker, f"level {n} worker")
                 else:
-                    results[n] = _solve_level(scenario, solver, n)
+                    traj, summary = _solve_level(scenario, solver, n)
+                    if coarse is not None:
+                        pair = cauchy_differences(coarse, traj)
+                    coarse = traj
+                    if n == next_finest and worker is not None:
+                        _send_states(worker[1], traj)
             except StepFailure as exc:
                 flags.append(f"level {n} solve failed: {exc}")
                 failed = True
                 break
+            if pair is not None:
+                cauchy_rho.append(pair[0])
+                cauchy_u.append(pair[1])
+            done.append(n)
+            summaries.append(summary)
     finally:
         if worker is not None:
             # After a failure below the finest level, the worker's level is dropped.
             stop_worker(worker)
 
-    done = list(results)
-    trajs = [traj for traj, _ in results.values()]
-    per_level = tuple(summary for _, summary in results.values())
+    per_level = tuple(summaries)
     for row in per_level:
         if row["fallback_steps"]:
             flags.append(f"level {row['N']}: {row['fallback_steps']} fixed-point fallback steps")
-
-    cauchy_rho: list[float] = []
-    cauchy_u: list[float] = []
-    for coarse, fine in zip(trajs, trajs[1:]):
-        l1, l2 = cauchy_differences(coarse, fine)
-        cauchy_rho.append(l1)
-        cauchy_u.append(l2)
 
     orders: dict[str, dict] = {}
     # Decay orders are only meaningful on the dt = dx line, and need a study's

@@ -460,10 +460,13 @@ _ROW_WISE_DIAGNOSTICS = {
     "flux_ledger": lambda tr: diagnostics.flux_ledger(tr),
     # One flattened sum over every window, so it holds one (M, N) array.
     "rho_power_integral": lambda tr: diagnostics.rho_power_integral(tr),
+    # Every check in turn, each renormalized residual one step at a time.
+    "identity_checks": lambda tr: diagnostics.identity_checks(tr),
 }
+# Peak bounds in (M+1) x N matrices where a quarter is not the bound.
+_PEAK_LIMITS = {"rho_power_integral": 1.25, "identity_checks": 0.5}
 _STACK_FREE = {
     **_ROW_WISE_DIAGNOSTICS,
-    "identity_checks": lambda tr: diagnostics.identity_checks(tr),
     "harness._level_summary": lambda tr: harness._level_summary(tr),
 }
 
@@ -497,7 +500,7 @@ def long_smooth_traj_128() -> grid.Trajectory:
 @pytest.mark.parametrize("name", sorted(_ROW_WISE_DIAGNOSTICS))
 def test_diagnostics_peak_below_a_quarter_trajectory(name, long_smooth_traj_128):
     """tracemalloc peak of each diagnostic beyond what it returns, against one
-    (M+1) x N float64 matrix; rho_power_integral is the one exception."""
+    (M+1) x N float64 matrix; _PEAK_LIMITS names the exceptions."""
     traj = long_smooth_traj_128
     diag = _ROW_WISE_DIAGNOSTICS[name]
     diag(traj)  # lazy imports and first-call caches are not the diagnostic's
@@ -508,8 +511,7 @@ def test_diagnostics_peak_below_a_quarter_trajectory(name, long_smooth_traj_128)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    limit = 1.25 * matrix if name == "rho_power_integral" else 0.25 * matrix
-    assert peak - kept < limit
+    assert peak - kept < _PEAK_LIMITS.get(name, 0.25) * matrix
 
 
 # ======================================================================
@@ -593,3 +595,31 @@ def test_identity_check_bounds_are_the_contract(smooth_traj_32):
         assert check.bound == pytest.approx(bound, rel=1e-12), check.name
         assert check.passed == (check.value <= check.bound)
     assert all(c.passed for c in checks)
+
+
+def test_identity_checks_take_renorm_residuals_max_norm(smooth_traj_32):
+    """Taken one step at a time, each renormalized check is still the
+    max-norm of renorm_residual's whole field, bit for bit."""
+    traj = smooth_traj_32
+    renorm = [c for c in diagnostics.identity_checks(traj)
+              if c.name.startswith("renormalized continuity")]
+    Bs = (diagnostics.b_square(), diagnostics.b_power(traj.params.gamma), diagnostics.b_zlogz())
+    assert [c.value for c in renorm] == [
+        float(np.max(np.abs(diagnostics.renorm_residual(traj, B)))) for B in Bs
+    ]
+
+
+def test_identity_checks_fail_a_nan_renormalized_step(smooth_traj_32, monkeypatch):
+    """A NaN in any one step's row fails its check; Python's max() would
+    drop a NaN that follows a finite step."""
+    rows = diagnostics._renorm_rows
+
+    def with_nan(traj, B):
+        for k, row in enumerate(rows(traj, B)):
+            yield np.full_like(row, np.nan) if k == 1 else row
+
+    monkeypatch.setattr(diagnostics, "_renorm_rows", with_nan)
+    renorm = [c for c in diagnostics.identity_checks(smooth_traj_32)
+              if c.name.startswith("renormalized continuity")]
+    assert len(renorm) == 3
+    assert all(np.isnan(c.value) and not c.passed for c in renorm)

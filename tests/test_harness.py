@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
+import pickle
+import signal
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -382,6 +386,187 @@ def test_run_refinement_names_a_worker_whose_pipe_was_reset(monkeypatch):
         RuntimeError, match=r"^level 32 worker exited with code -9 without a result$"
     ):
         harness.run_refinement(sc)
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the finest level runs in process without fork",
+)
+
+
+@pytest.fixture(scope="module")
+def worker_handoff() -> dict:
+    """A smooth-bump 64..256 study, with what worker_result returned in this
+    process and the tracemalloc peak while it ran."""
+    sc = with_levels(scenario_named("smooth-bump"), (64, 128, 256))
+    seen: dict = {"scenario": sc}
+    original = harness.worker_result
+
+    def worker_result(*args):
+        tracemalloc.start()
+        try:
+            seen["result"] = original(*args)
+            seen["peak"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return seen["result"]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "worker_result", worker_result)
+        seen["report"] = harness.run_refinement(sc)
+    return seen
+
+
+def _leaves(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _leaves(item)
+    else:
+        yield obj
+
+
+@needs_fork
+def test_run_refinement_worker_returns_a_summary_and_a_cauchy_pair(worker_handoff):
+    """The finest trajectory stays in the worker: only its level's summary
+    and its Cauchy pair with the next-to-finest level come back."""
+    result, rep = worker_handoff["result"], worker_handoff["report"]
+    summary, pair = result
+    assert summary == rep.per_level[-1]
+    assert pair == (rep.cauchy_rho[-1], rep.cauchy_u[-1])
+    assert not any(
+        isinstance(leaf, (np.ndarray, grid.Trajectory, grid.FluidState))
+        for leaf in _leaves(result)
+    )
+    assert len(pickle.dumps(result)) < 4096
+
+
+@needs_fork
+def test_run_refinement_receives_far_less_than_the_finest_level(worker_handoff):
+    g = worker_handoff["scenario"].grid_for(256)
+    finest_bytes = (g.M_steps + 1) * (2 * g.N + 1) * 8
+    assert worker_handoff["peak"] < 0.1 * finest_bytes
+
+
+@needs_fork
+def test_run_refinement_worker_failing_before_the_coarse_level_is_sent(monkeypatch):
+    """The worker's level fails and the worker ends before this process sends
+    it the coarse level: the send meets a closed pipe, and the study reports
+    the failure as the inline run does."""
+    sc = with_levels(scenario_named("smooth-bump"), (16, 32, 64))
+    _fail_at(monkeypatch, 64, stepper.StepFailure("injected", 4, [1.0, 0.5], 0.25))
+    workers = []
+    fork, solve, send = harness.fork_worker, harness.run, harness.send_state
+
+    def fork_worker(*args):
+        workers.append(fork(*args))
+        return workers[-1]
+
+    def run(scenario, grid, *args, **kwargs):
+        if grid.N == 32:  # only this process solves level 32
+            workers[0][0].join(timeout=60)
+            assert workers[0][0].exitcode == 0  # it sent its StepFailure and ended
+        return solve(scenario, grid, *args, **kwargs)
+
+    resets = []
+
+    def send_state(conn, state):
+        try:
+            send(conn, state)
+        except ConnectionError as exc:
+            resets.append(exc)
+            raise
+
+    monkeypatch.setattr(harness, "fork_worker", fork_worker)
+    monkeypatch.setattr(harness, "run", run)
+    monkeypatch.setattr(harness, "send_state", send_state)
+    rep = harness.run_refinement(sc)
+    assert multiprocessing.active_children() == []
+    assert len(resets) == 1
+    assert rep.failed and rep.levels == (16, 32)
+    assert rep.flags[0].startswith("level 64 solve failed: injected")
+
+    _inline(monkeypatch)
+    serial = harness.run_refinement(sc)
+    assert (rep.levels, rep.flags, rep.failed) == (serial.levels, serial.flags, serial.failed)
+
+
+_BLOCKED_SEND = r"""
+import json, multiprocessing, os, sys, time
+from dataclasses import replace
+from visco1d import harness, stepper
+
+marker = sys.argv[1]
+smooth = next(s for s in harness.builtin_scenarios() if s.name == "smooth-bump")
+sc = replace(smooth, levels=(128, 256, 512))
+parent = os.getpid()
+solve, send = harness.run, harness.send_state
+sends = {"ok": 0, "reset": 0}
+
+def run(scenario, grid, *args, **kwargs):
+    if grid.N == 512:
+        # Fail once this process has started sending level 256 and, with
+        # more bytes than the socket buffer holds, is blocked in the send.
+        while not os.path.exists(marker):
+            time.sleep(0.01)
+        time.sleep(0.5)
+        raise stepper.StepFailure("injected", 4, [1.0, 0.5], 0.25)
+    return solve(scenario, grid, *args, **kwargs)
+
+def send_state(conn, state):
+    if os.getpid() == parent:
+        open(marker, "a").close()
+    try:
+        send(conn, state)
+    except ConnectionError:
+        sends["reset"] += 1
+        raise
+    sends["ok"] += 1
+
+harness.run, harness.send_state = run, send_state
+forked = harness.run_refinement(sc)
+children = len(multiprocessing.active_children())
+harness.fork_worker = lambda *args: None
+inline = harness.run_refinement(sc)
+print(json.dumps({
+    "forked": [forked.levels, forked.flags, forked.failed],
+    "inline": [inline.levels, inline.flags, inline.failed],
+    "children": children,
+    "sends": sends,
+    "states": sc.grid_for(256).M_steps + 1,
+}))
+"""
+
+
+@needs_fork
+def test_run_refinement_worker_failing_while_the_send_is_blocked(tmp_path):
+    """The worker's level fails while this process is blocked sending a coarse
+    level larger than the socket buffer.  Run in a subprocess with a timeout,
+    so that a deadlock fails the test instead of hanging the suite."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _BLOCKED_SEND, str(tmp_path / "sending")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True,
+    )
+    try:
+        stdout, stderr = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the worker too
+        proc.communicate()
+        pytest.fail("run_refinement did not return within 120 s: deadlocked")
+    assert proc.returncode == 0, stderr
+    out = json.loads(stdout)
+    assert out["forked"] == out["inline"]
+    levels, flags, failed = out["forked"]
+    assert failed and levels == [128, 256]
+    assert flags[0].startswith("level 512 solve failed: injected")
+    assert out["children"] == 0
+    # The send broke off part-way through level 256: it had been blocked.
+    assert out["sends"]["reset"] == 1
+    assert out["sends"]["ok"] < out["states"]
 
 
 def test_refine_cli_writes_each_line_once(tmp_path):
