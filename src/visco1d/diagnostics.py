@@ -226,12 +226,14 @@ def sup_abs_deriv(B: BFunction, lo: float, hi: float, samples: int = 4097) -> fl
     return float(np.max(vals))
 
 
-def _renorm_rows(traj: Trajectory, B: BFunction) -> Iterator[np.ndarray]:
-    """The rows of ``renorm_residual``, one step at a time (see there)."""
+def _renorm_rows(
+    traj: Trajectory, B: BFunction, lo: float, hi: float
+) -> Iterator[np.ndarray]:
+    """The rows of ``renorm_residual``, one step at a time (see there), given
+    ``(lo, hi) = _density_range(traj)``."""
     g = traj.grid
     dt, dx = g.dt, g.dx
     states = traj.states
-    lo, hi = _density_range(traj)
     sup_abs_deriv(B, lo, hi, samples=257)  # rejects non-C^1-on-range inputs
     if not np.all(np.isfinite(np.asarray(B.value(np.array([lo, hi]))))):
         raise ValueError(f"B ({B.name}) is not finite on the density range")
@@ -273,7 +275,7 @@ def renorm_residual(traj: Trajectory, B: BFunction) -> np.ndarray:
     range.  B must be finite with finite derivative on that range.
     """
     out = np.empty((len(traj) - 1, traj.grid.N))
-    for k, row in enumerate(_renorm_rows(traj, B)):
+    for k, row in enumerate(_renorm_rows(traj, B, *_density_range(traj))):
         out[k] = row
     return out
 
@@ -829,7 +831,7 @@ def identity_checks(traj: Trajectory) -> tuple[Check, ...]:
     for B in (b_square(), b_power(traj.params.gamma), b_zlogz()):
         # np.max, not max(): a NaN step must fail the check.
         step_max = np.fromiter(
-            (np.max(np.abs(row)) for row in _renorm_rows(traj, B)), float, count=steps
+            (np.max(np.abs(row)) for row in _renorm_rows(traj, B, lo, hi)), float, count=steps
         )
         res = float(np.max(step_max))
         bound = 10.0 * tol * sup_abs_deriv(B, lo, hi)

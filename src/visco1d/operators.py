@@ -26,12 +26,24 @@ for every mean-zero cell field ``f`` and interior face field ``v``.  That
 identity is what lets the flux-balance diagnostic trade a face-paired test
 field for a cell-paired one.  ``neumann_inv_grad`` uses a closed-form prefix
 sum; the tests cross-check it against an independent tridiagonal solve.
+
+This module is also where the package reaches LAPACK.  The scheme needs
+three routines, ``dgbtrf``/``dgbtrs`` for the stepper's banded Newton and
+``dgtsv`` behind the tridiagonal ``solve_banded``.  They are loaded from
+scipy's compiled ``_flapack`` extension directly: importing the
+``scipy.linalg`` package would cost more than the rest of the program's
+imports together, for functions it only passes through.
 """
 
 from __future__ import annotations
 
+import os
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
+from types import ModuleType
+
 import numpy as np
-from scipy.linalg import solve_banded
+import scipy
 
 __all__ = [
     "split_upwind",
@@ -46,6 +58,9 @@ __all__ = [
     "laplace_velocity",
     "neumann_inv_grad",
     "dirichlet_inv_grad",
+    "dgbtrf",
+    "dgbtrs",
+    "solve_banded",
 ]
 
 
@@ -176,3 +191,69 @@ def dirichlet_inv_grad(v: np.ndarray, dx: float) -> np.ndarray:
     w_full = np.zeros(n + 2)
     w_full[1:-1] = w
     return -diff_cell(w_full, dx)
+
+
+# ======================================================================
+# LAPACK (the stepper's banded Newton, and the tridiagonal solve above)
+# ======================================================================
+
+
+def _load_flapack() -> ModuleType:
+    """scipy's compiled LAPACK wrappers, without running ``scipy/linalg/__init__.py``.
+
+    The module is loaded under its own name, so a later ``import scipy.linalg``
+    finds it and hands out the same function objects.
+    """
+    stem = os.path.join(scipy.__path__[0], "linalg", "_flapack")
+    path = next((stem + sfx for sfx in EXTENSION_SUFFIXES if os.path.isfile(stem + sfx)), None)
+    if path is None:
+        raise ImportError(f"scipy's LAPACK extension not found: no {stem}<suffix>")
+    loader = ExtensionFileLoader("scipy.linalg._flapack", path)
+    module = module_from_spec(spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+
+
+def dgbtrf(
+    ab: np.ndarray, kl: int, ku: int, overwrite_ab: int = 0
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """LAPACK's banded LU: ``(lu, piv, info)``, ``info > 0`` at a zero pivot.
+
+    ``ab`` holds the band in rows ``kl..`` and leaves rows ``0..kl-1`` for
+    the fill-in of partial pivoting; ``overwrite_ab=1`` factors it in place
+    when it is a Fortran-ordered float array.
+    """
+    return _flapack.dgbtrf(ab, kl, ku, overwrite_ab=overwrite_ab)
+
+
+def dgbtrs(
+    lu: np.ndarray, kl: int, ku: int, b: np.ndarray, piv: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Solve with ``dgbtrf``'s factors: ``(x, info)``."""
+    return _flapack.dgbtrs(lu, kl, ku, b, piv)
+
+
+def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a tridiagonal system in ``scipy.linalg.solve_banded`` layout, with its bits.
+
+    Only the band ``(1, 1)`` is accepted: ``ab[0, 1:]`` is the superdiagonal,
+    ``ab[1]`` the diagonal and ``ab[2, :-1]`` the subdiagonal.  Follows
+    scipy's path for that band: non-finite input or an ``ab`` without three
+    rows raises ``ValueError``, a 1x1 system is divided by its diagonal, any
+    other goes to LAPACK's ``dgtsv``, and a zero pivot raises ``LinAlgError``.
+    """
+    if tuple(l_and_u) != (1, 1):
+        raise ValueError(f"only the tridiagonal band (1, 1) is supported, got {l_and_u}")
+    ab = np.asarray_chkfinite(ab, dtype=float)
+    b = np.asarray_chkfinite(b, dtype=float)
+    if ab.shape[0] != 3:
+        raise ValueError(f"the band (1, 1) needs 3 rows in ab, got {ab.shape[0]}")
+    if ab.shape[-1] == 1:
+        return b / ab[1, 0]
+    _, _, _, x, info = _flapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x

@@ -16,7 +16,7 @@ face f reaches u_{f+-2} through the neighbouring momentum fluxes).  The
 Jacobian is written straight into those nine diagonals, the layout banded LU
 reads; assemble_jacobian returns the same band as a CSR matrix.  Newton
 factors the band with LAPACK's dgbtrf and solves with dgbtrs, the same calls
-solve_banded makes, so the two give the same bits.
+scipy.linalg.solve_banded makes, so the two give the same bits.
 
 The Newton iteration uses the active-set derivative of the upwind switches
 (d u+/du = 1 for u > 0 else 0, and symmetrically for u-; zero exactly at the
@@ -48,18 +48,19 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 import scipy  # resolves assemble_jacobian's return annotation; scipy.sparse loads on use
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .grid import FluidState, GridSpec, PhysParams, Trajectory, init_state
 from .operators import (
     continuity_residual,
+    dgbtrf,
+    dgbtrs,
     face_momentum,
     hat,
     laplace_velocity,
     momentum_convection,
     positivity_floor,
     pressure_gradient,
+    solve_banded,
     split_upwind,
     upwind_flux,
 )
@@ -333,7 +334,8 @@ def _band_lu(
     """LAPACK banded LU of the Newton Jacobian: (lu, piv, info), info > 0 at a zero pivot.
 
     The band sits in rows 4.. of the work array; rows 0..3 take the fill-in
-    of partial pivoting.  This is the factorization solve_banded performs.
+    of partial pivoting.  This is the factorization that
+    scipy.linalg.solve_banded performs.
     """
     kl, ku = _BANDS
     ab = _jacobian_ab(rho, u, grid, params)

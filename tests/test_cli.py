@@ -523,6 +523,32 @@ def test_cli_import_keeps_a_user_set_blas_thread_count():
     assert _import_cli("2")[0] == "2"
 
 
+def test_cli_import_skips_the_scipy_linalg_package():
+    """The CLI loads LAPACK without scipy.linalg's package import and what it
+    drags in; a later import of the package still works and gives the same bits."""
+    script = (
+        "import sys, numpy as np, visco1d.cli\n"
+        "from visco1d import operators\n"
+        "print(*(m in sys.modules for m in ('scipy.linalg', 'numpy.f2py', 'numpy.testing')))\n"
+        "import scipy.linalg\n"
+        "rng = np.random.default_rng(0)\n"
+        "work = np.zeros((13, 40), order='F')\n"
+        "work[4:] = rng.standard_normal((9, 40))\n"
+        "work[8] += 10.0\n"
+        "b = rng.standard_normal(40)\n"
+        "bits = []\n"
+        "for lapack in (operators, scipy.linalg.lapack):\n"
+        "    lu, piv, info = lapack.dgbtrf(work.copy(order='F'), 4, 4)\n"
+        "    x, _ = lapack.dgbtrs(lu, 4, 4, b, piv)\n"
+        "    bits.append((lu.tobytes(), piv.tobytes(), info, x.tobytes()))\n"
+        "print(bits[0] == bits[1])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=cli_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False False False", "True"]
+
+
 def test_run_cli_writes_each_line_once(tmp_path):
     """Output buffered before the writer forks is written once, not twice."""
     cfg = write_cfg(tmp_path, "[scenario]\nname = smooth-bump\ngamma = 1.4\nlevels = 8\n")

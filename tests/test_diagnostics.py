@@ -614,8 +614,8 @@ def test_identity_checks_fail_a_nan_renormalized_step(smooth_traj_32, monkeypatc
     drop a NaN that follows a finite step."""
     rows = diagnostics._renorm_rows
 
-    def with_nan(traj, B):
-        for k, row in enumerate(rows(traj, B)):
+    def with_nan(*args):
+        for k, row in enumerate(rows(*args)):
             yield np.full_like(row, np.nan) if k == 1 else row
 
     monkeypatch.setattr(diagnostics, "_renorm_rows", with_nan)

@@ -261,3 +261,61 @@ def test_dirichlet_gradient_inverts_face_divergence(data, dx):
     vv = rng.standard_normal(f.size - 1)
     w = operators.dirichlet_inv_grad(vv, dx)
     np.testing.assert_allclose(np.diff(w) / dx, vv, atol=1e-10 * (1 + np.abs(vv).max()))
+
+
+# ======================================================================
+# the tridiagonal solve that stands in for scipy.linalg.solve_banded
+# ======================================================================
+
+
+def _tridiagonal(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A random diagonally dominant band in (1, 1) layout and a right-hand side."""
+    rng = np.random.default_rng(seed)
+    ab = rng.standard_normal((3, n))
+    ab[1] += 4.0 * np.sign(ab[1])
+    return ab, rng.standard_normal(n)
+
+
+def test_solve_banded_has_scipys_bits():
+    # Size 1 takes a division, not dgtsv; several draws catch a reciprocal.
+    for seed, n in enumerate([*[1] * 16, *range(2, 65)]):
+        ab, b = _tridiagonal(n, seed)
+        x = operators.solve_banded((1, 1), ab, b)
+        assert x.tobytes() == solve_banded((1, 1), ab, b).tobytes(), (seed, n)
+
+
+@pytest.mark.parametrize("where", ["ab", "b"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_banded_rejects_non_finite_input(where, bad):
+    for n in (1, 5):
+        ab, b = _tridiagonal(n, seed=0)
+        (ab[1] if where == "ab" else b)[-1] = bad
+        with pytest.raises(ValueError):
+            operators.solve_banded((1, 1), ab, b)
+
+
+def test_solve_banded_raises_on_a_singular_system():
+    # Rows (1, 1, 0), (1, 1, 0), (0, 1, 1): the first two agree.
+    ab = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        operators.solve_banded((1, 1), ab, np.ones(3))
+
+
+@pytest.mark.parametrize("l_and_u", [(0, 0), (1, 0), (0, 1), (2, 2), (4, 4)])
+def test_solve_banded_refuses_other_bands(l_and_u):
+    _, b = _tridiagonal(6, seed=1)
+    with pytest.raises(ValueError, match=r"\(1, 1\)"):
+        operators.solve_banded(l_and_u, np.zeros((sum(l_and_u) + 1, 6)), b)
+
+
+def test_solve_banded_refuses_a_band_without_three_rows():
+    _, b = _tridiagonal(6, seed=1)
+    for rows in (2, 4, 9):
+        with pytest.raises(ValueError, match="3 rows"):
+            operators.solve_banded((1, 1), np.ones((rows, 6)), b)
+
+
+def test_lapack_loader_names_the_missing_extension(monkeypatch):
+    monkeypatch.setattr(operators, "EXTENSION_SUFFIXES", [])
+    with pytest.raises(ImportError, match="_flapack"):
+        operators._load_flapack()
