@@ -121,7 +121,7 @@ _KEYS = {
         "gamma": _parse_float,
         "mu": _parse_float,
         "levels": _parse_levels,
-        "dt": _parse_float,
+        "dt_over_dx": _parse_float,
     },
     "solver": {
         "newton_tol": _parse_tol,
@@ -147,12 +147,10 @@ class RunConfig:
         for section, keys in _KEYS.items():
             obj = self if section == "output" else getattr(self, section)
             lines.append(f"[{section}]")
-            for key, parse in keys.items():
+            for key in keys:
                 value = getattr(obj, key) if hasattr(obj, key) else getattr(obj.params, key)
                 if value is None:
-                    if parse is not _parse_tol:
-                        continue  # no dt: every level runs at dt = dx
-                    value = "auto"
+                    value = "auto"  # newton_tol, the one key that may be None
                 lines.append(f"{key} = {_fmt(value)}")
             lines.append("")
         return "\n".join(lines)

@@ -691,17 +691,18 @@ def error_rates(trajectories: Sequence[Trajectory]) -> dict[str, dict]:
     """Observed decay orders of the named error functionals across levels.
 
     Requires a study's worth of trajectories (check_study_levels) of the
-    same scenario at increasing resolution, each with dt == dx and at least
-    one step.  Orders are per-pair log ratios of successive magnitudes
+    same scenario at increasing resolution, all at one dt/dx ratio and each
+    with at least one step.  Orders are per-pair log ratios of successive magnitudes
     against the h-ratio; the headline ``order`` is their mean, or the string
     "exact" when every level is exactly zero.  The space-time integral of rho^(gamma+1) is reported
     with its max/min ratio as the boundedness proxy instead of an order.
     """
     trajs = sorted(trajectories, key=lambda tr: tr.grid.N)
     check_study_levels(len(trajs))
+    kappa = trajs[0].grid.dt / trajs[0].grid.dx
     for tr in trajs:
-        if not tr.grid.dt_dx_coupled:
-            raise ValueError("error_rates requires dt == dx at every level")
+        if abs(tr.grid.dt / tr.grid.dx - kappa) > 1e-12 * kappa:
+            raise ValueError("error_rates requires one dt/dx ratio at every level")
         if len(tr) == 1:
             raise ValueError("error_rates needs at least one step at every level")
     return rates_from_levels([level_magnitudes(tr) for tr in trajs])

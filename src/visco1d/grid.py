@@ -63,7 +63,8 @@ class GridSpec:
         dt: time step.
         T: final time, a whole number of time steps: the run takes
             ``M_steps = T/dt`` steps, and a ``T/dt`` more than 1e-9 from a
-            whole number is rejected, so that every run ends at ``T``.
+            whole number, or a ``T > 0`` that rounds to no step, is rejected,
+            so that every run ends at ``T``.
     """
 
     L: float
@@ -81,7 +82,7 @@ class GridSpec:
         if not (0 <= self.T < math.inf):
             raise ValueError(f"final time must be nonnegative and finite, got T={self.T}")
         steps = self.T / self.dt
-        if not (steps < math.inf and abs(steps - round(steps)) <= 1e-9):
+        if not (steps < math.inf and abs(steps - round(steps)) <= 1e-9) or 0 < steps < 0.5:
             raise ValueError(
                 f"final time must be a whole number of time steps, got T={self.T}, "
                 f"dt={self.dt} (T/dt = {steps:g})"
@@ -90,11 +91,6 @@ class GridSpec:
     @property
     def dx(self) -> float:
         return self.L / self.N
-
-    @property
-    def dt_dx_coupled(self) -> bool:
-        """Whether dt == dx (to 1e-12 relative), the coupling refinement studies need."""
-        return abs(self.dt - self.dx) <= 1e-12 * self.dx
 
     @property
     def M_steps(self) -> int:

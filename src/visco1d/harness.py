@@ -1,9 +1,9 @@
 """Scenario library and mesh-refinement study driver.
 
 A scenario couples initial profiles (named analytic shapes or piecewise
-constants), domain/physics parameters, and a ladder of resolutions with the
-time step tied to the mesh (dt == dx) unless a dt is given.  The
-refinement driver runs every level, gathers the identity diagnostics, forms
+constants), domain/physics parameters, and a ladder of resolutions, each
+level at the one time-step ratio dt = dt_over_dx * dx.  The refinement
+driver runs every level, gathers the identity diagnostics, forms
 Cauchy differences between successive levels by exact projection, and turns
 decaying error functionals into observed orders with their theoretical floors
 side by side.
@@ -80,9 +80,10 @@ class ScenarioConfig:
 
     ``levels`` must be strictly increasing with every entry a multiple of the
     coarsest, so that coarse cells are unions of fine cells and the Cauchy
-    projections below are exact.  A given ``dt`` is every level's time step;
-    without it every level runs at dt = dx, the coupling refinement studies
-    need.  ``GridSpec`` checks each level's grid, the time step included.
+    projections below are exact.  Every level runs at dt = dt_over_dx * dx,
+    so a ladder has one ratio and its time windows nest.  ``GridSpec`` checks
+    each level's grid, and so rejects a ratio that leaves T off some level's
+    steps.
 
     ``name`` is a label only; it does not look up a built-in scenario.  With
     the default ``rho0``/``u0``, ``ScenarioConfig(name="riemann-like")`` is a
@@ -98,7 +99,7 @@ class ScenarioConfig:
     T: float = 0.25
     params: PhysParams = field(default_factory=PhysParams)
     levels: tuple[int, ...] = (64, 128, 256, 512)
-    dt: float | None = None
+    dt_over_dx: float = 1.0
 
     def __post_init__(self) -> None:
         levels = self.levels
@@ -110,6 +111,8 @@ class ScenarioConfig:
             raise ValueError("levels must be strictly increasing")
         if any(n % levels[0] for n in levels):
             raise ValueError("every level must be a multiple of the coarsest")
+        if not (0 < self.dt_over_dx < math.inf):
+            raise ValueError(f"dt_over_dx must be positive and finite, got {self.dt_over_dx}")
         # GridSpec states the grid rules (L, T, N >= 2 and the time step).
         for n in levels:
             self.grid_for(n)
@@ -140,8 +143,7 @@ class ScenarioConfig:
         return resolve_velocity_profile(self.u0, self.L)
 
     def grid_for(self, n: int) -> GridSpec:
-        dx = self.L / n
-        return GridSpec(L=self.L, N=n, dt=dx if self.dt is None else self.dt, T=self.T)
+        return GridSpec(L=self.L, N=n, dt=self.dt_over_dx * (self.L / n), T=self.T)
 
 
 def builtin_scenarios() -> tuple[ScenarioConfig, ...]:
@@ -186,15 +188,18 @@ def cauchy_differences(coarse: Trajectory, fine: Trajectory) -> tuple[float, flo
 
     Both trajectories are extended backward in time (state k on window
     (t^{k-1}, t^k]); each fine window compares against the coarse window that
-    contains it.  Density is projected by exact box averages, velocity by
-    restriction to the shared coarse nodes; the remaining integrals are then
-    evaluated in closed form.  Only complete groups of nested windows enter.
+    contains it, so the coarse time step must be a whole multiple of the fine
+    one.  Density is projected by exact box averages, velocity by restriction
+    to the shared coarse nodes; the remaining integrals are then evaluated in
+    closed form.  Only complete groups of nested windows enter.
     """
     ratio = fine.grid.N // coarse.grid.N
     if ratio * coarse.grid.N != fine.grid.N or ratio < 1:
         raise ValueError("fine level is not a multiple of the coarse level")
+    tratio = round(coarse.grid.dt / fine.grid.dt)
+    if tratio < 1 or abs(coarse.grid.dt - tratio * fine.grid.dt) > 1e-12 * coarse.grid.dt:
+        raise ValueError("coarse time step is not a whole multiple of the fine one")
     mc, mf = len(coarse) - 1, len(fine) - 1
-    tratio = max(round(coarse.grid.dt / fine.grid.dt), 1)
     groups = min(mc, mf // tratio)
     dt_f = fine.grid.dt
     dx_c = coarse.grid.dx
@@ -385,7 +390,7 @@ def run_refinement(
     """Run the scenario across its level ladder and assemble the report.
 
     The finest level, whose cost alone exceeds that of all coarser ones
-    (about N^2 with dt = dx), is solved and summarized in a forked worker
+    (about N^2 at a fixed dt/dx), is solved and summarized in a forked worker
     process while this process solves the coarser levels one after another,
     coarsest first, and takes each Cauchy pair as soon as its finer level is
     done.  Once the next-to-finest level is solved, this process sends its
@@ -403,7 +408,6 @@ def run_refinement(
     solver = solver or SolverConfig()
     levels = scenario.levels
     diagnostics.check_study_levels(len(levels))
-    coupled = all(scenario.grid_for(n).dt_dx_coupled for n in levels)
 
     finest, next_finest = levels[-1], levels[-2]
     worker = fork_worker(_finest_level_worker, scenario, solver, finest, next_finest)
@@ -447,11 +451,10 @@ def run_refinement(
             flags.append(f"level {row['N']}: {row['fallback_steps']} fixed-point fallback steps")
 
     orders: dict[str, dict] = {}
-    # Decay orders are only meaningful on the dt = dx line, and need a study's
-    # worth of completed levels, each with at least one step, to telescope;
-    # otherwise report magnitudes alone.
+    # Decay orders need a study's worth of completed levels, each with at
+    # least one step, to telescope; otherwise report magnitudes alone.
     steps_everywhere = all(row["steps"] for row in per_level)
-    if len(done) >= diagnostics.STUDY_MIN_LEVELS and coupled and steps_everywhere:
+    if len(done) >= diagnostics.STUDY_MIN_LEVELS and steps_everywhere:
         rates = diagnostics.rates_from_levels(per_level)
         for key in ("E1", "E2", "P1", "P2"):
             entry = dict(rates[key])
@@ -478,8 +481,6 @@ def run_refinement(
         )
     }
 
-    if not coupled:
-        flags.append("outside convergence-theory regime (dt decoupled from dx)")
     if not scenario.params.in_theory_range:
         flags.append(scenario.params.gamma_note)
 

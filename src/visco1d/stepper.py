@@ -564,8 +564,9 @@ def run(
     """March the scheme from the scenario's initial data to grid.T.
 
     ``scenario`` is a harness.ScenarioConfig, or anything with its resolved
-    profiles ``rho0_fn`` and ``u0_fn``.  Any time step runs; code that needs
-    dt == dx checks ``grid.dt_dx_coupled`` itself.  ``observer``, if given,
+    profiles ``rho0_fn`` and ``u0_fn``.  It steps at whatever ``grid.dt`` is;
+    a scenario's levels get theirs from ``ScenarioConfig.grid_for``, as
+    dt = dt_over_dx * dx.  ``observer``, if given,
     is called with the initial state and then with each accepted state, in
     order, as soon as it exists; an exception it raises aborts the run.
     """

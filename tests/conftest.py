@@ -7,6 +7,7 @@ read-only (states are frozen arrays, so accidental mutation raises).
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import multiprocessing
 
@@ -35,10 +36,7 @@ def scenario_named(name: str) -> harness.ScenarioConfig:
 
 
 def with_levels(sc: harness.ScenarioConfig, levels: tuple[int, ...]) -> harness.ScenarioConfig:
-    return harness.ScenarioConfig(
-        name=sc.name, rho0=sc.rho0, u0=sc.u0, L=sc.L, T=sc.T,
-        params=sc.params, levels=levels, dt=sc.dt,
-    )
+    return dataclasses.replace(sc, levels=levels)
 
 
 def solve_level(sc: harness.ScenarioConfig, n: int) -> grid.Trajectory:

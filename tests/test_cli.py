@@ -54,7 +54,7 @@ def test_minimal_config_fills_every_default():
     sc = rc.scenario
     assert sc.name == "constant"
     assert sc.levels == (64, 128, 256, 512)
-    assert sc.dt is None
+    assert sc.dt_over_dx == 1.0
     assert rc.solver == stepper.SolverConfig()
     assert rc.out_dir == "."
 
@@ -85,7 +85,7 @@ def test_to_text_names_every_key_once_and_round_trips():
         "scenario": {
             "name": "custom", "rho0": "bump:0.25", "u0": "sin2pi:0.2", "L": "2",
             "T": "0.5", "a": "1.5", "gamma": "1.75", "mu": "0.25", "levels": "4,8,16",
-            "dt": "0.0625",
+            "dt_over_dx": "0.5",
         },
         "solver": {
             "newton_tol": "1e-09", "max_newton_iters": "7", "fallback": "9",
@@ -113,6 +113,22 @@ def test_to_text_names_every_key_once_and_round_trips():
     assert all(defaults.get(k) != v for k, v in key_lines(rc).items() if k != "name")
     assert parse_config(written) == rc
     assert parse_config(written).to_text() == written
+
+
+def test_readme_config_block_lists_every_key():
+    """The README's ```ini example names every key of the format in its
+    section, and is itself a config that parses."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    keys: dict[str, set[str]] = {}
+    for raw in block.splitlines():
+        line = raw.split("#", 1)[0].split(";", 1)[0].strip()
+        if line.startswith("["):
+            section = keys.setdefault(line[1:-1], set())
+        elif line:
+            section.add(line.partition("=")[0].strip())
+    assert keys == {name: set(table) for name, table in cli._KEYS.items()}
+    parse_config(block)
 
 
 def test_auto_newton_tol_round_trips():
@@ -190,7 +206,8 @@ def test_malformed_values_name_key_and_line():
     [
         ("L", "inf"),
         ("T", "inf"),
-        ("dt", "inf"),
+        ("dt_over_dx", "inf"),
+        ("dt_over_dx", "nan"),
         ("a", "inf"),
         ("gamma", "inf"),
         ("mu", "inf"),
@@ -225,7 +242,7 @@ def test_non_finite_values_are_config_errors(key, value):
         ("T", "-1", "final time must be nonnegative and finite, got T=-1.0"),
         ("a", "0", "got a=0"),
         ("gamma", "1", "got gamma=1"),
-        ("dt", "0", "time step must be positive and finite, got dt=0.0"),
+        ("dt_over_dx", "0", "dt_over_dx must be positive and finite, got 0.0"),
         ("levels", "0", "levels must be positive"),
         ("levels", "", "levels must list at least one N"),
         ("rho0", "constant:-1", "rho0 profile 'constant:-1'"),
@@ -243,7 +260,9 @@ def test_out_of_range_values_name_key_and_line(key, value, message):
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("dt", "-1", "time step must be positive and finite, got dt=-1.0"),
+        ("dt_over_dx", "-1", "dt_over_dx must be positive and finite, got -1.0"),
+        ("dt_over_dx", "0.3", "final time must be a whole number of time steps, got T=0.25"),
+        ("dt_over_dx", "1e12", "final time must be a whole number of time steps, got T=0.25"),
         ("levels", "1,2,4", "need at least 2 cells, got N=1"),
     ],
 )
@@ -258,7 +277,7 @@ def test_grid_rules_name_key_and_line(key, value, message):
 @pytest.mark.parametrize(
     "body, line",
     [
-        ("levels = 64\ndt = 0.1\n", 4),  # T/dt = 2.5
+        ("levels = 64\ndt_over_dx = 6.4\n", 4),  # dt = 0.1, T/dt = 2.5
         ("levels = 6,12,24\n", 3),  # T/dx = 1.5 at N = 6
     ],
     ids=["dt", "levels"],
@@ -282,17 +301,22 @@ def test_keys_are_judged_together_not_against_the_defaults():
     with pytest.raises(ConfigError, match=r"got mu=-1.0 \(line 5\)$"):
         parse_config(text + "mu = -1\n")
     with pytest.raises(ConfigError, match=r"T=0.1, dt=0.03 .* \(line 5\)$"):
-        parse_config(text + "dt = 0.03\n")
+        parse_config(text + "dt_over_dx = 0.3\n")
 
 
 @pytest.mark.parametrize(
     "section, key",
-    [("solver", "regularize_upwind"), ("scenario", "couple_dt_dx"), ("solver", "damping")],
+    [
+        ("solver", "regularize_upwind"),
+        ("scenario", "couple_dt_dx"),
+        ("solver", "damping"),
+        ("scenario", "dt"),  # an absolute time step; dt_over_dx sets it now
+    ],
     ids=lambda x: x,
 )
 def test_removed_key_exits_2(tmp_path, capsys, section, key):
     extra = "" if section == "scenario" else f"[{section}]\n"
-    text = MINIMAL + extra + f"{key} = 0\n"
+    text = MINIMAL + extra + f"{key} = 0.01\n"
     cfg = write_cfg(tmp_path, text)
     assert cli_main(["verify", "--config", cfg]) == 2
     line = text.count("\n")
@@ -764,9 +788,10 @@ def test_verify_with_zero_final_time_passes(tmp_path, capsys):
     ids=["run", "verify", "flux"],
 )
 def test_decoupled_dt_is_accepted_by_every_command(tmp_path, capsys, command, expected):
+    """A time step other than dx, here dt = 0.64 dx, runs under every command."""
     cfg = write_cfg(
         tmp_path,
-        "[scenario]\nname = smooth-bump\nlevels = 64\ndt = 0.01\n"
+        "[scenario]\nname = smooth-bump\nlevels = 64\ndt_over_dx = 0.64\n"  # dt = 0.01
         f"[output]\nout_dir = {tmp_path / 'o'}\n",
     )
     argv = [command, "--config", cfg]

@@ -419,12 +419,16 @@ def test_error_rates_requires_steps_at_every_level():
 
 
 def test_error_rates_requires_coupled_dt():
+    """Every level must share one dt/dx ratio, whichever it is."""
     sc = scenario_named("constant")
     g = grid.GridSpec(L=1.0, N=8, dt=0.01, T=0.05)
     odd = stepper.run(sc, g, sc.params)
     good = [solve_level(sc, n) for n in (8, 16, 32)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one dt/dx ratio at every level"):
         diagnostics.error_rates([odd, good[1], good[2]])
+    half = replace(sc, levels=(8, 16, 32), dt_over_dx=0.5)
+    rates = diagnostics.error_rates([solve_level(half, n) for n in half.levels])
+    assert rates["E1"]["order"] == "exact"
 
 
 def test_error_rates_constant_scenario_exact():

@@ -45,6 +45,7 @@ def test_grid_step_count_rounding():
         dict(L=1.0, N=4, dt=1.0 / 6.0, T=0.25),
         dict(L=1.0, N=4, dt=0.1, T=0.3 + 2e-9),
         dict(L=1.0, N=4, dt=1e-320, T=1.0),  # T/dt overflows to inf
+        dict(L=1.0, N=4, dt=1e10, T=0.25),  # T/dt rounds to zero steps
     ],
 )
 def test_grid_rejects_bad_geometry(kwargs):

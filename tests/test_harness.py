@@ -83,11 +83,11 @@ def test_scenario_rejects_non_finite_profiles(profiles, message):
 
 
 def test_scenario_grid_couples_dt_to_dx():
+    """Every level runs at dt = dt_over_dx * dx; the default ratio is 1, exactly."""
     sc = harness.ScenarioConfig(name="x", levels=(8, 16, 32))
-    g = sc.grid_for(16)
-    assert g.dt == pytest.approx(g.dx)
-    free = harness.ScenarioConfig(name="y", levels=(8, 16, 32), dt=0.01)
-    assert [free.grid_for(n).dt for n in free.levels] == [0.01] * 3
+    assert all(sc.grid_for(n).dt == sc.grid_for(n).dx for n in sc.levels)
+    half = harness.ScenarioConfig(name="y", levels=(8, 16, 32), dt_over_dx=0.5)
+    assert [half.grid_for(n).dt for n in half.levels] == [1 / 16, 1 / 32, 1 / 64]
 
 
 def test_builtin_scenarios_roster():
@@ -161,6 +161,17 @@ def test_cauchy_differences_detect_known_gap():
     assert l2 == 0.0
 
 
+@pytest.mark.parametrize("coarse_dt", [0.03, 0.01], ids=["1.5x", "0.5x"])
+def test_cauchy_differences_reject_windows_that_do_not_nest(coarse_dt):
+    """A fine window must lie inside one coarse window: the coarse time step
+    is a whole multiple of the fine one, or no pair is formed."""
+    sc = scenario_named("smooth-bump")
+    coarse = stepper.run(sc, grid.GridSpec(L=1.0, N=8, dt=coarse_dt, T=0.06), sc.params)
+    fine = stepper.run(sc, grid.GridSpec(L=1.0, N=16, dt=0.02, T=0.06), sc.params)
+    with pytest.raises(ValueError, match="not a whole multiple"):
+        harness.cauchy_differences(coarse, fine)
+
+
 # ======================================================================
 # refinement driver
 # ======================================================================
@@ -195,27 +206,18 @@ def test_run_refinement_reports_floors_next_to_orders(smooth_ladder):
     assert rep.orders["P2"]["floor"] == pytest.approx(0.25)
 
 
-def test_run_refinement_flags_decoupled_dt():
+def test_run_refinement_reports_every_order_off_dt_eq_dx():
+    """A ladder at dt = 2 dx has one ratio, so it reports all six orders, unflagged."""
     sc = harness.ScenarioConfig(
-        name="decoupled", rho0="bump", u0="zero", T=0.05,
-        levels=(8, 16, 32), dt=0.01,
-        params=grid.PhysParams(mu=0.05),
+        name="kappa-2", rho0="bump", u0="sin2pi", T=0.25,
+        levels=(8, 16, 32), params=grid.PhysParams(mu=0.05), dt_over_dx=2.0,
     )
+    assert [sc.grid_for(n).dt for n in sc.levels] == [2 / n for n in sc.levels]
     rep = harness.run_refinement(sc)
-    assert any("outside convergence-theory regime" in f for f in rep.flags)
-    assert rep.orders == {}  # rates are not meaningful off the dt = dx line
-
-
-def test_run_refinement_decoupled_without_dt_stays_on_dt_eq_dx():
-    """Without dt every level runs at dt = dx, and the study keeps its six orders."""
-    sc = harness.ScenarioConfig(
-        name="free", rho0="bump", u0="sin2pi", T=0.125,
-        levels=(8, 16, 32), params=grid.PhysParams(mu=0.05),
-    )
-    assert all(sc.grid_for(n).dt_dx_coupled for n in sc.levels)
-    rep = harness.run_refinement(sc)
-    assert not any("outside convergence-theory regime" in f for f in rep.flags)
+    assert not rep.failed
+    assert rep.flags == ()
     assert set(rep.orders) == {"E1", "E2", "P1", "P2", "cauchy_rho", "cauchy_u"}
+    assert all(isinstance(rep.orders[key]["order"], float) for key in rep.orders)
 
 
 def test_run_refinement_flags_gamma_outside_window():

@@ -411,10 +411,13 @@ def test_run_constant_scenario_all_states_identical(constant_traj):
 
 
 def test_run_requires_coupled_steps_by_default():
+    """A scenario's levels run at dt = dx unless dt_over_dx says otherwise,
+    and run itself takes whatever time step its grid gives."""
     sc = scenario_named("constant")
+    assert sc.dt_over_dx == 1.0 and sc.grid_for(8).dt == sc.grid_for(8).dx
     g = grid.GridSpec(L=1.0, N=8, dt=0.01, T=0.1)  # dt != dx
     traj = stepper.run(sc, g, sc.params)
-    assert traj.grid.dt_dx_coupled is False
+    assert traj.grid.dt == 0.01 and len(traj) == 11
 
 
 def test_run_smooth_bump_mass_conservation_n64(smooth_traj_64):
