@@ -220,6 +220,34 @@ def test_run_refinement_reports_every_order_off_dt_eq_dx():
     assert all(isinstance(rep.orders[key]["order"], float) for key in rep.orders)
 
 
+def test_run_refinement_flags_decoupled_dt():
+    """A dt fixed across levels is refused; the same ladder on one ratio reports its orders."""
+    kw = dict(name="decoupled", rho0="bump", u0="zero", T=0.05,
+              levels=(8, 16, 32), params=grid.PhysParams(mu=0.05))
+    with pytest.raises(TypeError):
+        harness.ScenarioConfig(dt=0.01, **kw)
+    sc = harness.ScenarioConfig(dt_over_dx=0.08, **kw)  # dt = 0.01 at N = 8
+    fixed = [stepper.run(sc, grid.GridSpec(L=1.0, N=n, dt=0.01, T=0.05), sc.params)
+             for n in sc.levels]
+    with pytest.raises(ValueError, match="one dt/dx ratio at every level"):
+        diagnostics.error_rates(fixed)
+    rep = harness.run_refinement(sc)
+    assert rep.flags == ()
+    assert set(rep.orders) == {"E1", "E2", "P1", "P2", "cauchy_rho", "cauchy_u"}
+
+
+def test_run_refinement_decoupled_without_dt_stays_on_dt_eq_dx():
+    """Without dt_over_dx every level runs at dt = dx, and the study keeps its six orders."""
+    sc = harness.ScenarioConfig(
+        name="free", rho0="bump", u0="sin2pi", T=0.125,
+        levels=(8, 16, 32), params=grid.PhysParams(mu=0.05),
+    )
+    assert all(sc.grid_for(n).dt == sc.grid_for(n).dx for n in sc.levels)
+    rep = harness.run_refinement(sc)
+    assert rep.flags == ()
+    assert set(rep.orders) == {"E1", "E2", "P1", "P2", "cauchy_rho", "cauchy_u"}
+
+
 def test_run_refinement_flags_gamma_outside_window():
     sc = harness.ScenarioConfig(
         name="gamma-off", rho0="bump", u0="sin2pi", T=0.125,
