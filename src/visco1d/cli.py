@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import random
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
@@ -45,7 +46,7 @@ from .harness import (
     worker_result,
 )
 from .operators import dirichlet_inv_grad, hat, neumann_inv_grad
-from .stepper import SolverConfig, StepFailure, run
+from .stepper import SolverConfig, StepFailure, march, run
 
 __all__ = [
     "parse_config",
@@ -430,7 +431,7 @@ def _write_text(path: str, content: str | Iterable[str]) -> None:
 
 
 def _solve_first_level(config: RunConfig, observer=None) -> Trajectory:
-    """Solve the scenario at its coarsest level, as run, verify and flux do."""
+    """Solve the scenario at its coarsest level, keeping its states, as run and flux do."""
     scenario = config.scenario
     return run(
         scenario,
@@ -498,25 +499,33 @@ def _solve_writing_state(config: RunConfig, path: str) -> Trajectory:
 
 
 def _verify(config: RunConfig, out) -> int:
-    """Run the identity suite at the coarsest level; 0 if all pass, else 3."""
-    traj = _solve_first_level(config)
-    checks = diagnostics.identity_checks(traj)
+    """Run the identity suite at the coarsest level; 0 if all pass, else 3.
 
-    rng = np.random.default_rng(20240817)
+    The suite is fed each state as the solver makes it, so no trajectory is
+    kept.
+    """
+    scenario = config.scenario
+    grid = scenario.grid_for(scenario.levels[0])
+    suite = diagnostics.IdentitySuite(grid, scenario.params, grid.M_steps)
+    for state, meta in march(scenario, grid, scenario.params, config.solver):
+        suite.push(state, meta)
+    checks = suite.checks()
+
+    rng = random.Random(20240817)
     worst_dual = 0.0
     for _ in range(50):
-        size = int(rng.integers(2, 65))
-        dx = float(rng.uniform(0.01, 1.0))
-        f = rng.standard_normal(size)
+        size = rng.randint(2, 64)
+        dx = rng.uniform(0.01, 1.0)
+        f = np.array([rng.gauss(0.0, 1.0) for _ in range(size)])
         f -= f.mean()
-        v = rng.standard_normal(size - 1)
+        v = np.array([rng.gauss(0.0, 1.0) for _ in range(size - 1)])
         lhs_d = dx * float(v @ neumann_inv_grad(f, dx)[1:-1])
         rhs_d = -dx * float(dirichlet_inv_grad(v, dx) @ f)
         scale = max(abs(lhs_d), abs(rhs_d), 1.0)
         worst_dual = max(worst_dual, abs(lhs_d - rhs_d) / scale)
     checks += (diagnostics.Check("inverse-gradient duality (relative)", worst_dual, 1e-12),)
 
-    pos = diagnostics.positivity_report(traj)
+    pos = suite.positivity()
     print(
         f"INFO positivity margins: literature-bound {pos.worst_margin:.3e}, "
         f"provable-bound {pos.worst_divergence_margin:.3e}",

@@ -1,7 +1,7 @@
 """Exact discrete identities and functionals for staggered upwind trajectories.
 
-Everything here is post-processing over an immutable Trajectory.  The central
-design rule: every estimate that is classically written with unknown
+Everything here is post-processing of the time levels a run produces.  The
+central design rule: every estimate that is classically written with unknown
 mean-value points is instead computed through its *exact algebraic remainder*
 (e.g. the convexity gap B(y) - B(x) - B'(x)(y-x)), so each balance law becomes
 a machine-checkable identity whose residual is bounded by the nonlinear
@@ -13,17 +13,27 @@ time window (t^{k-1}, t^k], so windows k = 1..M tile [0, T); density extends
 as the piecewise-constant cell value, velocity as the continuous piecewise
 interpolant through the face values, and the discrete time derivative on
 window k is the backward difference (f^k - f^{k-1})/dt.
+
+The identities are accumulators, fed one time level at a time: the initial
+level, then the new level of each step.  A level's derived
+arrays (hat(u), the upwind split, diff_cell(u), the pressure, the donor-cell
+fluxes and the momentum rho*hat(u)) are computed once and shared by every
+accumulator fed that step.  Each public function walks a kept Trajectory
+through its accumulator; IdentitySuite feeds all the identity checks from
+one walk, so ``visco1d verify`` checks a run as the solver marches it and
+keeps no states.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .grid import Trajectory, gauss_panels
+from .grid import FluidState, GridSpec, PhysParams, Trajectory, gauss_panels
 from .operators import (
     continuity_residual,
     diff_cell,
@@ -39,6 +49,7 @@ from .operators import (
 
 __all__ = [
     "Check",
+    "IdentitySuite",
     "identity_checks",
     "mass_drift",
     "energy_budget",
@@ -64,18 +75,110 @@ __all__ = [
 ]
 
 
+# ======================================================================
+# Levels, accumulators and walks
+# ======================================================================
+
+
+class _Level:
+    """One time level and the arrays the identities derive from it.
+
+    Each array is computed on first use and then shared by every accumulator
+    the level is fed to, by the expression each of them used on its own, so
+    sharing changes no bit.
+    """
+
+    def __init__(
+        self,
+        state: FluidState,
+        grid: GridSpec,
+        params: PhysParams,
+        rho_prev: np.ndarray | None = None,
+    ):
+        self.rho, self.u, self.rho_prev = state.rho, state.u, rho_prev
+        self._dx, self._params = grid.dx, params
+
+    hat_u = cached_property(lambda lv: hat(lv.u))
+    split = cached_property(lambda lv: split_upwind(lv.u))  # (u+, u-)
+    du = cached_property(lambda lv: diff_cell(lv.u, lv._dx))
+    p = cached_property(lambda lv: lv._params.pressure(lv.rho))
+    # PhysParams.pressure_potential, which is p/(gamma-1), from the shared p
+    pot = cached_property(lambda lv: lv.p / (lv._params.gamma - 1.0))
+    mass_flux = cached_property(lambda lv: upwind_flux(lv.rho, *lv.split))
+    mom = cached_property(lambda lv: lv.rho * lv.hat_u)
+    mom_flux = cached_property(lambda lv: upwind_flux(lv.mom, *lv.split))
+
+
+class _Accumulator:
+    """A diagnostic fed one time level at a time: ``start`` takes level 0,
+    ``push`` the new level of each step, and ``result()`` gives the
+    diagnostic.  What an accumulator needs of the previous level beyond its
+    density (``rho_prev``) it keeps itself, so only that much outlives a step.
+    """
+
+    def start(self, level: _Level) -> None:
+        pass
+
+
+class _Walk:
+    """Feeds states, in order, to accumulators: the first to ``start``, each
+    later one to ``push``."""
+
+    def __init__(self, grid: GridSpec, params: PhysParams, accumulators) -> None:
+        self._grid, self._params = grid, params
+        self._accumulators = tuple(accumulators)
+        self._rho_prev: np.ndarray | None = None
+
+    def feed(self, state: FluidState) -> None:
+        cur = _Level(state, self._grid, self._params, self._rho_prev)
+        for acc in self._accumulators:
+            if self._rho_prev is None:
+                acc.start(cur)
+            else:
+                acc.push(cur)
+        self._rho_prev = state.rho
+
+
+def _walk(traj: Trajectory, acc: _Accumulator, steps: int | None = None):
+    """``acc``'s result over a kept trajectory's first ``steps`` steps (default: all)."""
+    walk = _Walk(traj.grid, traj.params, (acc,))
+    for state in traj.states[: len(traj) if steps is None else steps + 1]:
+        walk.feed(state)
+    return acc.result()
+
+
+def _running(pick, current: float | None, value: float) -> float:
+    """``pick`` (min or max) of a series so far, as ``pick`` over the whole series gives it."""
+    return value if current is None else pick(current, value)
+
+
+class _Density(_Accumulator):
+    """Total mass dx * sum(rho) at every level (``result``), and the range
+    (lo, hi) of the density over every cell and level."""
+
+    lo = hi = None
+
+    def __init__(self, grid: GridSpec, steps: int):
+        self.dx = grid.dx
+        self.sums = np.empty(steps + 1)
+        self.k = 0
+
+    def start(self, level: _Level) -> None:
+        self.push(level)
+
+    def push(self, cur: _Level) -> None:
+        self.sums[self.k] = np.sum(cur.rho)
+        self.k += 1
+        self.lo = _running(min, self.lo, float(np.min(cur.rho)))
+        self.hi = _running(max, self.hi, float(np.max(cur.rho)))
+
+    def result(self) -> np.ndarray:
+        return self.dx * self.sums
+
+
 def mass_history(traj: Trajectory) -> np.ndarray:
     """Total mass dx * sum(rho) at every time level (index 0..M)."""
-    sums = np.fromiter((np.sum(s.rho) for s in traj.states), float, len(traj))
-    return traj.grid.dx * sums
-
-
-def _density_range(traj: Trajectory) -> tuple[float, float]:
-    """(min, max) of the density over every cell and time level."""
-    return (
-        min(float(np.min(s.rho)) for s in traj.states),
-        max(float(np.max(s.rho)) for s in traj.states),
-    )
+    return _walk(traj, _Density(traj.grid, len(traj) - 1))
 
 
 def effective_newton_tol(traj: Trajectory) -> float:
@@ -129,6 +232,75 @@ def _convexity_gaps(
     return time, right, left
 
 
+_ENERGY_TERMS = ("dissipation", "N1", "N2", "N3", "N4")  # EnergyLedger's order
+
+
+class _Energy(_Accumulator):
+    """energy_ledger, one step at a time (see there).
+
+    The cumulative columns are running sums, which are np.cumsum's bits,
+    and ``min_increment`` is the smallest step increment of N1..N4 as
+    EnergyLedger.step_increments takes them.  The identity checks read only
+    that and ``balance``, so without ``columns`` no other series is kept.
+    """
+
+    def __init__(self, grid: GridSpec, params: PhysParams, steps: int, columns: bool = True):
+        self.grid, self.params = grid, params
+        names = ("energy", *_ENERGY_TERMS)
+        self.columns = {name: np.zeros(steps + 1) for name in names} if columns else None
+        self.balance = np.empty(steps + 1)
+        self.totals = [0.0] * len(_ENERGY_TERMS)
+        self.min_increment = math.inf
+        self.k = 0
+
+    def _level_energy(self, lv: _Level) -> float:
+        return self.grid.dx * float(np.sum(0.5 * lv.rho * lv.hat_u**2 + lv.pot))
+
+    def start(self, level: _Level) -> None:
+        self.hat_prev, self.pot_prev = level.hat_u, level.pot
+        self.energy0 = self._level_energy(level)
+        self._record(self.energy0)
+
+    def push(self, cur: _Level) -> None:
+        pp = self.params
+        dt, dx = self.grid.dt, self.grid.dx
+        dissipation = pp.mu * dt * dx * float(cur.du @ cur.du)
+
+        dpot = pp.dpressure(cur.rho) / (pp.gamma - 1.0)
+        time_gap, gap_right, gap_left = _convexity_gaps(
+            self.pot_prev, cur.pot, dpot, cur.rho_prev, cur.rho
+        )
+        n1 = dx * float(np.sum(time_gap))
+
+        up, um = cur.split
+        n2 = dt * float(-(gap_right @ um[1:-1]) + gap_left @ up[1:-1])
+
+        n3 = dx * float(np.sum(0.5 * cur.rho_prev * (cur.hat_u - self.hat_prev) ** 2))
+
+        n4 = dt * float(np.sum(0.5 * np.abs(cur.mass_flux[1:-1]) * np.diff(cur.hat_u) ** 2))
+        self.hat_prev, self.pot_prev = cur.hat_u, cur.pot
+
+        incs = (dissipation, n1, n2, n3, n4)
+        self.k += 1
+        # np.cumsum starts from the first increment itself, not from 0.0 plus it.
+        totals = incs if self.k == 1 else [t + inc for t, inc in zip(self.totals, incs)]
+        for old, new in zip(self.totals[1:], totals[1:]):
+            # np.minimum, not min(): a NaN step must fail the check.
+            self.min_increment = float(np.minimum(self.min_increment, new - old))
+        self.totals = totals
+        self._record(self._level_energy(cur))
+
+    def _record(self, energy: float) -> None:
+        dissipation, n1, n2, n3, n4 = self.totals
+        self.balance[self.k] = abs(energy - self.energy0 + dissipation + n1 + n2 + n3 + n4)
+        if self.columns is not None:
+            for column, value in zip(self.columns.values(), (energy, *self.totals)):
+                column[self.k] = value
+
+    def result(self) -> EnergyLedger:
+        return EnergyLedger(*self.columns.values(), self.balance)
+
+
 def energy_ledger(traj: Trajectory) -> EnergyLedger:
     """Evaluate the discrete energy equality along a trajectory.
 
@@ -143,48 +315,7 @@ def energy_ledger(traj: Trajectory) -> EnergyLedger:
     so every term is nonnegative up to rounding, and the balance residual is
     bounded by the accumulated solver residual (not by discretization error).
     """
-    g, pp = traj.grid, traj.params
-    dt, dx = g.dt, g.dx
-    states = traj.states
-    steps = len(states) - 1
-
-    def level(state) -> tuple[np.ndarray, np.ndarray, float]:
-        hat_u = hat(state.u)
-        pot = pp.pressure_potential(state.rho)
-        return hat_u, pot, dx * float(np.sum(0.5 * state.rho * hat_u**2 + pot))
-
-    energy = np.empty(steps + 1)
-    hat_prev, pot_prev, energy[0] = level(states[0])
-    inc_d = np.zeros(steps)
-    inc = {k: np.zeros(steps) for k in ("N1", "N2", "N3", "N4")}
-    for k in range(1, steps + 1):
-        rho_prev, rho, u = states[k - 1].rho, states[k].rho, states[k].u
-        hat_u, pot, energy[k] = level(states[k])
-        du = np.diff(u) / dx
-        inc_d[k - 1] = pp.mu * dt * dx * float(du @ du)
-
-        dpot = pp.dpressure(rho) / (pp.gamma - 1.0)
-        time_gap, gap_right, gap_left = _convexity_gaps(pot_prev, pot, dpot, rho_prev, rho)
-        inc["N1"][k - 1] = dx * float(np.sum(time_gap))
-
-        up, um = split_upwind(u)
-        inc["N2"][k - 1] = dt * float(-(gap_right @ um[1:-1]) + gap_left @ up[1:-1])
-
-        inc["N3"][k - 1] = dx * float(np.sum(0.5 * rho_prev * (hat_u - hat_prev) ** 2))
-
-        flux = upwind_flux(rho, up, um)
-        inc["N4"][k - 1] = dt * float(
-            np.sum(0.5 * np.abs(flux[1:-1]) * np.diff(hat_u) ** 2)
-        )
-        hat_prev, pot_prev = hat_u, pot
-
-    def cum(a: np.ndarray) -> np.ndarray:
-        return np.concatenate(([0.0], np.cumsum(a)))
-
-    dissipation = cum(inc_d)
-    n1, n2, n3, n4 = (cum(inc[k]) for k in ("N1", "N2", "N3", "N4"))
-    balance = np.abs(energy - energy[0] + dissipation + n1 + n2 + n3 + n4)
-    return EnergyLedger(energy, dissipation, n1, n2, n3, n4, balance)
+    return _walk(traj, _Energy(traj.grid, traj.params, len(traj) - 1))
 
 
 # ======================================================================
@@ -216,48 +347,72 @@ def b_zlogz() -> BFunction:
 
 
 def sup_abs_deriv(B: BFunction, lo: float, hi: float, samples: int = 4097) -> float:
-    """max |B'| over [lo, hi], by dense sampling (covers interior extrema)."""
+    """max |B'| over [lo, hi], by dense sampling (covers interior extrema).
+
+    B' is taken 512 samples at a time, so that its temporaries stay small.
+    """
     if not (0.0 < lo <= hi):
         raise ValueError("derivative range must be positive and ordered")
     z = np.linspace(lo, hi, samples)
-    vals = np.abs(np.asarray(B.deriv(z), dtype=float))
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"B'{B.name and f' ({B.name})'} is not finite on [{lo}, {hi}]")
-    return float(np.max(vals))
+    sup = 0.0
+    for start in range(0, samples, 512):
+        vals = np.abs(np.asarray(B.deriv(z[start : start + 512]), dtype=float))
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"B'{B.name and f' ({B.name})'} is not finite on [{lo}, {hi}]")
+        sup = max(sup, float(np.max(vals)))
+    return sup
 
 
-def _renorm_rows(
-    traj: Trajectory, B: BFunction, lo: float, hi: float
-) -> Iterator[np.ndarray]:
-    """The rows of ``renorm_residual``, one step at a time (see there), given
-    ``(lo, hi) = _density_range(traj)``."""
-    g = traj.grid
-    dt, dx = g.dt, g.dx
-    states = traj.states
-    sup_abs_deriv(B, lo, hi, samples=257)  # rejects non-C^1-on-range inputs
+def _check_on_range(B: BFunction, lo: float, hi: float) -> None:
+    """Reject a B that is not finite and C^1 on the density range [lo, hi]."""
+    sup_abs_deriv(B, lo, hi, samples=257)
     if not np.all(np.isfinite(np.asarray(B.value(np.array([lo, hi]))))):
         raise ValueError(f"B ({B.name}) is not finite on the density range")
 
-    bv_prev = np.asarray(B.value(states[0].rho), dtype=float)
-    for k in range(1, len(states)):
-        rho_prev, rho, u = states[k - 1].rho, states[k].rho, states[k].u
+
+class _Renorm(_Accumulator):
+    """renorm_residual's rows for one B, one step at a time; ``result`` is
+    their max-norm, and ``rows``, if given, receives every row."""
+
+    def __init__(self, B: BFunction, grid: GridSpec, rows: np.ndarray | None = None):
+        self.B, self.grid, self.rows = B, grid, rows
+        self.k = 0
+        self.worst = -math.inf
+
+    def start(self, level: _Level) -> None:
+        self.bv_prev = np.asarray(self.B.value(level.rho), dtype=float)
+
+    def row(self, cur: _Level) -> np.ndarray:
+        """The step's row of renorm_residual (see there)."""
+        B, dt, dx = self.B, self.grid.dt, self.grid.dx
+        rho, bv_prev = cur.rho, self.bv_prev
         bv = np.asarray(B.value(rho), dtype=float)
         bp = np.asarray(B.deriv(rho), dtype=float)
         small_b = rho * bp - bv
 
-        time_gap, gap_right, gap_left = _convexity_gaps(bv_prev, bv, bp, rho_prev, rho)
-        up, um = split_upwind(u)
-        spatial = np.zeros(g.N)
+        time_gap, gap_right, gap_left = _convexity_gaps(bv_prev, bv, bp, cur.rho_prev, rho)
+        up, um = cur.split
+        spatial = np.zeros(self.grid.N)
         spatial[:-1] -= gap_right * um[1:-1] / dx
         spatial[1:] += gap_left * up[1:-1] / dx
-
-        yield (
+        self.bv_prev = bv
+        return (
             continuity_residual(bv_prev, bv, upwind_flux(bv, up, um), dt, dx)
-            + small_b * diff_cell(u, dx)
+            + small_b * cur.du
             + time_gap / dt
             + spatial
         )
-        bv_prev = bv
+
+    def push(self, cur: _Level) -> None:
+        row = self.row(cur)
+        if self.rows is not None:
+            self.rows[self.k] = row
+        self.k += 1
+        # np.maximum, not max(): a NaN step must fail the check.
+        self.worst = float(np.maximum(self.worst, np.max(np.abs(row))))
+
+    def result(self) -> float:
+        return self.worst
 
 
 def renorm_residual(traj: Trajectory, B: BFunction) -> np.ndarray:
@@ -274,10 +429,12 @@ def renorm_residual(traj: Trajectory, B: BFunction) -> np.ndarray:
     max-norm is bounded by the solver tolerance times sup|B'| on the state
     range.  B must be finite with finite derivative on that range.
     """
-    out = np.empty((len(traj) - 1, traj.grid.N))
-    for k, row in enumerate(_renorm_rows(traj, B, *_density_range(traj))):
-        out[k] = row
-    return out
+    density = _Density(traj.grid, len(traj) - 1)
+    _walk(traj, density)
+    _check_on_range(B, density.lo, density.hi)
+    rows = np.empty((len(traj) - 1, traj.grid.N))
+    _walk(traj, _Renorm(B, traj.grid, rows))
+    return rows
 
 
 # ======================================================================
@@ -311,22 +468,30 @@ class PositivityReport:
         return float(np.min(self.divergence_margin, initial=np.inf))
 
 
+class _Positivity(_Accumulator):
+    """positivity_report, one step at a time."""
+
+    def __init__(self, grid: GridSpec, steps: int):
+        self.grid = grid
+        self.min_rho, self.bound, self.div_bound = (np.empty(steps) for _ in range(3))
+        self.k = 0
+
+    def push(self, cur: _Level) -> None:
+        g, k = self.grid, self.k
+        rho_prev, rho, u = cur.rho_prev, cur.rho, cur.u
+        self.min_rho[k] = float(np.min(rho))
+        self.bound[k] = float(np.min(rho_prev)) / (1.0 + g.dt * float(np.max(np.abs(u))))
+        res = continuity_residual(rho_prev, rho, cur.mass_flux, g.dt, g.dx)
+        self.div_bound[k] = positivity_floor(rho_prev, u, res, g.dt, g.dx)
+        self.k += 1
+
+    def result(self) -> PositivityReport:
+        min_rho, bound, div_bound = self.min_rho, self.bound, self.div_bound
+        return PositivityReport(min_rho, bound, min_rho - bound, div_bound, min_rho - div_bound)
+
+
 def positivity_report(traj: Trajectory) -> PositivityReport:
-    g = traj.grid
-    states = traj.states
-    steps = len(states) - 1
-    min_rho = np.empty(steps)
-    bound = np.empty(steps)
-    div_bound = np.empty(steps)
-    for k in range(1, steps + 1):
-        rho_prev, rho, u = states[k - 1].rho, states[k].rho, states[k].u
-        min_rho[k - 1] = float(np.min(rho))
-        bound[k - 1] = float(np.min(rho_prev)) / (1.0 + g.dt * float(np.max(np.abs(u))))
-        res = continuity_residual(rho_prev, rho, upwind_flux(rho, *split_upwind(u)), g.dt, g.dx)
-        div_bound[k - 1] = positivity_floor(rho_prev, u, res, g.dt, g.dx)
-    return PositivityReport(
-        min_rho, bound, min_rho - bound, div_bound, min_rho - div_bound
-    )
+    return _walk(traj, _Positivity(traj.grid, len(traj) - 1))
 
 
 # ======================================================================
@@ -397,59 +562,67 @@ def check_checkpoint(m: int | None, steps: int) -> int:
     return m
 
 
-def flux_ledger(traj: Trajectory, m: int | None = None) -> FluxLedger:
-    """Accumulate the flux identity through step m (default: the full run)."""
-    g, pp = traj.grid, traj.params
-    dt, dx = g.dt, g.dx
-    steps = len(traj) - 1
-    m = check_checkpoint(m, steps)
+class _Flux(_Accumulator):
+    """flux_ledger through the last step pushed, one step at a time."""
 
-    lhs = s1 = s2 = e1 = e2 = mean_flux = transport = 0.0
-    w_prev = face_momentum(traj.states[0].rho * hat(traj.states[0].u))
-    w_first = w_prev
-    for k in range(1, m + 1):
-        rho, u = traj.states[k].rho, traj.states[k].u
+    def __init__(self, grid: GridSpec, params: PhysParams):
+        self.grid, self.params = grid, params
+        self.m = 0
+        self.lhs = self.s1 = self.s2 = self.e1 = self.e2 = 0.0
+        self.mean_flux = self.transport = 0.0
+
+    def start(self, level: _Level) -> None:
+        self.w_prev = face_momentum(level.mom)
+        g_init = dirichlet_inv_grad(self.w_prev, self.grid.dx)
+        self.boundary_initial = self.grid.dx * float(g_init @ level.rho)
+
+    def push(self, cur: _Level) -> None:
+        pp = self.params
+        dt, dx = self.grid.dt, self.grid.dx
+        rho, u = cur.rho, cur.u
         rbar = float(np.mean(rho))
-        du = diff_cell(u, dx)
-        p = pp.pressure(rho)
-        lhs += -dt * dx * float(np.sum((pp.mu * du - p) * (rho - rbar)))
+        self.lhs += -dt * dx * float(np.sum((pp.mu * cur.du - cur.p) * (rho - rbar)))
 
         v = neumann_inv_grad(rho - rbar, dx)[1:-1]
-        hat_u = hat(u)
-        w = face_momentum(rho * hat_u)
-        s1 += dx * float((w - w_prev) @ v)
+        w = face_momentum(cur.mom)
+        dw = w - self.w_prev
+        self.s1 += dx * float(dw @ v)
 
-        up, um = split_upwind(u)
-        mom_flux = upwind_flux(rho * hat_u, up, um)
+        mom_flux = cur.mom_flux
         conv = momentum_convection(mom_flux, dx)
-        s2 += dt * dx * float(conv @ v)
+        self.s2 += dt * dx * float(conv @ v)
 
-        mean_flux += dt * dx * rbar * float(np.sum(mom_flux[1:-1]))
-        transport += dt * dx * float(mom_flux[1:-1] @ (0.5 * (rho[:-1] + rho[1:])))
+        self.mean_flux += dt * dx * rbar * float(np.sum(mom_flux[1:-1]))
+        self.transport += dt * dx * float(mom_flux[1:-1] @ (0.5 * (rho[:-1] + rho[1:])))
 
-        mass_flux = upwind_flux(rho, up, um)
-        e1 += -dt * dx * float(mass_flux[1:-1] @ (w - w_prev))
-        e2 += dt * dx * float(
-            np.sum(0.5 * rho[:-1] * rho[1:] * np.abs(u[1:-1]) * np.diff(hat_u))
+        self.e1 += -dt * dx * float(cur.mass_flux[1:-1] @ dw)
+        self.e2 += dt * dx * float(
+            np.sum(0.5 * rho[:-1] * rho[1:] * np.abs(u[1:-1]) * np.diff(cur.hat_u))
         )
-        w_prev = w
+        self.w_prev, self.rho_last = w, rho
+        self.m += 1
 
-    g_term = dirichlet_inv_grad(w_prev, dx)
-    boundary_terminal = -dx * float(g_term @ traj.states[m].rho)
-    g_init = dirichlet_inv_grad(w_first, dx)
-    boundary_initial = dx * float(g_init @ traj.states[0].rho)
-    return FluxLedger(
-        m=m,
-        lhs=lhs,
-        S1=s1,
-        S2=s2,
-        E1=e1,
-        E2=e2,
-        mean_flux=mean_flux,
-        boundary_terminal=boundary_terminal,
-        boundary_initial=boundary_initial,
-        transport=transport,
-    )
+    def result(self) -> FluxLedger:
+        dx = self.grid.dx
+        g_term = dirichlet_inv_grad(self.w_prev, dx)
+        return FluxLedger(
+            m=self.m,
+            lhs=self.lhs,
+            S1=self.s1,
+            S2=self.s2,
+            E1=self.e1,
+            E2=self.e2,
+            mean_flux=self.mean_flux,
+            boundary_terminal=-dx * float(g_term @ self.rho_last),
+            boundary_initial=self.boundary_initial,
+            transport=self.transport,
+        )
+
+
+def flux_ledger(traj: Trajectory, m: int | None = None) -> FluxLedger:
+    """Accumulate the flux identity through step m (default: the full run)."""
+    m = check_checkpoint(m, len(traj) - 1)
+    return _walk(traj, _Flux(traj.grid, traj.params), steps=m)
 
 
 # ======================================================================
@@ -457,27 +630,119 @@ def flux_ledger(traj: Trajectory, m: int | None = None) -> FluxLedger:
 # ======================================================================
 
 
-def _moments(traj: Trajectory, j: int) -> tuple[np.ndarray, ...]:
-    """What the weak residuals need of the sine mode j, by 5-point Gauss rules.
+class _Mode(NamedTuple):
+    """What the weak residuals need of one sine mode X = sin(pi j x / L).
 
-    The mode is phi(t, x) = X(x) tau(t) with X = sin(pi j x / L) and
-    tau = (1 - t/T)^2.  Returns (tbar, mx, mdx, mfdx, xf): tbar[k-1]
-    integrates tau over window k; per cell i, mx, mdx and mfdx are the Gauss
-    sums of wx*X, wx*X' and wx*frac*X', where frac = x/dx - i is the weight
-    of u_{i+1} in the velocity interpolant at the node; xf holds X at the
-    N+1 faces.
+    Per cell i, by its 5-point Gauss rule: mx, mdx and mfdx are the sums of
+    wx*X, wx*X' and wx*frac*X', where frac = x/dx - i is the weight of
+    u_{i+1} in the velocity interpolant at the node.  Per interior face:
+    gap_r and gap_l are the average of X over the cell on its right and on
+    its left, minus X at the face.  Per cell, trace_gap is the trapezoid of
+    X minus its Gauss integral, and dxf the jump of X across the cell.
     """
-    g = traj.grid
-    kj = math.pi * j / g.L
-    windows = np.arange(len(traj) - 1)
-    t, wt = gauss_panels(windows * g.dt, (windows + 1) * g.dt)
-    tbar = (wt * (1.0 - t / g.T) ** 2).sum(axis=1)
-    cells = np.arange(g.N)
-    x, wx = gauss_panels(cells * g.dx, (cells + 1) * g.dx)  # (N, 5) each
-    frac = x / g.dx - cells[:, None]
+
+    mx: np.ndarray
+    mdx: np.ndarray
+    mfdx: np.ndarray
+    gap_r: np.ndarray
+    gap_l: np.ndarray
+    trace_gap: np.ndarray
+    dxf: np.ndarray
+
+
+def _sine_mode(grid: GridSpec, j: int) -> _Mode:
+    kj = math.pi * j / grid.L
+    dx = grid.dx
+    cells = np.arange(grid.N)
+    x, wx = gauss_panels(cells * dx, (cells + 1) * dx)  # (N, 5) each
+    frac = x / dx - cells[:, None]
     wdx = wx * (kj * np.cos(kj * x))
     mx = (wx * np.sin(kj * x)).sum(axis=1)
-    return tbar, mx, wdx.sum(axis=1), (frac * wdx).sum(axis=1), np.sin(kj * g.face_nodes)
+    xf = np.sin(kj * grid.face_nodes)
+    return _Mode(
+        mx=mx,
+        mdx=wdx.sum(axis=1),
+        mfdx=(frac * wdx).sum(axis=1),
+        gap_r=mx[1:] / dx - xf[1:-1],
+        gap_l=mx[:-1] / dx - xf[1:-1],
+        trace_gap=0.5 * dx * (xf[:-1] + xf[1:]) - mx,
+        dxf=np.diff(xf),
+    )
+
+
+class _SineModes:
+    """The test functions phi = X_j(x) tau(t) of the weak residuals, for the
+    modes ``js``, with tau = (1 - t/T)^2 (see weak_residual_continuity).
+
+    ``tbar[k-1]`` integrates tau over window k by a 5-point Gauss rule, and
+    ``modes`` holds each X_j's _Mode.  Both equations' accumulators read
+    them, so they are built once per run.
+    """
+
+    def __init__(self, grid: GridSpec, steps: int, js: Sequence[int]):
+        self.js = tuple(js)
+        windows = np.arange(steps)
+        t, wt = gauss_panels(windows * grid.dt, (windows + 1) * grid.dt)
+        self.tbar = (wt * (1.0 - t / grid.T) ** 2).sum(axis=1)
+        self.modes = tuple(_sine_mode(grid, j) for j in self.js)
+
+
+class _WeakContinuity(_Accumulator):
+    """weak_residual_continuity at every mode of ``modes``, in one pass over
+    the windows."""
+
+    def __init__(self, grid: GridSpec, modes: _SineModes):
+        self.dt, self.modes = grid.dt, modes
+        self.tbar = map(float, modes.tbar)
+        self.lhs = [0.0] * len(modes.js)
+        self.p1 = [0.0] * len(modes.js)
+
+    def push(self, cur: _Level) -> None:
+        tk = next(self.tbar)
+        rho, u = cur.rho, cur.u
+        dt_rho = (rho - cur.rho_prev) / self.dt
+        du, drho = np.diff(u), np.diff(rho)
+        up, um = cur.split
+        up_int, um_int = up[1:-1], um[1:-1]
+        for i, m in enumerate(self.modes.modes):
+            transport = rho @ (u[:-1] * m.mdx + du * m.mfdx)
+            self.lhs[i] += tk * float(dt_rho @ m.mx - transport)
+            self.p1[i] -= tk * float(drho @ (up_int * m.gap_r + um_int * m.gap_l))
+
+    def result(self) -> list[tuple[float, float]]:
+        return list(zip(self.lhs, self.p1))
+
+
+class _WeakMomentum(_Accumulator):
+    """weak_residual_momentum at every mode of ``modes``, in one pass over
+    the windows."""
+
+    def __init__(self, grid: GridSpec, params: PhysParams, modes: _SineModes):
+        self.dt, self.mu, self.modes = grid.dt, params.mu, modes
+        self.tbar = map(float, modes.tbar)
+        self.lhs = [0.0] * len(modes.js)
+        self.p2 = [0.0] * len(modes.js)
+
+    def start(self, level: _Level) -> None:
+        self.mom_prev = level.mom
+
+    def push(self, cur: _Level) -> None:
+        tk = next(self.tbar)
+        mom = cur.mom
+        dt_mom = (mom - self.mom_prev) / self.dt
+        cell_coeff = -(mom * cur.hat_u + cur.p - self.mu * cur.du)
+        dmom = np.diff(mom)
+        up, um = cur.split
+        up_int, um_int = up[1:-1], um[1:-1]
+        for i, m in enumerate(self.modes.modes):
+            self.lhs[i] += tk * float(dt_mom @ m.mx + cell_coeff @ m.mdx)
+            j1 = float(dt_mom @ m.trace_gap)
+            j2 = 0.5 * float(dmom @ (up_int * m.dxf[1:] - um_int * m.dxf[:-1]))
+            self.p2[i] -= tk * (j1 + j2)
+        self.mom_prev = mom
+
+    def result(self) -> list[tuple[float, float]]:
+        return list(zip(self.lhs, self.p2))
 
 
 def weak_residual_continuity(traj: Trajectory, j: int) -> tuple[float, float]:
@@ -496,24 +761,8 @@ def weak_residual_continuity(traj: Trajectory, j: int) -> tuple[float, float]:
     phi = X(x) tau(t) is separable, so each window's integrals are the
     window integral of tau times dot products with the per-cell moments of X.
     """
-    g = traj.grid
-    tbar, mx, mdx, mfdx, xf = _moments(traj, j)
-    dt, dx = g.dt, g.dx
-    # cell averages of X minus X at the interior face on the cell's left/right
-    gap_r = mx[1:] / dx - xf[1:-1]
-    gap_l = mx[:-1] / dx - xf[1:-1]
-    states = traj.states
-    lhs = 0.0
-    p1 = 0.0
-    for k, tk in enumerate(tbar.tolist(), start=1):
-        rho, u = states[k].rho, states[k].u
-        dt_rho = (rho - states[k - 1].rho) / dt
-        transport = rho @ (u[:-1] * mdx + np.diff(u) * mfdx)
-        lhs += tk * float(dt_rho @ mx - transport)
-
-        up_int, um_int = split_upwind(u[1:-1])
-        p1 -= tk * float(np.diff(rho) @ (up_int * gap_r + um_int * gap_l))
-    return lhs, p1
+    modes = _SineModes(traj.grid, len(traj) - 1, (j,))
+    return _walk(traj, _WeakContinuity(traj.grid, modes))[0]
 
 
 def weak_residual_momentum(traj: Trajectory, j: int) -> tuple[float, float]:
@@ -528,30 +777,8 @@ def weak_residual_momentum(traj: Trajectory, j: int) -> tuple[float, float]:
     upwind trace asymmetry of the convection term.  Pressure and viscosity
     pair exactly and leave no trace here.
     """
-    g, pp = traj.grid, traj.params
-    tbar, mx, mdx, _, xf = _moments(traj, j)
-    dt, dx = g.dt, g.dx
-    # trapezoid of X over each cell minus its Gauss integral; jumps of X
-    trace_gap = 0.5 * dx * (xf[:-1] + xf[1:]) - mx
-    dxf = np.diff(xf)
-    states = traj.states
-    lhs = 0.0
-    p2 = 0.0
-    mom_prev = states[0].rho * hat(states[0].u)
-    for k, tk in enumerate(tbar.tolist(), start=1):
-        rho, u = states[k].rho, states[k].u
-        hat_u = hat(u)
-        mom = rho * hat_u
-        dt_mom = (mom - mom_prev) / dt
-        cell_coeff = -(mom * hat_u + pp.pressure(rho) - pp.mu * diff_cell(u, dx))
-        lhs += tk * float(dt_mom @ mx + cell_coeff @ mdx)
-
-        j1 = float(dt_mom @ trace_gap)
-        up_int, um_int = split_upwind(u[1:-1])
-        j2 = 0.5 * float(np.diff(mom) @ (up_int * dxf[1:] - um_int * dxf[:-1]))
-        p2 -= tk * (j1 + j2)
-        mom_prev = mom
-    return lhs, p2
+    modes = _SineModes(traj.grid, len(traj) - 1, (j,))
+    return _walk(traj, _WeakMomentum(traj.grid, traj.params, modes))[0]
 
 
 # ======================================================================
@@ -786,17 +1013,13 @@ class Check:
         return self.value <= self.bound
 
 
-def mass_drift(traj: Trajectory) -> float:
-    """Largest change of the total mass over the run, relative to the initial mass."""
-    masses = mass_history(traj)
+def _drift(masses: np.ndarray) -> float:
     return float(np.max(np.abs(masses - masses[0]))) / masses[0]
 
 
-def diffusion_min_increment(ledger: EnergyLedger) -> float:
-    """Smallest per-step increment of N1..N4; 0.0 for a run without steps."""
-    if ledger.N1.size < 2:
-        return 0.0
-    return min(float(np.min(ledger.step_increments(nm))) for nm in ("N1", "N2", "N3", "N4"))
+def mass_drift(traj: Trajectory) -> float:
+    """Largest change of the total mass over the run, relative to the initial mass."""
+    return _drift(mass_history(traj))
 
 
 def energy_budget(tol: float, steps: int) -> float:
@@ -804,46 +1027,94 @@ def energy_budget(tol: float, steps: int) -> float:
     return 100.0 * tol * max(steps, 1)
 
 
+# The sine modes at which the identity checks test the weak forms.
+_CHECK_MODES = (1, 2, 3)
+
+
+class IdentitySuite:
+    """identity_checks and positivity_report of one run, fed as it is solved.
+
+    ``push`` takes the initial state, then each accepted state with the
+    StepMeta of the step that made it, as stepper.march yields them;
+    ``steps`` is the number of steps that will be pushed.  One walk feeds
+    every identity, each step's shared arrays are computed once, and no
+    state is kept: what the suite holds is O(N) arrays and O(M) series.
+    """
+
+    def __init__(self, grid: GridSpec, params: PhysParams, steps: int):
+        self.steps = steps
+        self._density = _Density(grid, steps)
+        self._energy = _Energy(grid, params, steps, columns=False)
+        self._renorm = tuple(
+            _Renorm(B, grid) for B in (b_square(), b_power(params.gamma), b_zlogz())
+        )
+        self._flux = _Flux(grid, params)
+        modes = _SineModes(grid, steps, _CHECK_MODES)
+        self._weak = (_WeakContinuity(grid, modes), _WeakMomentum(grid, params, modes))
+        self._positivity = _Positivity(grid, steps)
+        self._walk = _Walk(grid, params, (
+            self._density, self._energy, *self._renorm, self._flux, *self._weak,
+            self._positivity,
+        ))
+        self._tol: float | None = None
+        self._worst_res: float | None = None
+
+    def push(self, state: FluidState, meta=None) -> None:
+        self._walk.feed(state)
+        if meta is not None:
+            self._tol = _running(max, self._tol, meta.tol)
+            self._worst_res = _running(max, self._worst_res, meta.residual_norm)
+
+    def positivity(self) -> PositivityReport:
+        return self._positivity.result()
+
+    def checks(self) -> tuple[Check, ...]:
+        """Every exact identity of the run, each against its budget (see identity_checks)."""
+        steps = self.steps
+        tol = 1e-10 if self._tol is None else self._tol  # effective_newton_tol
+        energy = self._energy
+        fractions = np.fromiter(
+            (energy.balance[m] / energy_budget(tol, m) for m in range(1, steps + 1)),
+            float, count=steps,
+        )
+        checks = [
+            Check("step residual max-norm",
+                  0.0 if self._worst_res is None else self._worst_res, tol),
+            Check("mass drift (relative)", _drift(self._density.result()), 1e-12 * max(steps, 1)),
+            # np.max, not max(): a NaN step must fail the check.
+            Check("energy balance (fraction of tolerance)",
+                  float(np.max(fractions, initial=0.0)), 1.0),
+            # A quiescent run reports -0.0 here, a run without steps +0.0.
+            Check("numerical diffusion negativity",
+                  -energy.min_increment if steps else 0.0, 1e-12),
+        ]
+        if not steps:
+            return tuple(checks)
+
+        lo, hi = self._density.lo, self._density.hi
+        for acc in self._renorm:
+            _check_on_range(acc.B, lo, hi)
+            bound = 10.0 * tol * sup_abs_deriv(acc.B, lo, hi)
+            checks.append(Check(f"renormalized continuity [{acc.B.name}]", acc.result(), bound))
+
+        gap = abs(self._flux.result().identity_gap)
+        checks.append(Check("flux identity gap", gap, energy_budget(tol, steps)))
+
+        continuity, momentum = (acc.result() for acc in self._weak)
+        for j, (lw, p1), (lm, p2) in zip(_CHECK_MODES, continuity, momentum):
+            checks.append(Check(f"weak continuity self-consistency [sin{j}]", abs(lw - p1), 1e-8))
+            checks.append(Check(f"weak momentum self-consistency [sin{j}]", abs(lm - p2), 1e-8))
+        return tuple(checks)
+
+
 def identity_checks(traj: Trajectory) -> tuple[Check, ...]:
     """Every exact identity of one trajectory, each against its budget.
 
     Budgets scale with the largest tolerance the solver applied.  A run
     without steps has no time window, so it gets only the first four checks.
+    The trajectory is walked once, through IdentitySuite.
     """
-    tol = effective_newton_tol(traj)
-    steps = len(traj) - 1
-    worst_res = max((m.residual_norm for m in traj.solver_meta), default=0.0)
-    drift = mass_drift(traj)
-    ledger = energy_ledger(traj)
-    checks = [
-        Check("step residual max-norm", worst_res, tol),
-        Check("mass drift (relative)", drift, 1e-12 * max(steps, 1)),
-        Check("energy balance (fraction of tolerance)", max([0.0] + [
-            ledger.balance_residual[m] / energy_budget(tol, m) for m in range(1, steps + 1)
-        ]), 1.0),
-        # A quiescent run reports -0.0 here, a run without steps +0.0.
-        Check("numerical diffusion negativity",
-              -diffusion_min_increment(ledger) if steps else 0.0, 1e-12),
-    ]
-    if not steps:
-        return tuple(checks)
-
-    lo, hi = _density_range(traj)
-    for B in (b_square(), b_power(traj.params.gamma), b_zlogz()):
-        # np.max, not max(): a NaN step must fail the check.
-        step_max = np.fromiter(
-            (np.max(np.abs(row)) for row in _renorm_rows(traj, B, lo, hi)), float, count=steps
-        )
-        res = float(np.max(step_max))
-        bound = 10.0 * tol * sup_abs_deriv(B, lo, hi)
-        checks.append(Check(f"renormalized continuity [{B.name}]", res, bound))
-
-    gap = abs(flux_ledger(traj).identity_gap)
-    checks.append(Check("flux identity gap", gap, energy_budget(tol, steps)))
-
-    for j in (1, 2, 3):
-        lw, p1 = weak_residual_continuity(traj, j)
-        checks.append(Check(f"weak continuity self-consistency [sin{j}]", abs(lw - p1), 1e-8))
-        lw, p2 = weak_residual_momentum(traj, j)
-        checks.append(Check(f"weak momentum self-consistency [sin{j}]", abs(lw - p2), 1e-8))
-    return tuple(checks)
+    suite = IdentitySuite(traj.grid, traj.params, len(traj) - 1)
+    for k, state in enumerate(traj.states):
+        suite.push(state, traj.solver_meta[k - 1] if k and traj.solver_meta else None)
+    return suite.checks()

@@ -149,7 +149,7 @@ class PhysParams:
         Satisfies rho*B'(rho) - B(rho) = p(rho), which is what couples the
         renormalized continuity identity to the kinetic-energy balance.
         """
-        return self.a * rho**self.gamma / (self.gamma - 1.0)
+        return self.pressure(rho) / (self.gamma - 1.0)
 
 
 def _frozen_array(values, length: int | None = None) -> np.ndarray:
@@ -179,14 +179,13 @@ class FluidState:
         u = _frozen_array(self.u, length=rho.size + 1)
         if rho.size < 2:
             raise ValueError("state needs at least 2 cells")
-        if not np.all(rho > 0):
-            raise ValueError(
-                f"densities must be strictly positive (min={rho.min(initial=np.inf)})"
-            )
-        if u[0] != 0.0 or u[-1] != 0.0:
-            raise ValueError("wall velocities must be exactly zero")
+        # Finiteness first: a NaN density is not a nonpositive one.
         if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(u))):
             raise ValueError("state contains non-finite entries")
+        if not np.all(rho > 0):
+            raise ValueError(f"densities must be strictly positive (min={rho.min()})")
+        if u[0] != 0.0 or u[-1] != 0.0:
+            raise ValueError("wall velocities must be exactly zero")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "u", u)
 

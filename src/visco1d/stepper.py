@@ -27,7 +27,7 @@ drops geometrically.  It rebuilds and refactors the Jacobian only while the
 residual is above newton_tol; below it, each polish iteration is a chord
 (Shamanskii) step: one residual and one dgbtrs with the factors in hand
 (C. T. Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
-1995, ch. 5).  run() carries the factors a step ends with into the next
+1995, ch. 5).  march() carries the factors a step ends with into the next
 step, whose first update is a chord step with them: they were built near the
 state that step starts from.  From iterate 2 on Newton refactors above
 newton_tol as without the carry, so a step makes about one factorization
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 import scipy  # resolves assemble_jacobian's return annotation; scipy.sparse loads on use
@@ -75,6 +75,7 @@ __all__ = [
     "assemble_residual",
     "assemble_jacobian",
     "advance",
+    "march",
     "run",
 ]
 
@@ -479,7 +480,7 @@ def advance(
     satisfies the scheme (e.g. any constant state) reports one iteration and
     performs zero linear solves.
 
-    ``carry`` is the factor slot that run() threads from step to step: a list
+    ``carry`` is the factor slot that march() threads from step to step: a list
     that is empty or holds the LU factors the previous step ended with.  If
     it holds factors, the first update is a chord step with them instead of a
     fresh factorization; from iterate 2 on Newton refactors while the
@@ -554,29 +555,27 @@ def advance(
     return FluidState(rho=rho, u=u, k=k), meta
 
 
-def run(
+def march(
     scenario,
     grid: GridSpec,
     params: PhysParams,
     cfg: SolverConfig | None = None,
-    observer: Callable[[FluidState], object] | None = None,
-) -> Trajectory:
-    """March the scheme from the scenario's initial data to grid.T.
+) -> Iterator[tuple[FluidState, StepMeta | None]]:
+    """March the scheme from the scenario's initial data to grid.T, one state at a time.
 
-    ``scenario`` is a harness.ScenarioConfig, or anything with its resolved
-    profiles ``rho0_fn`` and ``u0_fn``.  It steps at whatever ``grid.dt`` is;
-    a scenario's levels get theirs from ``ScenarioConfig.grid_for``, as
-    dt = dt_over_dx * dx.  ``observer``, if given,
-    is called with the initial state and then with each accepted state, in
-    order, as soon as it exists; an exception it raises aborts the run.
+    Yields (initial state, None), then (state, meta) for each accepted step,
+    meta being that step's StepMeta, as soon as the state exists.  It keeps
+    only the current state and the factors one step hands the next, so a
+    caller that keeps nothing marches in O(N) memory.  ``scenario`` is a
+    harness.ScenarioConfig, or anything with its resolved profiles
+    ``rho0_fn`` and ``u0_fn``.  It steps at whatever ``grid.dt`` is; a
+    scenario's levels get theirs from ``ScenarioConfig.grid_for``, as
+    dt = dt_over_dx * dx.  A failed step raises StepFailure "run aborted: ...".
     """
     cfg = cfg or SolverConfig()
     state = init_state(grid, scenario.rho0_fn, scenario.u0_fn)
-    states = [state]
-    metas = []
+    yield state, None
     carry: list = []  # the factors one step hands the next
-    if observer is not None:
-        observer(state)
     for _ in range(grid.M_steps):
         try:
             state, meta = advance(state, grid, params, cfg, carry)
@@ -584,8 +583,28 @@ def run(
             raise StepFailure(
                 f"run aborted: {exc}", exc.k, exc.residual_history, exc.min_rho
             ) from exc
+        yield state, meta
+
+
+def run(
+    scenario,
+    grid: GridSpec,
+    params: PhysParams,
+    cfg: SolverConfig | None = None,
+    observer: Callable[[FluidState], object] | None = None,
+) -> Trajectory:
+    """Every state march() yields, kept in a Trajectory.
+
+    ``observer``, if given, is called with the initial state and then with
+    each accepted state, in order, as soon as it exists; an exception it
+    raises aborts the run.
+    """
+    states = []
+    metas = []
+    for state, meta in march(scenario, grid, params, cfg):
         states.append(state)
-        metas.append(meta)
+        if meta is not None:
+            metas.append(meta)
         if observer is not None:
             observer(state)
     return Trajectory(

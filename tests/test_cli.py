@@ -535,6 +535,22 @@ def _import_cli(blas_threads: str | None) -> list[str]:
     return proc.stdout.splitlines()
 
 
+def test_verify_does_not_load_numpy_random(tmp_path):
+    """verify draws its duality cases from the standard library's random."""
+    cfg = write_cfg(tmp_path, "[scenario]\nname = smooth-bump\nlevels = 16\n")
+    script = (
+        "import sys\n"
+        "from visco1d.cli import cli_main\n"
+        f"code = cli_main(['verify', '--config', {cfg!r}])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=cli_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "15/15 identity checks passed" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_cli_import_pins_blas_to_one_thread():
     value, tasks = _import_cli(None)
     assert value == "1"

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from visco1d import diagnostics, grid, harness, stepper
+from visco1d import cli, diagnostics, grid, harness, stepper
 from visco1d.diagnostics import _int_abs_linear_pow
 from visco1d.operators import (
     diff_cell,
@@ -464,7 +466,7 @@ _ROW_WISE_DIAGNOSTICS = {
     "flux_ledger": lambda tr: diagnostics.flux_ledger(tr),
     # One flattened sum over every window, so it holds one (M, N) array.
     "rho_power_integral": lambda tr: diagnostics.rho_power_integral(tr),
-    # Every check in turn, each renormalized residual one step at a time.
+    # Every check from one walk, while the renormalized bounds are taken.
     "identity_checks": lambda tr: diagnostics.identity_checks(tr),
 }
 # Peak bounds in (M+1) x N matrices where a quarter is not the bound.
@@ -516,6 +518,42 @@ def test_diagnostics_peak_below_a_quarter_trajectory(name, long_smooth_traj_128)
     finally:
         tracemalloc.stop()
     assert peak - kept < _PEAK_LIMITS.get(name, 0.25) * matrix
+
+
+def test_streamed_verify_keeps_no_trajectory():
+    """verify feeds the identity suite each state as the solver makes it, so
+    beyond the solver's own tracemalloc peak it holds O(N) arrays and O(M)
+    series: less than a quarter of one (M+1) x N matrix, where a kept
+    trajectory alone is two (long_smooth_traj_128's config)."""
+    sc = replace(scenario_named("smooth-bump"), T=2.0, levels=(128,))
+    g = sc.grid_for(128)
+    config = cli.RunConfig(scenario=sc)
+
+    def solve() -> None:
+        state, carry = grid.init_state(g, sc.rho0_fn, sc.u0_fn), []
+        for _ in range(g.M_steps):
+            state, _ = stepper.advance(state, g, sc.params, None, carry)
+
+    def verify() -> None:
+        assert cli._verify(config, io.StringIO()) == 0
+
+    def traced_peak(job) -> int:
+        tracemalloc.start()
+        try:
+            job()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peaks = []
+    for job in (solve, verify):
+        job()  # lazy imports and first-call caches are not the job's
+        # The smaller of two runs: numpy's and Python's caches of small
+        # blocks move a single run's peak by a few KB.
+        peaks.append(min(traced_peak(job) for _ in range(2)))
+    matrix = (g.M_steps + 1) * g.N * 8
+    assert g.M_steps == 256
+    assert peaks[1] - peaks[0] < 0.25 * matrix
 
 
 # ======================================================================
@@ -616,14 +654,86 @@ def test_identity_checks_take_renorm_residuals_max_norm(smooth_traj_32):
 def test_identity_checks_fail_a_nan_renormalized_step(smooth_traj_32, monkeypatch):
     """A NaN in any one step's row fails its check; Python's max() would
     drop a NaN that follows a finite step."""
-    rows = diagnostics._renorm_rows
+    row = diagnostics._Renorm.row
+    steps: Counter = Counter()
 
-    def with_nan(*args):
-        for k, row in enumerate(rows(*args)):
-            yield np.full_like(row, np.nan) if k == 1 else row
+    def with_nan(self, cur):
+        out = row(self, cur)
+        steps[self.B.name] += 1
+        return np.full_like(out, np.nan) if steps[self.B.name] == 2 else out
 
-    monkeypatch.setattr(diagnostics, "_renorm_rows", with_nan)
+    monkeypatch.setattr(diagnostics._Renorm, "row", with_nan)
     renorm = [c for c in diagnostics.identity_checks(smooth_traj_32)
               if c.name.startswith("renormalized continuity")]
     assert len(renorm) == 3
     assert all(np.isnan(c.value) and not c.passed for c in renorm)
+
+
+def test_identity_checks_fail_a_nan_energy_step(smooth_traj_64, monkeypatch):
+    """A NaN in one step's N2 fails the energy-balance and the
+    diffusion-negativity checks; Python's max() and min() would drop it."""
+    gaps = diagnostics._convexity_gaps
+    calls = 0
+
+    def with_nan(*args):
+        nonlocal calls
+        calls += 1
+        time, right, left = gaps(*args)
+        return time, (np.full_like(right, np.nan) if calls > 4 else right), left
+
+    monkeypatch.setattr(diagnostics, "_convexity_gaps", with_nan)
+    checks = {c.name: c for c in diagnostics.identity_checks(smooth_traj_64)}
+    for name in ("energy balance (fraction of tolerance)", "numerical diffusion negativity"):
+        assert np.isnan(checks[name].value) and not checks[name].passed, name
+
+
+def checks_from_public_functions(traj: grid.Trajectory) -> list[tuple[str, float, float]]:
+    """identity_checks' (name, value, bound), each taken from the standalone
+    public diagnostic that defines it, reduced over whole series."""
+    tol = diagnostics.effective_newton_tol(traj)
+    steps = len(traj) - 1
+    ledger = diagnostics.energy_ledger(traj)
+    budgets = np.array([diagnostics.energy_budget(tol, m) for m in range(1, steps + 1)])
+    lo, hi = float(np.min(traj.rho_matrix)), float(np.max(traj.rho_matrix))
+    rows = [
+        ("step residual max-norm", max(m.residual_norm for m in traj.solver_meta), tol),
+        ("mass drift (relative)", diagnostics.mass_drift(traj), 1e-12 * steps),
+        ("energy balance (fraction of tolerance)",
+         float(np.max(ledger.balance_residual[1:] / budgets)), 1.0),
+        ("numerical diffusion negativity",
+         -float(np.min([np.min(ledger.step_increments(k)) for k in ("N1", "N2", "N3", "N4")])),
+         1e-12),
+    ]
+    for B in (diagnostics.b_square(), diagnostics.b_power(traj.params.gamma),
+              diagnostics.b_zlogz()):
+        rows.append((f"renormalized continuity [{B.name}]",
+                     float(np.max(np.abs(diagnostics.renorm_residual(traj, B)))),
+                     10.0 * tol * diagnostics.sup_abs_deriv(B, lo, hi)))
+    rows.append(("flux identity gap", abs(diagnostics.flux_ledger(traj).identity_gap),
+                 diagnostics.energy_budget(tol, steps)))
+    for j in (1, 2, 3):
+        lw, p1 = diagnostics.weak_residual_continuity(traj, j)
+        rows.append((f"weak continuity self-consistency [sin{j}]", abs(lw - p1), 1e-8))
+        lw, p2 = diagnostics.weak_residual_momentum(traj, j)
+        rows.append((f"weak momentum self-consistency [sin{j}]", abs(lw - p2), 1e-8))
+    return rows
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("name", [sc.name for sc in harness.builtin_scenarios()])
+def test_one_walk_suite_equals_the_public_functions(name, n, all_scenario_runs):
+    """The suite's one shared walk gives every check bit for bit as the
+    standalone functions do, and positivity_report's series."""
+    traj = all_scenario_runs[(name, n)]
+
+    def bits(rows):
+        return [(nm, float(v).hex(), float(b).hex()) for nm, v, b in rows]
+
+    suite = diagnostics.IdentitySuite(traj.grid, traj.params, len(traj) - 1)
+    for k, state in enumerate(traj.states):
+        suite.push(state, traj.solver_meta[k - 1] if k else None)
+    assert bits((c.name, c.value, c.bound) for c in suite.checks()) == bits(
+        checks_from_public_functions(traj))
+    ours, theirs = suite.positivity(), diagnostics.positivity_report(traj)
+    for name in ("min_rho", "bound", "margin", "divergence_bound", "divergence_margin"):
+        assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes(), name

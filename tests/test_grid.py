@@ -94,6 +94,18 @@ def test_state_validates_shapes_and_walls():
         grid.FluidState(rho=np.array([1.0, 2.0]), u=np.array([0.1, 0.3, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_state_names_a_non_finite_density(bad):
+    """A NaN or infinite density is reported as non-finite, not as nonpositive."""
+    with pytest.raises(ValueError, match="non-finite"):
+        grid.FluidState(rho=np.array([1.0, bad]), u=np.zeros(3))
+
+
+def test_state_names_the_smallest_nonpositive_density():
+    with pytest.raises(ValueError, match=r"strictly positive \(min=-2.0\)"):
+        grid.FluidState(rho=np.array([1.0, -2.0, 0.0]), u=np.zeros(4))
+
+
 def test_trajectory_matrices(constant_traj):
     assert constant_traj.rho_matrix.shape == (len(constant_traj), constant_traj.grid.N)
     assert constant_traj.u_matrix.shape == (len(constant_traj), constant_traj.grid.N + 1)

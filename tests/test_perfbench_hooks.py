@@ -47,9 +47,13 @@ def test_tracing_hooks_install_and_restore(tmp_path, capsys):
         assert all(vars(owner).get(name) is value for name, value in snapshot.items())
     spans = tracer.dump()["spans"]
     names = {span["name"] for span in spans}
-    for name in ("cli.cli_main", "stepper.run", "stepper.advance",
-                 "diagnostics.energy_ledger", "operators.neumann_inv_grad"):
+    for name in ("cli.cli_main", "stepper.advance", "operators.neumann_inv_grad"):
         assert name in names
+    # verify streams each state from stepper.march into the identity suite:
+    # it keeps no trajectory, so it calls neither run nor the diagnostics
+    # that walk one; refine still does (see the test below).
+    assert "stepper.run" not in names
+    assert not any(name.startswith("diagnostics.") for name in names)
     assert not any(span.get("repeat") for span in spans)
     assert "15/15 identity checks passed" in capsys.readouterr().out
 
@@ -74,7 +78,8 @@ def test_traced_refine_and_run_reach_their_call_sites(tmp_path):
     assert code == 0
     # The finest level runs in a forked worker, whose spans stay in that process.
     assert names.count("stepper.run") >= 2
-    for name in ("harness.run_refinement", "harness.cauchy_differences", "cli.write_report"):
+    for name in ("harness.run_refinement", "harness.cauchy_differences", "cli.write_report",
+                 "diagnostics.energy_ledger"):
         assert name in names
     code, names = _traced(["run", "--config", str(cfg), "--out", str(tmp_path / "run")])
     assert code == 0

@@ -403,6 +403,22 @@ def test_run_observer_sees_only_accepted_states_before_a_failure(monkeypatch):
     assert [state.k for state in seen] == [0, 1, 2, 3]
 
 
+def test_march_yields_exactly_runs_states_and_metas():
+    """run keeps what march yields: the initial state with no meta, then
+    each accepted state with its step's StepMeta."""
+    sc = scenario_named("riemann-like")
+    g = sc.grid_for(32)
+    traj = stepper.run(sc, g, sc.params)
+    marched = list(stepper.march(sc, g, sc.params))
+    assert len(marched) == len(traj) > 2
+    assert marched[0][1] is None
+    for (state, _), kept in zip(marched, traj.states):
+        assert state.k == kept.k
+        assert state.rho.tobytes() == kept.rho.tobytes()
+        assert state.u.tobytes() == kept.u.tobytes()
+    assert tuple(meta for _, meta in marched[1:]) == traj.solver_meta
+
+
 def test_run_constant_scenario_all_states_identical(constant_traj):
     first = constant_traj.states[0]
     for st in constant_traj.states[1:]:
