@@ -41,7 +41,7 @@ from .harness import (
     fork_worker,
     recv_states,
     run_refinement,
-    send_state,
+    send_states,
     stop_worker,
     worker_result,
 )
@@ -430,72 +430,63 @@ def _write_text(path: str, content: str | Iterable[str]) -> None:
 # ======================================================================
 
 
-def _solve_first_level(config: RunConfig, observer=None) -> Trajectory:
-    """Solve the scenario at its coarsest level, keeping its states, as run and flux do."""
+def _solve_first_level(config: RunConfig) -> Trajectory:
+    """Solve the scenario at its coarsest level, keeping its states, as flux does."""
     scenario = config.scenario
     return run(
         scenario,
         scenario.grid_for(scenario.levels[0]),
         scenario.params,
         config.solver,
-        observer=observer,
     )
+
+
+def _write_levels(path: str, grid: GridSpec, levels, config: RunConfig) -> None:
+    """Write the state CSV of the (rho, u) levels to path, each as it comes."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(_state_blocks(grid, levels, config))
 
 
 def _state_writer(conn, grid: GridSpec, config: RunConfig, tmp: str) -> None:
     """Writer process body: write each time level the parent sends to tmp,
     until the empty message that ends the solve."""
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_state_blocks(grid, recv_states(conn, grid.N), config))
+    _write_levels(tmp, grid, recv_states(conn, grid.N), config)
 
 
-def _solve_writing_state(config: RunConfig, path: str) -> Trajectory:
-    """Solve the first level and write its state CSV to ``path``.
+def _solve_writing_state(config: RunConfig, path: str) -> GridSpec:
+    """Solve the first level, streaming its state CSV to ``path``; returns its grid.
 
     A forked writer process formats and writes each time level while the
-    solver computes the next.  It writes a temporary file next to ``path``,
-    which replaces ``path`` only after the solve has finished and the writer
-    has closed it; on any failure the temporary file is removed and ``path``
-    is left as it was.  Any failure of the writer, or of the replace, is an
-    OSError "cannot write <path>".  Where fork does not exist, the CSV is
-    written in process after the solve.
+    solver computes the next; where fork does not exist, this process writes
+    each level as soon as it is solved.  No trajectory is kept.  The CSV goes
+    to a temporary file next to ``path``, which replaces ``path`` only after
+    the solve has finished and the file is closed; on any failure the
+    temporary file is removed and ``path`` is left as it was.  Any failure
+    of the writing, or of the replace, is an OSError "cannot write <path>".
     """
     scenario = config.scenario
     grid = scenario.grid_for(scenario.levels[0])
+    states = (state for state, _ in march(scenario, grid, scenario.params, config.solver))
     tmp = f"{path}.{os.getpid()}.tmp"
     writer = fork_worker(_state_writer, grid, config, tmp)
-    if writer is None:
-        traj = _solve_first_level(config)
-        write_state_csv(traj, path, config)
-        return traj
-    conn = writer[1]
-
-    def wait_for_writer() -> None:
-        try:
-            worker_result(writer, "state.csv writer")
-        except Exception as exc:
-            raise OSError(f"cannot write {path}: {exc}") from exc
-
-    def send(state) -> None:
-        try:
-            send_state(conn, state)
-        except ConnectionError:
-            wait_for_writer()  # raises what stopped the writer
-            raise
-
     try:
-        traj = _solve_first_level(config, observer=send)
-        send(None)  # the solve is done: the writer closes its file
-        wait_for_writer()
-        try:
-            os.replace(tmp, path)
-        except OSError as exc:
-            raise OSError(f"cannot write {path}: {exc}") from exc
+        if writer is None:
+            _write_levels(tmp, grid, ((state.rho, state.u) for state in states), config)
+        else:
+            send_states(writer[1], states)
+            try:
+                worker_result(writer, "state.csv writer")
+            except Exception as exc:  # what stopped the writer
+                raise OSError(str(exc)) from exc
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
     finally:
-        stop_worker(writer)
+        if writer is not None:
+            stop_worker(writer)
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
-    return traj
+    return grid
 
 
 def _verify(config: RunConfig, out) -> int:
@@ -585,8 +576,8 @@ def cli_main(argv: list[str] | None = None) -> int:
             out_dir = args.out or config.out_dir
             os.makedirs(out_dir, exist_ok=True)
             path = os.path.join(out_dir, "state.csv")
-            traj = _solve_writing_state(config, path)
-            print(f"wrote {path} ({len(traj)} time levels, N={traj.grid.N})", file=out)
+            grid = _solve_writing_state(config, path)
+            print(f"wrote {path} ({grid.M_steps + 1} time levels, N={grid.N})", file=out)
             return 0
 
         if args.command == "refine":

@@ -19,9 +19,9 @@ level, then the new level of each step.  A level's derived
 arrays (hat(u), the upwind split, diff_cell(u), the pressure, the donor-cell
 fluxes and the momentum rho*hat(u)) are computed once and shared by every
 accumulator fed that step.  Each public function walks a kept Trajectory
-through its accumulator; IdentitySuite feeds all the identity checks from
-one walk, so ``visco1d verify`` checks a run as the solver marches it and
-keeps no states.
+through its accumulator; level_summary feeds a refinement level's whole row
+from one walk, and IdentitySuite all the identity checks, so ``visco1d
+verify`` checks a run as the solver marches it and keeps no states.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "IdentitySuite",
     "identity_checks",
     "mass_drift",
-    "energy_budget",
     "summarize_orders",
     "energy_ledger",
     "renorm_residual",
@@ -62,7 +61,7 @@ __all__ = [
     "STUDY_MIN_LEVELS",
     "check_study_levels",
     "check_checkpoint",
-    "level_magnitudes",
+    "level_summary",
     "linear_l2_sq",
     "rates_from_levels",
     "boundedness",
@@ -563,7 +562,8 @@ def check_checkpoint(m: int | None, steps: int) -> int:
 
 
 class _Flux(_Accumulator):
-    """flux_ledger through the last step pushed, one step at a time."""
+    """flux_ledger through the last step pushed, one step at a time (through
+    level 0 alone, E1, E2 and the identity gap are 0)."""
 
     def __init__(self, grid: GridSpec, params: PhysParams):
         self.grid, self.params = grid, params
@@ -572,7 +572,7 @@ class _Flux(_Accumulator):
         self.mean_flux = self.transport = 0.0
 
     def start(self, level: _Level) -> None:
-        self.w_prev = face_momentum(level.mom)
+        self.w_prev, self.rho_last = face_momentum(level.mom), level.rho
         g_init = dirichlet_inv_grad(self.w_prev, self.grid.dx)
         self.boundary_initial = self.grid.dx * float(g_init @ level.rho)
 
@@ -829,6 +829,62 @@ def rho_power_integral(traj: Trajectory, power: float | None = None) -> float:
     return g.dt * g.dx * float(np.sum(rho))
 
 
+class _Norms(_Accumulator):
+    """norm_suite, one level at a time (see there)."""
+
+    def __init__(self, grid: GridSpec, params: PhysParams, steps: int):
+        self.dt, self.dx, self.gamma = grid.dt, grid.dx, params.gamma
+        self.r = 2.0 * self.gamma / (self.gamma + 1.0)
+        # One sum per level for each supremum-in-time norm.  Their roots are
+        # taken over the whole series at once: numpy's vector power differs
+        # from the scalar one in the last bit for some inputs, and the report
+        # keeps them all.
+        self.sum_rho_g, self.sum_p, self.sum_mom_r, self.sum_kin = (
+            np.empty(steps + 1) for _ in range(4)
+        )
+        self.h1_sq = self.linf_sq = self.ru_g = self.ru2_r = 0.0
+        self.k = 0
+
+    def start(self, level: _Level) -> None:
+        self.push(level)
+
+    def push(self, cur: _Level) -> None:
+        dt, dx, gamma, r, k = self.dt, self.dx, self.gamma, self.r, self.k
+        rho, u = cur.rho, cur.u
+        rho_g = rho**gamma
+        self.sum_rho_g[k] = np.sum(rho_g)
+        self.sum_p[k] = np.sum(cur.p)
+        self.sum_mom_r[k] = np.sum(np.abs(cur.mom) ** r)
+        self.sum_kin[k] = np.sum(rho * cur.hat_u**2)
+        self.k += 1
+        if cur.rho_prev is None:  # level 0 enters only the suprema
+            return
+
+        ul = u[:-1]
+        int_dudx2 = float(np.sum(np.diff(u) ** 2)) / dx
+        self.h1_sq += dt * (linear_l2_sq(u, dx) + int_dudx2)
+        self.linf_sq += dt * float(np.max(np.abs(u))) ** 2
+
+        slope = np.diff(u) / dx
+        int_abs_u_g = _int_abs_linear_pow(ul, slope, dx, gamma)
+        self.ru_g += dt * float(np.sum(rho_g * int_abs_u_g)) ** (2.0 / gamma)
+        int_abs_u_2r = _int_abs_linear_pow(ul, slope, dx, 2.0 * r)
+        self.ru2_r += dt * float(np.sum(rho**r * int_abs_u_2r)) ** (2.0 / r)
+
+    def result(self) -> dict[str, float]:
+        dx, gamma, r = self.dx, self.gamma, self.r
+        return {
+            "rho_Linf_Lgamma": float(np.max((dx * self.sum_rho_g) ** (1.0 / gamma))),
+            "pressure_Linf_L1": float(np.max(dx * self.sum_p)),
+            "momentum_Linf_Lr": float(np.max((dx * self.sum_mom_r) ** (1.0 / r))),
+            "kinetic_Linf_L1": float(np.max(dx * self.sum_kin)),
+            "u_L2_H1": math.sqrt(self.h1_sq),
+            "u_L2_Linf": math.sqrt(self.linf_sq),
+            "rho_u_L2_Lgamma": math.sqrt(self.ru_g),
+            "rho_u2_L2_Lr": math.sqrt(self.ru2_r),
+        }
+
+
 def norm_suite(traj: Trajectory) -> dict[str, float]:
     """The a-priori-bounded norms of the extended fields, per trajectory.
 
@@ -845,49 +901,7 @@ def norm_suite(traj: Trajectory) -> dict[str, float]:
     Supremum-in-time norms include the initial state; time integrals run over
     the M windows of the extension.
     """
-    g, pp = traj.grid, traj.params
-    dt, dx = g.dt, g.dx
-    gamma = pp.gamma
-    r = 2.0 * gamma / (gamma + 1.0)
-
-    # One sum per level for each supremum-in-time norm.  Their roots are taken
-    # over the whole series at once: numpy's vector power differs from the
-    # scalar one in the last bit for some inputs, and the report keeps them all.
-    levels = len(traj)
-    sum_rho_g, sum_p, sum_mom_r, sum_kin = (np.empty(levels) for _ in range(4))
-    h1_sq = linf_sq = ru_g = ru2_r = 0.0
-    for k, state in enumerate(traj.states):
-        rho, u = state.rho, state.u
-        hat_u = hat(u)
-        rho_g = rho**gamma
-        sum_rho_g[k] = np.sum(rho_g)
-        sum_p[k] = np.sum(pp.pressure(rho))
-        sum_mom_r[k] = np.sum(np.abs(rho * hat_u) ** r)
-        sum_kin[k] = np.sum(rho * hat_u**2)
-        if k == 0:
-            continue
-
-        ul = u[:-1]
-        int_dudx2 = float(np.sum(np.diff(u) ** 2)) / dx
-        h1_sq += dt * (linear_l2_sq(u, dx) + int_dudx2)
-        linf_sq += dt * float(np.max(np.abs(u))) ** 2
-
-        slope = np.diff(u) / dx
-        int_abs_u_g = _int_abs_linear_pow(ul, slope, dx, gamma)
-        ru_g += dt * float(np.sum(rho_g * int_abs_u_g)) ** (2.0 / gamma)
-        int_abs_u_2r = _int_abs_linear_pow(ul, slope, dx, 2.0 * r)
-        ru2_r += dt * float(np.sum(rho**r * int_abs_u_2r)) ** (2.0 / r)
-
-    out: dict[str, float] = {}
-    out["rho_Linf_Lgamma"] = float(np.max((dx * sum_rho_g) ** (1.0 / gamma)))
-    out["pressure_Linf_L1"] = float(np.max(dx * sum_p))
-    out["momentum_Linf_Lr"] = float(np.max((dx * sum_mom_r) ** (1.0 / r)))
-    out["kinetic_Linf_L1"] = float(np.max(dx * sum_kin))
-    out["u_L2_H1"] = math.sqrt(h1_sq)
-    out["u_L2_Linf"] = math.sqrt(linf_sq)
-    out["rho_u_L2_Lgamma"] = math.sqrt(ru_g)
-    out["rho_u2_L2_Lr"] = math.sqrt(ru2_r)
-    return out
+    return _walk(traj, _Norms(traj.grid, traj.params, len(traj) - 1))
 
 
 def _pair_order(coarse: float, fine: float, h_ratio: float) -> float | str | None:
@@ -932,7 +946,7 @@ def error_rates(trajectories: Sequence[Trajectory]) -> dict[str, dict]:
             raise ValueError("error_rates requires one dt/dx ratio at every level")
         if len(tr) == 1:
             raise ValueError("error_rates needs at least one step at every level")
-    return rates_from_levels([level_magnitudes(tr) for tr in trajs])
+    return rates_from_levels([level_summary(tr) for tr in trajs])
 
 
 # Three levels give two pair orders, the fewest whose agreement shows a rate.
@@ -945,31 +959,47 @@ def check_study_levels(count: int) -> None:
         raise ValueError(f"a refinement study needs at least {STUDY_MIN_LEVELS} levels")
 
 
-def level_magnitudes(traj: Trajectory) -> dict[str, float]:
-    """One refinement level's decaying magnitudes, as the study reports them.
+def level_summary(traj: Trajectory) -> dict:
+    """One refinement level's row of the study, from one walk over its states.
 
-    Keys: the mesh size "h"; "E1", "E2" and "flux_identity_gap", the absolute
-    values from one flux_ledger over the whole run; "P1" and "P2", the
-    absolute closed-form weak residuals against the sine modes 1 and 2; and
-    "rho_gamma_plus_1".  A run without steps has no time window, so every
-    magnitude is 0.0.
+    "E1", "E2" and "flux_identity_gap" are absolute values from one
+    flux_ledger over the whole run; "P1" and "P2" the absolute closed-form
+    weak residuals against the sine modes 1 and 2.  A run without steps has
+    no time window, so these and "rho_gamma_plus_1" are 0.0.
     """
-    keys = ("E1", "E2", "P1", "P2", "rho_gamma_plus_1", "flux_identity_gap")
-    if len(traj) == 1:
-        return {"h": traj.grid.dx, **dict.fromkeys(keys, 0.0)}
-    ledger = flux_ledger(traj)
+    grid, params, steps = traj.grid, traj.params, len(traj) - 1
+    density = _Density(grid, steps)
+    energy = _Energy(grid, params, steps, columns=False)
+    flux = _Flux(grid, params)
     # Mode 1 is even about L/2 and mode 2 odd.  A mirror-symmetric scenario
     # has an even density and an odd momentum, which pair with the other
     # parity to roundoff zeros, whose rate would be noise: so P1 at mode 1
     # and P2 at mode 2.
+    continuity = _WeakContinuity(grid, _SineModes(grid, steps, (1,)))
+    momentum = _WeakMomentum(grid, params, _SineModes(grid, steps, (2,)))
+    positivity = _Positivity(grid, steps)
+    norms = _Norms(grid, params, steps)
+    walk = _Walk(grid, params, (density, energy, flux, continuity, momentum, positivity, norms))
+    for state in traj.states:
+        walk.feed(state)
+
+    ledger = flux.result()
     return {
-        "h": traj.grid.dx,
+        "N": grid.N,
+        "steps": steps,
+        "fallback_steps": sum(m.fallback_used for m in traj.solver_meta),
+        "mass_drift_rel": _drift(density.result()),
+        "energy_balance_max": float(np.max(energy.balance)),
+        "energy_tol": energy_budget(effective_newton_tol(traj), steps),
+        "positivity_margin_min": positivity.result().worst_margin,
+        "h": grid.dx,
         "E1": abs(ledger.E1),
         "E2": abs(ledger.E2),
-        "P1": abs(weak_residual_continuity(traj, 1)[1]),
-        "P2": abs(weak_residual_momentum(traj, 2)[1]),
+        "P1": abs(continuity.result()[0][1]),
+        "P2": abs(momentum.result()[0][1]),
         "rho_gamma_plus_1": rho_power_integral(traj),
         "flux_identity_gap": abs(ledger.identity_gap),
+        **norms.result(),
     }
 
 

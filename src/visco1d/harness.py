@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "cauchy_differences",
     "fork_worker",
     "send_state",
+    "send_states",
     "recv_states",
     "worker_result",
     "stop_worker",
@@ -252,31 +253,12 @@ class RefinementReport:
     failed: bool = False
 
 
-def _level_summary(traj: Trajectory) -> dict:
-    ledger = diagnostics.energy_ledger(traj)
-    tol_eff = diagnostics.effective_newton_tol(traj)
-    steps = len(traj) - 1
-    pos = diagnostics.positivity_report(traj)
-    summary = {
-        "N": traj.grid.N,
-        "steps": steps,
-        "fallback_steps": sum(m.fallback_used for m in traj.solver_meta),
-        "mass_drift_rel": diagnostics.mass_drift(traj),
-        "energy_balance_max": float(np.max(ledger.balance_residual)),
-        "energy_tol": diagnostics.energy_budget(tol_eff, steps),
-        "positivity_margin_min": pos.worst_margin,
-    }
-    summary.update(diagnostics.level_magnitudes(traj))
-    summary.update(diagnostics.norm_suite(traj))
-    return summary
-
-
 def _solve_level(
     scenario: ScenarioConfig, solver: SolverConfig, n: int
 ) -> tuple[Trajectory, dict]:
     """Solve one level of the ladder and summarize its diagnostics."""
     traj = run(scenario, scenario.grid_for(n), scenario.params, solver)
-    return traj, _level_summary(traj)
+    return traj, diagnostics.level_summary(traj)
 
 
 def fork_worker(target, *args):
@@ -356,11 +338,11 @@ def stop_worker(worker) -> None:
     conn.close()
 
 
-def _send_states(conn, traj: Trajectory) -> None:
-    """Send a trajectory's states to a worker, then the end message.  A worker
-    that has ended cannot take them; worker_result then says what ended it."""
+def send_states(conn, states: Iterable[FluidState]) -> None:
+    """Send each state to a worker, then the end message.  A worker that has
+    ended cannot take them; worker_result then says what ended it."""
     try:
-        for state in traj.states:
+        for state in states:
             send_state(conn, state)
         send_state(conn, None)
     except ConnectionError:
@@ -430,7 +412,7 @@ def run_refinement(
                         pair = cauchy_differences(coarse, traj)
                     coarse = traj
                     if n == next_finest and worker is not None:
-                        _send_states(worker[1], traj)
+                        send_states(worker[1], traj.states)
             except StepFailure as exc:
                 flags.append(f"level {n} solve failed: {exc}")
                 failed = True

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 import scipy  # resolves assemble_jacobian's return annotation; scipy.sparse loads on use
@@ -591,22 +591,14 @@ def run(
     grid: GridSpec,
     params: PhysParams,
     cfg: SolverConfig | None = None,
-    observer: Callable[[FluidState], object] | None = None,
 ) -> Trajectory:
-    """Every state march() yields, kept in a Trajectory.
-
-    ``observer``, if given, is called with the initial state and then with
-    each accepted state, in order, as soon as it exists; an exception it
-    raises aborts the run.
-    """
+    """Every state march() yields, kept in a Trajectory."""
     states = []
     metas = []
     for state, meta in march(scenario, grid, params, cfg):
         states.append(state)
         if meta is not None:
             metas.append(meta)
-        if observer is not None:
-            observer(state)
     return Trajectory(
         grid=grid,
         params=params,

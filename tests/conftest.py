@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import errno
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,33 @@ def scenario_named(name: str) -> harness.ScenarioConfig:
 
 def with_levels(sc: harness.ScenarioConfig, levels: tuple[int, ...]) -> harness.ScenarioConfig:
     return dataclasses.replace(sc, levels=levels)
+
+
+def peak_beyond_the_solver(sc: harness.ScenarioConfig, job) -> float:
+    """job's tracemalloc peak beyond that of solving sc's first level alone,
+    in (M+1) x N float64 matrices of that level."""
+    g = sc.grid_for(sc.levels[0])
+
+    def solve() -> None:
+        state, carry = grid.init_state(g, sc.rho0_fn, sc.u0_fn), []
+        for _ in range(g.M_steps):
+            state, _ = stepper.advance(state, g, sc.params, None, carry)
+
+    def traced_peak(job) -> int:
+        tracemalloc.start()
+        try:
+            job()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peaks = []
+    for each in (solve, job):
+        each()  # lazy imports and first-call caches are not the job's
+        # The smaller of two runs: numpy's and Python's caches of small
+        # blocks move a single run's peak by a few KB.
+        peaks.append(min(traced_peak(each) for _ in range(2)))
+    return (peaks[1] - peaks[0]) / ((g.M_steps + 1) * g.N * 8)
 
 
 def solve_level(sc: harness.ScenarioConfig, n: int) -> grid.Trajectory:

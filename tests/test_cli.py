@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from visco1d.cli import (
     write_state_csv,
 )
 
-from conftest import reset_worker
+from conftest import peak_beyond_the_solver, reset_worker, scenario_named
 
 
 MINIMAL = "[scenario]\nname = constant\n"
@@ -436,19 +437,17 @@ def test_writer_error_exits_1_and_leaves_no_file(tmp_path, capsys, monkeypatch):
 
 @needs_fork
 def test_writer_killed_mid_stream_exits_1(tmp_path, capsys, monkeypatch):
-    solve = cli.run
+    solve = cli.march
 
-    def run(*args, observer, **kwargs):
-        def observe(state):
+    def march(*args, **kwargs):
+        for state, meta in solve(*args, **kwargs):
             if state.k == 3:
                 (writer,) = multiprocessing.active_children()
                 os.kill(writer.pid, signal.SIGKILL)
                 writer.join()
-            observer(state)
+            yield state, meta
 
-        return solve(*args, observer=observe, **kwargs)
-
-    monkeypatch.setattr(cli, "run", run)
+    monkeypatch.setattr(cli, "march", march)
     cfg = write_cfg(tmp_path, "[scenario]\nname = smooth-bump\nlevels = 32\n")
     out = tmp_path / "out"
     assert run_cli(["run", "--config", cfg, "--out", str(out)]) == 1
@@ -470,6 +469,46 @@ def test_writer_with_reset_pipe_exits_1_naming_the_writer(tmp_path, capsys, monk
         "state.csv writer exited with code -9 without a result\n"
     )
     assert os.listdir(out) == []
+
+
+def test_write_error_without_fork_leaves_state_csv_as_it_was(tmp_path, capsys, monkeypatch):
+    """Written in process, the CSV also goes to a temporary file that
+    replaces state.csv only once it is complete."""
+    blocks = cli._state_blocks
+
+    def failing_blocks(grid, levels, config):
+        for i, block in enumerate(blocks(grid, levels, config)):
+            if i == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            yield block
+
+    monkeypatch.setattr(cli, "fork_worker", lambda *args: None)
+    monkeypatch.setattr(cli, "_state_blocks", failing_blocks)
+    cfg = write_cfg(tmp_path, "[scenario]\nname = smooth-bump\nlevels = 16\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "state.csv").write_bytes(b"an earlier run's state.csv\n")
+    assert run_cli(["run", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"i/o error: cannot write {out / 'state.csv'}: [Errno 28] No space left" in err
+    assert os.listdir(out) == ["state.csv"]  # no temporary file is left
+    assert (out / "state.csv").read_bytes() == b"an earlier run's state.csv\n"
+
+
+def test_streamed_run_keeps_no_trajectory(tmp_path):
+    """run sends each state to the writer as the solver makes it, so beyond
+    the solver's own tracemalloc peak this process holds one level at a
+    time: less than a quarter of one (M+1) x N matrix, where a kept
+    trajectory alone is two (test_streamed_verify_keeps_no_trajectory's
+    config)."""
+    sc = replace(scenario_named("smooth-bump"), T=2.0, levels=(128,))
+    config = cli.RunConfig(scenario=sc)
+
+    def run() -> None:
+        cli._solve_writing_state(config, str(tmp_path / "state.csv"))
+
+    assert sc.grid_for(128).M_steps == 256
+    assert peak_beyond_the_solver(sc, run) < 0.25
 
 
 @needs_fork

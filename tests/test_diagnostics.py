@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -26,7 +27,13 @@ from visco1d.operators import (
 )
 from visco1d.stepper import _old_fields, assemble_residual
 
-from conftest import constant_state, scenario_named, solve_level, with_levels
+from conftest import (
+    constant_state,
+    peak_beyond_the_solver,
+    scenario_named,
+    solve_level,
+    with_levels,
+)
 
 
 def synthetic_trajectory(states, L=1.0, params=None) -> grid.Trajectory:
@@ -331,18 +338,18 @@ def test_weak_residuals_call_the_test_function_once_per_level(
     assert calls[0] == calls[1] > 0
 
 
-def test_level_magnitudes_probe_each_equation_with_the_mode_it_does_not_cancel(
+def test_level_summary_probes_each_equation_with_the_mode_it_does_not_cancel(
     smooth_traj_64,
 ):
     """The mirror-symmetric smooth bump pairs the momentum equation with the
     even mode 1, and the density equation with the odd mode 2, to roundoff
-    zeros; level_magnitudes takes P1 at mode 1 and P2 at mode 2 instead."""
+    zeros; level_summary takes P1 at mode 1 and P2 at mode 2 instead."""
     traj = smooth_traj_64
     p1 = {j: diagnostics.weak_residual_continuity(traj, j)[1] for j in (1, 2)}
     p2 = {j: diagnostics.weak_residual_momentum(traj, j)[1] for j in (1, 2)}
     assert abs(p2[1]) <= 1e-10 * abs(p2[2])
     assert abs(p1[2]) <= 1e-10 * abs(p1[1])
-    row = diagnostics.level_magnitudes(traj)
+    row = diagnostics.level_summary(traj)
     assert row["P1"] == abs(p1[1])
     assert row["P2"] == abs(p2[2])
 
@@ -473,7 +480,7 @@ _ROW_WISE_DIAGNOSTICS = {
 _PEAK_LIMITS = {"rho_power_integral": 1.25, "identity_checks": 0.5}
 _STACK_FREE = {
     **_ROW_WISE_DIAGNOSTICS,
-    "harness._level_summary": lambda tr: harness._level_summary(tr),
+    "level_summary": lambda tr: diagnostics.level_summary(tr),
 }
 
 
@@ -526,34 +533,13 @@ def test_streamed_verify_keeps_no_trajectory():
     series: less than a quarter of one (M+1) x N matrix, where a kept
     trajectory alone is two (long_smooth_traj_128's config)."""
     sc = replace(scenario_named("smooth-bump"), T=2.0, levels=(128,))
-    g = sc.grid_for(128)
     config = cli.RunConfig(scenario=sc)
-
-    def solve() -> None:
-        state, carry = grid.init_state(g, sc.rho0_fn, sc.u0_fn), []
-        for _ in range(g.M_steps):
-            state, _ = stepper.advance(state, g, sc.params, None, carry)
 
     def verify() -> None:
         assert cli._verify(config, io.StringIO()) == 0
 
-    def traced_peak(job) -> int:
-        tracemalloc.start()
-        try:
-            job()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    peaks = []
-    for job in (solve, verify):
-        job()  # lazy imports and first-call caches are not the job's
-        # The smaller of two runs: numpy's and Python's caches of small
-        # blocks move a single run's peak by a few KB.
-        peaks.append(min(traced_peak(job) for _ in range(2)))
-    matrix = (g.M_steps + 1) * g.N * 8
-    assert g.M_steps == 256
-    assert peaks[1] - peaks[0] < 0.25 * matrix
+    assert sc.grid_for(128).M_steps == 256
+    assert peak_beyond_the_solver(sc, verify) < 0.25
 
 
 # ======================================================================
@@ -737,3 +723,91 @@ def test_one_walk_suite_equals_the_public_functions(name, n, all_scenario_runs):
     ours, theirs = suite.positivity(), diagnostics.positivity_report(traj)
     for name in ("min_rho", "bound", "margin", "divergence_bound", "divergence_margin"):
         assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes(), name
+
+
+def norms_by_loop(traj: grid.Trajectory) -> dict[str, float]:
+    """norm_suite as one loop over the kept states, each array from its own
+    expression: the reference for the _Norms accumulator."""
+    g, pp = traj.grid, traj.params
+    dt, dx, gamma = g.dt, g.dx, pp.gamma
+    r = 2.0 * gamma / (gamma + 1.0)
+    sum_rho_g, sum_p, sum_mom_r, sum_kin = (np.empty(len(traj)) for _ in range(4))
+    h1_sq = linf_sq = ru_g = ru2_r = 0.0
+    for k, state in enumerate(traj.states):
+        rho, u = state.rho, state.u
+        hat_u = hat(u)
+        rho_g = rho**gamma
+        sum_rho_g[k] = np.sum(rho_g)
+        sum_p[k] = np.sum(pp.pressure(rho))
+        sum_mom_r[k] = np.sum(np.abs(rho * hat_u) ** r)
+        sum_kin[k] = np.sum(rho * hat_u**2)
+        if k == 0:
+            continue
+        h1_sq += dt * (diagnostics.linear_l2_sq(u, dx) + float(np.sum(np.diff(u) ** 2)) / dx)
+        linf_sq += dt * float(np.max(np.abs(u))) ** 2
+        slope = np.diff(u) / dx
+        ru_g += dt * float(np.sum(rho_g * _int_abs_linear_pow(u[:-1], slope, dx, gamma))) ** (
+            2.0 / gamma)
+        ru2_r += dt * float(np.sum(rho**r * _int_abs_linear_pow(u[:-1], slope, dx, 2.0 * r))) ** (
+            2.0 / r)
+    return {
+        "rho_Linf_Lgamma": float(np.max((dx * sum_rho_g) ** (1.0 / gamma))),
+        "pressure_Linf_L1": float(np.max(dx * sum_p)),
+        "momentum_Linf_Lr": float(np.max((dx * sum_mom_r) ** (1.0 / r))),
+        "kinetic_Linf_L1": float(np.max(dx * sum_kin)),
+        "u_L2_H1": math.sqrt(h1_sq),
+        "u_L2_Linf": math.sqrt(linf_sq),
+        "rho_u_L2_Lgamma": math.sqrt(ru_g),
+        "rho_u2_L2_Lr": math.sqrt(ru2_r),
+    }
+
+
+def summary_from_public_functions(traj: grid.Trajectory) -> dict:
+    """level_summary's row, each value from the standalone public diagnostic
+    that defines it (one walk each), and the norms from norms_by_loop."""
+    steps = len(traj) - 1
+    ledger = diagnostics.flux_ledger(traj)
+    return {
+        "N": traj.grid.N,
+        "steps": steps,
+        "fallback_steps": sum(m.fallback_used for m in traj.solver_meta),
+        "mass_drift_rel": diagnostics.mass_drift(traj),
+        "energy_balance_max": float(np.max(diagnostics.energy_ledger(traj).balance_residual)),
+        "energy_tol": diagnostics.energy_budget(diagnostics.effective_newton_tol(traj), steps),
+        "positivity_margin_min": diagnostics.positivity_report(traj).worst_margin,
+        "h": traj.grid.dx,
+        "E1": abs(ledger.E1),
+        "E2": abs(ledger.E2),
+        "P1": abs(diagnostics.weak_residual_continuity(traj, 1)[1]),
+        "P2": abs(diagnostics.weak_residual_momentum(traj, 2)[1]),
+        "rho_gamma_plus_1": diagnostics.rho_power_integral(traj),
+        "flux_identity_gap": abs(ledger.identity_gap),
+        **norms_by_loop(traj),
+    }
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("name", [sc.name for sc in harness.builtin_scenarios()])
+def test_level_summary_is_one_walk_of_the_public_functions(
+    name, n, all_scenario_runs, monkeypatch
+):
+    """A level's row builds one _Level per time level, and every value is
+    bit for bit what the standalone functions give."""
+    traj = all_scenario_runs[(name, n)]
+    built = 0
+
+    class Counted(diagnostics._Level):
+        def __init__(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "_Level", Counted)
+    row = diagnostics.level_summary(traj)
+    assert built == len(traj) > 1
+    monkeypatch.undo()
+
+    def bits(summary: dict) -> list[tuple[str, str]]:
+        return [(key, float(value).hex()) for key, value in summary.items()]
+
+    assert bits(row) == bits(summary_from_public_functions(traj))

@@ -280,16 +280,13 @@ def test_run_refinement_orders_are_error_rates_without_recomputing(monkeypatch, 
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(name + "\n")
 
-    names = ("flux_ledger", "weak_residual_continuity",
-             "weak_residual_momentum", "rho_power_integral")
-    for name in names:
-        original = getattr(diagnostics, name)
+    level_summary = diagnostics.level_summary
 
-        def counted(*args, name=name, original=original, **kwargs):
-            record(name)
-            return original(*args, **kwargs)
+    def counted(traj):
+        record("level_summary")
+        return level_summary(traj)
 
-        monkeypatch.setattr(diagnostics, name, counted)
+    monkeypatch.setattr(diagnostics, "level_summary", counted)
     error_rates = diagnostics.error_rates
 
     def forbidden(*args, **kwargs):
@@ -299,7 +296,7 @@ def test_run_refinement_orders_are_error_rates_without_recomputing(monkeypatch, 
     monkeypatch.setattr(diagnostics, "error_rates", forbidden)
     rep = harness.run_refinement(sc)
     calls = Counter(log.read_text(encoding="utf-8").split())
-    assert calls == dict.fromkeys(names, len(sc.levels))
+    assert calls == {"level_summary": len(sc.levels)}
 
     rates = error_rates([solve_level(sc, n) for n in sc.levels])
     for key in ("E1", "E2", "P1", "P2"):
@@ -351,7 +348,7 @@ def test_run_refinement_worker_matches_in_process_levels(monkeypatch):
     assert multiprocessing.active_children() == []
 
     trajs = [solve_level(sc, n) for n in sc.levels]
-    assert rep.per_level == tuple(harness._level_summary(t) for t in trajs)
+    assert rep.per_level == tuple(diagnostics.level_summary(t) for t in trajs)
     pairs = [harness.cauchy_differences(a, b) for a, b in zip(trajs, trajs[1:])]
     assert rep.cauchy_rho == tuple(l1 for l1, _ in pairs)
     assert rep.cauchy_u == tuple(l2 for _, l2 in pairs)

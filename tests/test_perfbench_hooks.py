@@ -71,7 +71,8 @@ def _traced(argv: list[str]) -> tuple[int, list[str]]:
 
 
 def test_traced_refine_and_run_reach_their_call_sites(tmp_path):
-    """refine solves through ``harness.run``, run through ``cli.run``."""
+    """refine solves through ``harness.run``; run streams ``stepper.march``,
+    whose steps are ``stepper.advance``."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[scenario]\nname = smooth-bump\nlevels = 8,16,32\n", encoding="utf-8")
     code, names = _traced(["refine", "--config", str(cfg), "--out", str(tmp_path / "rep")])
@@ -79,11 +80,11 @@ def test_traced_refine_and_run_reach_their_call_sites(tmp_path):
     # The finest level runs in a forked worker, whose spans stay in that process.
     assert names.count("stepper.run") >= 2
     for name in ("harness.run_refinement", "harness.cauchy_differences", "cli.write_report",
-                 "diagnostics.energy_ledger"):
+                 "diagnostics.rho_power_integral"):
         assert name in names
     code, names = _traced(["run", "--config", str(cfg), "--out", str(tmp_path / "run")])
     assert code == 0
-    assert "stepper.run" in names
+    assert "stepper.advance" in names
 
 
 def test_probe_reports_counts_and_kernel_timings(tmp_path, monkeypatch):

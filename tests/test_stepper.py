@@ -378,16 +378,16 @@ def test_run_zero_horizon_returns_initial_state_only():
 
 
 @pytest.mark.parametrize("T", [0.0, 0.25], ids=["T0", "T0.25"])
-def test_run_observer_sees_every_state_in_order(T):
+def test_march_yields_every_state_in_order(T):
     sc = scenario_named("smooth-bump")
     g = grid.GridSpec(L=1.0, N=16, dt=1.0 / 16, T=T)
-    seen = []
-    traj = stepper.run(sc, g, sc.params, observer=seen.append)
+    seen = [state for state, _ in stepper.march(sc, g, sc.params)]
+    traj = stepper.run(sc, g, sc.params)
     assert len(seen) == len(traj.states) == (1 if T == 0 else 5)
-    assert all(a is b for a, b in zip(seen, traj.states))
+    assert [state.k for state in seen] == list(range(len(seen)))
 
 
-def test_run_observer_sees_only_accepted_states_before_a_failure(monkeypatch):
+def test_march_yields_only_accepted_states_before_a_failure(monkeypatch):
     step = stepper.advance
 
     def advance(prev, *args):
@@ -399,7 +399,8 @@ def test_run_observer_sees_only_accepted_states_before_a_failure(monkeypatch):
     sc = scenario_named("riemann-like")
     seen = []
     with pytest.raises(stepper.StepFailure, match="run aborted: injected"):
-        stepper.run(sc, sc.grid_for(16), sc.params, observer=seen.append)
+        for state, _ in stepper.march(sc, sc.grid_for(16), sc.params):
+            seen.append(state)
     assert [state.k for state in seen] == [0, 1, 2, 3]
 
 
