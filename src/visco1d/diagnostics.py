@@ -166,10 +166,10 @@ class _Density(_Accumulator):
         self.push(level)
 
     def push(self, cur: _Level) -> None:
-        self.sums[self.k] = np.sum(cur.rho)
+        self.sums[self.k] = cur.rho.sum()
         self.k += 1
-        self.lo = _running(min, self.lo, float(np.min(cur.rho)))
-        self.hi = _running(max, self.hi, float(np.max(cur.rho)))
+        self.lo = _running(min, self.lo, float(cur.rho.min()))
+        self.hi = _running(max, self.hi, float(cur.rho.max()))
 
     def result(self) -> np.ndarray:
         return self.dx * self.sums
@@ -253,7 +253,7 @@ class _Energy(_Accumulator):
         self.k = 0
 
     def _level_energy(self, lv: _Level) -> float:
-        return self.grid.dx * float(np.sum(0.5 * lv.rho * lv.hat_u**2 + lv.pot))
+        return self.grid.dx * float((0.5 * lv.rho * lv.hat_u**2 + lv.pot).sum())
 
     def start(self, level: _Level) -> None:
         self.hat_prev, self.pot_prev = level.hat_u, level.pot
@@ -269,14 +269,14 @@ class _Energy(_Accumulator):
         time_gap, gap_right, gap_left = _convexity_gaps(
             self.pot_prev, cur.pot, dpot, cur.rho_prev, cur.rho
         )
-        n1 = dx * float(np.sum(time_gap))
+        n1 = dx * float(time_gap.sum())
 
         up, um = cur.split
         n2 = dt * float(-(gap_right @ um[1:-1]) + gap_left @ up[1:-1])
 
-        n3 = dx * float(np.sum(0.5 * cur.rho_prev * (cur.hat_u - self.hat_prev) ** 2))
+        n3 = dx * float((0.5 * cur.rho_prev * (cur.hat_u - self.hat_prev) ** 2).sum())
 
-        n4 = dt * float(np.sum(0.5 * np.abs(cur.mass_flux[1:-1]) * np.diff(cur.hat_u) ** 2))
+        n4 = dt * float((0.5 * np.abs(cur.mass_flux[1:-1]) * np.diff(cur.hat_u) ** 2).sum())
         self.hat_prev, self.pot_prev = cur.hat_u, cur.pot
 
         incs = (dissipation, n1, n2, n3, n4)
@@ -408,7 +408,7 @@ class _Renorm(_Accumulator):
             self.rows[self.k] = row
         self.k += 1
         # np.maximum, not max(): a NaN step must fail the check.
-        self.worst = float(np.maximum(self.worst, np.max(np.abs(row))))
+        self.worst = float(np.maximum(self.worst, np.abs(row).max()))
 
     def result(self) -> float:
         return self.worst
@@ -478,8 +478,8 @@ class _Positivity(_Accumulator):
     def push(self, cur: _Level) -> None:
         g, k = self.grid, self.k
         rho_prev, rho, u = cur.rho_prev, cur.rho, cur.u
-        self.min_rho[k] = float(np.min(rho))
-        self.bound[k] = float(np.min(rho_prev)) / (1.0 + g.dt * float(np.max(np.abs(u))))
+        self.min_rho[k] = float(rho.min())
+        self.bound[k] = float(rho_prev.min()) / (1.0 + g.dt * float(np.abs(u).max()))
         res = continuity_residual(rho_prev, rho, cur.mass_flux, g.dt, g.dx)
         self.div_bound[k] = positivity_floor(rho_prev, u, res, g.dt, g.dx)
         self.k += 1
@@ -580,8 +580,8 @@ class _Flux(_Accumulator):
         pp = self.params
         dt, dx = self.grid.dt, self.grid.dx
         rho, u = cur.rho, cur.u
-        rbar = float(np.mean(rho))
-        self.lhs += -dt * dx * float(np.sum((pp.mu * cur.du - cur.p) * (rho - rbar)))
+        rbar = float(rho.mean())
+        self.lhs += -dt * dx * float(((pp.mu * cur.du - cur.p) * (rho - rbar)).sum())
 
         v = neumann_inv_grad(rho - rbar, dx)[1:-1]
         w = face_momentum(cur.mom)
@@ -592,12 +592,12 @@ class _Flux(_Accumulator):
         conv = momentum_convection(mom_flux, dx)
         self.s2 += dt * dx * float(conv @ v)
 
-        self.mean_flux += dt * dx * rbar * float(np.sum(mom_flux[1:-1]))
+        self.mean_flux += dt * dx * rbar * float(mom_flux[1:-1].sum())
         self.transport += dt * dx * float(mom_flux[1:-1] @ (0.5 * (rho[:-1] + rho[1:])))
 
         self.e1 += -dt * dx * float(cur.mass_flux[1:-1] @ dw)
         self.e2 += dt * dx * float(
-            np.sum(0.5 * rho[:-1] * rho[1:] * np.abs(u[1:-1]) * np.diff(cur.hat_u))
+            (0.5 * rho[:-1] * rho[1:] * np.abs(u[1:-1]) * np.diff(cur.hat_u)).sum()
         )
         self.w_prev, self.rho_last = w, rho
         self.m += 1
@@ -810,7 +810,7 @@ def _int_abs_linear_pow(a: np.ndarray, b: np.ndarray, w: float, s: float) -> np.
 def linear_l2_sq(d: np.ndarray, dx: float) -> float:
     """Exact squared L2 norm of the piecewise-linear field with nodes d, spacing dx."""
     dl, dr = d[:-1], d[1:]
-    return (dx / 3.0) * float(np.sum(dl * dl + dl * dr + dr * dr))
+    return (dx / 3.0) * float((dl * dl + dl * dr + dr * dr).sum())
 
 
 def rho_power_integral(traj: Trajectory, power: float | None = None) -> float:
@@ -852,24 +852,24 @@ class _Norms(_Accumulator):
         dt, dx, gamma, r, k = self.dt, self.dx, self.gamma, self.r, self.k
         rho, u = cur.rho, cur.u
         rho_g = rho**gamma
-        self.sum_rho_g[k] = np.sum(rho_g)
-        self.sum_p[k] = np.sum(cur.p)
-        self.sum_mom_r[k] = np.sum(np.abs(cur.mom) ** r)
-        self.sum_kin[k] = np.sum(rho * cur.hat_u**2)
+        self.sum_rho_g[k] = rho_g.sum()
+        self.sum_p[k] = cur.p.sum()
+        self.sum_mom_r[k] = (np.abs(cur.mom) ** r).sum()
+        self.sum_kin[k] = (rho * cur.hat_u**2).sum()
         self.k += 1
         if cur.rho_prev is None:  # level 0 enters only the suprema
             return
 
         ul = u[:-1]
-        int_dudx2 = float(np.sum(np.diff(u) ** 2)) / dx
+        int_dudx2 = float((np.diff(u) ** 2).sum()) / dx
         self.h1_sq += dt * (linear_l2_sq(u, dx) + int_dudx2)
-        self.linf_sq += dt * float(np.max(np.abs(u))) ** 2
+        self.linf_sq += dt * float(np.abs(u).max()) ** 2
 
         slope = np.diff(u) / dx
         int_abs_u_g = _int_abs_linear_pow(ul, slope, dx, gamma)
-        self.ru_g += dt * float(np.sum(rho_g * int_abs_u_g)) ** (2.0 / gamma)
+        self.ru_g += dt * float((rho_g * int_abs_u_g).sum()) ** (2.0 / gamma)
         int_abs_u_2r = _int_abs_linear_pow(ul, slope, dx, 2.0 * r)
-        self.ru2_r += dt * float(np.sum(rho**r * int_abs_u_2r)) ** (2.0 / r)
+        self.ru2_r += dt * float((rho**r * int_abs_u_2r).sum()) ** (2.0 / r)
 
     def result(self) -> dict[str, float]:
         dx, gamma, r = self.dx, self.gamma, self.r

@@ -31,20 +31,34 @@ residual is above newton_tol; below it, each polish iteration is a chord
 step, whose first update is a chord step with them: they were built near the
 state that step starts from.  From iterate 2 on Newton refactors above
 newton_tol as without the carry, so a step makes about one factorization
-instead of two.  A step that ends in the fallback or meets a zero pivot drops
-the carry.  An exact zero pivot or a non-finite Newton step hands over to the
-fallback.  On stagnation above tolerance it falls back to a Picard splitting
-whose continuity half is a tridiagonal M-matrix solve: that half preserves
+instead of two.
+
+With the factors march() hands each step the state s^{k-1} before its old
+state s^k, and Newton starts from the linear extrapolation 2 s^k - s^{k-1}
+when every density of it is positive, and from s^k otherwise.  tol and
+floor stay those of the residual at s^k, so the acceptance rule does not
+change.  That residual is not evaluated again: at s^k a step's time
+differences are exactly 0.0, so its norm is the norm of the spatial terms
+of the previous step's accepted evaluation, bit for bit, and the handover
+carries it.  A step on its own (advance without a slot), march's first
+step, a step after one that made no Newton update, and a step after a
+fallback or a zero pivot start from s^k; a step that ends in the fallback
+or meets a zero pivot drops the handover.  So a constant state, which never
+factors, steps exactly as without a slot.
+
+An exact zero pivot or a non-finite Newton step hands over to the fallback.
+On stagnation above tolerance it falls back to a Picard splitting whose
+continuity half is a tridiagonal M-matrix solve: that half preserves
 positivity and conserves mass exactly, so the fallback is slow but safe.  A
-NaN or infinite residual also hands over to the fallback, which
-raises StepFailure when it meets non-finite data itself.
+NaN or infinite residual also hands over to the fallback, which raises
+StepFailure when it meets non-finite data itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 import scipy  # resolves assemble_jacobian's return annotation; scipy.sparse loads on use
@@ -134,7 +148,8 @@ class StepMeta:
     """What one advance() did: iteration counts and the accepted residual.
 
     ``factorizations`` counts the Newton Jacobians built and LU-factored; the
-    fallback's tridiagonal solves are not counted.
+    fallback's tridiagonal solves are not counted.  ``extrapolated`` says
+    that Newton started from 2*prev - (the state before prev), not from prev.
     """
 
     iterations: int
@@ -145,6 +160,21 @@ class StepMeta:
     fallback_used: bool = False
     fallback_iterations: int = 0
     factorizations: int = 0
+    extrapolated: bool = False
+
+
+class _Handover(NamedTuple):
+    """What a step accepted by Newton hands the next step of march().
+
+    ``state`` is the state the step accepted, ``before`` the one it started
+    from, ``factors`` its last LU factors and ``norm`` the residual max-norm
+    of a step from ``state`` evaluated at ``state`` itself.
+    """
+
+    state: FluidState
+    before: FluidState
+    factors: tuple[np.ndarray, np.ndarray, int]
+    norm: float
 
 
 class StepFailure(RuntimeError):
@@ -179,27 +209,40 @@ def _residual_arrays(
     u: np.ndarray,
     grid: GridSpec,
     params: PhysParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Continuity and momentum residuals; w_old = face-averaged old momentum."""
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Continuity and momentum residuals, and the spatial terms they were built
+    from: (cont, mom, (mass flux, convection, pressure gradient, viscous term)).
+    w_old = face-averaged old momentum."""
     dt, dx = grid.dt, grid.dx
     up, um = split_upwind(u)
-    cont = continuity_residual(rho_old, rho, upwind_flux(rho, up, um), dt, dx)
+    flux = upwind_flux(rho, up, um)
+    cont = continuity_residual(rho_old, rho, flux, dt, dx)
 
     m = rho * hat(u)
     mflux = upwind_flux(m, up, um)
     p = params.pressure(rho)
-    mom = (
-        (face_momentum(m) - w_old) / dt
-        + momentum_convection(mflux, dx)
-        + pressure_gradient(p, dx)
-        - laplace_velocity(u, dx, params.mu)
-    )
-    return cont, mom
+    conv = momentum_convection(mflux, dx)
+    grad_p = pressure_gradient(p, dx)
+    visc = laplace_velocity(u, dx, params.mu)
+    mom = (face_momentum(m) - w_old) / dt + conv + grad_p - visc
+    return cont, mom, (flux, conv, grad_p, visc)
 
 
 def _max_norm(cont: np.ndarray, mom: np.ndarray) -> float:
     """Max-norm over both residual blocks; a NaN anywhere makes it NaN."""
-    return float(np.maximum(np.max(np.abs(cont), initial=0.0), np.max(np.abs(mom), initial=0.0)))
+    return float(np.maximum(np.abs(cont).max(initial=0.0), np.abs(mom).max(initial=0.0)))
+
+
+def _rest_norm(terms: tuple[np.ndarray, ...], dx: float) -> float:
+    """Max-norm of the residual of a step from state s with trial s, given
+    the spatial terms of _residual_arrays at s.
+
+    Both time differences of that residual are exactly 0.0, and 0.0 + x is x
+    up to the sign of a zero, so this is assemble_residual(s, s, ...).max_norm
+    bit for bit.
+    """
+    flux, conv, grad_p, visc = terms
+    return _max_norm((flux[1:] - flux[:-1]) / dx, conv + grad_p - visc)
 
 
 def _old_fields(prev: FluidState) -> tuple[np.ndarray, np.ndarray]:
@@ -218,7 +261,7 @@ def assemble_residual(
     if trial.N != prev.N:
         raise ValueError("states live on different grids")
     rho_old, w_old = _old_fields(prev)
-    cont, mom = _residual_arrays(rho_old, w_old, trial.rho, trial.u, grid, params)
+    cont, mom, _ = _residual_arrays(rho_old, w_old, trial.rho, trial.u, grid, params)
     return StepResidual(cont=cont, mom=mom)
 
 
@@ -228,14 +271,19 @@ def assemble_residual(
 
 
 def _jacobian_ab(
-    rho: np.ndarray, u: np.ndarray, grid: GridSpec, params: PhysParams
+    rho: np.ndarray,
+    u: np.ndarray,
+    grid: GridSpec,
+    params: PhysParams,
+    ab: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact Jacobian in solve_banded layout: entry (row r, col c) at ab[4 + r - c, c].
 
     Row/col map: rho_i <-> 2i, u_f <-> 2f-1.  Each term below couples unknowns
     at fixed row and column offsets, so it is one strided write along a band
     row d = 4 + r - c from its first column c0.  Terms meeting in one entry are
-    summed in a fixed order, so the band is reproducible bit for bit.
+    summed in a fixed order, so the band is reproducible bit for bit.  Given
+    ``ab``, a zeroed (9, 2N-1) array of any memory order, it writes there.
     """
     n = rho.size
     dt, dx = grid.dt, grid.dx
@@ -245,7 +293,8 @@ def _jacobian_ab(
     hat_u = hat(u)
     m = rho * hat_u
     dp = params.dpressure(rho)
-    ab = np.zeros((_BANDS[0] + _BANDS[1] + 1, 2 * n - 1))
+    if ab is None:
+        ab = np.zeros((_BANDS[0] + _BANDS[1] + 1, 2 * n - 1))
 
     def add(d: int, c0: int, v: np.ndarray) -> None:
         ab[d, c0 : c0 + 2 * v.size : 2] += v
@@ -334,14 +383,13 @@ def _band_lu(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """LAPACK banded LU of the Newton Jacobian: (lu, piv, info), info > 0 at a zero pivot.
 
-    The band sits in rows 4.. of the work array; rows 0..3 take the fill-in
-    of partial pivoting.  This is the factorization that
-    scipy.linalg.solve_banded performs.
+    The band is written straight into rows 4.. of the Fortran-ordered work
+    array; rows 0..3 take the fill-in of partial pivoting.  This is the
+    factorization that scipy.linalg.solve_banded performs.
     """
     kl, ku = _BANDS
-    ab = _jacobian_ab(rho, u, grid, params)
-    work = np.zeros((kl + ab.shape[0], ab.shape[1]), order="F")
-    work[kl:] = ab
+    work = np.zeros((2 * kl + ku + 1, 2 * rho.size - 1), order="F")
+    _jacobian_ab(rho, u, grid, params, work[kl:])
     return dgbtrf(work, kl, ku, overwrite_ab=1)
 
 
@@ -355,7 +403,7 @@ def _interleave(cont: np.ndarray, mom: np.ndarray) -> np.ndarray:
 def _positivity_step(rho: np.ndarray, drho: np.ndarray) -> tuple[float, int]:
     """Halve the step length lam from 1 until rho + lam*drho stays strictly positive."""
     lam, backtracks = 1.0, 0
-    while np.min(rho + lam * drho) <= 0.0:
+    while (rho + lam * drho).min() <= 0.0:
         lam *= 0.5
         backtracks += 1
         if backtracks > 200:
@@ -391,7 +439,7 @@ def _picard_sweeps(
     n = rho.size
 
     def residual_norm(r: np.ndarray, w: np.ndarray) -> float:
-        return _max_norm(*_residual_arrays(rho_old, w_old, r, w, grid, params))
+        return _max_norm(*_residual_arrays(rho_old, w_old, r, w, grid, params)[:2])
 
     def require_finite(x, what: str) -> None:
         if not np.all(np.isfinite(x)):
@@ -444,6 +492,12 @@ def _picard_sweeps(
     )
 
 
+def _tolerances(cfg: SolverConfig, nr0: float) -> tuple[float, float]:
+    """(tol, floor) of a step whose residual at its old state has max-norm nr0."""
+    tol = cfg.newton_tol if cfg.newton_tol is not None else 1e-10 * (1.0 + nr0)
+    return tol, cfg.polish_floor * (1.0 + nr0)
+
+
 def _check_divergence_bound(
     prev: FluidState,
     rho: np.ndarray,
@@ -480,44 +534,57 @@ def advance(
     satisfies the scheme (e.g. any constant state) reports one iteration and
     performs zero linear solves.
 
-    ``carry`` is the factor slot that march() threads from step to step: a list
-    that is empty or holds the LU factors the previous step ended with.  If
-    it holds factors, the first update is a chord step with them instead of a
-    fresh factorization; from iterate 2 on Newton refactors while the
-    residual is above tol, as without a slot.  A step accepted by Newton
-    leaves its last factors in the slot; a fallback or a zero pivot empties
-    it.  Without a slot every step factors at iterate 1.
+    ``carry`` is the slot that march() threads from step to step: a list that
+    is empty or holds the _Handover of the step that made ``prev`` (one made
+    for another state is ignored).  With a handover the first update is a
+    chord step with its factors instead of a fresh factorization; from
+    iterate 2 on Newton refactors while the residual is above tol, as
+    without a slot.  If every density of
+    2*prev - before is positive, Newton starts there instead of at ``prev``,
+    and tol and floor come from the handover's norm, the residual at
+    ``prev``.  A step accepted by Newton with factors in hand leaves its
+    handover in the slot; a fallback or a zero pivot empties it.  Without a
+    slot every step starts from ``prev`` and factors at iterate 1.
     """
     cfg = cfg or SolverConfig()
     if prev.N != grid.N:
         raise ValueError("state/grid size mismatch")
     rho_old, w_old = _old_fields(prev)
-    rho = prev.rho.copy()
-    u = prev.u.copy()
     k = prev.k + 1
 
     history: list[float] = []
     tol = floor = math.nan
     nr_prev = math.inf
     backtracks = factorizations = 0
-    factors = carry[0] if carry else None
+    handover = carry[0] if carry and carry[0].state is prev else None
+    factors = handover.factors if handover is not None else None
+    extrapolated = False
+    if handover is not None and math.isfinite(handover.norm):
+        rho = 2.0 * prev.rho - handover.before.rho
+        extrapolated = bool(rho.min() > 0.0)
+    if extrapolated:
+        u = 2.0 * prev.u - handover.before.u
+        tol, floor = _tolerances(cfg, handover.norm)
+    else:
+        rho = prev.rho.copy()
+        u = prev.u.copy()
 
     for it in range(1, cfg.max_newton_iters + 1):
-        cont, mom = _residual_arrays(rho_old, w_old, rho, u, grid, params)
+        cont, mom, terms = _residual_arrays(rho_old, w_old, rho, u, grid, params)
         nr = _max_norm(cont, mom)
         history.append(nr)
         if not math.isfinite(nr):
             break  # hand over to the fixed-point fallback
-        if it == 1:
-            tol = cfg.newton_tol if cfg.newton_tol is not None else 1e-10 * (1.0 + nr)
-            floor = cfg.polish_floor * (1.0 + nr)
+        if it == 1 and not extrapolated:
+            tol, floor = _tolerances(cfg, nr)
         stalled = nr > 0.5 * nr_prev
         if nr <= floor or (nr <= tol and stalled) or (nr <= tol and it == cfg.max_newton_iters):
-            meta = StepMeta(it, nr, tol, floor, backtracks, False, 0, factorizations)
+            meta = StepMeta(it, nr, tol, floor, backtracks, False, 0, factorizations, extrapolated)
             _check_divergence_bound(prev, rho, u, cont, grid, k, history)
+            state = FluidState(rho=rho, u=u, k=k)
             if carry is not None and factors is not None:
-                carry[:] = [factors]
-            return FluidState(rho=rho, u=u, k=k), meta
+                carry[:] = [_Handover(state, prev, factors, _rest_norm(terms, grid.dx))]
+            return state, meta
         if (it >= 5 and stalled and nr > tol) or it == cfg.max_newton_iters:
             break  # diverging or out of iterations: hand over to the fallback
 
@@ -530,7 +597,7 @@ def advance(
         if info != 0:
             break  # exact zero pivot: hand over to the fallback
         delta, _ = dgbtrs(lu, *_BANDS, -_interleave(cont, mom), piv)
-        if not np.all(np.isfinite(delta)):
+        if not np.isfinite(delta).all():
             break
         drho = delta[0::2]
         du = delta[1::2]
@@ -549,8 +616,10 @@ def advance(
     rho, u, sweeps, nr = _picard_sweeps(
         prev.rho.copy(), prev.u.copy(), rho_old, w_old, grid, params, cfg, tol, k, history
     )
-    meta = StepMeta(len(history), nr, tol, floor, backtracks, True, sweeps, factorizations)
-    cont, _ = _residual_arrays(rho_old, w_old, rho, u, grid, params)
+    meta = StepMeta(
+        len(history), nr, tol, floor, backtracks, True, sweeps, factorizations, extrapolated
+    )
+    cont, _, _ = _residual_arrays(rho_old, w_old, rho, u, grid, params)
     _check_divergence_bound(prev, rho, u, cont, grid, k, history)
     return FluidState(rho=rho, u=u, k=k), meta
 
@@ -565,8 +634,9 @@ def march(
 
     Yields (initial state, None), then (state, meta) for each accepted step,
     meta being that step's StepMeta, as soon as the state exists.  It keeps
-    only the current state and the factors one step hands the next, so a
-    caller that keeps nothing marches in O(N) memory.  ``scenario`` is a
+    only the current state and the _Handover one step leaves the next (the
+    state before it, the last factors and a residual norm), so a caller that
+    keeps nothing marches in O(N) memory.  ``scenario`` is a
     harness.ScenarioConfig, or anything with its resolved profiles
     ``rho0_fn`` and ``u0_fn``.  It steps at whatever ``grid.dt`` is; a
     scenario's levels get theirs from ``ScenarioConfig.grid_for``, as
@@ -575,7 +645,7 @@ def march(
     cfg = cfg or SolverConfig()
     state = init_state(grid, scenario.rho0_fn, scenario.u0_fn)
     yield state, None
-    carry: list = []  # the factors one step hands the next
+    carry: list = []  # the _Handover one step leaves the next
     for _ in range(grid.M_steps):
         try:
             state, meta = advance(state, grid, params, cfg, carry)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from visco1d import diagnostics, grid, operators, stepper
+from visco1d import diagnostics, grid, harness, operators, stepper
 from visco1d.operators import face_momentum, hat, split_upwind, upwind_flux
 from visco1d.stepper import _band_lu, _jacobian_ab, advance, assemble_jacobian, assemble_residual
 
@@ -493,24 +494,38 @@ def _same_step(a, b) -> None:
     assert meta_a == meta_b
 
 
+def _still_norm(state, g, params) -> float:
+    """Residual max-norm of a step from ``state``, evaluated at ``state``."""
+    return assemble_residual(state, state, g, params).max_norm
+
+
 def test_an_empty_slot_steps_as_no_slot_and_receives_the_factors():
+    """An empty slot starts from prev, and the step hands over its state,
+    prev, its last factors and the residual norm at its state."""
     sc = scenario_named("smooth-bump")
     g = sc.grid_for(32)
     states, metas = _bare_loop(sc, 32)
     for prev, state, meta in zip(states, states[1:], metas):
         slot: list = []
-        _same_step(advance(prev, g, sc.params, None, slot), (state, meta))
-        assert len(slot) == 1 and slot[0][2] == 0
+        step = advance(prev, g, sc.params, None, slot)
+        _same_step(step, (state, meta))
+        assert not step[1].extrapolated
+        (handover,) = slot
+        assert handover.state is step[0] and handover.before is prev
+        assert handover.factors[2] == 0
+        assert handover.norm.hex() == _still_norm(state, g, sc.params).hex()
 
 
 @pytest.mark.parametrize("how", ["fallback", "zero-pivot"])
 def test_a_step_that_leaves_newton_empties_the_slot(monkeypatch, how):
-    """After a fallback or a zero pivot, the next step factors at iterate 1."""
+    """After a fallback or a zero pivot, the next step starts from prev and
+    factors at iterate 1."""
     sc = scenario_named("smooth-bump")
     g = sc.grid_for(8)
     slot: list = []
-    s1, _ = advance(grid.init_state(g, sc.rho0_fn, sc.u0_fn), g, sc.params, None, slot)
-    assert len(slot) == 1
+    s0 = grid.init_state(g, sc.rho0_fn, sc.u0_fn)
+    s1, _ = advance(s0, g, sc.params, None, slot)
+    assert len(slot) == 1 and slot[0].state is s1 and slot[0].before is s0
     if how == "fallback":
         cfg = stepper.SolverConfig(max_newton_iters=1, fallback=4000)
     else:
@@ -519,10 +534,129 @@ def test_a_step_that_leaves_newton_empties_the_slot(monkeypatch, how):
         monkeypatch.setattr(stepper, "_band_lu", lambda *args: (*real(*args)[:2], 1))
     s2, meta = advance(s1, g, sc.params, cfg, slot)
     monkeypatch.undo()
-    assert meta.fallback_used
+    assert meta.fallback_used and meta.extrapolated
     assert meta.factorizations == (0 if how == "fallback" else 1)
     assert slot == []
-    _same_step(advance(s2, g, sc.params, None, slot), advance(s2, g, sc.params))
+    after = advance(s2, g, sc.params, None, slot)
+    assert not after[1].extrapolated
+    _same_step(after, advance(s2, g, sc.params))
+
+
+def _slot_loop(sc, n: int, pin_start: bool = False) -> list:
+    """(prev, state, meta, handover left in the slot) of each step of advance()
+    called with one slot, as march() calls it.  ``pin_start`` points each
+    handover's ``before`` at its own state: 2*s - s is s exactly, so every
+    step then starts from prev and only the factors are carried."""
+    g = sc.grid_for(n)
+    state = grid.init_state(g, sc.rho0_fn, sc.u0_fn)
+    slot: list = []
+    steps = []
+    for _ in range(g.M_steps):
+        if pin_start and slot:
+            slot[0] = slot[0]._replace(before=slot[0].state)
+        prev = state
+        state, meta = advance(prev, g, sc.params, None, slot)
+        steps.append((prev, state, meta, slot[0] if slot else None))
+    return steps
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [(sc.name, 64) for sc in harness.builtin_scenarios()]
+    + [("smooth-bump", 256), ("riemann-like", 256)],
+)
+def test_the_carried_norm_is_the_residual_at_the_accepted_state(name, n):
+    """The norm a step carries is the fresh one bit for bit, so tol and floor
+    keep the rule 1e-10 * (1 + r0), polish_floor * (1 + r0) with r0 the
+    residual at prev, on extrapolated steps too."""
+    sc = scenario_named(name)
+    g = sc.grid_for(n)
+    cfg = stepper.SolverConfig()
+    steps = _slot_loop(sc, n)
+    for prev, state, meta, handover in steps:
+        r0 = _still_norm(prev, g, sc.params)
+        assert meta.tol.hex() == (1e-10 * (1.0 + r0)).hex()
+        assert meta.floor.hex() == (cfg.polish_floor * (1.0 + r0)).hex()
+        if handover is not None:
+            assert handover.state is state
+            assert handover.norm.hex() == _still_norm(state, g, sc.params).hex()
+    if name != "constant":
+        assert sum(meta.extrapolated for _, _, meta, _ in steps) >= g.M_steps - 2
+
+
+def test_march_starts_its_first_step_from_the_initial_state():
+    sc = scenario_named("smooth-bump")
+    metas = [meta for _, meta in stepper.march(sc, sc.grid_for(32), sc.params)][1:]
+    assert not metas[0].extrapolated
+    assert all(meta.extrapolated for meta in metas[1:])
+
+
+def _handover(prev, before, g, params):
+    return stepper._Handover(
+        prev, before, _band_lu(prev.rho, prev.u, g, params), _still_norm(prev, g, params)
+    )
+
+
+def test_a_non_positive_extrapolated_density_starts_from_prev():
+    """2*prev - before with a density <= 0 is refused; the step is then the one
+    a handover without a start makes (before = prev, so 2*prev - prev = prev)."""
+    pp = _params(mu=0.3)
+    g = grid.GridSpec(L=1.0, N=8, dt=1.0 / 8, T=1.0)
+    u = np.array([0.0, 0.1, 0.2, 0.1, -0.1, -0.2, 0.05, 0.1, 0.0])
+    prev = grid.FluidState(rho=np.linspace(1.0, 1.7, 8), u=u)
+    for bump in (1.0, 3.0):  # 2*prev - before is exactly 0 there, then -1
+        rho = prev.rho.copy()
+        rho[0] += bump
+        before = grid.FluidState(rho=rho, u=0.5 * u)
+        slot = [_handover(prev, before, g, pp)]
+        refused = advance(prev, g, pp, None, slot)
+        assert not refused[1].extrapolated
+        pinned = advance(prev, g, pp, None, [_handover(prev, prev, g, pp)])
+        assert pinned[1].extrapolated
+        _same_step(refused, (pinned[0], dataclasses.replace(pinned[1], extrapolated=False)))
+    before = grid.FluidState(rho=prev.rho, u=0.5 * u)
+    assert advance(prev, g, pp, None, [_handover(prev, before, g, pp)])[1].extrapolated
+
+
+def test_a_handover_for_another_state_is_ignored():
+    sc = scenario_named("smooth-bump")
+    g = sc.grid_for(16)
+    s0 = grid.init_state(g, sc.rho0_fn, sc.u0_fn)
+    slot: list = []
+    s1, _ = advance(s0, g, sc.params, None, slot)
+    twin = grid.FluidState(rho=s1.rho, u=s1.u, k=s1.k)
+    step = advance(twin, g, sc.params, None, slot)
+    assert not step[1].extrapolated
+    _same_step(step, advance(twin, g, sc.params))
+
+
+def test_the_constant_scenario_is_bit_identical_with_a_start(constant_traj):
+    """A constant state hands nothing over (it never factors), and a start
+    2c - c is c exactly: the step is the one from c."""
+    sc = scenario_named("constant")
+    states, metas = _bare_loop(sc, 8)
+    assert metas == list(constant_traj.solver_meta)
+    for a, b in zip(states, constant_traj.states):
+        assert a.rho.tobytes() == b.rho.tobytes() and a.u.tobytes() == b.u.tobytes()
+    g = sc.grid_for(8)
+    c = states[0]
+    state, meta = advance(c, g, sc.params, None, [_handover(c, c, g, sc.params)])
+    assert meta.extrapolated and meta.iterations == 1 and meta.factorizations == 0
+    assert state.rho.tobytes() == c.rho.tobytes() and state.u.tobytes() == c.u.tobytes()
+    assert dataclasses.replace(meta, extrapolated=False) == metas[0]
+
+
+def test_the_extrapolated_start_cuts_factorizations():
+    """smooth-bump at N=256: at most 0.7x the factorizations of carrying the
+    factors alone, and no more residual evaluations."""
+    sc = scenario_named("smooth-bump")
+    counts = {}
+    for pin in (False, True):
+        metas = [meta for _, _, meta, _ in _slot_loop(sc, 256, pin_start=pin)]
+        assert not any(m.fallback_used for m in metas)
+        counts[pin] = (sum(m.factorizations for m in metas), sum(m.iterations for m in metas))
+    assert counts[False][0] <= 0.7 * counts[True][0]
+    assert counts[False][1] <= counts[True][1]
 
 
 def test_run_is_bitwise_reproducible():
