@@ -23,7 +23,7 @@ import contextlib
 import os
 import random
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
 # Before numpy loads OpenBLAS: the band solves are too small for BLAS threads,
@@ -39,9 +39,9 @@ from .harness import (
     ScenarioConfig,
     builtin_scenarios,
     fork_worker,
-    recv_states,
+    recv_levels,
     run_refinement,
-    send_states,
+    send_level,
     stop_worker,
     worker_result,
 )
@@ -262,12 +262,14 @@ def _config_header(config: RunConfig | None) -> list[str]:
     return ["# " + line for line in config.to_text().splitlines()]
 
 
-def _state_blocks(
-    grid: GridSpec,
-    levels: Iterable[tuple[np.ndarray, np.ndarray]],
-    config: RunConfig | None,
-) -> Iterator[str]:
-    """The state CSV as text: the header, then one block per (rho, u) level.
+def _state_header(config: RunConfig | None) -> str:
+    """The state CSV's text before its first time level."""
+    return "\n".join(_config_header(config) + ["k,t,i,x_center,rho,x_face,u,hat_u"]) + "\n"
+
+
+def _level_formatter(grid: GridSpec) -> Callable[[int, np.ndarray, np.ndarray], str]:
+    """The function that formats time level k's (rho, u) on grid as its block
+    of the state CSV.
 
     The grid columns are formatted once, into a %-template that formats a
     whole time level in one call.
@@ -279,17 +281,31 @@ def _state_blocks(
         [f"%s{i},{c},%.17g,{f},%.17g,%.17g\n" for i, (c, f) in enumerate(zip(centers, faces))]
         + [f"%s{n},,,{faces[n]},%.17g,\n"]
     )
-    yield "\n".join(_config_header(config) + ["k,t,i,x_center,rho,x_face,u,hat_u"]) + "\n"
     # Row i < N takes (k and t, rho_i, u_i, hat_u_i) and the last row (k and
     # t, u_N): four interleaved strides, with u_N closing the rho stride.
     args: list = [None] * (4 * n + 2)
-    for k, (rho, u) in enumerate(levels):
+
+    def level_text(k: int, rho: np.ndarray, u: np.ndarray) -> str:
         u_list = u.tolist()
         args[0::4] = [f"{k},{_fmt(k * grid.dt)},"] * (n + 1)
         args[1::4] = rho.tolist() + u_list[n:]
         args[2::4] = u_list[:n]
         args[3::4] = hat(u).tolist()
-        yield template % tuple(args)
+        return template % tuple(args)
+
+    return level_text
+
+
+def _state_blocks(
+    grid: GridSpec,
+    levels: Iterable[tuple[np.ndarray, np.ndarray]],
+    config: RunConfig | None,
+) -> Iterator[str]:
+    """The state CSV as text: the header, then one block per (rho, u) level."""
+    yield _state_header(config)
+    level_text = _level_formatter(grid)
+    for k, (rho, u) in enumerate(levels):
+        yield level_text(k, rho, u)
 
 
 def write_state_csv(traj: Trajectory, path: str, config: RunConfig | None = None) -> None:
@@ -447,33 +463,76 @@ def _write_levels(path: str, grid: GridSpec, levels, config: RunConfig) -> None:
         fh.writelines(_state_blocks(grid, levels, config))
 
 
-def _state_writer(conn, grid: GridSpec, config: RunConfig, tmp: str) -> None:
+class _WriterProgress:
+    """How many time levels the state CSV writer has written, in 8 bytes of
+    memory that the forked writer shares with the solver.  The count only
+    picks which process formats a level, so a stale read costs time, never
+    bytes."""
+
+    def __init__(self) -> None:
+        import mmap  # only run loads it, as fork_worker does multiprocessing
+
+        self._written = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
+
+    def publish(self, written: int) -> None:
+        self._written[0] = written
+
+    def behind(self, sent: int) -> bool:
+        """Whether more than one of the ``sent`` levels is still queued."""
+        return sent - self._written[0] > 1
+
+
+def _state_writer(conn, grid: GridSpec, config: RunConfig, progress, tmp: str) -> None:
     """Writer process body: write each time level the parent sends to tmp,
-    until the empty message that ends the solve."""
-    _write_levels(tmp, grid, recv_states(conn, grid.N), config)
+    formatting those sent as states, and publish how many are written, until
+    the empty message that ends the solve."""
+    level_text = _level_formatter(grid)
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(_state_header(config))
+        for k, level in enumerate(recv_levels(conn, grid.N)):
+            fh.write(level if isinstance(level, str) else level_text(k, *level))
+            progress.publish(k + 1)
+
+
+def _send_levels(conn, grid: GridSpec, states: Iterable, progress) -> None:
+    """Send each state to the writer, then the end message.  While the writer
+    is behind, this process formats the level itself and sends its text, so
+    the two processes share the formatting.  A writer that has ended cannot
+    take the levels; worker_result then says what ended it."""
+    level_text = _level_formatter(grid)
+    try:
+        for k, state in enumerate(states):
+            send_level(conn, level_text(k, state.rho, state.u) if progress.behind(k) else state)
+        send_level(conn, None)
+    except ConnectionError:
+        pass
 
 
 def _solve_writing_state(config: RunConfig, path: str) -> GridSpec:
     """Solve the first level, streaming its state CSV to ``path``; returns its grid.
 
-    A forked writer process formats and writes each time level while the
-    solver computes the next; where fork does not exist, this process writes
-    each level as soon as it is solved.  No trajectory is kept.  The CSV goes
-    to a temporary file next to ``path``, which replaces ``path`` only after
-    the solve has finished and the file is closed; on any failure the
-    temporary file is removed and ``path`` is left as it was.  Any failure
-    of the writing, or of the replace, is an OSError "cannot write <path>".
+    A forked writer process writes each time level while the solver computes
+    the next.  The writer formats the levels it is sent as states; whenever
+    more than one level waits for it, the solver formats the next level
+    itself and sends its text, and the writer writes that as it comes.
+    Where fork does not exist, this process writes each level as soon as it
+    is solved.  No trajectory is kept.  The CSV goes to a temporary file next
+    to ``path``, which replaces ``path`` only after the solve has finished
+    and the file is closed; on any failure the temporary file is removed and
+    ``path`` is left as it was.  Any failure of the writing, or of the
+    replace, is an OSError "cannot write <path>".
     """
     scenario = config.scenario
     grid = scenario.grid_for(scenario.levels[0])
     states = (state for state, _ in march(scenario, grid, scenario.params, config.solver))
     tmp = f"{path}.{os.getpid()}.tmp"
-    writer = fork_worker(_state_writer, grid, config, tmp)
+    progress = _WriterProgress()
+    writer = fork_worker(_state_writer, grid, config, progress, tmp)
     try:
         if writer is None:
             _write_levels(tmp, grid, ((state.rho, state.u) for state in states), config)
         else:
-            send_states(writer[1], states)
+            _send_levels(writer[1], grid, states, progress)
             try:
                 worker_result(writer, "state.csv writer")
             except Exception as exc:  # what stopped the writer

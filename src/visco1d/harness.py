@@ -31,6 +31,8 @@ __all__ = [
     "send_state",
     "send_states",
     "recv_states",
+    "send_level",
+    "recv_levels",
     "worker_result",
     "stop_worker",
 ]
@@ -266,7 +268,8 @@ def fork_worker(target, *args):
 
     Returns (process, conn), conn being this process's end of a duplex pipe
     whose other end target gets.  Either side may send the other time levels
-    with ``send_state``/``recv_states`` while target runs.  The child's last
+    with ``send_state``/``recv_states``, or ``send_level``/``recv_levels``,
+    while target runs.  The child's last
     message is target's return value, or the exception it raised, which
     ``worker_result`` receives.  A forked child starts from the parent's
     imports (a spawned one would pay the numpy/scipy import again) and needs
@@ -299,6 +302,34 @@ def recv_states(conn, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     while data := conn.recv_bytes():
         level = np.frombuffer(data)
         yield level[:n], level[n:]
+
+
+# A time level sent with ``send_level`` is either of two kinds, told apart by
+# one trailing byte: a state, as send_state's doubles, or the level's text,
+# already formatted.  The tag trails so that a state's doubles stay aligned.
+_STATE, _TEXT = b"s", b"t"
+
+
+def send_level(conn, level: FluidState | str | None) -> None:
+    """Send one time level as its state or as its text; None sends the
+    empty message that ends the levels."""
+    if level is None:
+        conn.send_bytes(b"")
+    elif isinstance(level, str):
+        conn.send_bytes(level.encode() + _TEXT)
+    else:
+        conn.send_bytes(np.concatenate((level.rho, level.u)).tobytes() + _STATE)
+
+
+def recv_levels(conn, n: int) -> Iterator[tuple[np.ndarray, np.ndarray] | str]:
+    """Yield each level ``send_level`` sent on an N = n grid, as (rho, u) or
+    as its text, until the empty message."""
+    while data := conn.recv_bytes():
+        if data.endswith(_TEXT):
+            yield data[:-1].decode()
+        else:
+            level = np.frombuffer(data, count=2 * n + 1)
+            yield level[:n], level[n:]
 
 
 def _forked_main(parent_conn, conn, target, args) -> None:

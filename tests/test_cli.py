@@ -420,12 +420,13 @@ def test_solver_failure_leaves_state_csv_as_it_was(tmp_path, capsys, earlier):
 
 
 def test_writer_error_exits_1_and_leaves_no_file(tmp_path, capsys, monkeypatch):
-    def failing_blocks(grid, levels, config):
-        yield "k,t,i,x_center,rho,x_face,u,hat_u\n"
-        next(iter(levels))
-        raise OSError(errno.ENOSPC, "No space left on device")
+    def failing_formatter(grid):
+        def level_text(k, rho, u):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return level_text
 
-    monkeypatch.setattr(cli, "_state_blocks", failing_blocks)
+    # The one level formatter that the writer and the solver both call.
+    monkeypatch.setattr(cli, "_level_formatter", failing_formatter)
     cfg = write_cfg(tmp_path, "[scenario]\nname = smooth-bump\nlevels = 16\n")
     out = tmp_path / "out"
     assert run_cli(["run", "--config", cfg, "--out", str(out)]) == 1
@@ -538,6 +539,77 @@ def test_run_without_fork_writes_the_same_bytes(tmp_path, monkeypatch, name):
     assert os.listdir(tmp_path / "inline") == ["state.csv"]
     forked_bytes = (tmp_path / "forked" / "state.csv").read_bytes()
     assert (tmp_path / "inline" / "state.csv").read_bytes() == forked_bytes
+
+
+def force_split(monkeypatch, split: str) -> None:
+    """Make the solver format every level it may ("solver": a writer that
+    never reports progress), none ("writer"), or follow the writer's progress
+    ("natural")."""
+    if split == "solver":
+        monkeypatch.setattr(cli._WriterProgress, "publish", lambda self, written: None)
+    elif split == "writer":
+        monkeypatch.setattr(cli._WriterProgress, "behind", lambda self, sent: False)
+
+
+@needs_fork
+@pytest.mark.parametrize("split", ["solver", "writer", "natural"])
+@pytest.mark.parametrize("name, n", [("smooth-bump", 32), ("riemann-like", 64)])
+def test_each_split_of_the_formatting_writes_the_same_bytes(tmp_path, monkeypatch, name, n, split):
+    """However the solver and the writer share the formatting, state.csv has
+    the bytes of the in-process path and of write_state_csv."""
+    config = parse_config(f"[scenario]\nname = {name}\nlevels = {n}\n")
+    kept = tmp_path / "kept.csv"
+    write_state_csv(cli._solve_first_level(config), str(kept), config)
+
+    sent_text = []  # per level: did the solver format it?
+    send = cli.send_level
+
+    def send_level(conn, level):
+        if level is not None:
+            sent_text.append(isinstance(level, str))
+        send(conn, level)
+
+    force_split(monkeypatch, split)
+    monkeypatch.setattr(cli, "send_level", send_level)
+    forked = tmp_path / "forked.csv"
+    cli._solve_writing_state(config, str(forked))
+    monkeypatch.setattr(cli, "fork_worker", lambda *args: None)
+    inline = tmp_path / "inline.csv"
+    cli._solve_writing_state(config, str(inline))
+
+    assert len(sent_text) == config.scenario.grid_for(n).M_steps + 1
+    assert sent_text[:2] == [False, False]  # levels 0 and 1 never find two queued
+    if split == "solver":
+        assert all(sent_text[2:])
+    elif split == "writer":
+        assert not any(sent_text)
+    assert forked.read_bytes() == inline.read_bytes() == kept.read_bytes()
+
+
+@needs_fork
+def test_solver_formatting_error_exits_1_and_leaves_no_file(tmp_path, capsys, monkeypatch):
+    """A level the solver formats itself can fail as the writer's can."""
+    formatter, solver = cli._level_formatter, os.getpid()
+
+    def failing_formatter(grid):
+        level_text = formatter(grid)
+
+        def text(k, rho, u):
+            if k == 3 and os.getpid() == solver:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return level_text(k, rho, u)
+
+        return text
+
+    force_split(monkeypatch, "solver")
+    monkeypatch.setattr(cli, "_level_formatter", failing_formatter)
+    cfg = write_cfg(tmp_path, "[scenario]\nname = smooth-bump\nlevels = 16\n")
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"i/o error: cannot write {out / 'state.csv'}: [Errno 28] No space left" in err
+    assert multiprocessing.active_children() == []
+    assert os.listdir(out) == []
 
 
 def cli_env() -> dict[str, str]:

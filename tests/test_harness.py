@@ -12,6 +12,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -413,6 +414,23 @@ def test_run_refinement_names_a_worker_whose_pipe_was_reset(monkeypatch):
         RuntimeError, match=r"^level 32 worker exited with code -9 without a result$"
     ):
         harness.run_refinement(sc)
+
+
+def test_levels_cross_a_pipe_as_states_or_text():
+    """Each kind comes back as sent, whatever a state's last byte or a
+    text's last character is."""
+    u = np.array([0.5, -0.0, np.frombuffer(b"\0" * 7 + b"t")[0]])
+    state = SimpleNamespace(rho=np.array([np.nan, 5e-324]), u=u)  # unchecked
+    levels = [state, "0,0,t\n", "ends in s"]
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    for level in levels + [None]:
+        harness.send_level(sender, level)
+    got = list(harness.recv_levels(receiver, 2))
+    receiver.close()
+    sender.close()
+    assert got[1:] == levels[1:]
+    rho, u_got = got[0]
+    assert rho.tobytes() + u_got.tobytes() == state.rho.tobytes() + u.tobytes()
 
 
 needs_fork = pytest.mark.skipif(
