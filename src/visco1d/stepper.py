@@ -23,15 +23,22 @@ The Newton iteration uses the active-set derivative of the upwind switches
 kink), damps its steps until every density stays positive, and — because the
 downstream identity checks want residuals near machine precision, not merely
 below the acceptance tolerance — keeps polishing while the residual still
-drops geometrically.  It rebuilds and refactors the Jacobian only while the
-residual is above newton_tol; below it, each polish iteration is a chord
-(Shamanskii) step: one residual and one dgbtrs with the factors in hand
-(C. T. Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
-1995, ch. 5).  march() carries the factors a step ends with into the next
-step, whose first update is a chord step with them: they were built near the
-state that step starts from.  From iterate 2 on Newton refactors above
-newton_tol as without the carry, so a step makes about one factorization
-instead of two.
+drops geometrically.  Below tol a step is accepted at the polish floor, at
+a stall (the residual fell by less than half), at the iteration cap, or at
+the accuracy with which the residual is evaluated (Kelley, below): once the
+residual is at most 16 eps times the largest magnitude among the terms it
+sums, roundoff decides its digits and a further chord step buys nothing.
+That scale is taken at most once per step, at the first iterate below tol
+that none of the other rules accepts, so an exact zero residual, which the
+floor accepts, never pays for it.  Newton rebuilds and refactors the
+Jacobian only while the residual is above newton_tol; below it, each polish
+iteration is a chord (Shamanskii) step: one residual and one dgbtrs with the
+factors in hand (C. T. Kelley, Iterative Methods for Linear and Nonlinear
+Equations, SIAM 1995, ch. 5).  march() carries the factors a step ends with
+into the next step, whose first update is a chord step with them: they were
+built near the state that step starts from.  From iterate 2 on Newton
+refactors above newton_tol as without the carry, so a step makes about one
+factorization instead of two.
 
 With the factors march() hands each step the state s^{k-1} before its old
 state s^k, and Newton starts from the linear extrapolation 2 s^k - s^{k-1}
@@ -94,6 +101,10 @@ __all__ = [
 ]
 
 _BANDS = (4, 4)  # Jacobian sub/super-diagonal count in interleaved ordering
+_EPS = float(np.finfo(float).eps)
+# Newton accepts a residual below newton_tol once it is at most this many eps
+# times the largest term the residual sums: below that, roundoff decides it.
+_ROUNDOFF_C = 16.0
 
 
 # ======================================================================
@@ -124,7 +135,13 @@ class SolverConfig:
     fallback: Picard sweep cap used when Newton stagnates above tolerance.
     polish_floor: scale of the near-machine residual floor the solver keeps
         polishing toward once newton_tol is met (exact-identity diagnostics
-        and the mass budget rely on this).
+        and the mass budget rely on this).  The polish also stops once the
+        residual is at the roundoff of its own terms (see the module
+        docstring; Kelley 1995, ch. 5).  On the built-in scenarios that
+        rule would accept every step with a nonzero residual at the iterate
+        the floor accepts it, so the floor now decides only exact zeros, such
+        as a constant state's, which it accepts without taking the roundoff
+        scale.
     """
 
     newton_tol: float | None = None
@@ -210,9 +227,9 @@ def _residual_arrays(
     grid: GridSpec,
     params: PhysParams,
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """Continuity and momentum residuals, and the spatial terms they were built
-    from: (cont, mom, (mass flux, convection, pressure gradient, viscous term)).
-    w_old = face-averaged old momentum."""
+    """Continuity and momentum residuals, and the terms they were built from:
+    (cont, mom, (mass flux, convection, pressure gradient, viscous term,
+    face momentum)).  w_old = face-averaged old momentum."""
     dt, dx = grid.dt, grid.dx
     up, um = split_upwind(u)
     flux = upwind_flux(rho, up, um)
@@ -224,8 +241,9 @@ def _residual_arrays(
     conv = momentum_convection(mflux, dx)
     grad_p = pressure_gradient(p, dx)
     visc = laplace_velocity(u, dx, params.mu)
-    mom = (face_momentum(m) - w_old) / dt + conv + grad_p - visc
-    return cont, mom, (flux, conv, grad_p, visc)
+    w = face_momentum(m)
+    mom = (w - w_old) / dt + conv + grad_p - visc
+    return cont, mom, (flux, conv, grad_p, visc, w)
 
 
 def _max_norm(cont: np.ndarray, mom: np.ndarray) -> float:
@@ -235,14 +253,38 @@ def _max_norm(cont: np.ndarray, mom: np.ndarray) -> float:
 
 def _rest_norm(terms: tuple[np.ndarray, ...], dx: float) -> float:
     """Max-norm of the residual of a step from state s with trial s, given
-    the spatial terms of _residual_arrays at s.
+    the terms of _residual_arrays at s.
 
     Both time differences of that residual are exactly 0.0, and 0.0 + x is x
     up to the sign of a zero, so this is assemble_residual(s, s, ...).max_norm
     bit for bit.
     """
-    flux, conv, grad_p, visc = terms
+    flux, conv, grad_p, visc, _ = terms
     return _max_norm((flux[1:] - flux[:-1]) / dx, conv + grad_p - visc)
+
+
+def _term_scale(
+    rho_old: np.ndarray,
+    w_old: np.ndarray,
+    rho: np.ndarray,
+    terms: tuple[np.ndarray, ...],
+    grid: GridSpec,
+) -> float:
+    """Largest magnitude among the terms a residual row sums, given the terms
+    of _residual_arrays at (rho, u): rho/dt and rho_old/dt, mass flux/dx,
+    face momentum/dt and w_old/dt, convection, pressure gradient and viscous
+    term.  A residual evaluated in floating point is not known better than a
+    small multiple of eps times this."""
+    flux, conv, grad_p, visc, w = terms
+    dt, dx = grid.dt, grid.dx
+    return float(max(
+        max(rho.max(), rho_old.max()) / dt,  # densities are positive
+        np.abs(flux).max() / dx,
+        max(np.abs(w).max(), np.abs(w_old).max()) / dt,
+        np.abs(conv).max(),
+        np.abs(grad_p).max(),
+        np.abs(visc).max(),
+    ))
 
 
 def _old_fields(prev: FluidState) -> tuple[np.ndarray, np.ndarray]:
@@ -554,6 +596,7 @@ def advance(
 
     history: list[float] = []
     tol = floor = math.nan
+    roundoff: float | None = None
     nr_prev = math.inf
     backtracks = factorizations = 0
     handover = carry[0] if carry and carry[0].state is prev else None
@@ -578,7 +621,12 @@ def advance(
         if it == 1 and not extrapolated:
             tol, floor = _tolerances(cfg, nr)
         stalled = nr > 0.5 * nr_prev
-        if nr <= floor or (nr <= tol and stalled) or (nr <= tol and it == cfg.max_newton_iters):
+        done = nr <= floor or (nr <= tol and (stalled or it == cfg.max_newton_iters))
+        if not done and nr <= tol:
+            if roundoff is None:  # taken once, at the first iterate it can decide
+                roundoff = _ROUNDOFF_C * _EPS * _term_scale(rho_old, w_old, rho, terms, grid)
+            done = nr <= roundoff
+        if done:
             meta = StepMeta(it, nr, tol, floor, backtracks, False, 0, factorizations, extrapolated)
             _check_divergence_bound(prev, rho, u, cont, grid, k, history)
             state = FluidState(rho=rho, u=u, k=k)

@@ -659,6 +659,29 @@ def test_the_extrapolated_start_cuts_factorizations():
     assert counts[False][1] <= counts[True][1]
 
 
+def test_the_polish_stops_at_the_residual_roundoff():
+    """smooth-bump at N=256: the polish ends once the residual is at the
+    roundoff of its terms, not one evaluation later at a stall, so march
+    makes at most 0.85x the 320 residual evaluations of stopping at the
+    stall alone, with the same 66 factorizations."""
+    sc = scenario_named("smooth-bump")
+    metas = [meta for _, meta in stepper.march(sc, sc.grid_for(256), sc.params)][1:]
+    assert not any(m.fallback_used for m in metas)
+    assert sum(m.iterations for m in metas) <= 0.85 * 320
+    assert sum(m.factorizations for m in metas) == 66
+
+
+@pytest.mark.parametrize("name", [sc.name for sc in harness.builtin_scenarios()])
+def test_the_roundoff_stop_keeps_the_identities_far_inside_their_budgets(
+    name, all_scenario_runs
+):
+    """At N=256 every identity check stays below 1e-2 of its budget (at most
+    9.2e-4 with the polish run to a stall); a roundoff multiple four times
+    the solver's reaches 1.2e-2 on gamma-1.6."""
+    checks = diagnostics.identity_checks(all_scenario_runs[(name, 256)])
+    assert max(c.value / c.bound for c in checks) < 1e-2
+
+
 def test_run_is_bitwise_reproducible():
     sc = scenario_named("riemann-like")
     g = sc.grid_for(16)
