@@ -23,7 +23,7 @@ import contextlib
 import os
 import random
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 
 # Before numpy loads OpenBLAS: the band solves are too small for BLAS threads,
@@ -41,7 +41,7 @@ from .harness import (
     fork_worker,
     recv_levels,
     run_refinement,
-    send_level,
+    send_levels,
     stop_worker,
     worker_result,
 )
@@ -262,11 +262,6 @@ def _config_header(config: RunConfig | None) -> list[str]:
     return ["# " + line for line in config.to_text().splitlines()]
 
 
-def _state_header(config: RunConfig | None) -> str:
-    """The state CSV's text before its first time level."""
-    return "\n".join(_config_header(config) + ["k,t,i,x_center,rho,x_face,u,hat_u"]) + "\n"
-
-
 def _level_formatter(grid: GridSpec) -> Callable[[int, np.ndarray, np.ndarray], str]:
     """The function that formats time level k's (rho, u) on grid as its block
     of the state CSV.
@@ -296,16 +291,22 @@ def _level_formatter(grid: GridSpec) -> Callable[[int, np.ndarray, np.ndarray], 
     return level_text
 
 
-def _state_blocks(
+def _write_levels(
+    path: str,
     grid: GridSpec,
-    levels: Iterable[tuple[np.ndarray, np.ndarray]],
+    levels: Iterable[tuple[np.ndarray, np.ndarray] | str],
     config: RunConfig | None,
-) -> Iterator[str]:
-    """The state CSV as text: the header, then one block per (rho, u) level."""
-    yield _state_header(config)
+    written: Callable[[int], None] = lambda count: None,
+) -> None:
+    """Write the state CSV to path: its header, then each level as it comes,
+    formatting a (rho, u) level and writing a text level as it is.  After
+    each level, ``written`` is called with the count of levels written."""
     level_text = _level_formatter(grid)
-    for k, (rho, u) in enumerate(levels):
-        yield level_text(k, rho, u)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(_config_header(config) + ["k,t,i,x_center,rho,x_face,u,hat_u"]) + "\n")
+        for k, level in enumerate(levels):
+            fh.write(level if isinstance(level, str) else level_text(k, *level))
+            written(k + 1)
 
 
 def write_state_csv(traj: Trajectory, path: str, config: RunConfig | None = None) -> None:
@@ -317,8 +318,10 @@ def write_state_csv(traj: Trajectory, path: str, config: RunConfig | None = None
     level is written as soon as it is formatted, so memory stays at one
     level's text.
     """
-    levels = ((state.rho, state.u) for state in traj.states)
-    _write_text(path, _state_blocks(traj.grid, levels, config))
+    try:
+        _write_levels(path, traj.grid, ((state.rho, state.u) for state in traj.states), config)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def read_state_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -432,11 +435,11 @@ def write_flux_csv(ledger, path: str, config: RunConfig | None = None) -> None:
     _write_text(path, "\n".join(rows) + "\n")
 
 
-def _write_text(path: str, content: str | Iterable[str]) -> None:
-    """Write a string, or each string of an iterable as it is produced."""
+def _write_text(path: str, content: str) -> None:
+    """Write content to path; an OSError names path."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines([content] if isinstance(content, str) else content)
+            fh.write(content)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
@@ -455,12 +458,6 @@ def _solve_first_level(config: RunConfig) -> Trajectory:
         scenario.params,
         config.solver,
     )
-
-
-def _write_levels(path: str, grid: GridSpec, levels, config: RunConfig) -> None:
-    """Write the state CSV of the (rho, u) levels to path, each as it comes."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_state_blocks(grid, levels, config))
 
 
 class _WriterProgress:
@@ -483,29 +480,10 @@ class _WriterProgress:
 
 
 def _state_writer(conn, grid: GridSpec, config: RunConfig, progress, tmp: str) -> None:
-    """Writer process body: write each time level the parent sends to tmp,
-    formatting those sent as states, and publish how many are written, until
-    the empty message that ends the solve."""
-    level_text = _level_formatter(grid)
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_state_header(config))
-        for k, level in enumerate(recv_levels(conn, grid.N)):
-            fh.write(level if isinstance(level, str) else level_text(k, *level))
-            progress.publish(k + 1)
-
-
-def _send_levels(conn, grid: GridSpec, states: Iterable, progress) -> None:
-    """Send each state to the writer, then the end message.  While the writer
-    is behind, this process formats the level itself and sends its text, so
-    the two processes share the formatting.  A writer that has ended cannot
-    take the levels; worker_result then says what ended it."""
-    level_text = _level_formatter(grid)
-    try:
-        for k, state in enumerate(states):
-            send_level(conn, level_text(k, state.rho, state.u) if progress.behind(k) else state)
-        send_level(conn, None)
-    except ConnectionError:
-        pass
+    """Writer process body: write to tmp each time level the parent sends,
+    until the empty message that ends the solve, and publish how many are
+    written."""
+    _write_levels(tmp, grid, recv_levels(conn, grid.N), config, progress.publish)
 
 
 def _solve_writing_state(config: RunConfig, path: str) -> GridSpec:
@@ -532,7 +510,13 @@ def _solve_writing_state(config: RunConfig, path: str) -> GridSpec:
         if writer is None:
             _write_levels(tmp, grid, ((state.rho, state.u) for state in states), config)
         else:
-            _send_levels(writer[1], grid, states, progress)
+            # While the writer is behind, this process formats the next level
+            # itself and sends its text, so the two share the formatting.
+            level_text = _level_formatter(grid)
+            send_levels(writer[1], (
+                level_text(k, state.rho, state.u) if progress.behind(k) else state
+                for k, state in enumerate(states)
+            ))
             try:
                 worker_result(writer, "state.csv writer")
             except Exception as exc:  # what stopped the writer

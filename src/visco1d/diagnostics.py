@@ -180,11 +180,14 @@ def mass_history(traj: Trajectory) -> np.ndarray:
     return _walk(traj, _Density(traj.grid, len(traj) - 1))
 
 
+# The tolerance a run without steps reports: the adaptive rule's
+# 1e-10 * (1 + r0) at r0 = 0.
+_EMPTY_RUN_TOL = 1e-10
+
+
 def effective_newton_tol(traj: Trajectory) -> float:
     """Largest per-step acceptance tolerance the solver actually applied."""
-    if not traj.solver_meta:
-        return 1e-10
-    return max(meta.tol for meta in traj.solver_meta)
+    return max((meta.tol for meta in traj.solver_meta), default=_EMPTY_RUN_TOL)
 
 
 # ======================================================================
@@ -1101,7 +1104,7 @@ class IdentitySuite:
     def checks(self) -> tuple[Check, ...]:
         """Every exact identity of the run, each against its budget (see identity_checks)."""
         steps = self.steps
-        tol = 1e-10 if self._tol is None else self._tol  # effective_newton_tol
+        tol = _EMPTY_RUN_TOL if self._tol is None else self._tol
         energy = self._energy
         fractions = np.fromiter(
             (energy.balance[m] / energy_budget(tol, m) for m in range(1, steps + 1)),

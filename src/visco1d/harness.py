@@ -28,10 +28,7 @@ __all__ = [
     "run_refinement",
     "cauchy_differences",
     "fork_worker",
-    "send_state",
-    "send_states",
-    "recv_states",
-    "send_level",
+    "send_levels",
     "recv_levels",
     "worker_result",
     "stop_worker",
@@ -268,8 +265,7 @@ def fork_worker(target, *args):
 
     Returns (process, conn), conn being this process's end of a duplex pipe
     whose other end target gets.  Either side may send the other time levels
-    with ``send_state``/``recv_states``, or ``send_level``/``recv_levels``,
-    while target runs.  The child's last
+    with ``send_levels``/``recv_levels`` while target runs.  The child's last
     message is target's return value, or the exception it raised, which
     ``worker_result`` receives.  A forked child starts from the parent's
     imports (a spawned one would pay the numpy/scipy import again) and needs
@@ -290,27 +286,14 @@ def fork_worker(target, *args):
     return proc, conn
 
 
-def send_state(conn, state: FluidState | None) -> None:
-    """Send one time level as one message of N + (N+1) doubles, rho then u;
-    None sends the empty message that ends the levels."""
-    conn.send_bytes(b"" if state is None else np.concatenate((state.rho, state.u)))
-
-
-def recv_states(conn, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield each (rho, u) level ``send_state`` sent on an N = n grid, until
-    the empty message."""
-    while data := conn.recv_bytes():
-        level = np.frombuffer(data)
-        yield level[:n], level[n:]
-
-
-# A time level sent with ``send_level`` is either of two kinds, told apart by
-# one trailing byte: a state, as send_state's doubles, or the level's text,
-# already formatted.  The tag trails so that a state's doubles stay aligned.
+# A time level crosses a pipe as either of two kinds, told apart by one
+# trailing byte: a state, as N + (N+1) doubles, rho then u, or the level's
+# text, already formatted.  The tag trails so that a state's doubles stay
+# aligned.  The empty message ends the levels.
 _STATE, _TEXT = b"s", b"t"
 
 
-def send_level(conn, level: FluidState | str | None) -> None:
+def _send_level(conn, level: FluidState | str | None) -> None:
     """Send one time level as its state or as its text; None sends the
     empty message that ends the levels."""
     if level is None:
@@ -321,8 +304,19 @@ def send_level(conn, level: FluidState | str | None) -> None:
         conn.send_bytes(np.concatenate((level.rho, level.u)).tobytes() + _STATE)
 
 
+def send_levels(conn, levels: Iterable[FluidState | str]) -> None:
+    """Send each level, a state or its text, then the end message.  A worker
+    that has ended cannot take them; worker_result then says what ended it."""
+    try:
+        for level in levels:
+            _send_level(conn, level)
+        _send_level(conn, None)
+    except ConnectionError:
+        pass
+
+
 def recv_levels(conn, n: int) -> Iterator[tuple[np.ndarray, np.ndarray] | str]:
-    """Yield each level ``send_level`` sent on an N = n grid, as (rho, u) or
+    """Yield each level ``send_levels`` sent on an N = n grid, as (rho, u) or
     as its text, until the empty message."""
     while data := conn.recv_bytes():
         if data.endswith(_TEXT):
@@ -369,17 +363,6 @@ def stop_worker(worker) -> None:
     conn.close()
 
 
-def send_states(conn, states: Iterable[FluidState]) -> None:
-    """Send each state to a worker, then the end message.  A worker that has
-    ended cannot take them; worker_result then says what ended it."""
-    try:
-        for state in states:
-            send_state(conn, state)
-        send_state(conn, None)
-    except ConnectionError:
-        pass
-
-
 def _finest_level_worker(
     conn, scenario: ScenarioConfig, solver: SolverConfig, n: int, n_coarse: int
 ) -> tuple[dict, tuple[float, float]]:
@@ -391,7 +374,7 @@ def _finest_level_worker(
         params=scenario.params,
         states=tuple(
             FluidState(rho=rho, u=u, k=k)
-            for k, (rho, u) in enumerate(recv_states(conn, n_coarse))
+            for k, (rho, u) in enumerate(recv_levels(conn, n_coarse))
         ),
     )
     return summary, cauchy_differences(coarse, fine)
@@ -407,11 +390,12 @@ def run_refinement(
     process while this process solves the coarser levels one after another,
     coarsest first, and takes each Cauchy pair as soon as its finer level is
     done.  Once the next-to-finest level is solved, this process sends its
-    states to the worker (``send_state``); the worker sends back only its
-    level's summary and the last Cauchy pair, so the finest trajectory never
-    leaves it.  A failing level aborts the study as if the levels ran in
-    order: completed levels are reported, a flag records the failure, and
-    ``failed`` is set; a failure below the finest level discards the worker.
+    states to the worker, each as its doubles (``send_levels``); the worker
+    sends back only its level's summary and the last Cauchy pair, so the
+    finest trajectory never leaves it.  A failing level aborts the study as
+    if the levels ran in order: completed levels are reported, a flag records
+    the failure, and ``failed`` is set; a failure below the finest level
+    discards the worker.
     A worker that ended before it read the coarse level is reported by
     ``worker_result``, with what ended it.  Levels are independent and the
     worker computes exactly what this process would, so the study's numbers
@@ -443,7 +427,7 @@ def run_refinement(
                         pair = cauchy_differences(coarse, traj)
                     coarse = traj
                     if n == next_finest and worker is not None:
-                        send_states(worker[1], traj.states)
+                        send_levels(worker[1], traj.states)
             except StepFailure as exc:
                 flags.append(f"level {n} solve failed: {exc}")
                 failed = True

@@ -49,16 +49,20 @@ differences are exactly 0.0, so its norm is the norm of the spatial terms
 of the previous step's accepted evaluation, bit for bit, and the handover
 carries it.  A step on its own (advance without a slot), march's first
 step, a step after one that made no Newton update, and a step after a
-fallback or a zero pivot start from s^k; a step that ends in the fallback
-or meets a zero pivot drops the handover.  So a constant state, which never
-factors, steps exactly as without a slot.
+fallback start from s^k; a step that ends in the fallback drops the
+handover.  So a constant state, which never factors, steps exactly as
+without a slot.  Where Newton gives up from 2 s^k - s^{k-1}, which it does
+on some near-vacuum and strong-inflow steps, the step retries from s^k as a
+step without a slot does, factoring at iterate 1, before it falls back; its
+StepMeta counts the residual evaluations, backtracks and factorizations of
+both attempts and stays ``extrapolated``.
 
-An exact zero pivot or a non-finite Newton step hands over to the fallback.
-On stagnation above tolerance it falls back to a Picard splitting whose
-continuity half is a tridiagonal M-matrix solve: that half preserves
-positivity and conserves mass exactly, so the fallback is slow but safe.  A
-NaN or infinite residual also hands over to the fallback, which raises
-StepFailure when it meets non-finite data itself.
+An exact zero pivot or a non-finite Newton step gives up, as does
+stagnation above tolerance.  Given up from s^k, the step falls back to a
+Picard splitting whose continuity half is a tridiagonal M-matrix solve:
+that half preserves positivity and conserves mass exactly, so the fallback
+is slow but safe.  A NaN or infinite residual also gives up; the fallback
+raises StepFailure when it meets non-finite data itself.
 """
 
 from __future__ import annotations
@@ -584,9 +588,10 @@ def advance(
     without a slot.  If every density of
     2*prev - before is positive, Newton starts there instead of at ``prev``,
     and tol and floor come from the handover's norm, the residual at
-    ``prev``.  A step accepted by Newton with factors in hand leaves its
-    handover in the slot; a fallback or a zero pivot empties it.  Without a
-    slot every step starts from ``prev`` and factors at iterate 1.
+    ``prev``; should Newton give up from there, it retries from ``prev``
+    with no factors in hand.  A step accepted by Newton with factors in hand
+    leaves its handover in the slot; a fallback empties it.  Without a slot
+    every step starts from ``prev`` and factors at iterate 1.
     """
     cfg = cfg or SolverConfig()
     if prev.N != grid.N:
@@ -596,68 +601,71 @@ def advance(
 
     history: list[float] = []
     tol = floor = math.nan
-    roundoff: float | None = None
-    nr_prev = math.inf
     backtracks = factorizations = 0
     handover = carry[0] if carry and carry[0].state is prev else None
     factors = handover.factors if handover is not None else None
-    extrapolated = False
+    starts = []  # (rho, u, factors) for each Newton attempt, in turn
     if handover is not None and math.isfinite(handover.norm):
         rho = 2.0 * prev.rho - handover.before.rho
-        extrapolated = bool(rho.min() > 0.0)
-    if extrapolated:
-        u = 2.0 * prev.u - handover.before.u
-        tol, floor = _tolerances(cfg, handover.norm)
-    else:
-        rho = prev.rho.copy()
-        u = prev.u.copy()
+        if rho.min() > 0.0:
+            starts.append((rho, 2.0 * prev.u - handover.before.u, factors))
+            tol, floor = _tolerances(cfg, handover.norm)
+            factors = None  # a retry from prev factors afresh, as without a slot
+    extrapolated = bool(starts)
+    starts.append((prev.rho.copy(), prev.u.copy(), factors))
 
-    for it in range(1, cfg.max_newton_iters + 1):
-        cont, mom, terms = _residual_arrays(rho_old, w_old, rho, u, grid, params)
-        nr = _max_norm(cont, mom)
-        history.append(nr)
-        if not math.isfinite(nr):
-            break  # hand over to the fixed-point fallback
-        if it == 1 and not extrapolated:
-            tol, floor = _tolerances(cfg, nr)
-        stalled = nr > 0.5 * nr_prev
-        done = nr <= floor or (nr <= tol and (stalled or it == cfg.max_newton_iters))
-        if not done and nr <= tol:
-            if roundoff is None:  # taken once, at the first iterate it can decide
-                roundoff = _ROUNDOFF_C * _EPS * _term_scale(rho_old, w_old, rho, terms, grid)
-            done = nr <= roundoff
-        if done:
-            meta = StepMeta(it, nr, tol, floor, backtracks, False, 0, factorizations, extrapolated)
-            _check_divergence_bound(prev, rho, u, cont, grid, k, history)
-            state = FluidState(rho=rho, u=u, k=k)
-            if carry is not None and factors is not None:
-                carry[:] = [_Handover(state, prev, factors, _rest_norm(terms, grid.dx))]
-            return state, meta
-        if (it >= 5 and stalled and nr > tol) or it == cfg.max_newton_iters:
-            break  # diverging or out of iterations: hand over to the fallback
+    for rho, u, factors in starts:
+        roundoff: float | None = None
+        nr_prev = math.inf
+        for it in range(1, cfg.max_newton_iters + 1):
+            cont, mom, terms = _residual_arrays(rho_old, w_old, rho, u, grid, params)
+            nr = _max_norm(cont, mom)
+            history.append(nr)
+            if not math.isfinite(nr):
+                break  # give up: retry from prev, or fall back
+            if it == 1 and not extrapolated:
+                tol, floor = _tolerances(cfg, nr)
+            stalled = nr > 0.5 * nr_prev
+            done = nr <= floor or (nr <= tol and (stalled or it == cfg.max_newton_iters))
+            if not done and nr <= tol:
+                if roundoff is None:  # taken once, at the first iterate it can decide
+                    roundoff = _ROUNDOFF_C * _EPS * _term_scale(rho_old, w_old, rho, terms, grid)
+                done = nr <= roundoff
+            if done:
+                meta = StepMeta(
+                    len(history), nr, tol, floor, backtracks, False, 0, factorizations,
+                    extrapolated,
+                )
+                _check_divergence_bound(prev, rho, u, cont, grid, k, history)
+                state = FluidState(rho=rho, u=u, k=k)
+                if carry is not None and factors is not None:
+                    carry[:] = [_Handover(state, prev, factors, _rest_norm(terms, grid.dx))]
+                return state, meta
+            if (it >= 5 and stalled and nr > tol) or it == cfg.max_newton_iters:
+                break  # diverging or out of iterations
 
-        # Chord steps: the carried factors at iterate 1, and the polish below
-        # tol; above tol from iterate 2 on, refactor.
-        if factors is None or (nr > tol and it > 1):
-            factors = _band_lu(rho, u, grid, params)
-            factorizations += 1
-        lu, piv, info = factors
-        if info != 0:
-            break  # exact zero pivot: hand over to the fallback
-        delta, _ = dgbtrs(lu, *_BANDS, -_interleave(cont, mom), piv)
-        if not np.isfinite(delta).all():
-            break
-        drho = delta[0::2]
-        du = delta[1::2]
-        try:
-            lam, bt = _positivity_step(rho, drho)
-        except FloatingPointError:
-            break
-        backtracks += bt
-        rho = rho + lam * drho
-        u = u.copy()
-        u[1:-1] += lam * du
-        nr_prev = nr
+            # Chord steps: the carried factors at iterate 1, and the polish
+            # below tol; above tol from iterate 2 on, refactor.
+            if factors is None or (nr > tol and it > 1):
+                factors = _band_lu(rho, u, grid, params)
+                factorizations += 1
+            lu, piv, info = factors
+            if info != 0:
+                break  # exact zero pivot
+            delta, _ = dgbtrs(lu, *_BANDS, -_interleave(cont, mom), piv)
+            if not np.isfinite(delta).all():
+                break
+            drho = delta[0::2]
+            du = delta[1::2]
+            try:
+                lam, bt = _positivity_step(rho, drho)
+            except FloatingPointError:
+                break
+            backtracks += bt
+            rho = rho + lam * drho
+            u = u.copy()
+            u[1:-1] += lam * du
+            nr_prev = nr
 
     if carry is not None:
         carry.clear()

@@ -475,16 +475,19 @@ def test_writer_with_reset_pipe_exits_1_naming_the_writer(tmp_path, capsys, monk
 def test_write_error_without_fork_leaves_state_csv_as_it_was(tmp_path, capsys, monkeypatch):
     """Written in process, the CSV also goes to a temporary file that
     replaces state.csv only once it is complete."""
-    blocks = cli._state_blocks
+    write = cli._write_levels
 
-    def failing_blocks(grid, levels, config):
-        for i, block in enumerate(blocks(grid, levels, config)):
-            if i == 2:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            yield block
+    def failing_write(path, grid, levels, config, *args):
+        def failing_levels():
+            for k, level in enumerate(levels):
+                if k == 1:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                yield level
+
+        write(path, grid, failing_levels(), config, *args)
 
     monkeypatch.setattr(cli, "fork_worker", lambda *args: None)
-    monkeypatch.setattr(cli, "_state_blocks", failing_blocks)
+    monkeypatch.setattr(cli, "_write_levels", failing_write)
     cfg = write_cfg(tmp_path, "[scenario]\nname = smooth-bump\nlevels = 16\n")
     out = tmp_path / "out"
     out.mkdir()
@@ -562,7 +565,7 @@ def test_each_split_of_the_formatting_writes_the_same_bytes(tmp_path, monkeypatc
     write_state_csv(cli._solve_first_level(config), str(kept), config)
 
     sent_text = []  # per level: did the solver format it?
-    send = cli.send_level
+    send = harness._send_level
 
     def send_level(conn, level):
         if level is not None:
@@ -570,7 +573,7 @@ def test_each_split_of_the_formatting_writes_the_same_bytes(tmp_path, monkeypatc
         send(conn, level)
 
     force_split(monkeypatch, split)
-    monkeypatch.setattr(cli, "send_level", send_level)
+    monkeypatch.setattr(harness, "_send_level", send_level)
     forked = tmp_path / "forked.csv"
     cli._solve_writing_state(config, str(forked))
     monkeypatch.setattr(cli, "fork_worker", lambda *args: None)

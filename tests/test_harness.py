@@ -421,16 +421,28 @@ def test_levels_cross_a_pipe_as_states_or_text():
     text's last character is."""
     u = np.array([0.5, -0.0, np.frombuffer(b"\0" * 7 + b"t")[0]])
     state = SimpleNamespace(rho=np.array([np.nan, 5e-324]), u=u)  # unchecked
-    levels = [state, "0,0,t\n", "ends in s"]
+    levels = ["0,0,t\n", state, "ends in s", state]
     receiver, sender = multiprocessing.Pipe(duplex=False)
-    for level in levels + [None]:
-        harness.send_level(sender, level)
+    harness.send_levels(sender, levels)
     got = list(harness.recv_levels(receiver, 2))
     receiver.close()
     sender.close()
-    assert got[1:] == levels[1:]
-    rho, u_got = got[0]
-    assert rho.tobytes() + u_got.tobytes() == state.rho.tobytes() + u.tobytes()
+    assert len(got) == len(levels)
+    assert got[0::2] == levels[0::2]
+    for rho, u_got in got[1::2]:
+        assert rho.tobytes() + u_got.tobytes() == state.rho.tobytes() + u.tobytes()
+
+
+def test_send_levels_to_a_closed_reader_returns():
+    """A worker that has ended cannot take the levels; the sender carries on,
+    and worker_result says what ended the worker."""
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    receiver.close()
+    state = SimpleNamespace(rho=np.ones(2), u=np.zeros(3))
+    harness.send_levels(sender, [state, "text"])
+    with pytest.raises(ConnectionError):  # what send_levels met
+        sender.send_bytes(b"")
+    sender.close()
 
 
 needs_fork = pytest.mark.skipif(
@@ -502,7 +514,7 @@ def test_run_refinement_worker_failing_before_the_coarse_level_is_sent(monkeypat
     sc = with_levels(scenario_named("smooth-bump"), (16, 32, 64))
     _fail_at(monkeypatch, 64, stepper.StepFailure("injected", 4, [1.0, 0.5], 0.25))
     workers = []
-    fork, solve, send = harness.fork_worker, harness.run, harness.send_state
+    fork, solve, send = harness.fork_worker, harness.run, harness._send_level
 
     def fork_worker(*args):
         workers.append(fork(*args))
@@ -516,16 +528,16 @@ def test_run_refinement_worker_failing_before_the_coarse_level_is_sent(monkeypat
 
     resets = []
 
-    def send_state(conn, state):
+    def send_level(conn, level):
         try:
-            send(conn, state)
+            send(conn, level)
         except ConnectionError as exc:
             resets.append(exc)
             raise
 
     monkeypatch.setattr(harness, "fork_worker", fork_worker)
     monkeypatch.setattr(harness, "run", run)
-    monkeypatch.setattr(harness, "send_state", send_state)
+    monkeypatch.setattr(harness, "_send_level", send_level)
     rep = harness.run_refinement(sc)
     assert multiprocessing.active_children() == []
     assert len(resets) == 1
@@ -546,7 +558,7 @@ marker = sys.argv[1]
 smooth = next(s for s in harness.builtin_scenarios() if s.name == "smooth-bump")
 sc = replace(smooth, levels=(128, 256, 512))
 parent = os.getpid()
-solve, send = harness.run, harness.send_state
+solve, send = harness.run, harness._send_level
 sends = {"ok": 0, "reset": 0}
 
 def run(scenario, grid, *args, **kwargs):
@@ -559,17 +571,17 @@ def run(scenario, grid, *args, **kwargs):
         raise stepper.StepFailure("injected", 4, [1.0, 0.5], 0.25)
     return solve(scenario, grid, *args, **kwargs)
 
-def send_state(conn, state):
+def send_level(conn, level):
     if os.getpid() == parent:
         open(marker, "a").close()
     try:
-        send(conn, state)
+        send(conn, level)
     except ConnectionError:
         sends["reset"] += 1
         raise
     sends["ok"] += 1
 
-harness.run, harness.send_state = run, send_state
+harness.run, harness._send_level = run, send_level
 forked = harness.run_refinement(sc)
 children = len(multiprocessing.active_children())
 harness.fork_worker = lambda *args: None

@@ -535,7 +535,8 @@ def test_a_step_that_leaves_newton_empties_the_slot(monkeypatch, how):
     s2, meta = advance(s1, g, sc.params, cfg, slot)
     monkeypatch.undo()
     assert meta.fallback_used and meta.extrapolated
-    assert meta.factorizations == (0 if how == "fallback" else 1)
+    # A zero pivot from 2*s1 - s0, then another in the retry from s1.
+    assert meta.factorizations == (0 if how == "fallback" else 2)
     assert slot == []
     after = advance(s2, g, sc.params, None, slot)
     assert not after[1].extrapolated
@@ -657,6 +658,49 @@ def test_the_extrapolated_start_cuts_factorizations():
         counts[pin] = (sum(m.factorizations for m in metas), sum(m.iterations for m in metas))
     assert counts[False][0] <= 0.7 * counts[True][0]
     assert counts[False][1] <= counts[True][1]
+
+
+def test_newton_giving_up_from_the_extrapolated_start_retries_from_prev(monkeypatch):
+    """Near-vacuum inflow at N=16: at step 2, Newton from 2*s^1 - s^0 stalls
+    above tol.  The step then retries from s^1 as a step without a slot does,
+    instead of falling back, and its StepMeta counts both attempts."""
+    sc = harness.ScenarioConfig(
+        name="near-vacuum", rho0="piecewise:0.5|1e-3,1", u0="sin2pi:0.5",
+        params=_params(gamma=2.0, mu=0.005), levels=(16,),
+    )
+    g = sc.grid_for(16)
+    s0 = grid.init_state(g, sc.rho0_fn, sc.u0_fn)
+    slot: list = []
+    s1, _ = advance(s0, g, sc.params, None, slot)
+    counts = {"evaluations": 0, "backtracks": 0, "factorizations": 0}
+
+    def counted(name, key, weight):
+        real = getattr(stepper, name)
+
+        def call(*args):
+            out = real(*args)
+            counts[key] += weight(out)
+            return out
+
+        monkeypatch.setattr(stepper, name, call)
+
+    counted("_residual_arrays", "evaluations", lambda out: 1)
+    counted("_positivity_step", "backtracks", lambda out: out[1])
+    counted("_band_lu", "factorizations", lambda out: 1)
+    state, meta = advance(s1, g, sc.params, None, slot)
+    monkeypatch.undo()
+    alone, alone_meta = advance(s1, g, sc.params)
+    assert meta.extrapolated and not meta.fallback_used
+    assert (meta.iterations, meta.backtracks, meta.factorizations) == tuple(counts.values())
+    assert meta.iterations > alone_meta.iterations  # the first attempt counts too
+    assert state.rho.tobytes() == alone.rho.tobytes()
+    assert state.u.tobytes() == alone.u.tobytes()
+    assert (meta.residual_norm, meta.tol, meta.floor) == (
+        alone_meta.residual_norm, alone_meta.tol, alone_meta.floor
+    )
+    assert slot[0].state is state and slot[0].before is s1
+    metas = [m for _, m in stepper.march(sc, g, sc.params)][1:]
+    assert not any(m.fallback_used for m in metas)
 
 
 def test_the_polish_stops_at_the_residual_roundoff():
