@@ -45,7 +45,9 @@ from .harness import (
     stop_worker,
     worker_result,
 )
-from .operators import dirichlet_inv_grad, hat, neumann_inv_grad
+# The inverse gradients are named here for perfbench's tracer, which wraps
+# cli's names; the duality check calls them through diagnostics.
+from .operators import dirichlet_inv_grad, hat, neumann_inv_grad  # noqa: F401
 from .stepper import SolverConfig, StepFailure, march, run
 
 __all__ = [
@@ -545,19 +547,7 @@ def _verify(config: RunConfig, out) -> int:
         suite.push(state, meta)
     checks = suite.checks()
 
-    rng = random.Random(20240817)
-    worst_dual = 0.0
-    for _ in range(50):
-        size = rng.randint(2, 64)
-        dx = rng.uniform(0.01, 1.0)
-        f = np.array([rng.gauss(0.0, 1.0) for _ in range(size)])
-        f -= f.mean()
-        v = np.array([rng.gauss(0.0, 1.0) for _ in range(size - 1)])
-        lhs_d = dx * float(v @ neumann_inv_grad(f, dx)[1:-1])
-        rhs_d = -dx * float(dirichlet_inv_grad(v, dx) @ f)
-        scale = max(abs(lhs_d), abs(rhs_d), 1.0)
-        worst_dual = max(worst_dual, abs(lhs_d - rhs_d) / scale)
-    checks += (diagnostics.Check("inverse-gradient duality (relative)", worst_dual, 1e-12),)
+    checks += (diagnostics.duality_check(50, random.Random(20240817)),)
 
     pos = suite.positivity()
     print(

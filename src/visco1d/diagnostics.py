@@ -14,29 +14,33 @@ as the piecewise-constant cell value, velocity as the continuous piecewise
 interpolant through the face values, and the discrete time derivative on
 window k is the backward difference (f^k - f^{k-1})/dt.
 
-The identities are accumulators, fed one time level at a time: the initial
-level, then the new level of each step.  A level's derived
-arrays (hat(u), the upwind split, diff_cell(u), the pressure, the donor-cell
-fluxes and the momentum rho*hat(u)) are computed once and shared by every
-accumulator fed that step.  Each public function walks a kept Trajectory
-through its accumulator; level_summary feeds a refinement level's whole row
-from one walk, and IdentitySuite all the identity checks, so ``visco1d
-verify`` checks a run as the solver marches it and keeps no states.
+The identities are accumulators, fed blocks of consecutive time levels: the
+initial level alone, then the new levels of the following steps.  A block's
+derived arrays (hat(u), the upwind split, diff_cell(u), the pressure, the
+donor-cell fluxes, the momentum rho*hat(u), ...) are computed once, row by
+row, and shared by every accumulator fed that block; each scalar that sums
+over steps is still added one level at a time, so any block length gives the
+same bits.  level_summary walks a refinement level's kept states in blocks
+of _LEVEL_BLOCK levels, which pays numpy's per-call cost, most of a level's
+time, once per block.  IdentitySuite feeds each state as a block of one, so
+``visco1d verify`` checks a run as the solver marches it and keeps no
+states, and so do the public functions, which walk a kept Trajectory through
+one accumulator each: a block's work arrays are B levels' worth, which their
+memory bounds do not leave room for.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .grid import FluidState, GridSpec, PhysParams, Trajectory, gauss_panels
 from .operators import (
     continuity_residual,
-    diff_cell,
     dirichlet_inv_grad,
     face_momentum,
     hat,
@@ -62,6 +66,7 @@ __all__ = [
     "check_study_levels",
     "check_checkpoint",
     "level_summary",
+    "level_blocks",
     "linear_l2_sq",
     "rates_from_levels",
     "boundedness",
@@ -71,6 +76,7 @@ __all__ = [
     "mass_history",
     "effective_newton_tol",
     "rho_power_integral",
+    "duality_check",
 ]
 
 
@@ -79,70 +85,131 @@ __all__ = [
 # ======================================================================
 
 
+class _derived:
+    """A _Level array, computed on first use and then kept in the level:
+    functools.cached_property without the lock that Python 3.11 takes on
+    each first use, a third of its cost (a level is used by one thread)."""
+
+    def __init__(self, make: Callable) -> None:
+        self._make = make
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._name = name
+
+    def __get__(self, level, owner=None):
+        value = level.__dict__[self._name] = self._make(level)
+        return value
+
+
 class _Level:
-    """One time level and the arrays the identities derive from it.
+    """A block of B consecutive time levels and the arrays the identities
+    derive from them: ``rho`` is (B, N), ``u`` (B, N+1), and ``rho_prev``
+    holds each level's predecessor's density (None for level 0).
 
     Each array is computed on first use and then shared by every accumulator
-    the level is fed to, by the expression each of them used on its own, so
-    sharing changes no bit.
+    the block is fed to, by the expression each of them used on its own, so
+    sharing changes no bit; and each is computed row by row along the last
+    axis, so a block gives the bits of its levels fed one at a time.
     """
 
-    def __init__(
-        self,
-        state: FluidState,
-        grid: GridSpec,
-        params: PhysParams,
-        rho_prev: np.ndarray | None = None,
-    ):
-        self.rho, self.u, self.rho_prev = state.rho, state.u, rho_prev
+    def __init__(self, rho: np.ndarray, u: np.ndarray, grid: GridSpec, params: PhysParams,
+                 rho_prev: np.ndarray | None = None):
+        self.rho, self.u, self.rho_prev = rho, u, rho_prev
         self._dx, self._params = grid.dx, params
 
-    hat_u = cached_property(lambda lv: hat(lv.u))
-    split = cached_property(lambda lv: split_upwind(lv.u))  # (u+, u-)
-    du = cached_property(lambda lv: diff_cell(lv.u, lv._dx))
-    p = cached_property(lambda lv: lv._params.pressure(lv.rho))
-    # PhysParams.pressure_potential, which is p/(gamma-1), from the shared p
-    pot = cached_property(lambda lv: lv.p / (lv._params.gamma - 1.0))
-    mass_flux = cached_property(lambda lv: upwind_flux(lv.rho, *lv.split))
-    mom = cached_property(lambda lv: lv.rho * lv.hat_u)
-    mom_flux = cached_property(lambda lv: upwind_flux(lv.mom, *lv.split))
+    hat_u = _derived(lambda lv: hat(lv.u))
+    split = _derived(lambda lv: split_upwind(lv.u))  # (u+, u-)
+    # np.diff's bits along the rows, without its per-call cost
+    diff_u = _derived(lambda lv: lv.u[:, 1:] - lv.u[:, :-1])
+    diff_hat = _derived(lambda lv: lv.hat_u[:, 1:] - lv.hat_u[:, :-1])
+    du = _derived(lambda lv: lv.diff_u / lv._dx)  # diff_cell(u, dx)
+    abs_u = _derived(lambda lv: np.abs(lv.u))
+    # each level's density change rho_prev - rho, and its jumps across the
+    # interior faces, right minus left and left minus right
+    fall = _derived(lambda lv: lv.rho_prev - lv.rho)
+    jump = _derived(lambda lv: lv.rho[:, 1:] - lv.rho[:, :-1])
+    jump_back = _derived(lambda lv: lv.rho[:, :-1] - lv.rho[:, 1:])
+    rho_g = _derived(lambda lv: lv.rho**lv._params.gamma)
+    # PhysParams.pressure and pressure_potential, from the shared rho**gamma
+    p = _derived(lambda lv: lv._params.a * lv.rho_g)
+    pot = _derived(lambda lv: lv.p / (lv._params.gamma - 1.0))
+    mass_flux = _derived(lambda lv: upwind_flux(lv.rho, *lv.split))
+    mom = _derived(lambda lv: lv.rho * lv.hat_u)
+    mom_flux = _derived(lambda lv: upwind_flux(lv.mom, *lv.split))
+
+
+def _per_level(*series: np.ndarray) -> Iterator[tuple[float, ...]]:
+    """The entries of each (B,) series, level by level, as Python floats:
+    the sums over steps then add one level at a time, in order."""
+    return zip(*[a.tolist() for a in series])
+
+
+def _before(last: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Each row's predecessor: ``last``, the (1, n) row before the block,
+    then the block's rows but its last."""
+    return last if len(block) == 1 else np.concatenate((last, block[:-1]))
 
 
 class _Accumulator:
-    """A diagnostic fed one time level at a time: ``start`` takes level 0,
-    ``push`` the new level of each step, and ``result()`` gives the
-    diagnostic.  What an accumulator needs of the previous level beyond its
-    density (``rho_prev``) it keeps itself, so only that much outlives a step.
+    """A diagnostic fed a block of time levels at a time: ``start`` takes
+    level 0 alone, ``push`` each later block, and ``result()`` gives the
+    diagnostic.  What an accumulator needs of the level before a block
+    beyond its density (``rho_prev``) it keeps itself, so only that much
+    outlives a block.
     """
 
     def start(self, level: _Level) -> None:
         pass
 
 
+# Levels per block where a walk stacks kept states (level_blocks).  Each
+# numpy call then serves B levels, which pays its fixed cost once per block,
+# while a block's work arrays are B levels' worth: at 4, those of a level of
+# N = 512 and 128 steps stay below rho_power_integral's (M, N) array, so
+# level_summary's peak memory does not rise (measured; 8 raised it 0.6 MB).
+_LEVEL_BLOCK = 4
+
+
+def level_blocks(states: Sequence[FluidState]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Consecutive ``states`` stacked in blocks of up to _LEVEL_BLOCK, in
+    order: each block's (B, N) densities and (B, N+1) velocities."""
+    for i in range(0, len(states), _LEVEL_BLOCK):
+        block = states[i : i + _LEVEL_BLOCK]
+        yield np.array([s.rho for s in block]), np.array([s.u for s in block])
+
+
 class _Walk:
-    """Feeds states, in order, to accumulators: the first to ``start``, each
-    later one to ``push``."""
+    """Feeds blocks of consecutive levels, in order, to accumulators: level 0
+    alone to ``start``, the rest to ``push``.  level_summary feeds it the
+    blocks of level_blocks, IdentitySuite and _walk blocks of one level (see
+    the module docstring)."""
 
     def __init__(self, grid: GridSpec, params: PhysParams, accumulators) -> None:
         self._grid, self._params = grid, params
         self._accumulators = tuple(accumulators)
-        self._rho_prev: np.ndarray | None = None
+        self._rho_last: np.ndarray | None = None
 
-    def feed(self, state: FluidState) -> None:
-        cur = _Level(state, self._grid, self._params, self._rho_prev)
+    def feed(self, rho: np.ndarray, u: np.ndarray) -> None:
+        """Feed the next (B, N) densities and (B, N+1) velocities."""
+        if self._rho_last is None:
+            level = _Level(rho[:1], u[:1], self._grid, self._params)
+            for acc in self._accumulators:
+                acc.start(level)
+            self._rho_last, rho, u = rho[:1], rho[1:], u[1:]
+            if not len(rho):
+                return
+        cur = _Level(rho, u, self._grid, self._params, _before(self._rho_last, rho))
         for acc in self._accumulators:
-            if self._rho_prev is None:
-                acc.start(cur)
-            else:
-                acc.push(cur)
-        self._rho_prev = state.rho
+            acc.push(cur)
+        self._rho_last = rho[-1:]
 
 
 def _walk(traj: Trajectory, acc: _Accumulator, steps: int | None = None):
-    """``acc``'s result over a kept trajectory's first ``steps`` steps (default: all)."""
+    """``acc``'s result over a kept trajectory's first ``steps`` steps (default: all),
+    fed one level at a time."""
     walk = _Walk(traj.grid, traj.params, (acc,))
     for state in traj.states[: len(traj) if steps is None else steps + 1]:
-        walk.feed(state)
+        walk.feed(state.rho[None], state.u[None])
     return acc.result()
 
 
@@ -166,10 +233,12 @@ class _Density(_Accumulator):
         self.push(level)
 
     def push(self, cur: _Level) -> None:
-        self.sums[self.k] = cur.rho.sum()
-        self.k += 1
-        self.lo = _running(min, self.lo, float(cur.rho.min()))
-        self.hi = _running(max, self.hi, float(cur.rho.max()))
+        rho = cur.rho
+        self.sums[self.k : self.k + len(rho)] = rho.sum(axis=1)
+        self.k += len(rho)
+        for lo, hi in _per_level(rho.min(axis=1), rho.max(axis=1)):
+            self.lo = _running(min, self.lo, lo)
+            self.hi = _running(max, self.hi, hi)
 
     def result(self) -> np.ndarray:
         return self.dx * self.sums
@@ -219,18 +288,20 @@ class EnergyLedger:
 
 
 def _convexity_gaps(
-    b_old: np.ndarray, b: np.ndarray, db: np.ndarray, rho_old: np.ndarray, rho: np.ndarray
+    b_old: np.ndarray, b: np.ndarray, db: np.ndarray, lv: _Level
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unscaled convexity gaps B(y) - B(x) - B'(x)(y - x) of one step.
+    """Unscaled convexity gaps B(y) - B(x) - B'(x)(y - x) of a block of steps.
 
-    ``b_old``, ``b`` and ``db`` are B(rho_old), B(rho) and B'(rho) per cell.
+    ``b_old``, ``b`` and ``db`` are B(rho_old), B(rho) and B'(rho) per cell,
+    one row per step of ``lv``.
     Returns (time, right, left): the gap from rho to rho_old in every cell,
     and at every interior face the gap from the left cell to the right one
     (right) and from the right cell to the left one (left).
     """
-    time = b_old - b - db * (rho_old - rho)
-    right = b[1:] - b[:-1] - db[:-1] * (rho[1:] - rho[:-1])
-    left = b[:-1] - b[1:] - db[1:] * (rho[:-1] - rho[1:])
+    time = b_old - b - db * lv.fall
+    bl, br = b[:, :-1], b[:, 1:]
+    right = br - bl - db[:, :-1] * lv.jump
+    left = bl - br - db[:, 1:] * lv.jump_back
     return time, right, left
 
 
@@ -238,7 +309,7 @@ _ENERGY_TERMS = ("dissipation", "N1", "N2", "N3", "N4")  # EnergyLedger's order
 
 
 class _Energy(_Accumulator):
-    """energy_ledger, one step at a time (see there).
+    """energy_ledger, one block of steps at a time (see there).
 
     The cumulative columns are running sums, which are np.cumsum's bits,
     and ``min_increment`` is the smallest step increment of N1..N4 as
@@ -255,42 +326,45 @@ class _Energy(_Accumulator):
         self.min_increment = math.inf
         self.k = 0
 
-    def _level_energy(self, lv: _Level) -> float:
-        return self.grid.dx * float((0.5 * lv.rho * lv.hat_u**2 + lv.pot).sum())
+    def _energy_sums(self, lv: _Level) -> np.ndarray:
+        """Each level's energy, over dx."""
+        return (0.5 * lv.rho * lv.hat_u**2 + lv.pot).sum(axis=1)
 
     def start(self, level: _Level) -> None:
-        self.hat_prev, self.pot_prev = level.hat_u, level.pot
-        self.energy0 = self._level_energy(level)
+        self.hat_last, self.pot_last = level.hat_u, level.pot
+        self.energy0 = self.grid.dx * float(self._energy_sums(level)[0])
         self._record(self.energy0)
 
     def push(self, cur: _Level) -> None:
         pp = self.params
         dt, dx = self.grid.dt, self.grid.dx
-        dissipation = pp.mu * dt * dx * float(cur.du @ cur.du)
+        du_sq = np.vecdot(cur.du, cur.du)
 
         dpot = pp.dpressure(cur.rho) / (pp.gamma - 1.0)
         time_gap, gap_right, gap_left = _convexity_gaps(
-            self.pot_prev, cur.pot, dpot, cur.rho_prev, cur.rho
+            _before(self.pot_last, cur.pot), cur.pot, dpot, cur
         )
-        n1 = dx * float(time_gap.sum())
-
         up, um = cur.split
-        n2 = dt * float(-(gap_right @ um[1:-1]) + gap_left @ up[1:-1])
+        hat_prev = _before(self.hat_last, cur.hat_u)
+        sums = (
+            du_sq, time_gap.sum(axis=1),
+            np.vecdot(gap_right, um[:, 1:-1]), np.vecdot(gap_left, up[:, 1:-1]),
+            (0.5 * cur.rho_prev * (cur.hat_u - hat_prev) ** 2).sum(axis=1),
+            (0.5 * np.abs(cur.mass_flux[:, 1:-1]) * cur.diff_hat**2).sum(axis=1),
+            self._energy_sums(cur),
+        )
+        self.hat_last, self.pot_last = cur.hat_u[-1:], cur.pot[-1:]
 
-        n3 = dx * float((0.5 * cur.rho_prev * (cur.hat_u - self.hat_prev) ** 2).sum())
-
-        n4 = dt * float((0.5 * np.abs(cur.mass_flux[1:-1]) * np.diff(cur.hat_u) ** 2).sum())
-        self.hat_prev, self.pot_prev = cur.hat_u, cur.pot
-
-        incs = (dissipation, n1, n2, n3, n4)
-        self.k += 1
-        # np.cumsum starts from the first increment itself, not from 0.0 plus it.
-        totals = incs if self.k == 1 else [t + inc for t, inc in zip(self.totals, incs)]
-        for old, new in zip(self.totals[1:], totals[1:]):
-            # np.minimum, not min(): a NaN step must fail the check.
-            self.min_increment = float(np.minimum(self.min_increment, new - old))
-        self.totals = totals
-        self._record(self._level_energy(cur))
+        for du2, gap, gap_r, gap_l, kin, jump, energy in _per_level(*sums):
+            incs = (pp.mu * dt * dx * du2, dx * gap, dt * (-gap_r + gap_l), dx * kin, dt * jump)
+            self.k += 1
+            # np.cumsum starts from the first increment itself, not from 0.0 plus it.
+            totals = incs if self.k == 1 else [t + inc for t, inc in zip(self.totals, incs)]
+            for old, new in zip(self.totals[1:], totals[1:]):
+                # np.minimum, not min(): a NaN step must fail the check.
+                self.min_increment = float(np.minimum(self.min_increment, new - old))
+            self.totals = totals
+            self._record(dx * energy)
 
     def _record(self, energy: float) -> None:
         dissipation, n1, n2, n3, n4 = self.totals
@@ -373,8 +447,8 @@ def _check_on_range(B: BFunction, lo: float, hi: float) -> None:
 
 
 class _Renorm(_Accumulator):
-    """renorm_residual's rows for one B, one step at a time; ``result`` is
-    their max-norm, and ``rows``, if given, receives every row."""
+    """renorm_residual's rows for one B, one block of steps at a time;
+    ``result`` is their max-norm, and ``rows``, if given, receives every row."""
 
     def __init__(self, B: BFunction, grid: GridSpec, rows: np.ndarray | None = None):
         self.B, self.grid, self.rows = B, grid, rows
@@ -382,22 +456,23 @@ class _Renorm(_Accumulator):
         self.worst = -math.inf
 
     def start(self, level: _Level) -> None:
-        self.bv_prev = np.asarray(self.B.value(level.rho), dtype=float)
+        self.bv_last = np.asarray(self.B.value(level.rho), dtype=float)
 
     def row(self, cur: _Level) -> np.ndarray:
-        """The step's row of renorm_residual (see there)."""
+        """The block's rows of renorm_residual (see there)."""
         B, dt, dx = self.B, self.grid.dt, self.grid.dx
-        rho, bv_prev = cur.rho, self.bv_prev
+        rho = cur.rho
         bv = np.asarray(B.value(rho), dtype=float)
         bp = np.asarray(B.deriv(rho), dtype=float)
         small_b = rho * bp - bv
 
-        time_gap, gap_right, gap_left = _convexity_gaps(bv_prev, bv, bp, cur.rho_prev, rho)
+        bv_prev = _before(self.bv_last, bv)
+        time_gap, gap_right, gap_left = _convexity_gaps(bv_prev, bv, bp, cur)
         up, um = cur.split
-        spatial = np.zeros(self.grid.N)
-        spatial[:-1] -= gap_right * um[1:-1] / dx
-        spatial[1:] += gap_left * up[1:-1] / dx
-        self.bv_prev = bv
+        spatial = np.zeros(rho.shape)
+        spatial[:, :-1] -= gap_right * um[:, 1:-1] / dx
+        spatial[:, 1:] += gap_left * up[:, 1:-1] / dx
+        self.bv_last = bv[-1:]
         return (
             continuity_residual(bv_prev, bv, upwind_flux(bv, up, um), dt, dx)
             + small_b * cur.du
@@ -406,12 +481,12 @@ class _Renorm(_Accumulator):
         )
 
     def push(self, cur: _Level) -> None:
-        row = self.row(cur)
+        rows = self.row(cur)
         if self.rows is not None:
-            self.rows[self.k] = row
-        self.k += 1
+            self.rows[self.k : self.k + len(rows)] = rows
+        self.k += len(rows)
         # np.maximum, not max(): a NaN step must fail the check.
-        self.worst = float(np.maximum(self.worst, np.abs(row).max()))
+        self.worst = float(np.maximum(self.worst, np.abs(rows).max()))
 
     def result(self) -> float:
         return self.worst
@@ -471,7 +546,7 @@ class PositivityReport:
 
 
 class _Positivity(_Accumulator):
-    """positivity_report, one step at a time."""
+    """positivity_report, one block of steps at a time."""
 
     def __init__(self, grid: GridSpec, steps: int):
         self.grid = grid
@@ -479,13 +554,13 @@ class _Positivity(_Accumulator):
         self.k = 0
 
     def push(self, cur: _Level) -> None:
-        g, k = self.grid, self.k
-        rho_prev, rho, u = cur.rho_prev, cur.rho, cur.u
-        self.min_rho[k] = float(rho.min())
-        self.bound[k] = float(rho_prev.min()) / (1.0 + g.dt * float(np.abs(u).max()))
+        g, rho_prev, rho = self.grid, cur.rho_prev, cur.rho
+        steps = slice(self.k, self.k + len(rho))
+        self.min_rho[steps] = rho.min(axis=1)
+        self.bound[steps] = rho_prev.min(axis=1) / (1.0 + g.dt * cur.abs_u.max(axis=1))
         res = continuity_residual(rho_prev, rho, cur.mass_flux, g.dt, g.dx)
-        self.div_bound[k] = positivity_floor(rho_prev, u, res, g.dt, g.dx)
-        self.k += 1
+        self.div_bound[steps] = positivity_floor(rho_prev, cur.du, res, g.dt)
+        self.k += len(rho)
 
     def result(self) -> PositivityReport:
         min_rho, bound, div_bound = self.min_rho, self.bound, self.div_bound
@@ -565,8 +640,8 @@ def check_checkpoint(m: int | None, steps: int) -> int:
 
 
 class _Flux(_Accumulator):
-    """flux_ledger through the last step pushed, one step at a time (through
-    level 0 alone, E1, E2 and the identity gap are 0)."""
+    """flux_ledger through the last step pushed, one block of steps at a time
+    (through level 0 alone, E1, E2 and the identity gap are 0)."""
 
     def __init__(self, grid: GridSpec, params: PhysParams):
         self.grid, self.params = grid, params
@@ -575,39 +650,42 @@ class _Flux(_Accumulator):
         self.mean_flux = self.transport = 0.0
 
     def start(self, level: _Level) -> None:
-        self.w_prev, self.rho_last = face_momentum(level.mom), level.rho
-        g_init = dirichlet_inv_grad(self.w_prev, self.grid.dx)
-        self.boundary_initial = self.grid.dx * float(g_init @ level.rho)
+        self.w_last, self.rho_last = face_momentum(level.mom), level.rho
+        g_init = dirichlet_inv_grad(self.w_last[0], self.grid.dx)
+        self.boundary_initial = self.grid.dx * float(g_init @ level.rho[0])
 
     def push(self, cur: _Level) -> None:
         pp = self.params
         dt, dx = self.grid.dt, self.grid.dx
-        rho, u = cur.rho, cur.u
-        rbar = float(rho.mean())
-        self.lhs += -dt * dx * float(((pp.mu * cur.du - cur.p) * (rho - rbar)).sum())
-
-        v = neumann_inv_grad(rho - rbar, dx)[1:-1]
+        rho = cur.rho
+        rbar = rho.sum(axis=1) / rho.shape[1]  # np.mean's bits, at less cost
+        centred = rho - rbar[:, None]
+        v = neumann_inv_grad(centred, dx)[:, 1:-1]
         w = face_momentum(cur.mom)
-        dw = w - self.w_prev
-        self.s1 += dx * float(dw @ v)
-
+        dw = w - _before(self.w_last, w)
         mom_flux = cur.mom_flux
-        conv = momentum_convection(mom_flux, dx)
-        self.s2 += dt * dx * float(conv @ v)
-
-        self.mean_flux += dt * dx * rbar * float(mom_flux[1:-1].sum())
-        self.transport += dt * dx * float(mom_flux[1:-1] @ (0.5 * (rho[:-1] + rho[1:])))
-
-        self.e1 += -dt * dx * float(cur.mass_flux[1:-1] @ dw)
-        self.e2 += dt * dx * float(
-            (0.5 * rho[:-1] * rho[1:] * np.abs(u[1:-1]) * np.diff(cur.hat_u)).sum()
+        inner = mom_flux[:, 1:-1]
+        sums = (
+            rbar, ((pp.mu * cur.du - cur.p) * centred).sum(axis=1),
+            np.vecdot(dw, v), np.vecdot(momentum_convection(mom_flux, dx), v),
+            inner.sum(axis=1), np.vecdot(inner, 0.5 * (rho[:, :-1] + rho[:, 1:])),
+            np.vecdot(cur.mass_flux[:, 1:-1], dw),
+            (0.5 * rho[:, :-1] * rho[:, 1:] * cur.abs_u[:, 1:-1] * cur.diff_hat).sum(axis=1),
         )
-        self.w_prev, self.rho_last = w, rho
-        self.m += 1
+        for mean, lhs, s1, s2, flux, transport, e1, e2 in _per_level(*sums):
+            self.lhs += -dt * dx * lhs
+            self.s1 += dx * s1
+            self.s2 += dt * dx * s2
+            self.mean_flux += dt * dx * mean * flux
+            self.transport += dt * dx * transport
+            self.e1 += -dt * dx * e1
+            self.e2 += dt * dx * e2
+        self.w_last, self.rho_last = w[-1:], rho[-1:]
+        self.m += len(rho)
 
     def result(self) -> FluxLedger:
         dx = self.grid.dx
-        g_term = dirichlet_inv_grad(self.w_prev, dx)
+        g_term = dirichlet_inv_grad(self.w_last[0], dx)
         return FluxLedger(
             m=self.m,
             lhs=self.lhs,
@@ -616,7 +694,7 @@ class _Flux(_Accumulator):
             E1=self.e1,
             E2=self.e2,
             mean_flux=self.mean_flux,
-            boundary_terminal=-dx * float(g_term @ self.rho_last),
+            boundary_terminal=-dx * float(g_term @ self.rho_last[0]),
             boundary_initial=self.boundary_initial,
             transport=self.transport,
         )
@@ -640,8 +718,9 @@ class _Mode(NamedTuple):
     wx*X, wx*X' and wx*frac*X', where frac = x/dx - i is the weight of
     u_{i+1} in the velocity interpolant at the node.  Per interior face:
     gap_r and gap_l are the average of X over the cell on its right and on
-    its left, minus X at the face.  Per cell, trace_gap is the trapezoid of
-    X minus its Gauss integral, and dxf the jump of X across the cell.
+    its left, minus X at the face, and dxf_r and dxf_l the jump of X across
+    those cells.  Per cell, trace_gap is the trapezoid of X minus its Gauss
+    integral.
     """
 
     mx: np.ndarray
@@ -650,7 +729,8 @@ class _Mode(NamedTuple):
     gap_r: np.ndarray
     gap_l: np.ndarray
     trace_gap: np.ndarray
-    dxf: np.ndarray
+    dxf_r: np.ndarray
+    dxf_l: np.ndarray
 
 
 def _sine_mode(grid: GridSpec, j: int) -> _Mode:
@@ -662,6 +742,7 @@ def _sine_mode(grid: GridSpec, j: int) -> _Mode:
     wdx = wx * (kj * np.cos(kj * x))
     mx = (wx * np.sin(kj * x)).sum(axis=1)
     xf = np.sin(kj * grid.face_nodes)
+    dxf = np.diff(xf)
     return _Mode(
         mx=mx,
         mdx=wdx.sum(axis=1),
@@ -669,7 +750,8 @@ def _sine_mode(grid: GridSpec, j: int) -> _Mode:
         gap_r=mx[1:] / dx - xf[1:-1],
         gap_l=mx[:-1] / dx - xf[1:-1],
         trace_gap=0.5 * dx * (xf[:-1] + xf[1:]) - mx,
-        dxf=np.diff(xf),
+        dxf_r=dxf[1:],
+        dxf_l=dxf[:-1],
     )
 
 
@@ -687,7 +769,9 @@ class _SineModes:
         windows = np.arange(steps)
         t, wt = gauss_panels(windows * grid.dt, (windows + 1) * grid.dt)
         self.tbar = (wt * (1.0 - t / grid.T) ** 2).sum(axis=1)
-        self.modes = tuple(_sine_mode(grid, j) for j in self.js)
+        # As (1, n) rows: numpy broadcasts them over a block's (B, n) arrays
+        # at less cost than a 1-D array over a block of one.
+        self.modes = tuple(_Mode(*(a[None] for a in _sine_mode(grid, j))) for j in self.js)
 
 
 class _WeakContinuity(_Accumulator):
@@ -696,21 +780,24 @@ class _WeakContinuity(_Accumulator):
 
     def __init__(self, grid: GridSpec, modes: _SineModes):
         self.dt, self.modes = grid.dt, modes
-        self.tbar = map(float, modes.tbar)
+        self.k = 0
         self.lhs = [0.0] * len(modes.js)
         self.p1 = [0.0] * len(modes.js)
 
     def push(self, cur: _Level) -> None:
-        tk = next(self.tbar)
         rho, u = cur.rho, cur.u
+        tbar = self.modes.tbar[self.k : self.k + len(rho)]
+        self.k += len(rho)
         dt_rho = (rho - cur.rho_prev) / self.dt
-        du, drho = np.diff(u), np.diff(rho)
+        du, drho = cur.diff_u, cur.jump
         up, um = cur.split
-        up_int, um_int = up[1:-1], um[1:-1]
+        up_int, um_int = up[:, 1:-1], um[:, 1:-1]
         for i, m in enumerate(self.modes.modes):
-            transport = rho @ (u[:-1] * m.mdx + du * m.mfdx)
-            self.lhs[i] += tk * float(dt_rho @ m.mx - transport)
-            self.p1[i] -= tk * float(drho @ (up_int * m.gap_r + um_int * m.gap_l))
+            sums = (np.vecdot(dt_rho, m.mx), np.vecdot(rho, u[:, :-1] * m.mdx + du * m.mfdx),
+                    np.vecdot(drho, up_int * m.gap_r + um_int * m.gap_l))
+            for tk, time, transport, jumps in _per_level(tbar, *sums):
+                self.lhs[i] += tk * (time - transport)
+                self.p1[i] -= tk * jumps
 
     def result(self) -> list[tuple[float, float]]:
         return list(zip(self.lhs, self.p1))
@@ -722,27 +809,30 @@ class _WeakMomentum(_Accumulator):
 
     def __init__(self, grid: GridSpec, params: PhysParams, modes: _SineModes):
         self.dt, self.mu, self.modes = grid.dt, params.mu, modes
-        self.tbar = map(float, modes.tbar)
+        self.k = 0
         self.lhs = [0.0] * len(modes.js)
         self.p2 = [0.0] * len(modes.js)
 
     def start(self, level: _Level) -> None:
-        self.mom_prev = level.mom
+        self.mom_last = level.mom
 
     def push(self, cur: _Level) -> None:
-        tk = next(self.tbar)
         mom = cur.mom
-        dt_mom = (mom - self.mom_prev) / self.dt
+        tbar = self.modes.tbar[self.k : self.k + len(mom)]
+        self.k += len(mom)
+        dt_mom = (mom - _before(self.mom_last, mom)) / self.dt
         cell_coeff = -(mom * cur.hat_u + cur.p - self.mu * cur.du)
-        dmom = np.diff(mom)
+        dmom = mom[:, 1:] - mom[:, :-1]
         up, um = cur.split
-        up_int, um_int = up[1:-1], um[1:-1]
+        up_int, um_int = up[:, 1:-1], um[:, 1:-1]
         for i, m in enumerate(self.modes.modes):
-            self.lhs[i] += tk * float(dt_mom @ m.mx + cell_coeff @ m.mdx)
-            j1 = float(dt_mom @ m.trace_gap)
-            j2 = 0.5 * float(dmom @ (up_int * m.dxf[1:] - um_int * m.dxf[:-1]))
-            self.p2[i] -= tk * (j1 + j2)
-        self.mom_prev = mom
+            sums = (np.vecdot(dt_mom, m.mx), np.vecdot(cell_coeff, m.mdx),
+                    np.vecdot(dt_mom, m.trace_gap),
+                    np.vecdot(dmom, up_int * m.dxf_r - um_int * m.dxf_l))
+            for tk, time, cell, j1, j2 in _per_level(tbar, *sums):
+                self.lhs[i] += tk * (time + cell)
+                self.p2[i] -= tk * (j1 + 0.5 * j2)
+        self.mom_last = mom[-1:]
 
     def result(self) -> list[tuple[float, float]]:
         return list(zip(self.lhs, self.p2))
@@ -810,10 +900,11 @@ def _int_abs_linear_pow(a: np.ndarray, b: np.ndarray, w: float, s: float) -> np.
     return np.where(small, mid, exact)
 
 
-def linear_l2_sq(d: np.ndarray, dx: float) -> float:
-    """Exact squared L2 norm of the piecewise-linear field with nodes d, spacing dx."""
-    dl, dr = d[:-1], d[1:]
-    return (dx / 3.0) * float((dl * dl + dl * dr + dr * dr).sum())
+def linear_l2_sq(d: np.ndarray, dx: float) -> float | np.ndarray:
+    """Exact squared L2 norm of the piecewise-linear field with nodes d, spacing dx;
+    of each row, for a block of fields."""
+    dl, dr = d[..., :-1], d[..., 1:]
+    return (dx / 3.0) * (dl * dl + dl * dr + dr * dr).sum(axis=-1)
 
 
 def rho_power_integral(traj: Trajectory, power: float | None = None) -> float:
@@ -833,7 +924,7 @@ def rho_power_integral(traj: Trajectory, power: float | None = None) -> float:
 
 
 class _Norms(_Accumulator):
-    """norm_suite, one level at a time (see there)."""
+    """norm_suite, one block of levels at a time (see there)."""
 
     def __init__(self, grid: GridSpec, params: PhysParams, steps: int):
         self.dt, self.dx, self.gamma = grid.dt, grid.dx, params.gamma
@@ -852,27 +943,29 @@ class _Norms(_Accumulator):
         self.push(level)
 
     def push(self, cur: _Level) -> None:
-        dt, dx, gamma, r, k = self.dt, self.dx, self.gamma, self.r, self.k
-        rho, u = cur.rho, cur.u
-        rho_g = rho**gamma
-        self.sum_rho_g[k] = rho_g.sum()
-        self.sum_p[k] = cur.p.sum()
-        self.sum_mom_r[k] = (np.abs(cur.mom) ** r).sum()
-        self.sum_kin[k] = (rho * cur.hat_u**2).sum()
-        self.k += 1
+        dt, dx, gamma, r = self.dt, self.dx, self.gamma, self.r
+        rho, u, rho_g = cur.rho, cur.u, cur.rho_g
+        levels = slice(self.k, self.k + len(rho))
+        self.sum_rho_g[levels] = rho_g.sum(axis=1)
+        self.sum_p[levels] = cur.p.sum(axis=1)
+        self.sum_mom_r[levels] = (np.abs(cur.mom) ** r).sum(axis=1)
+        self.sum_kin[levels] = (rho * cur.hat_u**2).sum(axis=1)
+        self.k += len(rho)
         if cur.rho_prev is None:  # level 0 enters only the suprema
             return
 
-        ul = u[:-1]
-        int_dudx2 = float((np.diff(u) ** 2).sum()) / dx
-        self.h1_sq += dt * (linear_l2_sq(u, dx) + int_dudx2)
-        self.linf_sq += dt * float(np.abs(u).max()) ** 2
-
-        slope = np.diff(u) / dx
+        ul = u[:, :-1]
+        slope = cur.diff_u / dx
         int_abs_u_g = _int_abs_linear_pow(ul, slope, dx, gamma)
-        self.ru_g += dt * float((rho_g * int_abs_u_g).sum()) ** (2.0 / gamma)
         int_abs_u_2r = _int_abs_linear_pow(ul, slope, dx, 2.0 * r)
-        self.ru2_r += dt * float((rho**r * int_abs_u_2r).sum()) ** (2.0 / r)
+        sums = (linear_l2_sq(u, dx), (cur.diff_u**2).sum(axis=1), cur.abs_u.max(axis=1),
+                (rho_g * int_abs_u_g).sum(axis=1), (rho**r * int_abs_u_2r).sum(axis=1))
+        # The powers are Python's, one level at a time (see __init__).
+        for l2, du2, u_max, ru_g_k, ru2_r_k in _per_level(*sums):
+            self.h1_sq += dt * (l2 + du2 / dx)
+            self.linf_sq += dt * u_max**2
+            self.ru_g += dt * ru_g_k ** (2.0 / gamma)
+            self.ru2_r += dt * ru2_r_k ** (2.0 / r)
 
     def result(self) -> dict[str, float]:
         dx, gamma, r = self.dx, self.gamma, self.r
@@ -963,7 +1056,8 @@ def check_study_levels(count: int) -> None:
 
 
 def level_summary(traj: Trajectory) -> dict:
-    """One refinement level's row of the study, from one walk over its states.
+    """One refinement level's row of the study, from one walk over its kept
+    states in blocks of _LEVEL_BLOCK levels (level_blocks).
 
     "E1", "E2" and "flux_identity_gap" are absolute values from one
     flux_ledger over the whole run; "P1" and "P2" the absolute closed-form
@@ -971,6 +1065,9 @@ def level_summary(traj: Trajectory) -> dict:
     no time window, so these and "rho_gamma_plus_1" are 0.0.
     """
     grid, params, steps = traj.grid, traj.params, len(traj) - 1
+    # Before the walk: its (M, N) array is then freed before the blocks'
+    # work arrays are made, and the two peaks do not add up.
+    rho_gamma_plus_1 = rho_power_integral(traj)
     density = _Density(grid, steps)
     energy = _Energy(grid, params, steps, columns=False)
     flux = _Flux(grid, params)
@@ -983,8 +1080,8 @@ def level_summary(traj: Trajectory) -> dict:
     positivity = _Positivity(grid, steps)
     norms = _Norms(grid, params, steps)
     walk = _Walk(grid, params, (density, energy, flux, continuity, momentum, positivity, norms))
-    for state in traj.states:
-        walk.feed(state)
+    for rho, u in level_blocks(traj.states):
+        walk.feed(rho, u)
 
     ledger = flux.result()
     return {
@@ -1000,7 +1097,7 @@ def level_summary(traj: Trajectory) -> dict:
         "E2": abs(ledger.E2),
         "P1": abs(continuity.result()[0][1]),
         "P2": abs(momentum.result()[0][1]),
-        "rho_gamma_plus_1": rho_power_integral(traj),
+        "rho_gamma_plus_1": rho_gamma_plus_1,
         "flux_identity_gap": abs(ledger.identity_gap),
         **norms.result(),
     }
@@ -1069,9 +1166,13 @@ class IdentitySuite:
 
     ``push`` takes the initial state, then each accepted state with the
     StepMeta of the step that made it, as stepper.march yields them;
-    ``steps`` is the number of steps that will be pushed.  One walk feeds
+    ``steps`` is the number of steps that will be pushed, and ``checks``
+    and ``positivity`` refuse a run with any other count.  One walk feeds
     every identity, each step's shared arrays are computed once, and no
     state is kept: what the suite holds is O(N) arrays and O(M) series.
+    Each state is fed as a block of one level, not stacked with the next
+    ones as level_summary stacks kept states: a block of B levels holds B
+    levels' work arrays at once.
     """
 
     def __init__(self, grid: GridSpec, params: PhysParams, steps: int):
@@ -1091,18 +1192,27 @@ class IdentitySuite:
         ))
         self._tol: float | None = None
         self._worst_res: float | None = None
+        self._pushed = 0
 
     def push(self, state: FluidState, meta=None) -> None:
-        self._walk.feed(state)
+        self._walk.feed(state.rho[None], state.u[None])
+        self._pushed += 1
         if meta is not None:
             self._tol = _running(max, self._tol, meta.tol)
             self._worst_res = _running(max, self._worst_res, meta.residual_norm)
 
+    def _require_every_step(self) -> None:
+        if self._pushed != self.steps + 1:
+            raise ValueError(f"the suite was declared for {self.steps} steps, but "
+                             f"{max(self._pushed - 1, 0)} were pushed")
+
     def positivity(self) -> PositivityReport:
+        self._require_every_step()
         return self._positivity.result()
 
     def checks(self) -> tuple[Check, ...]:
         """Every exact identity of the run, each against its budget (see identity_checks)."""
+        self._require_every_step()
         steps = self.steps
         tol = _EMPTY_RUN_TOL if self._tol is None else self._tol
         energy = self._energy
@@ -1138,6 +1248,25 @@ class IdentitySuite:
             checks.append(Check(f"weak continuity self-consistency [sin{j}]", abs(lw - p1), 1e-8))
             checks.append(Check(f"weak momentum self-consistency [sin{j}]", abs(lm - p2), 1e-8))
         return tuple(checks)
+
+
+def duality_check(cases: int, rng: random.Random) -> Check:
+    """The inverse-gradient duality of the operators module on ``cases``
+    random mean-zero cell fields f and interior face fields v (N in 2..64,
+    dx in [0.01, 1]), drawn from ``rng``: the worst gap between
+    dx * v . neumann_inv_grad(f) and -dx * dirichlet_inv_grad(v) . f,
+    relative to the larger side or to 1, against 1e-12."""
+    worst = 0.0
+    for _ in range(cases):
+        size = rng.randint(2, 64)
+        dx = rng.uniform(0.01, 1.0)
+        f = np.array([rng.gauss(0.0, 1.0) for _ in range(size)])
+        f -= f.mean()
+        v = np.array([rng.gauss(0.0, 1.0) for _ in range(size - 1)])
+        lhs = dx * float(v @ neumann_inv_grad(f, dx)[1:-1])
+        rhs = -dx * float(dirichlet_inv_grad(v, dx) @ f)
+        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
+    return Check("inverse-gradient duality (relative)", worst, 1e-12)
 
 
 def identity_checks(traj: Trajectory) -> tuple[Check, ...]:

@@ -172,15 +172,16 @@ def builtin_scenarios() -> tuple[ScenarioConfig, ...]:
 
 
 def project_cells(fine: np.ndarray, ratio: int) -> np.ndarray:
-    """Box-average a fine cell field onto the coarse grid (conserves mass)."""
-    if fine.size % ratio:
+    """Box-average a fine cell field, or each row of a block, onto the coarse
+    grid (conserves mass)."""
+    if fine.shape[-1] % ratio:
         raise ValueError("fine grid is not a refinement of the coarse grid")
-    return fine.reshape(-1, ratio).mean(axis=1)
+    return fine.reshape(fine.shape[:-1] + (-1, ratio)).mean(axis=-1)
 
 
 def restrict_faces(fine: np.ndarray, ratio: int) -> np.ndarray:
-    """Sample a fine face field at the shared coarse face nodes."""
-    return fine[::ratio]
+    """Sample a fine face field, or each row of a block, at the shared coarse face nodes."""
+    return fine[..., ::ratio]
 
 
 def cauchy_differences(coarse: Trajectory, fine: Trajectory) -> tuple[float, float]:
@@ -191,7 +192,9 @@ def cauchy_differences(coarse: Trajectory, fine: Trajectory) -> tuple[float, flo
     contains it, so the coarse time step must be a whole multiple of the fine
     one.  Density is projected by exact box averages, velocity by restriction
     to the shared coarse nodes; the remaining integrals are then evaluated in
-    closed form.  Only complete groups of nested windows enter.
+    closed form.  Only complete groups of nested windows enter.  The fine
+    steps are compared in blocks (diagnostics.level_blocks), each row with
+    the bits of one step at a time.
     """
     ratio = fine.grid.N // coarse.grid.N
     if ratio * coarse.grid.N != fine.grid.N or ratio < 1:
@@ -205,12 +208,18 @@ def cauchy_differences(coarse: Trajectory, fine: Trajectory) -> tuple[float, flo
     dx_c = coarse.grid.dx
     l1 = 0.0
     l2_sq = 0.0
-    for j in range(1, groups * tratio + 1):
-        k = (j + tratio - 1) // tratio
-        rho_gap = coarse.states[k].rho - project_cells(fine.states[j].rho, ratio)
-        l1 += dt_f * dx_c * float(np.sum(np.abs(rho_gap)))
-        u_gap = coarse.states[k].u - restrict_faces(fine.states[j].u, ratio)
-        l2_sq += dt_f * diagnostics.linear_l2_sq(u_gap, dx_c)
+    j = 1  # the first fine step of the block
+    for rho, u in diagnostics.level_blocks(fine.states[1 : groups * tratio + 1]):
+        # each fine step's coarse state: the one whose window holds it
+        over = [coarse.states[(i + tratio - 1) // tratio] for i in range(j, j + len(rho))]
+        j += len(rho)
+        rho_gap = np.array([s.rho for s in over]) - project_cells(rho, ratio)
+        u_gap = np.array([s.u for s in over]) - restrict_faces(u, ratio)
+        rows = zip((dt_f * dx_c * np.abs(rho_gap).sum(axis=1)).tolist(),
+                   (dt_f * diagnostics.linear_l2_sq(u_gap, dx_c)).tolist())
+        for l1_step, l2_step in rows:  # one step at a time, in order
+            l1 += l1_step
+            l2_sq += l2_step
     return l1, math.sqrt(l2_sq)
 
 

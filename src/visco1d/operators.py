@@ -10,7 +10,10 @@ donor-cell flux, the face momentum, the continuity residual, the momentum
 convection, the pressure gradient, the viscous Laplacian and the provable
 positivity floor.  The exact identities only hold
 for the discretization the solver actually solves, so the stepper and the
-diagnostics both take these from here and nowhere else.
+diagnostics both take these from here and nowhere else.  The pieces the
+diagnostics use work along the last axis, so they take one level or a
+block of B levels, (B, N) cell and (B, N+1) face arrays, row by row with
+the bits of one level at a time.
 
 ``diff_cell`` maps faces to cells.  Whenever the face field vanishes at the
 walls it is, up to sign, the adjoint of the cell-to-interior-face difference
@@ -87,27 +90,27 @@ def upwind_flux(q: np.ndarray, up: np.ndarray, um: np.ndarray) -> np.ndarray:
 
     Wall faces return exactly zero: no-slip, and no donor cell beyond the wall.
     """
-    flux = np.zeros(q.size + 1)
-    flux[1:-1] = q[:-1] * up[1:-1] + q[1:] * um[1:-1]
+    flux = np.zeros(up.shape)
+    flux[..., 1:-1] = q[..., :-1] * up[..., 1:-1] + q[..., 1:] * um[..., 1:-1]
     return flux
 
 
 def face_momentum(m: np.ndarray) -> np.ndarray:
     """Face momentum W_f = (m_{f-1} + m_f)/2 on interior faces, for m = rho * hat(u)."""
-    return 0.5 * (m[:-1] + m[1:])
+    return 0.5 * (m[..., :-1] + m[..., 1:])
 
 
 def continuity_residual(
     rho_old: np.ndarray, rho: np.ndarray, flux: np.ndarray, dt: float, dx: float
 ) -> np.ndarray:
     """Continuity residual per cell, for ``flux`` the donor-cell flux of ``rho``."""
-    return (rho - rho_old) / dt + (flux[1:] - flux[:-1]) / dx
+    return (rho - rho_old) / dt + (flux[..., 1:] - flux[..., :-1]) / dx
 
 
 def momentum_convection(mflux: np.ndarray, dx: float) -> np.ndarray:
     """Convection (UpM_{f+1} - UpM_{f-1}) / (2 dx) on interior faces, for UpM the
     donor-cell flux of the momentum m = rho * hat(u)."""
-    return (mflux[2:] - mflux[:-2]) / (2.0 * dx)
+    return (mflux[..., 2:] - mflux[..., :-2]) / (2.0 * dx)
 
 
 def pressure_gradient(p: np.ndarray, dx: float) -> np.ndarray:
@@ -116,22 +119,24 @@ def pressure_gradient(p: np.ndarray, dx: float) -> np.ndarray:
 
 
 def positivity_floor(
-    rho_old: np.ndarray, u: np.ndarray, cont: np.ndarray, dt: float, dx: float
-) -> float:
-    """Provable floor on min rho of a step with velocity u and continuity residual cont.
+    rho_old: np.ndarray, div_u: np.ndarray, cont: np.ndarray, dt: float
+) -> float | np.ndarray:
+    """Provable floor on min rho of a step with velocity divergence div_u
+    (diff_cell(u, dx)) and continuity residual cont.
 
     At the cell where the new density attains its minimum the neighbours are
     at least as large, so the continuity update forces
     min rho >= (min rho_old - dt*max|cont|) / (1 + dt * max (div u)+).
+    A block of steps gets one floor per row.
     """
-    div_plus = max(float(np.max((u[1:] - u[:-1]) / dx)), 0.0)
-    return (float(np.min(rho_old)) - dt * float(np.max(np.abs(cont)))) / (1.0 + dt * div_plus)
+    div_plus = np.maximum(div_u.max(axis=-1), 0.0)
+    return (rho_old.min(axis=-1) - dt * np.abs(cont).max(axis=-1)) / (1.0 + dt * div_plus)
 
 
 def diff_cell(facefield: np.ndarray, dx: float) -> np.ndarray:
     """Difference quotient faces -> cells: (v[i+1] - v[i]) / dx."""
     v = np.asarray(facefield, dtype=float)
-    return (v[1:] - v[:-1]) / dx
+    return (v[..., 1:] - v[..., :-1]) / dx
 
 
 def laplace_velocity(u: np.ndarray, dx: float, mu: float = 1.0) -> np.ndarray:
@@ -146,12 +151,16 @@ def laplace_velocity(u: np.ndarray, dx: float, mu: float = 1.0) -> np.ndarray:
 
 
 def _require_mean_zero(f: np.ndarray, dx: float) -> None:
-    mean_tol = 1e-10 * (1.0 + float(np.max(np.abs(f), initial=0.0)))
-    total = dx * float(f.sum())
-    if abs(total) > mean_tol:
-        raise ValueError(
-            f"source must have zero mean: dx*sum(f) = {total:g} exceeds {mean_tol:g}"
-        )
+    """Reject a source, or a block of sources (rows), without zero mean."""
+    rows = f if f.ndim == 2 else f[None]
+    sizes = np.max(np.abs(rows), axis=1, initial=0.0).tolist()
+    for total, size in zip(rows.sum(axis=1).tolist(), sizes):
+        total *= dx
+        mean_tol = 1e-10 * (1.0 + size)
+        if abs(total) > mean_tol:
+            raise ValueError(
+                f"source must have zero mean: dx*sum(f) = {total:g} exceeds {mean_tol:g}"
+            )
 
 
 def neumann_inv_grad(f: np.ndarray, dx: float) -> np.ndarray:
@@ -160,13 +169,13 @@ def neumann_inv_grad(f: np.ndarray, dx: float) -> np.ndarray:
     Defined only for mean-zero sources.  The gradient has the closed form of a
     prefix sum, r[j+1] = dx * (f[0] + ... + f[j]), with both wall values zero;
     the potential itself is determined only up to a constant and never leaves
-    this module.
+    this module.  A block of sources (rows) gets one gradient per row.
     """
     f = np.asarray(f, dtype=float)
     _require_mean_zero(f, dx)
-    r = np.zeros(f.size + 1)
-    np.cumsum(f[:-1], out=r[1:-1])
-    r[1:-1] *= dx
+    r = np.zeros(f.shape[:-1] + (f.shape[-1] + 1,))
+    np.cumsum(f[..., :-1], axis=-1, out=r[..., 1:-1])
+    r[..., 1:-1] *= dx
     return r
 
 

@@ -79,6 +79,7 @@ from .operators import (
     continuity_residual,
     dgbtrf,
     dgbtrs,
+    diff_cell,
     face_momentum,
     hat,
     laplace_velocity,
@@ -560,7 +561,7 @@ def _check_divergence_bound(
     discretization - wall cells break it - and is only *reported*, by
     diagnostics.positivity_report.)
     """
-    bound = positivity_floor(prev.rho, u, cont, grid.dt, grid.dx)
+    bound = positivity_floor(prev.rho, diff_cell(u, grid.dx), cont, grid.dt)
     if float(np.min(rho)) < bound - 1e-12 * (1.0 + bound):
         raise StepFailure(
             "accepted state undercuts the provable positivity floor", k, history, float(np.min(rho))

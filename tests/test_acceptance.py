@@ -17,13 +17,13 @@ holds to machine precision on every run.
 
 from __future__ import annotations
 
+import random
 import time
 
 import numpy as np
 import pytest
 
 from visco1d import diagnostics, grid, harness
-from visco1d.operators import dirichlet_inv_grad, neumann_inv_grad
 from visco1d.stepper import assemble_jacobian
 
 from conftest import scenario_named, solve_level
@@ -195,30 +195,12 @@ def test_criterion_05_renormalized_continuity(all_scenario_runs, capsys):
 
 
 def test_criterion_06_duality_1000_cases(capsys):
-    rng = np.random.default_rng(20250819)
-    worst = 0.0
-    for _ in range(1000):
-        size = int(rng.integers(2, 65))
-        dx = float(rng.uniform(0.01, 2.0))
-        f = rng.standard_normal(size)
-        f -= f.mean()
-        w = rng.standard_normal(size - 1)
-        gn = neumann_inv_grad(f, dx)[1:-1]
-        gd = dirichlet_inv_grad(w, dx)
-        lhs = dx * float(w @ gn)
-        rhs = -dx * float(gd @ f)
-        # Both sides are sums whose terms can cancel almost completely, so
-        # the conditioned notion of relative error measures the gap against
-        # the mass of those terms (which bounds each side's own roundoff),
-        # not against the near-zero result.
-        scale = dx * (float(np.abs(w) @ np.abs(gn)) + float(np.abs(gd) @ np.abs(f)))
-        worst = max(worst, abs(lhs - rhs) / max(scale, 1e-300))
-    ok = worst <= 1e-12
+    check = diagnostics.duality_check(1000, random.Random(20250819))
     _record(capsys,
         6,
-        ok,
+        check.passed,
         f"mean-zero/Neumann vs Dirichlet inverse-gradient duality over 1000 "
-        f"random cases, N in 2..64 (worst relative gap {worst:.3e} <= 1e-12)",
+        f"random cases, N in 2..64 (worst relative gap {check.value:.3e} <= 1e-12)",
     )
 
 

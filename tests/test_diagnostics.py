@@ -725,6 +725,21 @@ def test_one_walk_suite_equals_the_public_functions(name, n, all_scenario_runs):
         assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes(), name
 
 
+@pytest.mark.parametrize("levels", [0, 1, 4])
+def test_identity_suite_refuses_a_run_with_steps_missing(smooth_traj_32, levels):
+    """A suite declared for 8 steps and fed fewer raises, where its series'
+    unwritten entries would otherwise enter the checks."""
+    traj = smooth_traj_32
+    assert len(traj) - 1 == 8
+    suite = diagnostics.IdentitySuite(traj.grid, traj.params, 8)
+    for k, state in enumerate(traj.states[:levels]):
+        suite.push(state, traj.solver_meta[k - 1] if k else None)
+    pushed = f"declared for 8 steps, but {max(levels - 1, 0)} were pushed"
+    for report in (suite.checks, suite.positivity):
+        with pytest.raises(ValueError, match=pushed):
+            report()
+
+
 def norms_by_loop(traj: grid.Trajectory) -> dict[str, float]:
     """norm_suite as one loop over the kept states, each array from its own
     expression: the reference for the _Norms accumulator."""
@@ -791,16 +806,17 @@ def summary_from_public_functions(traj: grid.Trajectory) -> dict:
 def test_level_summary_is_one_walk_of_the_public_functions(
     name, n, all_scenario_runs, monkeypatch
 ):
-    """A level's row builds one _Level per time level, and every value is
-    bit for bit what the standalone functions give."""
+    """A level's row derives each time level's arrays once (the rows of its
+    _Level blocks add up to the levels), and every value is bit for bit what
+    the standalone functions give."""
     traj = all_scenario_runs[(name, n)]
     built = 0
 
     class Counted(diagnostics._Level):
         def __init__(self, *args, **kwargs):
             nonlocal built
-            built += 1
             super().__init__(*args, **kwargs)
+            built += len(self.rho)
 
     monkeypatch.setattr(diagnostics, "_Level", Counted)
     row = diagnostics.level_summary(traj)
@@ -811,3 +827,21 @@ def test_level_summary_is_one_walk_of_the_public_functions(
         return [(key, float(value).hex()) for key, value in summary.items()]
 
     assert bits(row) == bits(summary_from_public_functions(traj))
+
+
+@pytest.mark.parametrize("name", [sc.name for sc in harness.builtin_scenarios()])
+def test_level_walks_do_not_depend_on_the_block_length(name, all_scenario_runs, monkeypatch):
+    """level_summary and cauchy_differences give the same bits in blocks of
+    one level, of three (a length that leaves partial blocks) and of the
+    default length."""
+    coarse, fine = all_scenario_runs[(name, 64)], all_scenario_runs[(name, 128)]
+
+    def bits() -> list[str]:
+        rows = [diagnostics.level_summary(traj) for traj in (coarse, fine)]
+        values = [v for row in rows for v in row.values()]
+        return [float(v).hex() for v in (*values, *harness.cauchy_differences(coarse, fine))]
+
+    default = bits()
+    for length in (1, 3):
+        monkeypatch.setattr(diagnostics, "_LEVEL_BLOCK", length)
+        assert bits() == default, length
