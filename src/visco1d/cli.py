@@ -45,10 +45,10 @@ from .harness import (
     stop_worker,
     worker_result,
 )
-# The inverse gradients are named here for perfbench's tracer, which wraps
-# cli's names; the duality check calls them through diagnostics.
+# The inverse gradients and run are named here for perfbench's tracer, which wraps
+# cli's names; diagnostics calls the former, and every command streams from march.
 from .operators import dirichlet_inv_grad, hat, neumann_inv_grad  # noqa: F401
-from .stepper import SolverConfig, StepFailure, march, run
+from .stepper import SolverConfig, StepFailure, march, run  # noqa: F401
 
 __all__ = [
     "parse_config",
@@ -451,17 +451,6 @@ def _write_text(path: str, content: str) -> None:
 # ======================================================================
 
 
-def _solve_first_level(config: RunConfig) -> Trajectory:
-    """Solve the scenario at its coarsest level, keeping its states, as flux does."""
-    scenario = config.scenario
-    return run(
-        scenario,
-        scenario.grid_for(scenario.levels[0]),
-        scenario.params,
-        config.solver,
-    )
-
-
 class _WriterProgress:
     """How many time levels the state CSV writer has written, in 8 bytes of
     memory that the forked writer shares with the solver.  The count only
@@ -625,7 +614,11 @@ def cli_main(argv: list[str] | None = None) -> int:
             diagnostics.check_study_levels(len(config.scenario.levels))
             out_dir = args.out or config.out_dir
             os.makedirs(out_dir, exist_ok=True)
-            report = run_refinement(config.scenario, config.solver)
+            try:
+                report = run_refinement(config.scenario, config.solver)
+            except RuntimeError as exc:  # the finest level's worker ended without a result
+                print(f"solver failure: {exc}", file=sys.stderr)
+                return 1
             path = os.path.join(out_dir, "report.csv")
             write_report(report, path, config)
             print(f"wrote {path} ({len(report.levels)} levels)", file=out)
@@ -639,11 +632,11 @@ def cli_main(argv: list[str] | None = None) -> int:
             return _verify(config, out)
 
         if args.command == "flux":
-            first = config.scenario.grid_for(config.scenario.levels[0])
-            diagnostics.check_checkpoint(args.step, first.M_steps)  # before the solve
+            grid = config.scenario.grid_for(config.scenario.levels[0])
+            m = diagnostics.check_checkpoint(args.step, grid.M_steps)  # before the solve
             os.makedirs(config.out_dir, exist_ok=True)
-            traj = _solve_first_level(config)
-            ledger = diagnostics.flux_ledger(traj, args.step)
+            states = (state for state, _ in march(config.scenario, grid, params, config.solver))
+            ledger = diagnostics.flux_ledger(grid, params, states, m)
             path = os.path.join(config.out_dir, "flux.csv")
             write_flux_csv(ledger, path, config)
             print(f"wrote {path} (checkpoint m={ledger.m})", file=out)

@@ -22,19 +22,20 @@ row, and shared by every accumulator fed that block; each scalar that sums
 over steps is still added one level at a time, so any block length gives the
 same bits.  level_summary walks a refinement level's kept states in blocks
 of _LEVEL_BLOCK levels, which pays numpy's per-call cost, most of a level's
-time, once per block.  IdentitySuite feeds each state as a block of one, so
-``visco1d verify`` checks a run as the solver marches it and keeps no
-states, and so do the public functions, which walk a kept Trajectory through
-one accumulator each: a block's work arrays are B levels' worth, which their
-memory bounds do not leave room for.
+time, once per block.  IdentitySuite (``visco1d verify``, fed as the solver
+marches) and the public functions, which walk a run's states, kept or as
+march yields them, through one accumulator each, take a level at a time: a
+block's work arrays are B levels' worth, which their memory bounds do not
+leave room for.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -204,12 +205,15 @@ class _Walk:
         self._rho_last = rho[-1:]
 
 
-def _walk(traj: Trajectory, acc: _Accumulator, steps: int | None = None):
-    """``acc``'s result over a kept trajectory's first ``steps`` steps (default: all),
-    fed one level at a time."""
-    walk = _Walk(traj.grid, traj.params, (acc,))
-    for state in traj.states[: len(traj) if steps is None else steps + 1]:
+def _walk(grid: GridSpec, params: PhysParams, states: Iterable[FluidState],
+          acc: _Accumulator, steps: int | None = None):
+    """``acc``'s result over a run's ``states`` from level 0, fed one at a time: every
+    level, or levels 0..``steps`` and no further (a shorter run raises ValueError)."""
+    walk, fed = _Walk(grid, params, (acc,)), 0
+    for fed, state in enumerate(itertools.islice(states, None if steps is None else steps + 1)):
         walk.feed(state.rho[None], state.u[None])
+    if steps is not None and fed < steps:
+        raise ValueError(f"{steps} steps were asked for, but the run has {fed}")
     return acc.result()
 
 
@@ -246,7 +250,7 @@ class _Density(_Accumulator):
 
 def mass_history(traj: Trajectory) -> np.ndarray:
     """Total mass dx * sum(rho) at every time level (index 0..M)."""
-    return _walk(traj, _Density(traj.grid, len(traj) - 1))
+    return _walk(traj.grid, traj.params, traj.states, _Density(traj.grid, len(traj) - 1))
 
 
 # The tolerance a run without steps reports: the adaptive rule's
@@ -391,7 +395,7 @@ def energy_ledger(traj: Trajectory) -> EnergyLedger:
     so every term is nonnegative up to rounding, and the balance residual is
     bounded by the accumulated solver residual (not by discretization error).
     """
-    return _walk(traj, _Energy(traj.grid, traj.params, len(traj) - 1))
+    return _walk(traj.grid, traj.params, traj.states, _Energy(traj.grid, traj.params, len(traj) - 1))
 
 
 # ======================================================================
@@ -507,10 +511,10 @@ def renorm_residual(traj: Trajectory, B: BFunction) -> np.ndarray:
     range.  B must be finite with finite derivative on that range.
     """
     density = _Density(traj.grid, len(traj) - 1)
-    _walk(traj, density)
+    _walk(traj.grid, traj.params, traj.states, density)
     _check_on_range(B, density.lo, density.hi)
     rows = np.empty((len(traj) - 1, traj.grid.N))
-    _walk(traj, _Renorm(B, traj.grid, rows))
+    _walk(traj.grid, traj.params, traj.states, _Renorm(B, traj.grid, rows))
     return rows
 
 
@@ -568,7 +572,7 @@ class _Positivity(_Accumulator):
 
 
 def positivity_report(traj: Trajectory) -> PositivityReport:
-    return _walk(traj, _Positivity(traj.grid, len(traj) - 1))
+    return _walk(traj.grid, traj.params, traj.states, _Positivity(traj.grid, len(traj) - 1))
 
 
 # ======================================================================
@@ -700,10 +704,12 @@ class _Flux(_Accumulator):
         )
 
 
-def flux_ledger(traj: Trajectory, m: int | None = None) -> FluxLedger:
-    """Accumulate the flux identity through step m (default: the full run)."""
-    m = check_checkpoint(m, len(traj) - 1)
-    return _walk(traj, _Flux(traj.grid, traj.params), steps=m)
+def flux_ledger(grid: GridSpec, params: PhysParams, states: Iterable[FluidState],
+                m: int | None = None) -> FluxLedger:
+    """The flux identity through step m (default: grid.M_steps) over a run's states, kept or
+    as march yields them: levels 0..m are read and no more; a shorter run raises ValueError."""
+    m = check_checkpoint(m, grid.M_steps)
+    return _walk(grid, params, states, _Flux(grid, params), steps=m)
 
 
 # ======================================================================
@@ -855,7 +861,7 @@ def weak_residual_continuity(traj: Trajectory, j: int) -> tuple[float, float]:
     window integral of tau times dot products with the per-cell moments of X.
     """
     modes = _SineModes(traj.grid, len(traj) - 1, (j,))
-    return _walk(traj, _WeakContinuity(traj.grid, modes))[0]
+    return _walk(traj.grid, traj.params, traj.states, _WeakContinuity(traj.grid, modes))[0]
 
 
 def weak_residual_momentum(traj: Trajectory, j: int) -> tuple[float, float]:
@@ -871,7 +877,7 @@ def weak_residual_momentum(traj: Trajectory, j: int) -> tuple[float, float]:
     pair exactly and leave no trace here.
     """
     modes = _SineModes(traj.grid, len(traj) - 1, (j,))
-    return _walk(traj, _WeakMomentum(traj.grid, traj.params, modes))[0]
+    return _walk(traj.grid, traj.params, traj.states, _WeakMomentum(traj.grid, traj.params, modes))[0]
 
 
 # ======================================================================
@@ -997,7 +1003,7 @@ def norm_suite(traj: Trajectory) -> dict[str, float]:
     Supremum-in-time norms include the initial state; time integrals run over
     the M windows of the extension.
     """
-    return _walk(traj, _Norms(traj.grid, traj.params, len(traj) - 1))
+    return _walk(traj.grid, traj.params, traj.states, _Norms(traj.grid, traj.params, len(traj) - 1))
 
 
 def _pair_order(coarse: float, fine: float, h_ratio: float) -> float | str | None:

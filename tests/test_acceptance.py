@@ -216,7 +216,7 @@ def test_criterion_07_flux_identity_checkpoints(smooth_ladder, capsys):
     worst = 0.0
     gaps = {}
     for m in (steps // 4, steps // 2, steps):
-        ledger = diagnostics.flux_ledger(traj, m)
+        ledger = diagnostics.flux_ledger(traj.grid, traj.params, traj.states, m)
         gaps[m] = abs(ledger.identity_gap)
         worst = max(worst, gaps[m] / (100.0 * tol * m))
     ok = worst <= 1.0

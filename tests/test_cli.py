@@ -562,7 +562,8 @@ def test_each_split_of_the_formatting_writes_the_same_bytes(tmp_path, monkeypatc
     the bytes of the in-process path and of write_state_csv."""
     config = parse_config(f"[scenario]\nname = {name}\nlevels = {n}\n")
     kept = tmp_path / "kept.csv"
-    write_state_csv(cli._solve_first_level(config), str(kept), config)
+    sc = config.scenario
+    write_state_csv(stepper.run(sc, sc.grid_for(n), sc.params, config.solver), str(kept), config)
 
     sent_text = []  # per level: did the solver format it?
     send = harness._send_level
@@ -864,6 +865,18 @@ def test_refine_unusable_out_fails_before_any_level_is_solved(tmp_path, capsys, 
     assert os.strerror(errno.ENOTDIR) in err
 
 
+def test_refine_with_a_dead_worker_exits_1_naming_it(tmp_path, capsys, monkeypatch):
+    """A finest-level worker that ended without a result, as after an OOM
+    kill, is a solver failure, reported on one line without a traceback."""
+    monkeypatch.setattr(harness, "fork_worker", lambda *args: reset_worker(-9))
+    cfg = constant_cfg(tmp_path)
+    argv = ["refine", "--config", cfg, "--levels", "8,16,32", "--out", str(tmp_path / "rep")]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "solver failure: level 32 worker exited with code -9 without a result\n"
+    assert captured.out == ""
+
+
 def test_verify_constant_all_identities_pass(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[scenario]\nname = constant\nlevels = 8,16,32\n")
     assert run_cli(["verify", "--config", cfg]) == 0
@@ -958,7 +971,7 @@ def test_flux_step_out_of_range_is_config_error(tmp_path, capsys, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("the level was solved before --step was checked")
 
-    monkeypatch.setattr(cli, "run", no_solve)
+    monkeypatch.setattr(cli, "march", no_solve)
     cfg = write_cfg(tmp_path, "[scenario]\nname = constant\nlevels = 4\n")  # M = 1
     for step in ("99", "0"):
         assert run_cli(["flux", "--config", cfg, "--step", step]) == 2
@@ -969,7 +982,7 @@ def test_flux_unusable_out_dir_fails_before_the_level_is_solved(tmp_path, capsys
     def no_solve(*args, **kwargs):
         raise AssertionError("the level was solved before out_dir was checked")
 
-    monkeypatch.setattr(cli, "_solve_first_level", no_solve)
+    monkeypatch.setattr(cli, "march", no_solve)
     blocker = tmp_path / "afile"
     blocker.write_text("", encoding="utf-8")
     cfg = constant_cfg(tmp_path, f"[output]\nout_dir = {blocker / 'sub'}\n")
@@ -977,6 +990,62 @@ def test_flux_unusable_out_dir_fails_before_the_level_is_solved(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("i/o error:")
     assert os.strerror(errno.ENOTDIR) in err
+
+
+def test_flux_solves_through_its_checkpoint_alone(tmp_path, capsys, monkeypatch):
+    """flux --step m reads levels 0..m from march and no more: a step past m
+    that would fail is never taken, and the ledger is written."""
+    cfg = write_cfg(tmp_path, "[scenario]\nname = smooth-bump\nlevels = 32\n"
+                              f"[output]\nout_dir = {tmp_path / 'fx'}\n")
+    sc, m = parse_config(Path(cfg).read_text()).scenario, 3
+    solve, read = stepper.march, []
+
+    def march(*args):
+        for k, level in enumerate(solve(*args)):
+            if k == m + 1:
+                raise stepper.StepFailure("run aborted: past the checkpoint", k, [], 1.0)
+            read.append(k)
+            yield level
+
+    assert sc.grid_for(32).M_steps > m + 1
+    monkeypatch.setattr(cli, "march", march)
+    assert run_cli(["flux", "--config", cfg, "--step", str(m)]) == 0
+    assert read == list(range(m + 1))
+    assert f"checkpoint m={m}" in capsys.readouterr().out
+    assert f"m,{m}\n" in (tmp_path / "fx" / "flux.csv").read_text()
+
+
+@pytest.mark.parametrize("name", [sc.name for sc in harness.builtin_scenarios()])
+def test_streamed_flux_writes_the_ledger_of_the_kept_run(tmp_path, name):
+    """flux.csv at m = 1, M/2 and M has the bytes of flux_ledger over the
+    kept stepper.run trajectory."""
+    cfg = write_cfg(tmp_path, f"[scenario]\nname = {name}\nlevels = 32\n"
+                              f"[output]\nout_dir = {tmp_path}\n")
+    config = parse_config(Path(cfg).read_text())
+    sc = config.scenario
+    traj = stepper.run(sc, sc.grid_for(32), sc.params, config.solver)
+    steps = len(traj) - 1
+    for m in (1, steps // 2, steps):
+        assert run_cli(["flux", "--config", cfg, "--step", str(m)]) == 0
+        ledger = diagnostics.flux_ledger(traj.grid, traj.params, traj.states, m)
+        cli.write_flux_csv(ledger, str(tmp_path / "kept.csv"), config)
+        assert (tmp_path / "flux.csv").read_bytes() == (tmp_path / "kept.csv").read_bytes()
+
+
+def test_streamed_flux_keeps_no_trajectory(tmp_path, capsys):
+    """flux feeds the ledger each state as the solver makes it, so beyond the
+    solver's own tracemalloc peak it holds O(N) arrays: less than a quarter
+    of one (M+1) x N matrix (test_streamed_run_keeps_no_trajectory's config)."""
+    sc = replace(scenario_named("smooth-bump"), T=2.0, levels=(128,))
+    cfg = write_cfg(tmp_path, "[scenario]\nname = smooth-bump\nT = 2\nlevels = 128\n"
+                              f"[output]\nout_dir = {tmp_path}\n")
+
+    def flux() -> None:
+        assert run_cli(["flux", "--config", cfg]) == 0
+
+    assert parse_config(Path(cfg).read_text()).scenario == sc
+    assert sc.grid_for(128).M_steps == 256
+    assert peak_beyond_the_solver(sc, flux) < 0.25
 
 
 def test_warning_goes_to_stderr_and_run_succeeds(tmp_path, capsys):

@@ -47,6 +47,11 @@ def synthetic_trajectory(states, L=1.0, params=None) -> grid.Trajectory:
     )
 
 
+def ledger_of(traj: grid.Trajectory, m: int | None = None) -> diagnostics.FluxLedger:
+    """flux_ledger over a kept trajectory's states."""
+    return diagnostics.flux_ledger(traj.grid, traj.params, traj.states, m)
+
+
 # ======================================================================
 # energy ledger
 # ======================================================================
@@ -184,7 +189,7 @@ def test_positivity_provable_bound_holds_on_runs(smooth_traj_64, riemann_ladder)
 def test_flux_ledger_still_constant_trajectory_all_zero():
     st = constant_state(6)
     traj = synthetic_trajectory([st, st.__class__(rho=st.rho, u=st.u, k=1)])
-    led = diagnostics.flux_ledger(traj)
+    led = ledger_of(traj)
     assert led.lhs == 0.0
     assert led.E1 == 0.0 and led.E2 == 0.0
     assert led.rhs_total == 0.0
@@ -197,7 +202,7 @@ def test_flux_ledger_zero_velocity_kills_e_terms():
     states = [
         grid.FluidState(rho=rho, u=np.zeros(5), k=k) for k in range(3)
     ]
-    led = diagnostics.flux_ledger(synthetic_trajectory(states))
+    led = ledger_of(synthetic_trajectory(states))
     assert led.E1 == 0.0
     assert led.E2 == 0.0
     # lhs reduces to the pressure term, which is genuinely nonzero here
@@ -209,14 +214,14 @@ def test_flux_identity_closes_on_solved_run(smooth_traj_32):
     steps = len(smooth_traj_32) - 1
     tol = diagnostics.effective_newton_tol(smooth_traj_32)
     for m in (max(1, steps // 2), steps):
-        led = diagnostics.flux_ledger(smooth_traj_32, m)
+        led = ledger_of(smooth_traj_32, m)
         assert abs(led.identity_gap) <= 100.0 * tol * m
         assert abs(led.pairing_gap) <= 100.0 * tol * m
         assert abs(led.decomposition_gap) <= 1e-12
 
 
 def test_flux_ledger_rhs_terms_schema(smooth_traj_32):
-    led = diagnostics.flux_ledger(smooth_traj_32)
+    led = ledger_of(smooth_traj_32)
     assert set(led.rhs_terms) == {"mean_flux", "boundary", "E1", "E2"}
     assert led.rhs_terms["boundary"] == pytest.approx(
         led.boundary_terminal + led.boundary_initial
@@ -226,9 +231,19 @@ def test_flux_ledger_rhs_terms_schema(smooth_traj_32):
 
 def test_flux_ledger_checkpoint_must_be_valid(smooth_traj_32):
     with pytest.raises(ValueError):
-        diagnostics.flux_ledger(smooth_traj_32, 0)
+        ledger_of(smooth_traj_32, 0)
     with pytest.raises(ValueError):
-        diagnostics.flux_ledger(smooth_traj_32, len(smooth_traj_32))
+        ledger_of(smooth_traj_32, len(smooth_traj_32))
+
+
+def test_flux_ledger_reads_levels_through_its_checkpoint_alone(smooth_traj_32):
+    """Levels past m are left unread, and a run that ends before m is refused."""
+    g, pp, states = smooth_traj_32.grid, smooth_traj_32.params, smooth_traj_32.states
+    rest = iter(states)
+    assert diagnostics.flux_ledger(g, pp, rest, 3) == ledger_of(smooth_traj_32, 3)
+    assert next(rest) is states[4]
+    with pytest.raises(ValueError, match="6 steps were asked for, but the run has 4"):
+        diagnostics.flux_ledger(g, pp, states[:5], 6)
 
 
 # ======================================================================
@@ -470,7 +485,7 @@ _ROW_WISE_DIAGNOSTICS = {
     "weak_residual_momentum": lambda tr: diagnostics.weak_residual_momentum(tr, 2),
     "mass_history": lambda tr: diagnostics.mass_history(tr),
     "mass_drift": lambda tr: diagnostics.mass_drift(tr),
-    "flux_ledger": lambda tr: diagnostics.flux_ledger(tr),
+    "flux_ledger": lambda tr: ledger_of(tr),
     # One flattened sum over every window, so it holds one (M, N) array.
     "rho_power_integral": lambda tr: diagnostics.rho_power_integral(tr),
     # Every check from one walk, while the renormalized bounds are taken.
@@ -565,7 +580,7 @@ def test_diagnostics_use_the_solvers_own_scheme_pieces(name, monkeypatch):
 
         monkeypatch.setattr(diagnostics, attr, spy)
     diagnostics.positivity_report(traj)
-    diagnostics.flux_ledger(traj)
+    ledger_of(traj)
 
     g, pp, states = traj.grid, traj.params, traj.states
     assert len(seen["continuity_residual"]) == len(states) - 1 >= 4
@@ -695,7 +710,7 @@ def checks_from_public_functions(traj: grid.Trajectory) -> list[tuple[str, float
         rows.append((f"renormalized continuity [{B.name}]",
                      float(np.max(np.abs(diagnostics.renorm_residual(traj, B)))),
                      10.0 * tol * diagnostics.sup_abs_deriv(B, lo, hi)))
-    rows.append(("flux identity gap", abs(diagnostics.flux_ledger(traj).identity_gap),
+    rows.append(("flux identity gap", abs(ledger_of(traj).identity_gap),
                  diagnostics.energy_budget(tol, steps)))
     for j in (1, 2, 3):
         lw, p1 = diagnostics.weak_residual_continuity(traj, j)
@@ -781,7 +796,7 @@ def summary_from_public_functions(traj: grid.Trajectory) -> dict:
     """level_summary's row, each value from the standalone public diagnostic
     that defines it (one walk each), and the norms from norms_by_loop."""
     steps = len(traj) - 1
-    ledger = diagnostics.flux_ledger(traj)
+    ledger = ledger_of(traj)
     return {
         "N": traj.grid.N,
         "steps": steps,
