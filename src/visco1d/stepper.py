@@ -134,8 +134,8 @@ class SolverConfig:
     """Newton/Picard knobs.  Newton's positivity line search is not one of
     them: it halves a step until every density stays positive.
 
-    newton_tol: accepted residual max-norm.  ``None`` (default) resolves
-        per step to 1e-10 * (1 + |residual at the initial guess|).
+    newton_tol: hard bound on every accepted residual max-norm.  ``None``
+        (default) resolves per step to 1e-10 * (1 + |initial residual|).
     max_newton_iters: Newton iteration cap (counted as residual evaluations).
     fallback: Picard sweep cap used when Newton stagnates above tolerance.
     polish_floor: scale of the near-machine residual floor the solver keeps
@@ -627,7 +627,7 @@ def advance(
             if it == 1 and not extrapolated:
                 tol, floor = _tolerances(cfg, nr)
             stalled = nr > 0.5 * nr_prev
-            done = nr <= floor or (nr <= tol and (stalled or it == cfg.max_newton_iters))
+            done = nr <= tol and (nr <= floor or stalled or it == cfg.max_newton_iters)
             if not done and nr <= tol:
                 if roundoff is None:  # taken once, at the first iterate it can decide
                     roundoff = _ROUNDOFF_C * _EPS * _term_scale(rho_old, w_old, rho, terms, grid)
@@ -708,7 +708,7 @@ def march(
             state, meta = advance(state, grid, params, cfg, carry)
         except StepFailure as exc:
             raise StepFailure(
-                f"run aborted: {exc}", exc.k, exc.residual_history, exc.min_rho
+                f"run aborted: {exc.message}", exc.k, exc.residual_history, exc.min_rho
             ) from exc
         yield state, meta
 

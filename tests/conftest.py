@@ -11,11 +11,12 @@ import dataclasses
 import errno
 import multiprocessing
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from visco1d import grid, harness, stepper
+from visco1d import diagnostics, grid, harness, stepper
 
 
 @pytest.fixture(autouse=True)
@@ -100,14 +101,34 @@ def riemann_ladder() -> dict[int, grid.Trajectory]:
     return {n: solve_level(sc, n) for n in (64, 128, 256, 512)}
 
 
+class SuiteRun(NamedTuple):
+    """What the identity suite found on one run, and the run's StepMetas."""
+
+    checks: tuple[diagnostics.Check, ...]
+    positivity: diagnostics.PositivityReport
+    metas: tuple[stepper.StepMeta, ...]
+
+
+def march_through_suite(sc: harness.ScenarioConfig, n: int) -> SuiteRun:
+    """Solve level n of sc, feeding each state to an IdentitySuite and keeping none."""
+    g = sc.grid_for(n)
+    suite = diagnostics.IdentitySuite(g, sc.params, g.M_steps)
+    metas = []
+    for state, meta in stepper.march(sc, g, sc.params):
+        suite.push(state, meta)
+        if meta is not None:
+            metas.append(meta)
+    return SuiteRun(suite.checks(), suite.positivity(), tuple(metas))
+
+
 @pytest.fixture(scope="session")
-def all_scenario_runs() -> dict[tuple[str, int], grid.Trajectory]:
-    """Every builtin scenario solved at N in {64, 128, 256}."""
-    out: dict[tuple[str, int], grid.Trajectory] = {}
-    for sc in harness.builtin_scenarios():
-        for n in (64, 128, 256):
-            out[(sc.name, n)] = solve_level(sc, n)
-    return out
+def scenario_checks() -> dict[tuple[str, int], SuiteRun]:
+    """Every builtin scenario marched through the identity suite at N in {64, 128, 256}."""
+    return {
+        (sc.name, n): march_through_suite(sc, n)
+        for sc in harness.builtin_scenarios()
+        for n in (64, 128, 256)
+    }
 
 
 @pytest.fixture()

@@ -52,6 +52,16 @@ def ledger_of(traj: grid.Trajectory, m: int | None = None) -> diagnostics.FluxLe
     return diagnostics.flux_ledger(traj.grid, traj.params, traj.states, m)
 
 
+@pytest.fixture(scope="module")
+def kept_runs() -> dict[tuple[str, int], grid.Trajectory]:
+    """Every builtin scenario solved and kept at N in {64, 128, 256}."""
+    return {
+        (sc.name, n): solve_level(sc, n)
+        for sc in harness.builtin_scenarios()
+        for n in (64, 128, 256)
+    }
+
+
 # ======================================================================
 # energy ledger
 # ======================================================================
@@ -722,10 +732,10 @@ def checks_from_public_functions(traj: grid.Trajectory) -> list[tuple[str, float
 
 @pytest.mark.parametrize("n", [64, 256])
 @pytest.mark.parametrize("name", [sc.name for sc in harness.builtin_scenarios()])
-def test_one_walk_suite_equals_the_public_functions(name, n, all_scenario_runs):
+def test_one_walk_suite_equals_the_public_functions(name, n, kept_runs):
     """The suite's one shared walk gives every check bit for bit as the
     standalone functions do, and positivity_report's series."""
-    traj = all_scenario_runs[(name, n)]
+    traj = kept_runs[(name, n)]
 
     def bits(rows):
         return [(nm, float(v).hex(), float(b).hex()) for nm, v, b in rows]
@@ -819,12 +829,12 @@ def summary_from_public_functions(traj: grid.Trajectory) -> dict:
 @pytest.mark.parametrize("n", [64, 128])
 @pytest.mark.parametrize("name", [sc.name for sc in harness.builtin_scenarios()])
 def test_level_summary_is_one_walk_of_the_public_functions(
-    name, n, all_scenario_runs, monkeypatch
+    name, n, kept_runs, monkeypatch
 ):
     """A level's row derives each time level's arrays once (the rows of its
     _Level blocks add up to the levels), and every value is bit for bit what
     the standalone functions give."""
-    traj = all_scenario_runs[(name, n)]
+    traj = kept_runs[(name, n)]
     built = 0
 
     class Counted(diagnostics._Level):
@@ -845,11 +855,11 @@ def test_level_summary_is_one_walk_of_the_public_functions(
 
 
 @pytest.mark.parametrize("name", [sc.name for sc in harness.builtin_scenarios()])
-def test_level_walks_do_not_depend_on_the_block_length(name, all_scenario_runs, monkeypatch):
+def test_level_walks_do_not_depend_on_the_block_length(name, kept_runs, monkeypatch):
     """level_summary and cauchy_differences give the same bits in blocks of
     one level, of three (a length that leaves partial blocks) and of the
     default length."""
-    coarse, fine = all_scenario_runs[(name, 64)], all_scenario_runs[(name, 128)]
+    coarse, fine = kept_runs[(name, 64)], kept_runs[(name, 128)]
 
     def bits() -> list[str]:
         rows = [diagnostics.level_summary(traj) for traj in (coarse, fine)]

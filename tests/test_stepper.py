@@ -399,10 +399,15 @@ def test_march_yields_only_accepted_states_before_a_failure(monkeypatch):
     monkeypatch.setattr(stepper, "advance", advance)
     sc = scenario_named("riemann-like")
     seen = []
-    with pytest.raises(stepper.StepFailure, match="run aborted: injected"):
+    with pytest.raises(stepper.StepFailure) as err:
         for state, _ in stepper.march(sc, sc.grid_for(16), sc.params):
             seen.append(state)
     assert [state.k for state in seen] == [0, 1, 2, 3]
+    # The step's details appear once, not again inside the wrapped message.
+    assert str(err.value) == (
+        "run aborted: injected (step k=4, min rho=5.000000e-01, "
+        "recent residual norms: [1.000e+00])"
+    )
 
 
 def test_march_yields_exactly_runs_states_and_metas():
@@ -703,6 +708,18 @@ def test_newton_giving_up_from_the_extrapolated_start_retries_from_prev(monkeypa
     assert not any(m.fallback_used for m in metas)
 
 
+def test_no_step_is_accepted_above_an_explicit_newton_tol():
+    """smooth-bump at N=64 with newton_tol = 3e-14, below the polish floor
+    of the first 8 steps (up to 4.3e-14): Newton polishes on to tol rather
+    than stopping at the floor, so every step meets tol and none falls back."""
+    sc = scenario_named("smooth-bump")
+    cfg = stepper.SolverConfig(newton_tol=3e-14)
+    metas = [meta for _, meta in stepper.march(sc, sc.grid_for(64), sc.params, cfg)][1:]
+    assert sum(m.floor > m.tol == 3e-14 for m in metas) == 8
+    assert all(m.residual_norm <= m.tol for m in metas)
+    assert not any(m.fallback_used for m in metas)
+
+
 def test_the_polish_stops_at_the_residual_roundoff():
     """smooth-bump at N=256: the polish ends once the residual is at the
     roundoff of its terms, not one evaluation later at a stall, so march
@@ -717,12 +734,12 @@ def test_the_polish_stops_at_the_residual_roundoff():
 
 @pytest.mark.parametrize("name", [sc.name for sc in harness.builtin_scenarios()])
 def test_the_roundoff_stop_keeps_the_identities_far_inside_their_budgets(
-    name, all_scenario_runs
+    name, scenario_checks
 ):
     """At N=256 every identity check stays below 1e-2 of its budget (at most
     9.2e-4 with the polish run to a stall); a roundoff multiple four times
     the solver's reaches 1.2e-2 on gamma-1.6."""
-    checks = diagnostics.identity_checks(all_scenario_runs[(name, 256)])
+    checks = scenario_checks[(name, 256)].checks
     assert max(c.value / c.bound for c in checks) < 1e-2
 
 
