@@ -447,7 +447,7 @@ def _write_text(path: str, content: str) -> None:
 
 
 # ======================================================================
-# Verification suite
+# run's state.csv writer process
 # ======================================================================
 
 
@@ -521,6 +521,11 @@ def _solve_writing_state(config: RunConfig, path: str) -> GridSpec:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
     return grid
+
+
+# ======================================================================
+# Verification suite
+# ======================================================================
 
 
 def _verify(config: RunConfig, out) -> int:

@@ -20,11 +20,11 @@ derived arrays (hat(u), the upwind split, diff_cell(u), the pressure, the
 donor-cell fluxes, the momentum rho*hat(u), ...) are computed once, row by
 row, and shared by every accumulator fed that block; each scalar that sums
 over steps is still added one level at a time, so any block length gives the
-same bits.  level_summary walks a refinement level's kept states in blocks
-of _LEVEL_BLOCK levels, which pays numpy's per-call cost, most of a level's
-time, once per block.  IdentitySuite (``visco1d verify``, fed as the solver
-marches) and the public functions, which walk a run's states, kept or as
-march yields them, through one accumulator each, take a level at a time: a
+same bits.  level_summary walks a refinement level's states as march yields
+them in blocks of _LEVEL_BLOCK levels, which pays numpy's per-call cost,
+most of a level's time, once per block.  IdentitySuite (``visco1d verify``)
+and the public functions, which walk a run's states, kept or as march
+yields them, through one accumulator each, take a level at a time: a
 block's work arrays are B levels' worth, which their memory bounds do not
 leave room for.
 """
@@ -67,7 +67,7 @@ __all__ = [
     "check_study_levels",
     "check_checkpoint",
     "level_summary",
-    "level_blocks",
+    "walk_blocks",
     "linear_l2_sq",
     "rates_from_levels",
     "boundedness",
@@ -163,26 +163,16 @@ class _Accumulator:
         pass
 
 
-# Levels per block where a walk stacks kept states (level_blocks).  Each
-# numpy call then serves B levels, which pays its fixed cost once per block,
-# while a block's work arrays are B levels' worth: at 4, those of a level of
-# N = 512 and 128 steps stay below rho_power_integral's (M, N) array, so
-# level_summary's peak memory does not rise (measured; 8 raised it 0.6 MB).
+# Levels per block of walk_blocks.  Each numpy call then serves B levels,
+# which pays its fixed cost once per block, while a block's work arrays are
+# B levels' worth (6 and 8 were measured no faster).
 _LEVEL_BLOCK = 4
-
-
-def level_blocks(states: Sequence[FluidState]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Consecutive ``states`` stacked in blocks of up to _LEVEL_BLOCK, in
-    order: each block's (B, N) densities and (B, N+1) velocities."""
-    for i in range(0, len(states), _LEVEL_BLOCK):
-        block = states[i : i + _LEVEL_BLOCK]
-        yield np.array([s.rho for s in block]), np.array([s.u for s in block])
 
 
 class _Walk:
     """Feeds blocks of consecutive levels, in order, to accumulators: level 0
-    alone to ``start``, the rest to ``push``.  level_summary feeds it the
-    blocks of level_blocks, IdentitySuite and _walk blocks of one level (see
+    alone to ``start``, the rest to ``push``.  level_summary feeds it blocks
+    of _LEVEL_BLOCK levels, IdentitySuite and _walk blocks of one level (see
     the module docstring)."""
 
     def __init__(self, grid: GridSpec, params: PhysParams, accumulators) -> None:
@@ -203,6 +193,15 @@ class _Walk:
         for acc in self._accumulators:
             acc.push(cur)
         self._rho_last = rho[-1:]
+
+
+def walk_blocks(grid: GridSpec, params: PhysParams, states: Iterable[FluidState],
+                *accumulators) -> None:
+    """Feed a run's ``states`` from level 0, as they come, to ``accumulators``
+    (each with ``start`` and ``push``) in blocks of _LEVEL_BLOCK levels."""
+    walk, states = _Walk(grid, params, accumulators), iter(states)
+    while block := list(itertools.islice(states, _LEVEL_BLOCK)):
+        walk.feed(np.array([s.rho for s in block]), np.array([s.u for s in block]))
 
 
 def _walk(grid: GridSpec, params: PhysParams, states: Iterable[FluidState],
@@ -913,20 +912,24 @@ def linear_l2_sq(d: np.ndarray, dx: float) -> float | np.ndarray:
     return (dx / 3.0) * (dl * dl + dl * dr + dr * dr).sum(axis=-1)
 
 
+class _Power(_Accumulator):
+    """rho_power_integral: each window's sum over its cells, added in order."""
+
+    def __init__(self, grid: GridSpec, power: float):
+        self.scale, self.power, self.total = grid.dt * grid.dx, power, 0.0
+
+    def push(self, cur: _Level) -> None:
+        for (window,) in _per_level((cur.rho**self.power).sum(axis=1)):
+            self.total += window
+
+    def result(self) -> float:
+        return self.scale * self.total
+
+
 def rho_power_integral(traj: Trajectory, power: float | None = None) -> float:
     """Space-time integral of rho^power (default gamma+1) over [0,T)."""
-    if power is None:
-        power = traj.params.gamma + 1.0
-    g = traj.grid
-    if len(traj) == 1:
-        return 0.0
-    # One sum over every cell of every window, not a sum of per-level sums:
-    # the pairwise summation order, and so every bit of the result, depends
-    # on it.  This is the one diagnostic that builds an (M, N) array it does
-    # not return.
-    rho = np.concatenate([s.rho for s in traj.states[1:]])
-    rho **= power
-    return g.dt * g.dx * float(np.sum(rho))
+    power = traj.params.gamma + 1.0 if power is None else power
+    return _walk(traj.grid, traj.params, traj.states, _Power(traj.grid, power))
 
 
 class _Norms(_Accumulator):
@@ -1048,7 +1051,7 @@ def error_rates(trajectories: Sequence[Trajectory]) -> dict[str, dict]:
             raise ValueError("error_rates requires one dt/dx ratio at every level")
         if len(tr) == 1:
             raise ValueError("error_rates needs at least one step at every level")
-    return rates_from_levels([level_summary(tr) for tr in trajs])
+    return rates_from_levels([level_summary(tr.grid, tr.params, _marched(tr)) for tr in trajs])
 
 
 # Three levels give two pair orders, the fewest whose agreement shows a rate.
@@ -1061,19 +1064,55 @@ def check_study_levels(count: int) -> None:
         raise ValueError(f"a refinement study needs at least {STUDY_MIN_LEVELS} levels")
 
 
-def level_summary(traj: Trajectory) -> dict:
-    """One refinement level's row of the study, from one walk over its kept
-    states in blocks of _LEVEL_BLOCK levels (level_blocks).
+class _Metas:
+    """What a run's (state, meta) pairs tell of its steps, counted as they
+    come; ``require_every_step`` refuses a run of other than ``steps`` steps."""
+
+    def __init__(self, steps: int):
+        self.steps, self.pushed, self.fallback_steps = steps, 0, 0
+        self.max_tol = self.worst_res = None
+
+    def count(self, meta) -> None:
+        self.pushed += 1
+        if meta is not None:
+            self.max_tol = _running(max, self.max_tol, meta.tol)
+            self.worst_res = _running(max, self.worst_res, meta.residual_norm)
+            self.fallback_steps += meta.fallback_used
+
+    def states(self, stream: Iterable[tuple[FluidState, object]]) -> Iterator[FluidState]:
+        """The states of ``stream``, each counted as it passes."""
+        for state, meta in stream:
+            self.count(meta)
+            yield state
+
+    @property
+    def tol(self) -> float:
+        return _EMPTY_RUN_TOL if self.max_tol is None else self.max_tol
+
+    def require_every_step(self) -> None:
+        if self.pushed != self.steps + 1:
+            raise ValueError(f"the run was declared for {self.steps} steps, but "
+                             f"{max(self.pushed - 1, 0)} were pushed")
+
+
+def _marched(traj: Trajectory) -> Iterator[tuple[FluidState, object]]:
+    """A kept run's (state, meta) pairs, as march yields them."""
+    return zip(traj.states, (None, *(traj.solver_meta or [None] * (len(traj) - 1))))
+
+
+def level_summary(grid: GridSpec, params: PhysParams,
+                  stream: Iterable[tuple[FluidState, object]], *also) -> dict:
+    """One refinement level's row of the study, from one walk (walk_blocks)
+    over a run's (state, meta) pairs as march yields them, which also feeds
+    the accumulators ``also``, such as harness's Cauchy pair.
 
     "E1", "E2" and "flux_identity_gap" are absolute values from one
     flux_ledger over the whole run; "P1" and "P2" the absolute closed-form
     weak residuals against the sine modes 1 and 2.  A run without steps has
     no time window, so these and "rho_gamma_plus_1" are 0.0.
     """
-    grid, params, steps = traj.grid, traj.params, len(traj) - 1
-    # Before the walk: its (M, N) array is then freed before the blocks'
-    # work arrays are made, and the two peaks do not add up.
-    rho_gamma_plus_1 = rho_power_integral(traj)
+    steps = grid.M_steps
+    metas = _Metas(steps)
     density = _Density(grid, steps)
     energy = _Energy(grid, params, steps, columns=False)
     flux = _Flux(grid, params)
@@ -1085,25 +1124,26 @@ def level_summary(traj: Trajectory) -> dict:
     momentum = _WeakMomentum(grid, params, _SineModes(grid, steps, (2,)))
     positivity = _Positivity(grid, steps)
     norms = _Norms(grid, params, steps)
-    walk = _Walk(grid, params, (density, energy, flux, continuity, momentum, positivity, norms))
-    for rho, u in level_blocks(traj.states):
-        walk.feed(rho, u)
+    power = _Power(grid, params.gamma + 1.0)
+    walk_blocks(grid, params, metas.states(stream), density, energy, flux, continuity, momentum,
+                positivity, norms, power, *also)
+    metas.require_every_step()
 
     ledger = flux.result()
     return {
         "N": grid.N,
         "steps": steps,
-        "fallback_steps": sum(m.fallback_used for m in traj.solver_meta),
+        "fallback_steps": metas.fallback_steps,
         "mass_drift_rel": _drift(density.result()),
         "energy_balance_max": float(np.max(energy.balance)),
-        "energy_tol": energy_budget(effective_newton_tol(traj), steps),
+        "energy_tol": energy_budget(metas.tol, steps),
         "positivity_margin_min": positivity.result().worst_margin,
         "h": grid.dx,
         "E1": abs(ledger.E1),
         "E2": abs(ledger.E2),
         "P1": abs(continuity.result()[0][1]),
         "P2": abs(momentum.result()[0][1]),
-        "rho_gamma_plus_1": rho_gamma_plus_1,
+        "rho_gamma_plus_1": power.result(),
         "flux_identity_gap": abs(ledger.identity_gap),
         **norms.result(),
     }
@@ -1177,7 +1217,7 @@ class IdentitySuite:
     every identity, each step's shared arrays are computed once, and no
     state is kept: what the suite holds is O(N) arrays and O(M) series.
     Each state is fed as a block of one level, not stacked with the next
-    ones as level_summary stacks kept states: a block of B levels holds B
+    ones as level_summary stacks them: a block of B levels holds B
     levels' work arrays at once.
     """
 
@@ -1196,39 +1236,27 @@ class IdentitySuite:
             self._density, self._energy, *self._renorm, self._flux, *self._weak,
             self._positivity,
         ))
-        self._tol: float | None = None
-        self._worst_res: float | None = None
-        self._pushed = 0
+        self._metas = _Metas(steps)
 
     def push(self, state: FluidState, meta=None) -> None:
         self._walk.feed(state.rho[None], state.u[None])
-        self._pushed += 1
-        if meta is not None:
-            self._tol = _running(max, self._tol, meta.tol)
-            self._worst_res = _running(max, self._worst_res, meta.residual_norm)
-
-    def _require_every_step(self) -> None:
-        if self._pushed != self.steps + 1:
-            raise ValueError(f"the suite was declared for {self.steps} steps, but "
-                             f"{max(self._pushed - 1, 0)} were pushed")
+        self._metas.count(meta)
 
     def positivity(self) -> PositivityReport:
-        self._require_every_step()
+        self._metas.require_every_step()
         return self._positivity.result()
 
     def checks(self) -> tuple[Check, ...]:
         """Every exact identity of the run, each against its budget (see identity_checks)."""
-        self._require_every_step()
-        steps = self.steps
-        tol = _EMPTY_RUN_TOL if self._tol is None else self._tol
+        self._metas.require_every_step()
+        steps, tol, worst_res = self.steps, self._metas.tol, self._metas.worst_res
         energy = self._energy
         fractions = np.fromiter(
             (energy.balance[m] / energy_budget(tol, m) for m in range(1, steps + 1)),
             float, count=steps,
         )
         checks = [
-            Check("step residual max-norm",
-                  0.0 if self._worst_res is None else self._worst_res, tol),
+            Check("step residual max-norm", 0.0 if worst_res is None else worst_res, tol),
             Check("mass drift (relative)", _drift(self._density.result()), 1e-12 * max(steps, 1)),
             # np.max, not max(): a NaN step must fail the check.
             Check("energy balance (fraction of tolerance)",
@@ -1283,6 +1311,6 @@ def identity_checks(traj: Trajectory) -> tuple[Check, ...]:
     The trajectory is walked once, through IdentitySuite.
     """
     suite = IdentitySuite(traj.grid, traj.params, len(traj) - 1)
-    for k, state in enumerate(traj.states):
-        suite.push(state, traj.solver_meta[k - 1] if k and traj.solver_meta else None)
+    for state, meta in _marched(traj):
+        suite.push(state, meta)
     return suite.checks()

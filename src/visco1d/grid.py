@@ -32,6 +32,7 @@ __all__ = [
     "Trajectory",
     "PiecewiseConstant",
     "init_state",
+    "RHO0_FLOOR",
     "gauss_panels",
 ]
 
@@ -299,6 +300,11 @@ def cell_averages(grid: GridSpec, f: Callable[[np.ndarray], np.ndarray]) -> np.n
     return ref + (vals - ref[:, None]) @ (0.5 * _GAUSS_W)
 
 
+# Every initial density must exceed it: an input-validation floor, never
+# applied during solves.
+RHO0_FLOOR = 1e-12
+
+
 def init_state(
     grid: GridSpec,
     rho0: Callable[[np.ndarray], np.ndarray],
@@ -311,8 +317,7 @@ def init_state(
         rho0: initial density profile; averaged over each cell
             (exactly for :class:`PiecewiseConstant` and for values constant
             on a cell, otherwise by Gauss quadrature, exact through degree 9
-            up to roundoff).  Averages must stay above 1e-12, an
-            input-validation floor never applied during solves.
+            up to roundoff).  Averages must stay above RHO0_FLOOR.
         u0: initial velocity, sampled pointwise at the faces; the wall values
             are overwritten with zero regardless of ``u0``.
 
@@ -320,8 +325,8 @@ def init_state(
         The k = 0 :class:`FluidState`.
     """
     rho = cell_averages(grid, rho0)
-    if not np.all(rho > 1e-12):
-        raise ValueError(f"averaged initial density dips to {rho.min()} <= floor 1e-12")
+    if not np.all(rho > RHO0_FLOOR):
+        raise ValueError(f"averaged initial density dips to {rho.min()} <= floor {RHO0_FLOOR:g}")
     u = np.asarray(u0(grid.face_nodes), dtype=float) * np.ones(grid.N + 1)
     u[0] = 0.0
     u[-1] = 0.0

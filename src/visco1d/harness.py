@@ -12,14 +12,17 @@ side by side.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .grid import FluidState, GridSpec, PhysParams, PiecewiseConstant, Trajectory
+from .grid import RHO0_FLOOR, FluidState, GridSpec, PhysParams, PiecewiseConstant, Trajectory
 from . import diagnostics
-from .stepper import SolverConfig, StepFailure, run
+# run is named here for perfbench's tracer, which wraps harness.run; every
+# level streams from march.
+from .stepper import SolverConfig, StepFailure, march, run  # noqa: F401
 
 __all__ = [
     "ScenarioConfig",
@@ -117,7 +120,7 @@ class ScenarioConfig:
         for n in levels:
             self.grid_for(n)
         # Each profile must resolve and be finite on [0, L], and the density
-        # strictly positive there.
+        # above init_state's floor there.
         probe = np.linspace(0.0, self.L, 513)
         for key, spec, resolve in (
             ("rho0", self.rho0, resolve_density_profile),
@@ -131,8 +134,9 @@ class ScenarioConfig:
                 vals = np.asarray(profile(probe), dtype=float)
             if not np.all(np.isfinite(vals)):
                 raise ValueError(f"{key} profile {spec!r} is not finite on [0, L]")
-            if key == "rho0" and not (float(np.min(vals)) > 0.0):
-                raise ValueError(f"{key} profile {spec!r}: initial density must be strictly positive")
+            if key == "rho0" and not (float(np.min(vals)) > RHO0_FLOOR):
+                raise ValueError(f"{key} profile {spec!r}: initial density must be strictly "
+                                 f"positive, above the floor {RHO0_FLOOR:g}")
 
     @property
     def rho0_fn(self):
@@ -184,6 +188,58 @@ def restrict_faces(fine: np.ndarray, ratio: int) -> np.ndarray:
     return fine[..., ::ratio]
 
 
+class _Cauchy:
+    """cauchy_differences in the finer level's walk.  ``states`` yields the
+    coarser level's (rho, u) in order; each is read once a fine step needs it
+    and ``ready()``, and until then the steps wait as their projections."""
+
+    def __init__(self, coarse: GridSpec, fine: GridSpec, states: Iterable, ready=lambda: True):
+        self.ratio, self.tratio = fine.N // coarse.N, round(coarse.dt / fine.dt)
+        if self.ratio * coarse.N != fine.N or self.ratio < 1:
+            raise ValueError("fine level is not a multiple of the coarse level")
+        if self.tratio < 1 or abs(coarse.dt - self.tratio * fine.dt) > 1e-12 * coarse.dt:
+            raise ValueError("coarse time step is not a whole multiple of the fine one")
+        self._dt_f, self._dx_c = fine.dt, coarse.dx
+        self._states, self._ready = iter(states), ready
+        self._read, self._over = -1, None  # the last coarse state read: its index, itself
+        self._waiting: deque = deque()
+        self._compared, self.l1, self.l2_sq = 0, 0.0, 0.0
+
+    def start(self, level) -> None:
+        pass
+
+    def push(self, cur) -> None:
+        u = np.ascontiguousarray(restrict_faces(cur.u, self.ratio))  # a copy, not a fine view
+        self._waiting.extend(zip(project_cells(cur.rho, self.ratio), u))
+        self._compare(self._ready)
+
+    def _compare(self, ready) -> None:
+        """Compare the waiting steps in order, while each one's coarse state is read or ready."""
+        over = []
+        for i in range(len(self._waiting)):
+            window = (self._compared + i + self.tratio) // self.tratio
+            while self._read < window and ready():
+                self._over, self._read = next(self._states), self._read + 1
+            if self._read < window:
+                break
+            over.append(self._over)
+        fine = [self._waiting.popleft() for _ in over]
+        self._compared += len(over)
+        if not over:
+            return
+        rho_gap = np.array([rho for rho, _ in over]) - np.array([rho for rho, _ in fine])
+        u_gap = np.array([u for _, u in over]) - np.array([u for _, u in fine])
+        rows = zip((self._dt_f * self._dx_c * np.abs(rho_gap).sum(axis=1)).tolist(),
+                   (self._dt_f * diagnostics.linear_l2_sq(u_gap, self._dx_c)).tolist())
+        for l1_step, l2_step in rows:  # one step at a time, in order
+            self.l1 += l1_step
+            self.l2_sq += l2_step
+
+    def result(self) -> tuple[float, float]:
+        self._compare(lambda: True)
+        return self.l1, math.sqrt(self.l2_sq)
+
+
 def cauchy_differences(coarse: Trajectory, fine: Trajectory) -> tuple[float, float]:
     """(L1-in-space-time density gap, L2-in-space-time velocity gap).
 
@@ -193,34 +249,14 @@ def cauchy_differences(coarse: Trajectory, fine: Trajectory) -> tuple[float, flo
     one.  Density is projected by exact box averages, velocity by restriction
     to the shared coarse nodes; the remaining integrals are then evaluated in
     closed form.  Only complete groups of nested windows enter.  The fine
-    steps are compared in blocks (diagnostics.level_blocks), each row with
-    the bits of one step at a time.
+    steps are walked in blocks (diagnostics.walk_blocks) through the one
+    accumulator that run_refinement feeds each level's states as they are
+    solved, each row with the bits of one step at a time.
     """
-    ratio = fine.grid.N // coarse.grid.N
-    if ratio * coarse.grid.N != fine.grid.N or ratio < 1:
-        raise ValueError("fine level is not a multiple of the coarse level")
-    tratio = round(coarse.grid.dt / fine.grid.dt)
-    if tratio < 1 or abs(coarse.grid.dt - tratio * fine.grid.dt) > 1e-12 * coarse.grid.dt:
-        raise ValueError("coarse time step is not a whole multiple of the fine one")
-    mc, mf = len(coarse) - 1, len(fine) - 1
-    groups = min(mc, mf // tratio)
-    dt_f = fine.grid.dt
-    dx_c = coarse.grid.dx
-    l1 = 0.0
-    l2_sq = 0.0
-    j = 1  # the first fine step of the block
-    for rho, u in diagnostics.level_blocks(fine.states[1 : groups * tratio + 1]):
-        # each fine step's coarse state: the one whose window holds it
-        over = [coarse.states[(i + tratio - 1) // tratio] for i in range(j, j + len(rho))]
-        j += len(rho)
-        rho_gap = np.array([s.rho for s in over]) - project_cells(rho, ratio)
-        u_gap = np.array([s.u for s in over]) - restrict_faces(u, ratio)
-        rows = zip((dt_f * dx_c * np.abs(rho_gap).sum(axis=1)).tolist(),
-                   (dt_f * diagnostics.linear_l2_sq(u_gap, dx_c)).tolist())
-        for l1_step, l2_step in rows:  # one step at a time, in order
-            l1 += l1_step
-            l2_sq += l2_step
-    return l1, math.sqrt(l2_sq)
+    pair = _Cauchy(coarse.grid, fine.grid, ((s.rho, s.u) for s in coarse.states))
+    groups = min(len(coarse) - 1, (len(fine) - 1) // pair.tratio)
+    diagnostics.walk_blocks(fine.grid, fine.params, fine.states[: groups * pair.tratio + 1], pair)
+    return pair.result()
 
 
 # ======================================================================
@@ -259,14 +295,6 @@ class RefinementReport:
     boundedness: dict[str, dict]
     flags: tuple[str, ...]
     failed: bool = False
-
-
-def _solve_level(
-    scenario: ScenarioConfig, solver: SolverConfig, n: int
-) -> tuple[Trajectory, dict]:
-    """Solve one level of the ladder and summarize its diagnostics."""
-    traj = run(scenario, scenario.grid_for(n), scenario.params, solver)
-    return traj, diagnostics.level_summary(traj)
 
 
 def fork_worker(target, *args):
@@ -372,21 +400,38 @@ def stop_worker(worker) -> None:
     conn.close()
 
 
+def _handed_on(stream, keep: list | None, conn=None):
+    """A run's (state, meta) pairs as they come, each state first kept in
+    ``keep`` as its (rho, u), or sent on ``conn`` until the worker has ended."""
+    for state, meta in stream:
+        if keep is not None:
+            keep.append((state.rho, state.u))
+        if conn is not None:
+            try:
+                _send_level(conn, state)
+            except ConnectionError:
+                conn = None
+        yield state, meta
+
+
+def _level(scenario: ScenarioConfig, solver: SolverConfig, n: int, coarse=None,
+           keep: list | None = None, conn=None, ready=lambda: True):
+    """Level n's summary and its Cauchy pair (None without ``coarse``, the
+    level before's N and states) from one walk of the states march makes."""
+    grid = scenario.grid_for(n)
+    stream = _handed_on(march(scenario, grid, scenario.params, solver), keep, conn)
+    if coarse is None:
+        return diagnostics.level_summary(grid, scenario.params, stream), None
+    pair = _Cauchy(scenario.grid_for(coarse[0]), grid, coarse[1], ready)
+    return diagnostics.level_summary(grid, scenario.params, stream, pair), pair.result()
+
+
 def _finest_level_worker(
     conn, scenario: ScenarioConfig, solver: SolverConfig, n: int, n_coarse: int
 ) -> tuple[dict, tuple[float, float]]:
-    """Worker body: solve and summarize level n, then read level n_coarse's
-    states from conn and return (summary, its Cauchy pair with level n)."""
-    fine, summary = _solve_level(scenario, solver, n)
-    coarse = Trajectory(
-        grid=scenario.grid_for(n_coarse),
-        params=scenario.params,
-        states=tuple(
-            FluidState(rho=rho, u=u, k=k)
-            for k, (rho, u) in enumerate(recv_levels(conn, n_coarse))
-        ),
-    )
-    return summary, cauchy_differences(coarse, fine)
+    """Worker body: level n's summary and its Cauchy pair with level
+    n_coarse, whose states the parent sends on conn as it solves them."""
+    return _level(scenario, solver, n, (n_coarse, recv_levels(conn, n_coarse)), ready=conn.poll)
 
 
 def run_refinement(
@@ -395,20 +440,20 @@ def run_refinement(
     """Run the scenario across its level ladder and assemble the report.
 
     The finest level, whose cost alone exceeds that of all coarser ones
-    (about N^2 at a fixed dt/dx), is solved and summarized in a forked worker
-    process while this process solves the coarser levels one after another,
-    coarsest first, and takes each Cauchy pair as soon as its finer level is
-    done.  Once the next-to-finest level is solved, this process sends its
-    states to the worker, each as its doubles (``send_levels``); the worker
-    sends back only its level's summary and the last Cauchy pair, so the
-    finest trajectory never leaves it.  A failing level aborts the study as
-    if the levels ran in order: completed levels are reported, a flag records
-    the failure, and ``failed`` is set; a failure below the finest level
-    discards the worker.
-    A worker that ended before it read the coarse level is reported by
-    ``worker_result``, with what ended it.  Levels are independent and the
-    worker computes exactly what this process would, so the study's numbers
-    do not depend on where a level ran.  Where fork does not exist, every
+    (about N^2 at a fixed dt/dx), is solved in a forked worker process while
+    this process solves the coarser levels one after another, coarsest
+    first.  Each level streams from march into one walk that takes its
+    summary and its Cauchy pair with the level before, whose states are the
+    only ones kept.  Each next-to-finest state is sent to the worker as
+    march makes it, as its doubles (``send_levels``' wire format), and the
+    worker sends back only its level's summary and the last Cauchy pair.
+    A failing level aborts the study as if the levels ran in order:
+    completed levels are reported, a flag records the failure, and
+    ``failed`` is set; a failure below the finest level discards the worker.
+    A worker that ended early is reported by ``worker_result``, with what
+    ended it, once this process has solved its own levels.  The worker
+    computes exactly what this process would, so the study's numbers do
+    not depend on where a level ran.  Where fork does not exist, every
     level runs in this process.
     """
     solver = solver or SolverConfig()
@@ -417,26 +462,25 @@ def run_refinement(
 
     finest, next_finest = levels[-1], levels[-2]
     worker = fork_worker(_finest_level_worker, scenario, solver, finest, next_finest)
+    # The last level this process solves has no finer level here: it is not kept.
+    last = finest if worker is None else next_finest
     done: list[int] = []
     summaries: list[dict] = []
     cauchy_rho: list[float] = []
     cauchy_u: list[float] = []
     flags: list[str] = []
     failed = False
-    coarse = None  # the last level solved here, until its Cauchy pair is taken
+    coarse = None  # the last level solved here, as _level takes it
     try:
         for n in levels:
-            pair = None
             try:
-                if n == finest and worker is not None:
+                if n > last:
                     summary, pair = worker_result(worker, f"level {n} worker")
                 else:
-                    traj, summary = _solve_level(scenario, solver, n)
-                    if coarse is not None:
-                        pair = cauchy_differences(coarse, traj)
-                    coarse = traj
-                    if n == next_finest and worker is not None:
-                        send_levels(worker[1], traj.states)
+                    kept = [] if n < last else None
+                    conn = worker[1] if worker is not None and n == last else None
+                    summary, pair = _level(scenario, solver, n, coarse, kept, conn)
+                    coarse = (n, kept)
             except StepFailure as exc:
                 flags.append(f"level {n} solve failed: {exc}")
                 failed = True

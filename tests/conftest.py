@@ -72,6 +72,11 @@ def solve_level(sc: harness.ScenarioConfig, n: int) -> grid.Trajectory:
     return stepper.run(sc, sc.grid_for(n), sc.params)
 
 
+def marched(traj: grid.Trajectory):
+    """A kept run's (state, meta) pairs, as stepper.march yielded them."""
+    return zip(traj.states, (None, *traj.solver_meta))
+
+
 @pytest.fixture(scope="session")
 def constant_traj() -> grid.Trajectory:
     sc = scenario_named("constant")

@@ -97,12 +97,12 @@ def test_criterion_01_residual_newton_runtime(scenario_checks, capsys):
 
 def test_criterion_02_mass_conservation(scenario_checks, capsys):
     found = _named(scenario_checks, "mass drift")
-    worst, worst_key, _ = _worst(found)
+    worst, worst_key, check = _worst(found)
     _record(capsys,
         2,
         _passed(found),
-        f"relative mass drift <= 1e-12*M on all 18 runs "
-        f"(worst fraction {worst:.3e} at {worst_key})",
+        f"relative mass drift within its bound on all 18 runs "
+        f"(worst fraction {worst:.3e} of {check.bound:.3e} at {worst_key})",
     )
 
 
@@ -145,13 +145,13 @@ def test_criterion_03_supplement_provable_floor_holds(scenario_checks, capsys):
 def test_criterion_04_energy_equality(scenario_checks, capsys):
     balance = _named(scenario_checks, "energy balance")
     negativity = _named(scenario_checks, "numerical diffusion negativity")
-    worst_frac, worst_key, _ = _worst(balance)
+    worst_frac, worst_key, check = _worst(balance)
     _, _, worst_negativity = _worst(negativity)
     worst_increment = min(0.0, -worst_negativity.value)
     _record(capsys,
         4,
         _passed(balance) and _passed(negativity),
-        f"energy balance <= 100*tol*m for every m on all runs (worst fraction "
+        f"energy balance <= {check.bound:.3e} of its budget for every m on all runs (worst fraction "
         f"{worst_frac:.3e} at {worst_key}); most negative diffusion increment "
         f"{worst_increment:.3e} >= {-worst_negativity.bound:.0e}",
     )
@@ -168,9 +168,9 @@ def test_criterion_05_renormalized_continuity(scenario_checks, capsys):
     _record(capsys,
         5,
         _passed(found),
-        f"per-step renormalized-continuity residual <= 10*tol*sup|B'| for "
-        f"B in {{z^2, z^gamma, z log z}} (worst fraction {worst:.3e} at "
-        f"{(worst_key, check.name)})",
+        f"per-step renormalized-continuity residual within its bound for "
+        f"B in {{z^2, z^gamma, z log z}} (worst fraction {worst:.3e} of "
+        f"{check.bound:.3e} at {(worst_key, check.name)})",
     )
 
 

@@ -850,11 +850,27 @@ def test_refine_rejected_ladder_exits_2_without_out_dir(tmp_path, capsys, levels
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "refine", "verify", "flux"])
+def test_initial_density_at_the_floor_is_a_config_error_naming_rho0(tmp_path, capsys, command):
+    """ScenarioConfig applies init_state's floor, so a density at or below it
+    is a config error that names the rho0 line, raised before any output
+    directory is made."""
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "[scenario]\nname = dilute\nrho0 = constant:1e-13\n"
+                              f"levels = 8,16,32\n[output]\nout_dir = {out}\n")
+    with pytest.raises(ConfigError, match=r"above the floor 1e-12 \(line 3\)$"):
+        parse_config(Path(cfg).read_text(encoding="utf-8"))
+    argv = [command, "--config", cfg] + (["--out", str(out)] if command in ("run", "refine") else [])
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.endswith("above the floor 1e-12 (line 3)\n")
+    assert not out.exists()
+
+
 def test_refine_unusable_out_fails_before_any_level_is_solved(tmp_path, capsys, monkeypatch):
     def no_solve(*args):
         raise AssertionError("a level was solved before --out was checked")
 
-    monkeypatch.setattr(harness, "_solve_level", no_solve)
+    monkeypatch.setattr(harness, "march", no_solve)
     cfg = constant_cfg(tmp_path)
     blocker = tmp_path / "afile"
     blocker.write_text("", encoding="utf-8")
@@ -1046,6 +1062,23 @@ def test_streamed_flux_keeps_no_trajectory(tmp_path, capsys):
     assert parse_config(Path(cfg).read_text()).scenario == sc
     assert sc.grid_for(128).M_steps == 256
     assert peak_beyond_the_solver(sc, flux) < 0.25
+
+
+def test_streamed_refine_keeps_no_trajectory(monkeypatch):
+    """refine streams each level from march into one walk that takes its
+    summary and its Cauchy pair, so in process, beyond the finest level's
+    own solve, it holds the coarser level's states (half an (M+1) x N matrix
+    of the finest level) and the walk's blocks and series: under 1.5 such
+    matrices, where a kept finest trajectory alone is two."""
+    monkeypatch.setattr(harness, "fork_worker", lambda *args: None)
+    smooth = replace(scenario_named("smooth-bump"), T=2.0)
+    sc = replace(smooth, levels=(32, 64, 128))
+
+    def refine() -> None:
+        assert not harness.run_refinement(sc).failed
+
+    assert sc.grid_for(128).M_steps == 256
+    assert peak_beyond_the_solver(replace(smooth, levels=(128,)), refine) < 1.5
 
 
 def test_warning_goes_to_stderr_and_run_succeeds(tmp_path, capsys):

@@ -20,7 +20,7 @@ import pytest
 from visco1d import diagnostics, grid, harness, stepper
 from visco1d.harness import resolve_density_profile, resolve_velocity_profile
 
-from conftest import reset_worker, scenario_named, solve_level, with_levels
+from conftest import marched, reset_worker, scenario_named, solve_level, with_levels
 
 
 # ======================================================================
@@ -76,6 +76,7 @@ def test_scenario_rejects_nonpositive_density():
         (dict(rho0="piecewise:0.5|0,1"), "initial density must be strictly positive"),
         (dict(u0="sin2pi:inf"), "u0 profile 'sin2pi:inf' is not finite"),
         (dict(u0="sin2pi:x"), "bad u0 profile 'sin2pi:x'"),
+        (dict(rho0="constant:1e-12"), "initial density must be strictly positive, above the floor 1e-12"),
     ],
 )
 def test_scenario_rejects_non_finite_profiles(profiles, message):
@@ -160,6 +161,41 @@ def test_cauchy_differences_detect_known_gap():
     # |1.25 - 1| over unit length, integrated over one coarse window of 0.125
     assert l1 == pytest.approx(0.25 * 0.125, rel=1e-13)
     assert l2 == 0.0
+
+
+def test_cauchy_pair_reads_no_coarse_state_before_it_is_ready():
+    """The finer level's walk reads a coarse state only once ``ready()``
+    says it can, as the worker reads the states the parent sends; until
+    then the fine steps wait, and the pair keeps every bit."""
+    sc = scenario_named("smooth-bump")
+    coarse, fine = solve_level(sc, 16), solve_level(sc, 32)  # 4 and 8 steps
+    answers = iter([False, False, True, True, False])
+    gate = {"open": False}
+
+    def ready() -> bool:
+        gate["open"] = next(answers, True)
+        return gate["open"]
+
+    def states():
+        for state in coarse.states:
+            assert gate["open"], "a coarse state was read before it was ready"
+            yield state.rho, state.u
+
+    pair = harness._Cauchy(coarse.grid, fine.grid, states(), ready)
+    waiting = []
+    push = pair.push
+
+    def recorded(cur) -> None:
+        push(cur)
+        waiting.append(len(pair._waiting))
+
+    pair.push = recorded
+    diagnostics.walk_blocks(fine.grid, fine.params, fine.states, pair)
+    # Blocks of steps 1-3, 4-7 and 8; the third push reads coarse states 0
+    # and 1, compares steps 1 and 2, and finds state 2 not ready.
+    assert waiting == [3, 7, 6]
+    gate["open"] = True  # result() reads the rest, as the worker does at its end
+    assert pair.result() == harness.cauchy_differences(coarse, fine)
 
 
 @pytest.mark.parametrize("coarse_dt", [0.03, 0.01], ids=["1.5x", "0.5x"])
@@ -283,9 +319,9 @@ def test_run_refinement_orders_are_error_rates_without_recomputing(monkeypatch, 
 
     level_summary = diagnostics.level_summary
 
-    def counted(traj):
+    def counted(*args):
         record("level_summary")
-        return level_summary(traj)
+        return level_summary(*args)
 
     monkeypatch.setattr(diagnostics, "level_summary", counted)
     error_rates = diagnostics.error_rates
@@ -333,14 +369,14 @@ def _inline(monkeypatch):
 
 
 def _fail_at(monkeypatch, level: int, exc: Exception) -> None:
-    solve = harness.run
+    solve = harness.march
 
-    def run(scenario, grid, *args, **kwargs):
+    def march(scenario, grid, *args, **kwargs):
         if grid.N == level:
             raise exc
         return solve(scenario, grid, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "run", run)
+    monkeypatch.setattr(harness, "march", march)
 
 
 def test_run_refinement_worker_matches_in_process_levels(monkeypatch):
@@ -349,7 +385,8 @@ def test_run_refinement_worker_matches_in_process_levels(monkeypatch):
     assert multiprocessing.active_children() == []
 
     trajs = [solve_level(sc, n) for n in sc.levels]
-    assert rep.per_level == tuple(diagnostics.level_summary(t) for t in trajs)
+    assert rep.per_level == tuple(diagnostics.level_summary(t.grid, t.params, marched(t))
+                                  for t in trajs)
     pairs = [harness.cauchy_differences(a, b) for a, b in zip(trajs, trajs[1:])]
     assert rep.cauchy_rho == tuple(l1 for l1, _ in pairs)
     assert rep.cauchy_u == tuple(l2 for _, l2 in pairs)
@@ -358,6 +395,20 @@ def test_run_refinement_worker_matches_in_process_levels(monkeypatch):
     serial = harness.run_refinement(sc)
     assert rep.orders == serial.orders
     assert rep == serial
+
+
+@pytest.mark.parametrize("forked", [True, False], ids=["worker", "in-process"])
+def test_run_refinement_builds_no_trajectory(monkeypatch, forked):
+    """Every level streams from march into its walk, in this process and in
+    the worker alike: no Trajectory is built, so stepper.run is not called."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Trajectory was built")
+
+    monkeypatch.setattr(grid.Trajectory, "__init__", forbidden)
+    if not forked:
+        _inline(monkeypatch)
+    rep = harness.run_refinement(with_levels(scenario_named("smooth-bump"), (16, 32, 64)))
+    assert not rep.failed and rep.levels == (16, 32, 64)
 
 
 @pytest.mark.parametrize("level", [32, 64])
@@ -393,14 +444,14 @@ def test_run_refinement_reraises_worker_exception_type(monkeypatch):
 def test_run_refinement_names_a_worker_that_died(monkeypatch):
     sc = with_levels(scenario_named("constant"), (8, 16, 32))
     parent = os.getpid()
-    solve = harness.run
+    solve = harness.march
 
-    def run(scenario, grid, *args, **kwargs):
+    def march(scenario, grid, *args, **kwargs):
         if grid.N == 32 and os.getpid() != parent:
             os._exit(7)
         return solve(scenario, grid, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "run", run)
+    monkeypatch.setattr(harness, "march", march)
     with pytest.raises(RuntimeError, match=r"level 32 worker exited with code 7"):
         harness.run_refinement(sc)
     assert multiprocessing.active_children() == []
@@ -514,13 +565,13 @@ def test_run_refinement_worker_failing_before_the_coarse_level_is_sent(monkeypat
     sc = with_levels(scenario_named("smooth-bump"), (16, 32, 64))
     _fail_at(monkeypatch, 64, stepper.StepFailure("injected", 4, [1.0, 0.5], 0.25))
     workers = []
-    fork, solve, send = harness.fork_worker, harness.run, harness._send_level
+    fork, solve, send = harness.fork_worker, harness.march, harness._send_level
 
     def fork_worker(*args):
         workers.append(fork(*args))
         return workers[-1]
 
-    def run(scenario, grid, *args, **kwargs):
+    def march(scenario, grid, *args, **kwargs):
         if grid.N == 32:  # only this process solves level 32
             workers[0][0].join(timeout=60)
             assert workers[0][0].exitcode == 0  # it sent its StepFailure and ended
@@ -536,7 +587,7 @@ def test_run_refinement_worker_failing_before_the_coarse_level_is_sent(monkeypat
             raise
 
     monkeypatch.setattr(harness, "fork_worker", fork_worker)
-    monkeypatch.setattr(harness, "run", run)
+    monkeypatch.setattr(harness, "march", march)
     monkeypatch.setattr(harness, "_send_level", send_level)
     rep = harness.run_refinement(sc)
     assert multiprocessing.active_children() == []
@@ -558,10 +609,10 @@ marker = sys.argv[1]
 smooth = next(s for s in harness.builtin_scenarios() if s.name == "smooth-bump")
 sc = replace(smooth, levels=(128, 256, 512))
 parent = os.getpid()
-solve, send = harness.run, harness._send_level
+solve, send = harness.march, harness._send_level
 sends = {"ok": 0, "reset": 0}
 
-def run(scenario, grid, *args, **kwargs):
+def march(scenario, grid, *args, **kwargs):
     if grid.N == 512:
         # Fail once this process has started sending level 256 and, with
         # more bytes than the socket buffer holds, is blocked in the send.
@@ -581,7 +632,7 @@ def send_level(conn, level):
         raise
     sends["ok"] += 1
 
-harness.run, harness._send_level = run, send_level
+harness.march, harness._send_level = march, send_level
 forked = harness.run_refinement(sc)
 children = len(multiprocessing.active_children())
 harness.fork_worker = lambda *args: None

@@ -51,7 +51,7 @@ def test_tracing_hooks_install_and_restore(tmp_path, capsys):
         assert name in names
     # verify streams each state from stepper.march into the identity suite:
     # it keeps no trajectory, so it calls neither run nor the diagnostics
-    # that walk one; refine still does (see the test below).
+    # that walk one; nor does refine (see the test below).
     assert "stepper.run" not in names
     assert not any(name.startswith("diagnostics.") for name in names)
     assert not any(span.get("repeat") for span in spans)
@@ -71,16 +71,18 @@ def _traced(argv: list[str]) -> tuple[int, list[str]]:
 
 
 def test_traced_refine_and_run_reach_their_call_sites(tmp_path):
-    """refine solves through ``harness.run``; run streams ``stepper.march``,
-    whose steps are ``stepper.advance``."""
+    """refine and run stream ``stepper.march``, whose steps are
+    ``stepper.advance``; refine walks each level once, in its summary."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[scenario]\nname = smooth-bump\nlevels = 8,16,32\n", encoding="utf-8")
     code, names = _traced(["refine", "--config", str(cfg), "--out", str(tmp_path / "rep")])
     assert code == 0
-    # The finest level runs in a forked worker, whose spans stay in that process.
-    assert names.count("stepper.run") >= 2
-    for name in ("harness.run_refinement", "harness.cauchy_differences", "cli.write_report",
-                 "diagnostics.rho_power_integral"):
+    # The finest level runs in a forked worker, whose spans stay in that
+    # process: this one makes the 2 + 4 steps of levels 8 and 16.
+    assert names.count("stepper.advance") == 6
+    assert "stepper.run" not in names
+    assert not any(name.startswith("diagnostics.") for name in names)
+    for name in ("harness.run_refinement", "cli.write_report"):
         assert name in names
     code, names = _traced(["run", "--config", str(cfg), "--out", str(tmp_path / "run")])
     assert code == 0
