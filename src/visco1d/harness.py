@@ -470,7 +470,7 @@ def run_refinement(
     cauchy_u: list[float] = []
     flags: list[str] = []
     failed = False
-    coarse = None  # the last level solved here, as _level takes it
+    coarse = None  # (N, kept states) of the last level solved here, for the next pair
     try:
         for n in levels:
             try:
