@@ -346,15 +346,6 @@ def read_state_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     return rho, u
 
 
-_REPORT_DIAGS = [
-    "steps", "mass_drift_rel", "energy_balance_max", "flux_identity_gap",
-    "positivity_margin_min", "E1", "E2", "P1", "P2", "rho_gamma_plus_1",
-    "rho_Linf_Lgamma", "pressure_Linf_L1", "u_L2_H1", "u_L2_Linf",
-    "momentum_Linf_Lr", "kinetic_Linf_L1", "rho_u_L2_Lgamma", "rho_u2_L2_Lr",
-]
-_ORDER_COLS = ["E1", "E2", "P1", "P2", "cauchy_rho", "cauchy_u"]
-
-
 def _order_cell(entry: dict | None, pair_index: int) -> str:
     if entry is None or pair_index < 0 or pair_index >= len(entry.get("orders", [])):
         return ""
@@ -371,27 +362,20 @@ def write_report(
 ) -> None:
     """Write the refinement report as a CSV table plus a '#' summary block.
 
-    One row per level: level, h, each diagnostic, the Cauchy differences
-    against the previous level, and each observed order for the pair ending
-    at that level (first row blank).  The trailing summary block lists every
-    identity residual against its tolerance and every observed order against
-    its theoretical floor.
+    One row per level: level, each column of diagnostics.STUDY_COLUMNS (the
+    Cauchy gaps are to the previous level, so blank on the first row), and
+    each observed order for the pair ending at that level (first row blank).
+    The trailing summary block lists every identity residual against its
+    tolerance and every observed order against its theoretical floor.
     """
+    columns = diagnostics.STUDY_COLUMNS
+    decaying = [key for key, kind in columns.items() if kind == "decays"]
     rows = _config_header(config)
-    header = (
-        ["level", "h"]
-        + _REPORT_DIAGS
-        + ["cauchy_rho", "cauchy_u"]
-        + [f"order_{k}" for k in _ORDER_COLS]
-    )
-    rows.append(",".join(header))
+    rows.append(",".join(["level", *columns, *(f"order_{key}" for key in decaying)]))
     for idx, summary in enumerate(report.per_level):
-        cells = [str(summary["N"]), _fmt(summary["h"])]
-        cells += [_fmt(summary[k]) for k in _REPORT_DIAGS]
-        cells.append(_fmt(report.cauchy_rho[idx - 1]) if idx >= 1 else "")
-        cells.append(_fmt(report.cauchy_u[idx - 1]) if idx >= 1 else "")
-        for key in _ORDER_COLS:
-            cells.append(_order_cell(report.orders.get(key), idx - 1))
+        cells = [str(summary["N"])]
+        cells += [_fmt(summary[key]) if key in summary else "" for key in columns]
+        cells += [_order_cell(report.orders.get(key), idx - 1) for key in decaying]
         rows.append(",".join(cells))
 
     rows.append("# summary")
@@ -403,10 +387,7 @@ def write_report(
             f" | mass_drift {_fmt(summary['mass_drift_rel'])}"
             f" | flux_gap {_fmt(summary['flux_identity_gap'])}"
         )
-    for key in _ORDER_COLS:
-        entry = report.orders.get(key)
-        if not entry:
-            continue
+    for key, entry in report.orders.items():
         observed = entry.get("order")
         floor = entry.get("floor")
         rows.append(

@@ -35,7 +35,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,7 +69,7 @@ __all__ = [
     "level_summary",
     "walk_blocks",
     "linear_l2_sq",
-    "rates_from_levels",
+    "STUDY_COLUMNS",
     "boundedness",
     "weak_residual_continuity",
     "weak_residual_momentum",
@@ -1040,8 +1040,10 @@ def error_rates(trajectories: Sequence[Trajectory]) -> dict[str, dict]:
     same scenario at increasing resolution, all at one dt/dx ratio and each
     with at least one step.  Orders are per-pair log ratios of successive magnitudes
     against the h-ratio; the headline ``order`` is their mean, or the string
-    "exact" when every level is exactly zero.  The space-time integral of rho^(gamma+1) is reported
-    with its max/min ratio as the boundedness proxy instead of an order.
+    "exact" when every level is exactly zero.  These are the decaying columns
+    of the level rows (STUDY_COLUMNS); each bounded norm of the rows, such as
+    the space-time integral of rho^(gamma+1), is reported with its max/min
+    ratio instead of an order.
     """
     trajs = sorted(trajectories, key=lambda tr: tr.grid.N)
     check_study_levels(len(trajs))
@@ -1051,7 +1053,15 @@ def error_rates(trajectories: Sequence[Trajectory]) -> dict[str, dict]:
             raise ValueError("error_rates requires one dt/dx ratio at every level")
         if len(tr) == 1:
             raise ValueError("error_rates needs at least one step at every level")
-    return rates_from_levels([level_summary(tr.grid, tr.params, _marched(tr)) for tr in trajs])
+    rows = [level_summary(tr.grid, tr.params, _marched(tr)) for tr in trajs]
+    hs = [row["h"] for row in rows]
+    rates = {}
+    for key, kind in STUDY_COLUMNS.items():
+        if kind == "decays" and key in rows[0]:
+            rates[key] = summarize_orders([row[key] for row in rows], hs)
+        elif kind == "bounded":
+            rates[key] = boundedness([row[key] for row in rows])
+    return rates
 
 
 # Three levels give two pair orders, the fewest whose agreement shows a rate.
@@ -1098,6 +1108,24 @@ class _Metas:
 def _marched(traj: Trajectory) -> Iterator[tuple[FluidState, object]]:
     """A kept run's (state, meta) pairs, as march yields them."""
     return zip(traj.states, (None, *(traj.solver_meta or [None] * (len(traj) - 1))))
+
+
+# The columns of a refinement study's rows, in the order its report prints
+# them, with what the study makes of each column's series over the levels:
+# "decays" gets an observed order per pair of levels (summarize_orders),
+# "bounded" marks a norm the a-priori estimates bound, which gets its
+# max/min ratio (boundedness), and None is printed only.  level_summary
+# makes every column but the Cauchy gaps, which each level after the first
+# carries to the level before (harness.run_refinement).
+STUDY_COLUMNS: dict[str, str | None] = {
+    **dict.fromkeys(("h", "steps", "mass_drift_rel", "energy_balance_max",
+                     "flux_identity_gap", "positivity_margin_min")),
+    **dict.fromkeys(("E1", "E2", "P1", "P2"), "decays"),
+    **dict.fromkeys(("rho_gamma_plus_1", "rho_Linf_Lgamma", "pressure_Linf_L1", "u_L2_H1",
+                     "u_L2_Linf", "momentum_Linf_Lr", "kinetic_Linf_L1", "rho_u_L2_Lgamma",
+                     "rho_u2_L2_Lr"), "bounded"),
+    **dict.fromkeys(("cauchy_rho", "cauchy_u"), "decays"),
+}
 
 
 def level_summary(grid: GridSpec, params: PhysParams,
@@ -1154,21 +1182,6 @@ def boundedness(values: Sequence[float]) -> dict:
     finite = [x for x in values if x > 0.0]
     ratio = (max(finite) / min(finite)) if finite else 1.0
     return {"values": list(values), "max_over_min": ratio}
-
-
-def rates_from_levels(rows: Sequence[Mapping[str, float]]) -> dict[str, dict]:
-    """The ``error_rates`` table from per-level magnitudes already computed.
-
-    ``rows`` holds one mapping per level, coarsest first, with the mesh size
-    "h", the magnitudes "E1", "E2", "P1", "P2" and "rho_gamma_plus_1".
-    """
-    hs = [row["h"] for row in rows]
-    out = {
-        key: summarize_orders([row[key] for row in rows], hs)
-        for key in ("E1", "E2", "P1", "P2")
-    }
-    out["rho_gamma_plus_1"] = boundedness([row["rho_gamma_plus_1"] for row in rows])
-    return out
 
 
 # ======================================================================
@@ -1238,6 +1251,9 @@ class IdentitySuite:
         ))
         self._metas = _Metas(steps)
 
+    # An overflowing state makes the identities it enters NaN or inf, which
+    # fail their checks, so numpy's warnings would only repeat that.
+    @np.errstate(over="ignore", invalid="ignore")
     def push(self, state: FluidState, meta=None) -> None:
         self._walk.feed(state.rho[None], state.u[None])
         self._metas.count(meta)

@@ -105,6 +105,37 @@ class GridSpec:
     def face_nodes(self) -> np.ndarray:
         return np.arange(self.N + 1) * self.dx
 
+    def cell_averages(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """Cell averages of f: exactly for PiecewiseConstant, else by 5-pt Gauss.
+
+        Values constant on a cell are reproduced exactly, bit for bit, whatever
+        the rounded Gauss weights sum to.  Other profiles are averaged exactly
+        through degree-9 polynomials, up to roundoff.
+        """
+        dx = self.dx
+        if isinstance(f, PiecewiseConstant):
+            # Each cell's integral adds its overlap with every segment, one
+            # segment at a time, in order.
+            a, b = self.face_nodes[:-1], self.face_nodes[1:]
+            edges = (-np.inf, *f.breakpoints, np.inf)
+            total = np.zeros(self.N)
+            for v, lo, hi in zip(f.values, edges[:-1], edges[1:]):
+                lo, hi = np.maximum(a, lo), np.minimum(b, hi)
+                inside = hi > lo
+                total[inside] += v * (hi[inside] - lo[inside])
+            return total / dx
+        # One 5-point panel per cell: exact through degree-9 polynomials, and far
+        # below solver tolerances for the smooth profiles used by the scenarios.
+        half = 0.5 * dx
+        nodes = self.cell_centers[:, None] + half * _GAUSS_X[None, :]
+        vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+        # The weights sum to 2 only up to rounding (1.9999999999999998 on some
+        # numpy builds), so ``vals @ w/2`` would shift constants by an ulp.
+        # Averaging the deviations from the middle node (the cell center) instead
+        # makes them exactly zero on a constant cell, for any weights.
+        ref = vals[:, _GAUSS_X.size // 2]
+        return ref + (vals - ref[:, None]) @ (0.5 * _GAUSS_W)
+
 
 @dataclass(frozen=True)
 class PhysParams:
@@ -259,46 +290,6 @@ class PiecewiseConstant:
         idx = np.searchsorted(np.asarray(self.breakpoints), np.asarray(x), side="right")
         return np.asarray(self.values, dtype=float)[idx]
 
-    def integral(self, a: float, b: float) -> float:
-        """Exact integral over [a, b]."""
-        if b < a:
-            raise ValueError("integration bounds out of order")
-        edges = (-np.inf, *self.breakpoints, np.inf)
-        total = 0.0
-        for j, v in enumerate(self.values):
-            lo = max(a, edges[j])
-            hi = min(b, edges[j + 1])
-            if hi > lo:
-                total += v * (hi - lo)
-        return total
-
-
-def cell_averages(grid: GridSpec, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Cell averages of f: exactly for PiecewiseConstant, else by 5-pt Gauss.
-
-    Values constant on a cell are reproduced exactly, bit for bit, whatever
-    the rounded Gauss weights sum to.  Other profiles are averaged exactly
-    through degree-9 polynomials, up to roundoff.
-    """
-    dx = grid.dx
-    if isinstance(f, PiecewiseConstant):
-        edges = grid.face_nodes
-        return np.array(
-            [f.integral(edges[i], edges[i + 1]) / dx for i in range(grid.N)]
-        )
-    # One 5-point panel per cell: exact through degree-9 polynomials, and far
-    # below solver tolerances for the smooth profiles used by the scenarios.
-    half = 0.5 * dx
-    centers = grid.cell_centers
-    nodes = centers[:, None] + half * _GAUSS_X[None, :]
-    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    # The weights sum to 2 only up to rounding (1.9999999999999998 on some
-    # numpy builds), so ``vals @ w/2`` would shift constants by an ulp.
-    # Averaging the deviations from the middle node (the cell center) instead
-    # makes them exactly zero on a constant cell, for any weights.
-    ref = vals[:, _GAUSS_X.size // 2]
-    return ref + (vals - ref[:, None]) @ (0.5 * _GAUSS_W)
-
 
 # Every initial density must exceed it: an input-validation floor, never
 # applied during solves.
@@ -324,7 +315,7 @@ def init_state(
     Returns:
         The k = 0 :class:`FluidState`.
     """
-    rho = cell_averages(grid, rho0)
+    rho = grid.cell_averages(rho0)
     if not np.all(rho > RHO0_FLOOR):
         raise ValueError(f"averaged initial density dips to {rho.min()} <= floor {RHO0_FLOOR:g}")
     u = np.asarray(u0(grid.face_nodes), dtype=float) * np.ones(grid.N + 1)

@@ -49,7 +49,7 @@ def resolve_density_profile(spec: str, L: float):
     Accepted forms:
       "constant" or "constant:V"        uniform density V (default 1)
       "bump" or "bump:A"                1 + A*sin^2(pi x / L), default A=0.5
-      "piecewise:f1,f2|v0,v1,v2"        steps at fractions f_j of L
+      "piecewise:f1,f2|v0,v1,v2"        steps at fractions 0 < f_j < 1 of L
     """
     kind, _, arg = spec.partition(":")
     if kind == "constant":
@@ -60,9 +60,12 @@ def resolve_density_profile(spec: str, L: float):
         return lambda x: 1.0 + amp * np.sin(math.pi * np.asarray(x, dtype=float) / L) ** 2
     if kind == "piecewise":
         fracs_txt, _, vals_txt = arg.partition("|")
-        breaks = [float(f) * L for f in fracs_txt.split(",") if f.strip()]
+        fracs = [float(f) for f in fracs_txt.split(",") if f.strip()]
         values = [float(v) for v in vals_txt.split(",") if v.strip()]
-        return PiecewiseConstant(breakpoints=tuple(breaks), values=tuple(values))
+        # A step at or beyond a wall would leave a value no cell holds.
+        if not all(0.0 < f < 1.0 for f in fracs):
+            raise ValueError(f"breakpoint fractions must lie inside (0, 1), got {fracs_txt}")
+        return PiecewiseConstant(breakpoints=tuple(f * L for f in fracs), values=tuple(values))
     raise ValueError(f"unknown density profile {spec!r}")
 
 
@@ -117,11 +120,10 @@ class ScenarioConfig:
         if not (0 < self.dt_over_dx < math.inf):
             raise ValueError(f"dt_over_dx must be positive and finite, got {self.dt_over_dx}")
         # GridSpec states the grid rules (L, T, N >= 2 and the time step).
-        for n in levels:
-            self.grid_for(n)
-        # Each profile must resolve and be finite on [0, L], and the density
-        # above init_state's floor there.
-        probe = np.linspace(0.0, self.L, 513)
+        grids = [self.grid_for(n) for n in levels]
+        # Each profile must resolve and be finite where init_state reads it on
+        # every level, rho0 as its cell averages, which must stay above
+        # init_state's floor, and u0 at the faces.
         for key, spec, resolve in (
             ("rho0", self.rho0, resolve_density_profile),
             ("u0", self.u0, resolve_velocity_profile),
@@ -130,13 +132,17 @@ class ScenarioConfig:
                 profile = resolve(spec, self.L)
             except ValueError as exc:
                 raise ValueError(f"bad {key} profile {spec!r}: {exc}") from None
-            with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 is NaN
-                vals = np.asarray(profile(probe), dtype=float)
-            if not np.all(np.isfinite(vals)):
-                raise ValueError(f"{key} profile {spec!r} is not finite on [0, L]")
-            if key == "rho0" and not (float(np.min(vals)) > RHO0_FLOOR):
-                raise ValueError(f"{key} profile {spec!r}: initial density must be strictly "
-                                 f"positive, above the floor {RHO0_FLOOR:g}")
+            for grid in grids:
+                with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 is NaN
+                    vals = (grid.cell_averages(profile) if key == "rho0"
+                            else np.asarray(profile(grid.face_nodes), dtype=float))
+                if not np.all(np.isfinite(vals)):
+                    raise ValueError(f"{key} profile {spec!r} is not finite on [0, L]")
+                if key == "rho0" and not (float(np.min(vals)) > RHO0_FLOOR):
+                    raise ValueError(
+                        f"{key} profile {spec!r} averages {np.min(vals):g} on a cell at "
+                        f"N={grid.N}: initial density must be strictly positive, above the "
+                        f"floor {RHO0_FLOOR:g}")
 
     @property
     def rho0_fn(self):
@@ -235,9 +241,10 @@ class _Cauchy:
             self.l1 += l1_step
             self.l2_sq += l2_step
 
-    def result(self) -> tuple[float, float]:
+    def result(self) -> dict[str, float]:
+        """The finer level's Cauchy gaps to the coarser one, as its row's columns."""
         self._compare(lambda: True)
-        return self.l1, math.sqrt(self.l2_sq)
+        return {"cauchy_rho": self.l1, "cauchy_u": math.sqrt(self.l2_sq)}
 
 
 def cauchy_differences(coarse: Trajectory, fine: Trajectory) -> tuple[float, float]:
@@ -256,7 +263,7 @@ def cauchy_differences(coarse: Trajectory, fine: Trajectory) -> tuple[float, flo
     pair = _Cauchy(coarse.grid, fine.grid, ((s.rho, s.u) for s in coarse.states))
     groups = min(len(coarse) - 1, (len(fine) - 1) // pair.tratio)
     diagnostics.walk_blocks(fine.grid, fine.params, fine.states[: groups * pair.tratio + 1], pair)
-    return pair.result()
+    return tuple(pair.result().values())
 
 
 # ======================================================================
@@ -264,6 +271,7 @@ def cauchy_differences(coarse: Trajectory, fine: Trajectory) -> tuple[float, flo
 # ======================================================================
 
 
+# The theoretical floor of each decaying column's observed order, by gamma.
 _ORDER_FLOORS: dict[str, Callable[[float], float | None]] = {
     "E1": lambda gamma: (2.0 * gamma - 3.0) / (2.0 * gamma),
     "E2": lambda gamma: (3.0 * gamma - 4.0) / (2.0 * gamma),
@@ -278,10 +286,12 @@ _ORDER_FLOORS: dict[str, Callable[[float], float | None]] = {
 class RefinementReport:
     """Everything a convergence study produced, as plain data.
 
-    ``orders`` maps each decaying functional to {"magnitudes", "orders",
-    "order", "floor"}; ``boundedness`` maps each monitored norm to its
-    per-level values and max/min ratio; ``per_level`` holds one diagnostics
-    summary dict per completed level.  ``flags`` collects advisory notes
+    ``per_level`` holds one row per completed level: its
+    diagnostics.level_summary and, after the first level, its Cauchy gaps to
+    the level before.  ``orders`` maps each decaying column of
+    diagnostics.STUDY_COLUMNS to {"magnitudes", "orders", "order", "floor"};
+    ``boundedness`` maps each bounded one to its per-level values and
+    max/min ratio.  ``flags`` collects advisory notes
     (regime violations, solver fallbacks, aborted levels); ``failed`` is set
     when a level's solve failed and the report is partial.
     """
@@ -289,8 +299,6 @@ class RefinementReport:
     scenario: str
     levels: tuple[int, ...]
     per_level: tuple[dict, ...]
-    cauchy_rho: tuple[float, ...]
-    cauchy_u: tuple[float, ...]
     orders: dict[str, dict]
     boundedness: dict[str, dict]
     flags: tuple[str, ...]
@@ -416,21 +424,22 @@ def _handed_on(stream, keep: list | None, conn=None):
 
 def _level(scenario: ScenarioConfig, solver: SolverConfig, n: int, coarse=None,
            keep: list | None = None, conn=None, ready=lambda: True):
-    """Level n's summary and its Cauchy pair (None without ``coarse``, the
-    level before's N and states) from one walk of the states march makes."""
+    """Level n's row of the study from one walk of the states march makes:
+    its summary and, given ``coarse`` (the level before's N and states), its
+    Cauchy gaps to that level."""
     grid = scenario.grid_for(n)
     stream = _handed_on(march(scenario, grid, scenario.params, solver), keep, conn)
     if coarse is None:
-        return diagnostics.level_summary(grid, scenario.params, stream), None
+        return diagnostics.level_summary(grid, scenario.params, stream)
     pair = _Cauchy(scenario.grid_for(coarse[0]), grid, coarse[1], ready)
-    return diagnostics.level_summary(grid, scenario.params, stream, pair), pair.result()
+    return {**diagnostics.level_summary(grid, scenario.params, stream, pair), **pair.result()}
 
 
 def _finest_level_worker(
     conn, scenario: ScenarioConfig, solver: SolverConfig, n: int, n_coarse: int
-) -> tuple[dict, tuple[float, float]]:
-    """Worker body: level n's summary and its Cauchy pair with level
-    n_coarse, whose states the parent sends on conn as it solves them."""
+) -> dict:
+    """Worker body: level n's row, with its Cauchy gaps to level n_coarse,
+    whose states the parent sends on conn as it solves them."""
     return _level(scenario, solver, n, (n_coarse, recv_levels(conn, n_coarse)), ready=conn.poll)
 
 
@@ -442,11 +451,11 @@ def run_refinement(
     The finest level, whose cost alone exceeds that of all coarser ones
     (about N^2 at a fixed dt/dx), is solved in a forked worker process while
     this process solves the coarser levels one after another, coarsest
-    first.  Each level streams from march into one walk that takes its
-    summary and its Cauchy pair with the level before, whose states are the
+    first.  Each level streams from march into one walk that makes its row:
+    its summary and its Cauchy gaps to the level before, whose states are the
     only ones kept.  Each next-to-finest state is sent to the worker as
     march makes it, as its doubles (``send_levels``' wire format), and the
-    worker sends back only its level's summary and the last Cauchy pair.
+    worker sends back only its level's row.
     A failing level aborts the study as if the levels ran in order:
     completed levels are reported, a flag records the failure, and
     ``failed`` is set; a failure below the finest level discards the worker.
@@ -464,10 +473,7 @@ def run_refinement(
     worker = fork_worker(_finest_level_worker, scenario, solver, finest, next_finest)
     # The last level this process solves has no finer level here: it is not kept.
     last = finest if worker is None else next_finest
-    done: list[int] = []
-    summaries: list[dict] = []
-    cauchy_rho: list[float] = []
-    cauchy_u: list[float] = []
+    rows: list[dict] = []
     flags: list[str] = []
     failed = False
     coarse = None  # (N, kept states) of the last level solved here, for the next pair
@@ -475,71 +481,51 @@ def run_refinement(
         for n in levels:
             try:
                 if n > last:
-                    summary, pair = worker_result(worker, f"level {n} worker")
+                    row = worker_result(worker, f"level {n} worker")
                 else:
                     kept = [] if n < last else None
                     conn = worker[1] if worker is not None and n == last else None
-                    summary, pair = _level(scenario, solver, n, coarse, kept, conn)
+                    row = _level(scenario, solver, n, coarse, kept, conn)
                     coarse = (n, kept)
             except StepFailure as exc:
                 flags.append(f"level {n} solve failed: {exc}")
                 failed = True
                 break
-            if pair is not None:
-                cauchy_rho.append(pair[0])
-                cauchy_u.append(pair[1])
-            done.append(n)
-            summaries.append(summary)
+            rows.append(row)
     finally:
         if worker is not None:
             # After a failure below the finest level, the worker's level is dropped.
             stop_worker(worker)
 
-    per_level = tuple(summaries)
-    for row in per_level:
+    for row in rows:
         if row["fallback_steps"]:
             flags.append(f"level {row['N']}: {row['fallback_steps']} fixed-point fallback steps")
 
-    orders: dict[str, dict] = {}
     # Decay orders need a study's worth of completed levels, each with at
     # least one step, to telescope; otherwise report magnitudes alone.
-    steps_everywhere = all(row["steps"] for row in per_level)
-    if len(done) >= diagnostics.STUDY_MIN_LEVELS and steps_everywhere:
-        rates = diagnostics.rates_from_levels(per_level)
-        for key in ("E1", "E2", "P1", "P2"):
-            entry = dict(rates[key])
-            entry["floor"] = _ORDER_FLOORS[key](scenario.params.gamma)
-            orders[key] = entry
-        hs_pairs = [scenario.L / n for n in done[:-1]]
-        for key, series in (("cauchy_rho", cauchy_rho), ("cauchy_u", cauchy_u)):
-            entry = diagnostics.summarize_orders(series, hs_pairs)
-            entry["floor"] = _ORDER_FLOORS[key](scenario.params.gamma)
-            orders[key] = entry
-
-    boundedness = {
-        key: diagnostics.boundedness([row[key] for row in per_level])
-        for key in (
-            "rho_gamma_plus_1",
-            "rho_Linf_Lgamma",
-            "pressure_Linf_L1",
-            "u_L2_H1",
-            "u_L2_Linf",
-            "momentum_Linf_Lr",
-            "kinetic_Linf_L1",
-            "rho_u_L2_Lgamma",
-            "rho_u2_L2_Lr",
-        )
-    }
+    with_orders = len(rows) >= diagnostics.STUDY_MIN_LEVELS and all(row["steps"] for row in rows)
+    # Each order compares two consecutive entries of a series at the mesh
+    # ratio of their levels' h.  The Cauchy gaps start at the second level
+    # but take the h of each pair's coarser level, so every series is paired
+    # with the leading entries of hs.
+    hs = [row["h"] for row in rows]
+    orders: dict[str, dict] = {}
+    boundedness: dict[str, dict] = {}
+    for key, kind in diagnostics.STUDY_COLUMNS.items():
+        series = [row[key] for row in rows if key in row]
+        if kind == "decays" and with_orders:
+            orders[key] = {**diagnostics.summarize_orders(series, hs),
+                           "floor": _ORDER_FLOORS[key](scenario.params.gamma)}
+        elif kind == "bounded":
+            boundedness[key] = diagnostics.boundedness(series)
 
     if not scenario.params.in_theory_range:
         flags.append(scenario.params.gamma_note)
 
     return RefinementReport(
         scenario=scenario.name,
-        levels=tuple(done),
-        per_level=per_level,
-        cauchy_rho=tuple(cauchy_rho),
-        cauchy_u=tuple(cauchy_u),
+        levels=tuple(row["N"] for row in rows),
+        per_level=tuple(rows),
         orders=orders,
         boundedness=boundedness,
         flags=tuple(flags),

@@ -568,6 +568,10 @@ def _check_divergence_bound(
         )
 
 
+# A step that overflows or meets NaN fails through its own finiteness tests
+# (the residual norm, the Newton update, the fallback's require_finite), so
+# numpy's warnings would only repeat them.
+@np.errstate(over="ignore", invalid="ignore")
 def advance(
     prev: FluidState,
     grid: GridSpec,

@@ -334,12 +334,25 @@ def test_non_finite_viscosity_exits_2(tmp_path, capsys):
 def test_non_finite_residual_exits_1_with_step_and_history(tmp_path, capsys):
     """p = 3**1000 overflows: the step fails loudly instead of copying the state."""
     cfg = write_cfg(tmp_path, OVERFLOW)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert "solver failure" in err
-    assert err.count("(step k=1") == 1
-    assert "recent residual norms: [nan" in err
+    assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    warning, failure = capsys.readouterr().err.splitlines()  # no numpy warning between
+    assert warning.startswith("WARNING gamma=1000")
+    assert failure.startswith("solver failure: run aborted:")
+    assert failure.count("(step k=1") == 1
+    assert "recent residual norms: [nan" in failure
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_overflowing_velocity_fails_with_one_line(tmp_path, capsys, command):
+    """u0 = 1e300 sin(2 pi x) overflows the first step: the command exits 1
+    with its one solver-failure line and no numpy warning (the suite makes
+    a RuntimeWarning an error)."""
+    cfg = write_cfg(tmp_path, "[scenario]\nname = smooth-bump\nu0 = sin2pi:1e300\nlevels = 16\n")
+    argv = [command, "--config", cfg] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    assert cli_main(argv) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("solver failure: run aborted: fixed-point fallback met a non-finite "
+                           "residual (step k=1")
 
 
 # ======================================================================
@@ -410,8 +423,7 @@ def test_solver_failure_leaves_state_csv_as_it_was(tmp_path, capsys, earlier):
     out.mkdir()
     if earlier:
         (out / "state.csv").write_bytes(b"an earlier run's state.csv\n")
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run_cli(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert run_cli(["run", "--config", cfg, "--out", str(out)]) == 1
     assert "solver failure" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
     assert os.listdir(out) == (["state.csv"] if earlier else [])
@@ -864,6 +876,18 @@ def test_initial_density_at_the_floor_is_a_config_error_naming_rho0(tmp_path, ca
     assert run_cli(argv) == 2
     assert capsys.readouterr().err.endswith("above the floor 1e-12 (line 3)\n")
     assert not out.exists()
+
+
+def test_initial_density_dip_below_the_floor_names_rho0(tmp_path, capsys):
+    """A density dip that averages out on N=16 cells falls below the floor
+    on a cell at N=8192: the config error names the rho0 line."""
+    cfg = write_cfg(tmp_path, "[scenario]\nname = dip\n"
+                              "rho0 = piecewise:0.5001,0.5006|1,1e-13,1\nlevels = 16,8192\n")
+    assert run_cli(["verify", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "config error: invalid scenario: rho0 profile 'piecewise:0.5001,0.5006|1,1e-13,1' "
+        "averages 1e-13 on a cell at N=8192: initial density must be strictly positive, "
+        "above the floor 1e-12 (line 3)\n")
 
 
 def test_refine_unusable_out_fails_before_any_level_is_solved(tmp_path, capsys, monkeypatch):

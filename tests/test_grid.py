@@ -135,7 +135,7 @@ def test_cell_averages_reproduce_constants_for_any_rounded_weights(monkeypatch, 
     for n in (2, 4, 7, 64):
         g = grid.GridSpec(L=1.0, N=n, dt=1.0 / n, T=0.0)
         for value in (1.0, 0.1, 3.7, 1e-6):
-            got = grid.cell_averages(g, lambda x, c=value: np.full_like(x, c))
+            got = g.cell_averages(lambda x, c=value: np.full_like(x, c))
             np.testing.assert_array_equal(got, np.full(n, value))
 
 
@@ -168,7 +168,7 @@ def test_piecewise_matches_quadrature_oracle():
         return sum(vals) / (hi - lo)
 
     expected = [overlap_average(i * g.dx, (i + 1) * g.dx) for i in range(g.N)]
-    got = grid.cell_averages(g, prof)
+    got = g.cell_averages(prof)
     np.testing.assert_allclose(got, expected, atol=1e-14)
 
 
@@ -184,7 +184,7 @@ def test_cell_averages_project_linear_functions_exactly(n, coefs):
     """Averaging is an L2 projection: exact on functions linear in x."""
     slope, offset = coefs
     g = grid.GridSpec(L=1.0, N=n, dt=1.0 / n, T=0.0)
-    got = grid.cell_averages(g, lambda x: offset + slope * np.asarray(x))
+    got = g.cell_averages(lambda x: offset + slope * np.asarray(x))
     np.testing.assert_allclose(got, offset + slope * g.cell_centers, atol=1e-13)
 
 

@@ -77,6 +77,12 @@ def test_scenario_rejects_nonpositive_density():
         (dict(u0="sin2pi:inf"), "u0 profile 'sin2pi:inf' is not finite"),
         (dict(u0="sin2pi:x"), "bad u0 profile 'sin2pi:x'"),
         (dict(rho0="constant:1e-12"), "initial density must be strictly positive, above the floor 1e-12"),
+        # A dip that averages out on the N=16 cells falls below the floor on
+        # the N=8192 cells, which init_state averages too.
+        (dict(rho0="piecewise:0.5001,0.5006|1,1e-13,1", levels=(16, 8192)),
+         "averages 1e-13 on a cell at N=8192: initial density must be strictly positive"),
+        (dict(rho0="piecewise:1|1,2"), "breakpoint fractions must lie inside \\(0, 1\\), got 1$"),
+        (dict(rho0="piecewise:0.5,0|1,2,3"), "breakpoint fractions must lie inside \\(0, 1\\), got 0.5,0$"),
     ],
 )
 def test_scenario_rejects_non_finite_profiles(profiles, message):
@@ -195,7 +201,7 @@ def test_cauchy_pair_reads_no_coarse_state_before_it_is_ready():
     # and 1, compares steps 1 and 2, and finds state 2 not ready.
     assert waiting == [3, 7, 6]
     gate["open"] = True  # result() reads the rest, as the worker does at its end
-    assert pair.result() == harness.cauchy_differences(coarse, fine)
+    assert tuple(pair.result().values()) == harness.cauchy_differences(coarse, fine)
 
 
 @pytest.mark.parametrize("coarse_dt", [0.03, 0.01], ids=["1.5x", "0.5x"])
@@ -225,8 +231,8 @@ def test_run_refinement_constant_scenario_exact():
     sc = with_levels(scenario_named("constant"), (8, 16, 32))
     rep = harness.run_refinement(sc)
     assert not rep.failed
-    assert rep.cauchy_rho == (0.0, 0.0)
-    assert rep.cauchy_u == (0.0, 0.0)
+    assert [row["cauchy_rho"] for row in rep.per_level[1:]] == [0.0, 0.0]
+    assert [row["cauchy_u"] for row in rep.per_level[1:]] == [0.0, 0.0]
     for key in ("E1", "E2", "P1", "P2"):
         assert rep.orders[key]["order"] == "exact"
         assert rep.orders[key]["floor"] is not None
@@ -385,11 +391,12 @@ def test_run_refinement_worker_matches_in_process_levels(monkeypatch):
     assert multiprocessing.active_children() == []
 
     trajs = [solve_level(sc, n) for n in sc.levels]
-    assert rep.per_level == tuple(diagnostics.level_summary(t.grid, t.params, marched(t))
-                                  for t in trajs)
+    summaries = [diagnostics.level_summary(t.grid, t.params, marched(t)) for t in trajs]
     pairs = [harness.cauchy_differences(a, b) for a, b in zip(trajs, trajs[1:])]
-    assert rep.cauchy_rho == tuple(l1 for l1, _ in pairs)
-    assert rep.cauchy_u == tuple(l2 for _, l2 in pairs)
+    # Each row is its level's summary, and after the first its Cauchy gaps.
+    assert rep.per_level == (summaries[0], *(
+        {**summary, "cauchy_rho": l1, "cauchy_u": l2}
+        for summary, (l1, l2) in zip(summaries[1:], pairs)))
 
     _inline(monkeypatch)
     serial = harness.run_refinement(sc)
@@ -537,12 +544,11 @@ def _leaves(obj):
 
 @needs_fork
 def test_run_refinement_worker_returns_a_summary_and_a_cauchy_pair(worker_handoff):
-    """The finest trajectory stays in the worker: only its level's summary
-    and its Cauchy pair with the next-to-finest level come back."""
+    """The finest trajectory stays in the worker: only its level's row comes
+    back, its summary with its Cauchy gaps to the next-to-finest level."""
     result, rep = worker_handoff["result"], worker_handoff["report"]
-    summary, pair = result
-    assert summary == rep.per_level[-1]
-    assert pair == (rep.cauchy_rho[-1], rep.cauchy_u[-1])
+    assert result == rep.per_level[-1]
+    assert {"cauchy_rho", "cauchy_u"} <= result.keys()
     assert not any(
         isinstance(leaf, (np.ndarray, grid.Trajectory, grid.FluidState))
         for leaf in _leaves(result)
