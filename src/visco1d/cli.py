@@ -37,7 +37,7 @@ from .grid import GridSpec, Trajectory
 from .harness import (
     RefinementReport,
     ScenarioConfig,
-    builtin_scenarios,
+    builtin_scenario,
     fork_worker,
     recv_levels,
     run_refinement,
@@ -209,7 +209,7 @@ def parse_config(text: str) -> RunConfig:
     if "name" not in sc:
         raise ConfigError("missing required key 'name' in [scenario]")
     name, name_ln = sc["name"]
-    scenario = next((s for s in builtin_scenarios() if s.name == name), None)
+    scenario = builtin_scenario(name)
     if scenario is None:
         if "rho0" not in sc:
             raise ConfigError(

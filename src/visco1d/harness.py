@@ -28,6 +28,7 @@ __all__ = [
     "ScenarioConfig",
     "RefinementReport",
     "builtin_scenarios",
+    "builtin_scenario",
     "run_refinement",
     "cauchy_differences",
     "fork_worker",
@@ -93,9 +94,10 @@ class ScenarioConfig:
 
     ``name`` is a label only; it does not look up a built-in scenario.  With
     the default ``rho0``/``u0``, ``ScenarioConfig(name="riemann-like")`` is a
-    constant, quiescent scenario.  To get a built-in one, pick it from
-    ``builtin_scenarios()`` by name, or let ``cli.parse_config`` resolve a
-    config's ``name`` key, which seeds every default from it.
+    constant, quiescent scenario.  To get a built-in one, call
+    ``builtin_scenario(name)`` or pick it from ``builtin_scenarios()``, or let
+    ``cli.parse_config`` resolve a config's ``name`` key, which seeds every
+    default from it.
     """
 
     name: str
@@ -156,6 +158,18 @@ class ScenarioConfig:
         return GridSpec(L=self.L, N=n, dt=self.dt_over_dx * (self.L / n), T=self.T)
 
 
+_SMOOTH = dict(rho0="bump", u0="sin2pi")
+# Each built-in scenario's fields beyond its name, so that one is built alone.
+_BUILTINS: dict[str, dict] = {
+    "constant": {},
+    "smooth-bump": dict(params=PhysParams(mu=0.05), **_SMOOTH),
+    "riemann-like": dict(rho0="piecewise:0.5|2,1", u0="zero", params=PhysParams(mu=0.05)),
+    "gamma-1.6": dict(params=PhysParams(gamma=1.6, mu=0.05), **_SMOOTH),
+    "gamma-5over3": dict(params=PhysParams(gamma=5.0 / 3.0, mu=0.05), **_SMOOTH),
+    "gamma-1.9": dict(params=PhysParams(gamma=1.9, mu=0.05), **_SMOOTH),
+}
+
+
 def builtin_scenarios() -> tuple[ScenarioConfig, ...]:
     """The stock experiments: steady, smooth, discontinuous, and a gamma sweep.
 
@@ -164,16 +178,14 @@ def builtin_scenarios() -> tuple[ScenarioConfig, ...]:
     signed error functionals away from accidental zero crossings and makes
     their decay under refinement monotone from N = 64 on.
     """
-    smooth = dict(rho0="bump", u0="sin2pi")
-    return (
-        ScenarioConfig(name="constant"),
-        ScenarioConfig(name="smooth-bump", params=PhysParams(mu=0.05), **smooth),
-        ScenarioConfig(name="riemann-like", rho0="piecewise:0.5|2,1", u0="zero",
-                       params=PhysParams(mu=0.05)),
-        ScenarioConfig(name="gamma-1.6", params=PhysParams(gamma=1.6, mu=0.05), **smooth),
-        ScenarioConfig(name="gamma-5over3", params=PhysParams(gamma=5.0 / 3.0, mu=0.05), **smooth),
-        ScenarioConfig(name="gamma-1.9", params=PhysParams(gamma=1.9, mu=0.05), **smooth),
-    )
+    return tuple(builtin_scenario(name) for name in _BUILTINS)
+
+
+def builtin_scenario(name: str) -> ScenarioConfig | None:
+    """The built-in scenario called ``name``, built without the others; None
+    if no built-in has that name."""
+    fields = _BUILTINS.get(name)
+    return None if fields is None else ScenarioConfig(name=name, **fields)
 
 
 # ======================================================================
@@ -499,7 +511,7 @@ def run_refinement(
 
     for row in rows:
         if row["fallback_steps"]:
-            flags.append(f"level {row['N']}: {row['fallback_steps']} fixed-point fallback steps")
+            flags.append(f"level {row['N']}: {row['fallback_steps']} continuation fallback steps")
 
     # Decay orders need a study's worth of completed levels, each with at
     # least one step, to telescope; otherwise report magnitudes alone.

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import errno
+import functools
 import multiprocessing
 import tracemalloc
 from typing import NamedTuple
@@ -32,18 +33,35 @@ def no_live_child_processes():
 
 
 def scenario_named(name: str) -> harness.ScenarioConfig:
-    match = [s for s in harness.builtin_scenarios() if s.name == name]
-    assert match, f"no builtin scenario {name!r}"
-    return match[0]
+    sc = harness.builtin_scenario(name)
+    assert sc is not None, f"no builtin scenario {name!r}"
+    return sc
 
 
 def with_levels(sc: harness.ScenarioConfig, levels: tuple[int, ...]) -> harness.ScenarioConfig:
     return dataclasses.replace(sc, levels=levels)
 
 
-def peak_beyond_the_solver(sc: harness.ScenarioConfig, job) -> float:
-    """job's tracemalloc peak beyond that of solving sc's first level alone,
-    in (M+1) x N float64 matrices of that level."""
+def _traced_peak(job) -> int:
+    """The smaller tracemalloc peak of two runs of job, after one untraced run:
+    lazy imports and first-call caches are not the job's, and numpy's and
+    Python's caches of small blocks move a single run's peak by a few KB."""
+    job()
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            job()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return min(peaks)
+
+
+@functools.lru_cache(maxsize=None)
+def _solver_peak(sc: harness.ScenarioConfig) -> int:
+    """The tracemalloc peak of solving sc's first level alone, taken once a
+    session for all the memory guards that share sc."""
     g = sc.grid_for(sc.levels[0])
 
     def solve() -> None:
@@ -51,21 +69,15 @@ def peak_beyond_the_solver(sc: harness.ScenarioConfig, job) -> float:
         for _ in range(g.M_steps):
             state, _ = stepper.advance(state, g, sc.params, None, carry)
 
-    def traced_peak(job) -> int:
-        tracemalloc.start()
-        try:
-            job()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    return _traced_peak(solve)
 
-    peaks = []
-    for each in (solve, job):
-        each()  # lazy imports and first-call caches are not the job's
-        # The smaller of two runs: numpy's and Python's caches of small
-        # blocks move a single run's peak by a few KB.
-        peaks.append(min(traced_peak(each) for _ in range(2)))
-    return (peaks[1] - peaks[0]) / ((g.M_steps + 1) * g.N * 8)
+
+def peak_beyond_the_solver(sc: harness.ScenarioConfig, job) -> float:
+    """job's tracemalloc peak beyond that of solving sc's first level alone,
+    in (M+1) x N float64 matrices of that level."""
+    g = sc.grid_for(sc.levels[0])
+    solver = _solver_peak(sc)  # before the job, as each guard once took it
+    return (_traced_peak(job) - solver) / ((g.M_steps + 1) * g.N * 8)
 
 
 def solve_level(sc: harness.ScenarioConfig, n: int) -> grid.Trajectory:

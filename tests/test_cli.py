@@ -79,6 +79,22 @@ def test_to_text_round_trips_through_parse():
     assert rc2.to_text() == rc.to_text()
 
 
+def test_parse_config_builds_only_the_named_builtin(monkeypatch):
+    """A config's name seeds it from that one built-in scenario; the other
+    five, each of which checks its profiles on four levels, are not built."""
+    expected = replace(scenario_named("riemann-like"), levels=(64,))
+    built = []
+    check = harness.ScenarioConfig.__post_init__
+
+    def counted(self) -> None:
+        built.append(self.name)
+        check(self)
+
+    monkeypatch.setattr(harness.ScenarioConfig, "__post_init__", counted)
+    assert parse_config("[scenario]\nname = riemann-like\nlevels = 64\n").scenario == expected
+    assert set(built) == {"riemann-like"}
+
+
 def test_to_text_names_every_key_once_and_round_trips():
     """Every key of the format's table, set away from its default, is written
     exactly once, in table order, and parses back to the same config."""
@@ -351,7 +367,7 @@ def test_overflowing_velocity_fails_with_one_line(tmp_path, capsys, command):
     argv = [command, "--config", cfg] + (["--out", str(tmp_path / "out")] if command == "run" else [])
     assert cli_main(argv) == 1
     [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("solver failure: run aborted: fixed-point fallback met a non-finite "
+    assert line.startswith("solver failure: run aborted: continuation met a non-finite "
                            "residual (step k=1")
 
 

@@ -307,7 +307,23 @@ def test_advance_picard_fallback_reaches_tolerance():
 
 
 def test_zero_pivot_hands_over_to_fallback(monkeypatch):
-    """An exactly singular Jacobian ends Newton; the fallback finishes the step."""
+    """An exact zero pivot in Newton's factorization ends Newton; the
+    fallback, which factors its own band, finishes the step."""
+    sc = scenario_named("smooth-bump")
+    g = sc.grid_for(8)
+    prev = grid.init_state(g, sc.rho0_fn, sc.u0_fn)
+    real = stepper._band_lu
+    monkeypatch.setattr(stepper, "_band_lu", lambda *args: (*real(*args)[:2], 1))
+    out, meta = advance(prev, g, sc.params, stepper.SolverConfig(fallback=4000))
+    assert meta.fallback_used
+    assert meta.factorizations == 1
+    assert meta.residual_norm <= meta.tol
+
+
+def test_a_jacobian_wrong_at_every_iterate_fails_the_step(monkeypatch):
+    """The fallback builds its band from the same Jacobian as Newton, so a
+    Jacobian wrong at every iterate (a zeroed column, which the added time
+    diagonal no longer makes singular) leaves it without convergence too."""
     sc = scenario_named("smooth-bump")
     g = sc.grid_for(8)
     prev = grid.init_state(g, sc.rho0_fn, sc.u0_fn)
@@ -319,10 +335,36 @@ def test_zero_pivot_hands_over_to_fallback(monkeypatch):
         return ab
 
     monkeypatch.setattr(stepper, "_jacobian_ab", singular)
-    out, meta = advance(prev, g, sc.params, stepper.SolverConfig(fallback=4000))
-    assert meta.fallback_used
-    assert meta.factorizations == 1
-    assert meta.residual_norm <= meta.tol
+    with pytest.raises(stepper.StepFailure, match="continuation exhausted its step budget"):
+        advance(prev, g, sc.params, stepper.SolverConfig(fallback=50))
+
+
+def test_a_zero_pivot_in_the_fallback_fails_the_step(monkeypatch):
+    """Every LU factorization meets a zero pivot: Newton gives up, and the
+    fallback raises at its first factorization."""
+    sc = scenario_named("smooth-bump")
+    g = sc.grid_for(8)
+    prev = grid.init_state(g, sc.rho0_fn, sc.u0_fn)
+    real = stepper.dgbtrf
+    monkeypatch.setattr(stepper, "dgbtrf", lambda *args, **kw: (*real(*args, **kw)[:2], 1))
+    with pytest.raises(stepper.StepFailure, match="continuation met a zero pivot") as err:
+        advance(prev, g, sc.params)
+    # Newton's evaluation at prev, then the fallback's own there.
+    assert len(err.value.residual_history) == 2
+
+
+def test_the_fallback_fails_the_step_once_its_budget_is_spent():
+    """Starved Newton hands over to a fallback allowed two steps, which is too
+    few: the step fails with the residual of each attempt in its history."""
+    sc = scenario_named("smooth-bump")
+    g = sc.grid_for(8)
+    prev = grid.init_state(g, sc.rho0_fn, sc.u0_fn)
+    cfg = stepper.SolverConfig(max_newton_iters=1, fallback=2)
+    with pytest.raises(stepper.StepFailure, match="continuation exhausted its step budget") as err:
+        advance(prev, g, sc.params, cfg)
+    # Newton's one evaluation, then the fallback's three: at prev and after each step.
+    assert len(err.value.residual_history) == 4
+    assert err.value.residual_history[0] == err.value.residual_history[1]
 
 
 def test_advance_enforces_the_positivity_floor(monkeypatch):

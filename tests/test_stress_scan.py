@@ -2,7 +2,8 @@
 
 The scan lives outside the package and the suite, so a rename of a name it
 imports would break it silently.  This loads the script by path and scans
-three of its cases (about 50 ms together), one for each outcome it counts.
+a few cases (about 0.1 s together): one for each outcome it counts, and the
+three near-vacuum inputs whose steps only the fallback converges.
 """
 
 from __future__ import annotations
@@ -24,14 +25,19 @@ def _load_scan():
 @pytest.mark.parametrize(
     "case, expected",
     [
-        # A step that cannot be converged: StepFailure.
-        (("piecewise:0.5|1e-3,1", "sin2pi:2.0", 3.0, 0.005, 16), (False, True, False, 0)),
-        # Near-vacuum: a fixed-point fallback step (ROADMAP item 8).
-        (("piecewise:0.5|1e-6,1", "zero", 5.0 / 3.0, 0.005, 64), (True, False, False, 136)),
+        # An overflowing velocity: a StepFailure on the first step.
+        (("bump", "sin2pi:1e300", 5.0 / 3.0, 0.05, 16), (False, True, False, 0, 0)),
+        # Near-vacuum: fallback steps (ROADMAP item 8).
+        (("piecewise:0.5|1e-6,1", "zero", 5.0 / 3.0, 0.005, 64), (True, False, False, 89, 6)),
         # A plain run.
-        (("bump", "zero", 5.0 / 3.0, 0.05, 16), (False, False, False, 20)),
+        (("bump", "zero", 5.0 / 3.0, 0.05, 16), (False, False, False, 20, 0)),
+        # Near-vacuum against a strong velocity: the fixed-point fallback that
+        # the continuation replaced raised StepFailure on each of these.
+        (("piecewise:0.5|1e-2,1", "sin2pi:2.0", 3.0, 0.005, 16), (True, False, False, 37, 12)),
+        (("piecewise:0.5|1e-3,1", "sin2pi:2.0", 3.0, 0.005, 16), (True, False, False, 45, 20)),
+        (("piecewise:0.5|1e-6,1", "sin2pi:2.0", 3.0, 0.005, 16), (True, False, False, 54, 30)),
     ],
-    ids=["step-failure", "fallback", "plain"],
+    ids=["step-failure", "fallback", "plain", "rescued-1e-2", "rescued-1e-3", "rescued-1e-6"],
 )
 def test_scan_one_counts_each_outcome(case, expected):
     assert _load_scan().scan_one(*case) == expected
