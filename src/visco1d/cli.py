@@ -369,7 +369,7 @@ def write_report(
     tolerance and every observed order against its theoretical floor.
     """
     columns = diagnostics.STUDY_COLUMNS
-    decaying = [key for key, kind in columns.items() if kind == "decays"]
+    decaying = [key for key, kind in columns.items() if callable(kind)]
     rows = _config_header(config)
     rows.append(",".join(["level", *columns, *(f"order_{key}" for key in decaying)]))
     for idx, summary in enumerate(report.per_level):
@@ -391,7 +391,7 @@ def write_report(
         observed = entry.get("order")
         floor = entry.get("floor")
         rows.append(
-            f"# order {key}: observed {observed if isinstance(observed, str) else _fmt(observed) if observed is not None else 'undefined'}"
+            f"# order {key}: observed {_fmt(observed) if observed is not None else 'undefined'}"
             + (f" floor {_fmt(floor)}" if floor is not None else "")
         )
     for key, entry in report.boundedness.items():

@@ -57,20 +57,18 @@ __all__ = [
     "IdentitySuite",
     "identity_checks",
     "mass_drift",
-    "summarize_orders",
     "energy_ledger",
     "renorm_residual",
     "positivity_report",
     "flux_ledger",
     "error_rates",
-    "STUDY_MIN_LEVELS",
+    "study_rates",
     "check_study_levels",
     "check_checkpoint",
     "level_summary",
     "walk_blocks",
     "linear_l2_sq",
     "STUDY_COLUMNS",
-    "boundedness",
     "weak_residual_continuity",
     "weak_residual_momentum",
     "norm_suite",
@@ -1038,12 +1036,11 @@ def error_rates(trajectories: Sequence[Trajectory]) -> dict[str, dict]:
 
     Requires a study's worth of trajectories (check_study_levels) of the
     same scenario at increasing resolution, all at one dt/dx ratio and each
-    with at least one step.  Orders are per-pair log ratios of successive magnitudes
-    against the h-ratio; the headline ``order`` is their mean, or the string
-    "exact" when every level is exactly zero.  These are the decaying columns
-    of the level rows (STUDY_COLUMNS); each bounded norm of the rows, such as
-    the space-time integral of rho^(gamma+1), is reported with its max/min
-    ratio instead of an order.
+    with at least one step.  Their level rows (level_summary) go through
+    study_rates, as harness.run_refinement's do: each decaying column of the
+    rows (STUDY_COLUMNS) maps to {"magnitudes", "orders", "order", "floor"},
+    and each bounded norm, such as the space-time integral of
+    rho^(gamma+1), to its per-level values and max/min ratio.
     """
     trajs = sorted(trajectories, key=lambda tr: tr.grid.N)
     check_study_levels(len(trajs))
@@ -1054,14 +1051,29 @@ def error_rates(trajectories: Sequence[Trajectory]) -> dict[str, dict]:
         if len(tr) == 1:
             raise ValueError("error_rates needs at least one step at every level")
     rows = [level_summary(tr.grid, tr.params, _marched(tr)) for tr in trajs]
+    orders, bounded = study_rates(rows, trajs[0].params.gamma)
+    return {**orders, **bounded}
+
+
+def study_rates(rows: Sequence[dict], gamma: float) -> tuple[dict[str, dict], dict[str, dict]]:
+    """(orders, boundedness) of a study's level rows, coarsest first: each
+    decaying column of STUDY_COLUMNS the rows carry maps to summarize_orders
+    plus its "floor" at ``gamma``, given STUDY_MIN_LEVELS rows each with a
+    step, and each bounded column to the boundedness of its series."""
+    with_orders = len(rows) >= STUDY_MIN_LEVELS and all(row["steps"] for row in rows)
+    # Each order compares two consecutive entries of a series at the mesh
+    # ratio of their levels' h.  The Cauchy gaps start at the second level
+    # but take the h of each pair's coarser level, so every series is paired
+    # with the leading entries of hs.
     hs = [row["h"] for row in rows]
-    rates = {}
+    orders, bounded = {}, {}
     for key, kind in STUDY_COLUMNS.items():
-        if kind == "decays" and key in rows[0]:
-            rates[key] = summarize_orders([row[key] for row in rows], hs)
-        elif kind == "bounded":
-            rates[key] = boundedness([row[key] for row in rows])
-    return rates
+        series = [row[key] for row in rows if key in row]
+        if kind == "bounded":
+            bounded[key] = boundedness(series)
+        elif callable(kind) and with_orders and series:
+            orders[key] = {**summarize_orders(series, hs), "floor": kind(gamma)}
+    return orders, bounded
 
 
 # Three levels give two pair orders, the fewest whose agreement shows a rate.
@@ -1111,20 +1123,24 @@ def _marched(traj: Trajectory) -> Iterator[tuple[FluidState, object]]:
 
 
 # The columns of a refinement study's rows, in the order its report prints
-# them, with what the study makes of each column's series over the levels:
-# "decays" gets an observed order per pair of levels (summarize_orders),
+# them, with what the study makes of each column's series (study_rates): a
+# decaying column, declared by its order's floor as a function of gamma
+# (None for the Cauchy gaps), gets an observed order per pair of levels;
 # "bounded" marks a norm the a-priori estimates bound, which gets its
-# max/min ratio (boundedness), and None is printed only.  level_summary
-# makes every column but the Cauchy gaps, which each level after the first
-# carries to the level before (harness.run_refinement).
-STUDY_COLUMNS: dict[str, str | None] = {
+# max/min ratio, and None is printed only.  level_summary makes every column
+# but the Cauchy gaps, which each level after the first carries to the level
+# before (harness.run_refinement).
+STUDY_COLUMNS: dict[str, Callable[[float], float | None] | str | None] = {
     **dict.fromkeys(("h", "steps", "mass_drift_rel", "energy_balance_max",
                      "flux_identity_gap", "positivity_margin_min")),
-    **dict.fromkeys(("E1", "E2", "P1", "P2"), "decays"),
+    "E1": lambda gamma: (2.0 * gamma - 3.0) / (2.0 * gamma),
+    "E2": lambda gamma: (3.0 * gamma - 4.0) / (2.0 * gamma),
+    "P1": lambda gamma: 0.5,
+    "P2": lambda gamma: 0.25,
     **dict.fromkeys(("rho_gamma_plus_1", "rho_Linf_Lgamma", "pressure_Linf_L1", "u_L2_H1",
                      "u_L2_Linf", "momentum_Linf_Lr", "kinetic_Linf_L1", "rho_u_L2_Lgamma",
                      "rho_u2_L2_Lr"), "bounded"),
-    **dict.fromkeys(("cauchy_rho", "cauchy_u"), "decays"),
+    **dict.fromkeys(("cauchy_rho", "cauchy_u"), lambda gamma: None),
 }
 
 

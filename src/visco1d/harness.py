@@ -283,25 +283,16 @@ def cauchy_differences(coarse: Trajectory, fine: Trajectory) -> tuple[float, flo
 # ======================================================================
 
 
-# The theoretical floor of each decaying column's observed order, by gamma.
-_ORDER_FLOORS: dict[str, Callable[[float], float | None]] = {
-    "E1": lambda gamma: (2.0 * gamma - 3.0) / (2.0 * gamma),
-    "E2": lambda gamma: (3.0 * gamma - 4.0) / (2.0 * gamma),
-    "P1": lambda gamma: 0.5,
-    "P2": lambda gamma: 0.25,
-    "cauchy_rho": lambda gamma: None,
-    "cauchy_u": lambda gamma: None,
-}
-
-
 @dataclass(frozen=True)
 class RefinementReport:
     """Everything a convergence study produced, as plain data.
 
     ``per_level`` holds one row per completed level: its
     diagnostics.level_summary and, after the first level, its Cauchy gaps to
-    the level before.  ``orders`` maps each decaying column of
-    diagnostics.STUDY_COLUMNS to {"magnitudes", "orders", "order", "floor"};
+    the level before.  ``orders`` and ``boundedness`` are
+    diagnostics.study_rates of those rows: ``orders`` maps each decaying
+    column of diagnostics.STUDY_COLUMNS to {"magnitudes", "orders", "order",
+    "floor"}, the floor being the one that column declares, and
     ``boundedness`` maps each bounded one to its per-level values and
     max/min ratio.  ``flags`` collects advisory notes
     (regime violations, solver fallbacks, aborted levels); ``failed`` is set
@@ -513,23 +504,7 @@ def run_refinement(
         if row["fallback_steps"]:
             flags.append(f"level {row['N']}: {row['fallback_steps']} continuation fallback steps")
 
-    # Decay orders need a study's worth of completed levels, each with at
-    # least one step, to telescope; otherwise report magnitudes alone.
-    with_orders = len(rows) >= diagnostics.STUDY_MIN_LEVELS and all(row["steps"] for row in rows)
-    # Each order compares two consecutive entries of a series at the mesh
-    # ratio of their levels' h.  The Cauchy gaps start at the second level
-    # but take the h of each pair's coarser level, so every series is paired
-    # with the leading entries of hs.
-    hs = [row["h"] for row in rows]
-    orders: dict[str, dict] = {}
-    boundedness: dict[str, dict] = {}
-    for key, kind in diagnostics.STUDY_COLUMNS.items():
-        series = [row[key] for row in rows if key in row]
-        if kind == "decays" and with_orders:
-            orders[key] = {**diagnostics.summarize_orders(series, hs),
-                           "floor": _ORDER_FLOORS[key](scenario.params.gamma)}
-        elif kind == "bounded":
-            boundedness[key] = diagnostics.boundedness(series)
+    orders, boundedness = diagnostics.study_rates(rows, scenario.params.gamma)
 
     if not scenario.params.in_theory_range:
         flags.append(scenario.params.gamma_note)

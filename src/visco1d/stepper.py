@@ -475,9 +475,14 @@ def _continuation(
     tol: float,
     k: int,
     history: list[float],
+    cont: np.ndarray,
+    mom: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, int, float, np.ndarray]:
     """Pseudo-transient continuation from ``prev`` to a residual <= tol:
     (rho, u, steps, residual max-norm, continuity residual).
+
+    It starts from ``prev`` with the residual (cont, mom) there, which
+    Newton's last attempt, always from ``prev``, evaluated and put in history.
 
     Each step is a Newton step on the band with the time terms' diagonal
     added once more over tau (1/dt on continuity rows, (rho_{f-1} + rho_f)/(4 dt)
@@ -495,9 +500,9 @@ def _continuation(
         return StepFailure(f"continuation {why}", k, history, float(np.min(rho)))
 
     while True:
-        cont, mom, _ = _residual_arrays(rho_old, w_old, rho, u, grid, params)
         nr = _max_norm(cont, mom)
-        history.append(nr)
+        if steps:  # Newton put the norm at prev in history
+            history.append(nr)
         if not math.isfinite(nr):
             raise fail("met a non-finite residual")
         if nr <= tol:  # tol > 0, so an exact zero ends here
@@ -522,6 +527,7 @@ def _continuation(
         u = u.copy()
         u[1:-1] += lam * delta[1::2]
         nr_old, steps = nr, steps + 1
+        cont, mom, _ = _residual_arrays(rho_old, w_old, rho, u, grid, params)
 
 
 def _tolerances(cfg: SolverConfig, nr0: float) -> tuple[float, float]:
@@ -611,6 +617,8 @@ def advance(
             cont, mom, terms = _residual_arrays(rho_old, w_old, rho, u, grid, params)
             nr = _max_norm(cont, mom)
             history.append(nr)
+            if it == 1:  # the last attempt's is at prev, where a fallback starts
+                at_prev = cont, mom
             if not math.isfinite(nr):
                 break  # give up: retry from prev, or fall back
             if it == 1 and not extrapolated:
@@ -660,7 +668,7 @@ def advance(
     if carry is not None:
         carry.clear()
     rho, u, steps, nr, cont = _continuation(
-        prev, rho_old, w_old, grid, params, cfg, tol, k, history
+        prev, rho_old, w_old, grid, params, cfg, tol, k, history, *at_prev
     )
     meta = StepMeta(
         len(history), nr, tol, floor, backtracks, True, steps, factorizations, extrapolated

@@ -349,8 +349,8 @@ def test_a_zero_pivot_in_the_fallback_fails_the_step(monkeypatch):
     monkeypatch.setattr(stepper, "dgbtrf", lambda *args, **kw: (*real(*args, **kw)[:2], 1))
     with pytest.raises(stepper.StepFailure, match="continuation met a zero pivot") as err:
         advance(prev, g, sc.params)
-    # Newton's evaluation at prev, then the fallback's own there.
-    assert len(err.value.residual_history) == 2
+    # Newton's evaluation at prev, which the fallback starts from.
+    assert len(err.value.residual_history) == 1
 
 
 def test_the_fallback_fails_the_step_once_its_budget_is_spent():
@@ -362,9 +362,8 @@ def test_the_fallback_fails_the_step_once_its_budget_is_spent():
     cfg = stepper.SolverConfig(max_newton_iters=1, fallback=2)
     with pytest.raises(stepper.StepFailure, match="continuation exhausted its step budget") as err:
         advance(prev, g, sc.params, cfg)
-    # Newton's one evaluation, then the fallback's three: at prev and after each step.
-    assert len(err.value.residual_history) == 4
-    assert err.value.residual_history[0] == err.value.residual_history[1]
+    # Newton's one evaluation at prev, then the fallback's after each step.
+    assert len(err.value.residual_history) == 3
 
 
 def test_advance_enforces_the_positivity_floor(monkeypatch):
@@ -588,6 +587,28 @@ def test_a_step_that_leaves_newton_empties_the_slot(monkeypatch, how):
     after = advance(s2, g, sc.params, None, slot)
     assert not after[1].extrapolated
     _same_step(after, advance(s2, g, sc.params))
+
+
+def test_a_fallback_after_an_extrapolated_attempt_starts_from_the_residual_at_prev():
+    """Newton's last attempt always starts from prev, and the fallback takes
+    over that attempt's first residual: a step that falls back after an
+    extrapolated attempt has the bits of the same step without a slot."""
+    sc = scenario_named("smooth-bump")
+    g = sc.grid_for(8)
+    slot: list = []
+    s0 = grid.init_state(g, sc.rho0_fn, sc.u0_fn)
+    s1, _ = advance(s0, g, sc.params, None, slot)
+    # One iteration per attempt; an explicit tol, since an extrapolated step
+    # takes its tol from the handover and a step without a slot from prev.
+    cfg = stepper.SolverConfig(max_newton_iters=1, newton_tol=1e-10, fallback=4000)
+    s2, meta = advance(s1, g, sc.params, cfg, slot)
+    ref, ref_meta = advance(s1, g, sc.params, cfg)
+    assert meta.extrapolated and meta.fallback_used and ref_meta.fallback_used
+    assert s2.rho.tobytes() == ref.rho.tobytes()
+    assert s2.u.tobytes() == ref.u.tobytes()
+    assert meta.fallback_iterations == ref_meta.fallback_iterations
+    # The extrapolated attempt's one evaluation comes on top.
+    assert meta.iterations == ref_meta.iterations + 1
 
 
 def _slot_loop(sc, n: int, pin_start: bool = False) -> list:

@@ -28,14 +28,14 @@ def _load_scan():
         # An overflowing velocity: a StepFailure on the first step.
         (("bump", "sin2pi:1e300", 5.0 / 3.0, 0.05, 16), (False, True, False, 0, 0)),
         # Near-vacuum: fallback steps (ROADMAP item 8).
-        (("piecewise:0.5|1e-6,1", "zero", 5.0 / 3.0, 0.005, 64), (True, False, False, 89, 6)),
+        (("piecewise:0.5|1e-6,1", "zero", 5.0 / 3.0, 0.005, 64), (True, False, False, 88, 6)),
         # A plain run.
         (("bump", "zero", 5.0 / 3.0, 0.05, 16), (False, False, False, 20, 0)),
         # Near-vacuum against a strong velocity: the fixed-point fallback that
         # the continuation replaced raised StepFailure on each of these.
-        (("piecewise:0.5|1e-2,1", "sin2pi:2.0", 3.0, 0.005, 16), (True, False, False, 37, 12)),
-        (("piecewise:0.5|1e-3,1", "sin2pi:2.0", 3.0, 0.005, 16), (True, False, False, 45, 20)),
-        (("piecewise:0.5|1e-6,1", "sin2pi:2.0", 3.0, 0.005, 16), (True, False, False, 54, 30)),
+        (("piecewise:0.5|1e-2,1", "sin2pi:2.0", 3.0, 0.005, 16), (True, False, False, 36, 12)),
+        (("piecewise:0.5|1e-3,1", "sin2pi:2.0", 3.0, 0.005, 16), (True, False, False, 44, 20)),
+        (("piecewise:0.5|1e-6,1", "sin2pi:2.0", 3.0, 0.005, 16), (True, False, False, 53, 30)),
     ],
     ids=["step-failure", "fallback", "plain", "rescued-1e-2", "rescued-1e-3", "rescued-1e-6"],
 )
