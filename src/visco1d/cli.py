@@ -512,14 +512,13 @@ def _solve_writing_state(config: RunConfig, path: str) -> GridSpec:
 def _verify(config: RunConfig, out) -> int:
     """Run the identity suite at the coarsest level; 0 if all pass, else 3.
 
-    The suite is fed each state as the solver makes it, so no trajectory is
+    The suite walks each state as the solver makes it, so no trajectory is
     kept.
     """
     scenario = config.scenario
     grid = scenario.grid_for(scenario.levels[0])
-    suite = diagnostics.IdentitySuite(grid, scenario.params, grid.M_steps)
-    for state, meta in march(scenario, grid, scenario.params, config.solver):
-        suite.push(state, meta)
+    suite = diagnostics.IdentitySuite(
+        grid, scenario.params, march(scenario, grid, scenario.params, config.solver))
     checks = suite.checks()
 
     checks += (diagnostics.duality_check(50, random.Random(20240817)),)

@@ -20,13 +20,14 @@ derived arrays (hat(u), the upwind split, diff_cell(u), the pressure, the
 donor-cell fluxes, the momentum rho*hat(u), ...) are computed once, row by
 row, and shared by every accumulator fed that block; each scalar that sums
 over steps is still added one level at a time, so any block length gives the
-same bits.  level_summary walks a refinement level's states as march yields
-them in blocks of _LEVEL_BLOCK levels, which pays numpy's per-call cost,
-most of a level's time, once per block.  IdentitySuite (``visco1d verify``)
-and the public functions, which walk a run's states, kept or as march
-yields them, through one accumulator each, take a level at a time: a
-block's work arrays are B levels' worth, which their memory bounds do not
-leave room for.
+same bits.  One walker, walk_blocks, feeds every accumulator.  level_summary
+has it walk a refinement level's states as march yields them in blocks of
+_LEVEL_BLOCK levels, which pays numpy's per-call cost, most of a level's
+time, once per block.  IdentitySuite (``visco1d verify``), which walks
+march's stream too, and the public functions, which walk a run's states
+through one accumulator each, have it take a level at a time: a block's
+work arrays are B levels' worth, which their memory bounds do not leave
+room for.
 """
 
 from __future__ import annotations
@@ -55,8 +56,6 @@ from .operators import (
 __all__ = [
     "Check",
     "IdentitySuite",
-    "identity_checks",
-    "mass_drift",
     "energy_ledger",
     "renorm_residual",
     "positivity_report",
@@ -167,48 +166,54 @@ class _Accumulator:
 _LEVEL_BLOCK = 4
 
 
-class _Walk:
-    """Feeds blocks of consecutive levels, in order, to accumulators: level 0
-    alone to ``start``, the rest to ``push``.  level_summary feeds it blocks
-    of _LEVEL_BLOCK levels, IdentitySuite and _walk blocks of one level (see
-    the module docstring)."""
-
-    def __init__(self, grid: GridSpec, params: PhysParams, accumulators) -> None:
-        self._grid, self._params = grid, params
-        self._accumulators = tuple(accumulators)
-        self._rho_last: np.ndarray | None = None
-
-    def feed(self, rho: np.ndarray, u: np.ndarray) -> None:
-        """Feed the next (B, N) densities and (B, N+1) velocities."""
-        if self._rho_last is None:
-            level = _Level(rho[:1], u[:1], self._grid, self._params)
-            for acc in self._accumulators:
-                acc.start(level)
-            self._rho_last, rho, u = rho[:1], rho[1:], u[1:]
-            if not len(rho):
-                return
-        cur = _Level(rho, u, self._grid, self._params, _before(self._rho_last, rho))
-        for acc in self._accumulators:
-            acc.push(cur)
-        self._rho_last = rho[-1:]
+# An overflowing state makes the identities it enters NaN or inf, which fail
+# their checks, so numpy's warnings would only repeat that.  Only a block's
+# work runs under errstate: with march's steps under it too, verify at
+# N=1024 peaked 0.2 MB higher in RSS (x86-64 Linux, numpy 2.4).
+@np.errstate(over="ignore", invalid="ignore")
+def _feed(grid: GridSpec, params: PhysParams, accumulators, states: list[FluidState],
+          rho_last: np.ndarray | None) -> np.ndarray:
+    """Feed a block of consecutive ``states`` to ``accumulators``: level 0
+    alone to ``start`` when ``rho_last``, the (1, N) density of the level
+    before the block, is None, the rest to ``push``.  Returns the block's
+    last density; the block's _Level and arrays die with this call."""
+    if len(states) == 1:
+        rho, u = states[0].rho[None], states[0].u[None]
+    else:
+        rho, u = np.array([s.rho for s in states]), np.array([s.u for s in states])
+    if rho_last is None:
+        level = _Level(rho[:1], u[:1], grid, params)
+        for acc in accumulators:
+            acc.start(level)
+        rho_last, rho, u = rho[:1], rho[1:], u[1:]
+        if not len(rho):
+            return rho_last
+    cur = _Level(rho, u, grid, params, _before(rho_last, rho))
+    for acc in accumulators:
+        acc.push(cur)
+    return rho[-1:]
 
 
 def walk_blocks(grid: GridSpec, params: PhysParams, states: Iterable[FluidState],
-                *accumulators) -> None:
+                *accumulators, block: int | None = None) -> int:
     """Feed a run's ``states`` from level 0, as they come, to ``accumulators``
-    (each with ``start`` and ``push``) in blocks of _LEVEL_BLOCK levels."""
-    walk, states = _Walk(grid, params, accumulators), iter(states)
-    while block := list(itertools.islice(states, _LEVEL_BLOCK)):
-        walk.feed(np.array([s.rho for s in block]), np.array([s.u for s in block]))
+    (each with ``start`` and ``push``) in blocks of ``block`` levels, by
+    default _LEVEL_BLOCK (see the module docstring), and return how many
+    levels were fed.  A block is fed before the next state is pulled, and
+    only its last density outlives it."""
+    states, rho_last, fed = iter(states), None, 0
+    while chunk := list(itertools.islice(states, block or _LEVEL_BLOCK)):
+        rho_last = _feed(grid, params, accumulators, chunk, rho_last)
+        fed += len(chunk)
+    return fed
 
 
 def _walk(grid: GridSpec, params: PhysParams, states: Iterable[FluidState],
           acc: _Accumulator, steps: int | None = None):
     """``acc``'s result over a run's ``states`` from level 0, fed one at a time: every
     level, or levels 0..``steps`` and no further (a shorter run raises ValueError)."""
-    walk, fed = _Walk(grid, params, (acc,)), 0
-    for fed, state in enumerate(itertools.islice(states, None if steps is None else steps + 1)):
-        walk.feed(state.rho[None], state.u[None])
+    states = itertools.islice(states, None if steps is None else steps + 1)
+    fed = max(walk_blocks(grid, params, states, acc, block=1) - 1, 0)
     if steps is not None and fed < steps:
         raise ValueError(f"{steps} steps were asked for, but the run has {fed}")
     return acc.result()
@@ -1088,23 +1093,24 @@ def check_study_levels(count: int) -> None:
 
 class _Metas:
     """What a run's (state, meta) pairs tell of its steps, counted as they
-    come; ``require_every_step`` refuses a run of other than ``steps`` steps."""
+    come; a run of more than ``steps`` steps raises as it comes, and
+    ``require_every_step`` refuses one of fewer."""
 
     def __init__(self, steps: int):
-        self.steps, self.pushed, self.fallback_steps = steps, 0, 0
+        self.steps, self.walked, self.fallback_steps = steps, 0, 0
         self.max_tol = self.worst_res = None
 
-    def count(self, meta) -> None:
-        self.pushed += 1
-        if meta is not None:
-            self.max_tol = _running(max, self.max_tol, meta.tol)
-            self.worst_res = _running(max, self.worst_res, meta.residual_norm)
-            self.fallback_steps += meta.fallback_used
-
     def states(self, stream: Iterable[tuple[FluidState, object]]) -> Iterator[FluidState]:
-        """The states of ``stream``, each counted as it passes."""
+        """The states of ``stream``, each counted as it passes; a state past
+        level ``steps`` raises ValueError before it is walked."""
         for state, meta in stream:
-            self.count(meta)
+            if self.walked > self.steps:
+                raise ValueError(f"the run was declared for {self.steps} steps, but has more")
+            self.walked += 1
+            if meta is not None:
+                self.max_tol = _running(max, self.max_tol, meta.tol)
+                self.worst_res = _running(max, self.worst_res, meta.residual_norm)
+                self.fallback_steps += meta.fallback_used
             yield state
 
     @property
@@ -1112,9 +1118,9 @@ class _Metas:
         return _EMPTY_RUN_TOL if self.max_tol is None else self.max_tol
 
     def require_every_step(self) -> None:
-        if self.pushed != self.steps + 1:
+        if self.walked != self.steps + 1:
             raise ValueError(f"the run was declared for {self.steps} steps, but "
-                             f"{max(self.pushed - 1, 0)} were pushed")
+                             f"{max(self.walked - 1, 0)} were walked")
 
 
 def _marched(traj: Trajectory) -> Iterator[tuple[FluidState, object]]:
@@ -1222,11 +1228,6 @@ def _drift(masses: np.ndarray) -> float:
     return float(np.max(np.abs(masses - masses[0]))) / masses[0]
 
 
-def mass_drift(traj: Trajectory) -> float:
-    """Largest change of the total mass over the run, relative to the initial mass."""
-    return _drift(mass_history(traj))
-
-
 def energy_budget(tol: float, steps: int) -> float:
     """Energy-balance and flux-identity budget after ``steps`` steps: 100*tol per step."""
     return 100.0 * tol * max(steps, 1)
@@ -1237,21 +1238,22 @@ _CHECK_MODES = (1, 2, 3)
 
 
 class IdentitySuite:
-    """identity_checks and positivity_report of one run, fed as it is solved.
+    """Every exact identity of one run, and its positivity report, from one
+    walk over the run's (state, meta) pairs as stepper.march yields them.
 
-    ``push`` takes the initial state, then each accepted state with the
-    StepMeta of the step that made it, as stepper.march yields them;
-    ``steps`` is the number of steps that will be pushed, and ``checks``
-    and ``positivity`` refuse a run with any other count.  One walk feeds
-    every identity, each step's shared arrays are computed once, and no
-    state is kept: what the suite holds is O(N) arrays and O(M) series.
-    Each state is fed as a block of one level, not stacked with the next
-    ones as level_summary stacks them: a block of B levels holds B
-    levels' work arrays at once.
+    The walk runs when the suite is made: the initial state, then each
+    accepted state with the StepMeta of the step that made it.  A run past
+    ``grid.M_steps`` steps raises ValueError there, and ``checks`` and
+    ``positivity`` refuse a run of fewer.  One walk feeds every identity,
+    each step's shared arrays are computed once, and no state is kept: what
+    the suite holds is O(N) arrays and O(M) series.  Each state is fed as a
+    block of one level, not stacked with the next ones as level_summary
+    stacks them: a block of B levels holds B levels' work arrays at once.
     """
 
-    def __init__(self, grid: GridSpec, params: PhysParams, steps: int):
-        self.steps = steps
+    def __init__(self, grid: GridSpec, params: PhysParams,
+                 stream: Iterable[tuple[FluidState, object]]):
+        steps = self.steps = grid.M_steps
         self._density = _Density(grid, steps)
         self._energy = _Energy(grid, params, steps, columns=False)
         self._renorm = tuple(
@@ -1261,25 +1263,21 @@ class IdentitySuite:
         modes = _SineModes(grid, steps, _CHECK_MODES)
         self._weak = (_WeakContinuity(grid, modes), _WeakMomentum(grid, params, modes))
         self._positivity = _Positivity(grid, steps)
-        self._walk = _Walk(grid, params, (
-            self._density, self._energy, *self._renorm, self._flux, *self._weak,
-            self._positivity,
-        ))
         self._metas = _Metas(steps)
-
-    # An overflowing state makes the identities it enters NaN or inf, which
-    # fail their checks, so numpy's warnings would only repeat that.
-    @np.errstate(over="ignore", invalid="ignore")
-    def push(self, state: FluidState, meta=None) -> None:
-        self._walk.feed(state.rho[None], state.u[None])
-        self._metas.count(meta)
+        walk_blocks(grid, params, self._metas.states(stream), self._density, self._energy,
+                    *self._renorm, self._flux, *self._weak, self._positivity, block=1)
 
     def positivity(self) -> PositivityReport:
         self._metas.require_every_step()
         return self._positivity.result()
 
     def checks(self) -> tuple[Check, ...]:
-        """Every exact identity of the run, each against its budget (see identity_checks)."""
+        """Every exact identity of the run, each against its budget.
+
+        Budgets scale with the largest tolerance the solver applied.  A run
+        without steps has no time window, so it gets only the first four
+        checks.
+        """
         self._metas.require_every_step()
         steps, tol, worst_res = self.steps, self._metas.tol, self._metas.worst_res
         energy = self._energy
@@ -1333,16 +1331,3 @@ def duality_check(cases: int, rng: random.Random) -> Check:
         rhs = -dx * float(dirichlet_inv_grad(v, dx) @ f)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
     return Check("inverse-gradient duality (relative)", worst, 1e-12)
-
-
-def identity_checks(traj: Trajectory) -> tuple[Check, ...]:
-    """Every exact identity of one trajectory, each against its budget.
-
-    Budgets scale with the largest tolerance the solver applied.  A run
-    without steps has no time window, so it gets only the first four checks.
-    The trajectory is walked once, through IdentitySuite.
-    """
-    suite = IdentitySuite(traj.grid, traj.params, len(traj) - 1)
-    for state, meta in _marched(traj):
-        suite.push(state, meta)
-    return suite.checks()

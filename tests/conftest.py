@@ -127,14 +127,17 @@ class SuiteRun(NamedTuple):
 
 
 def march_through_suite(sc: harness.ScenarioConfig, n: int) -> SuiteRun:
-    """Solve level n of sc, feeding each state to an IdentitySuite and keeping none."""
+    """Solve level n of sc, walking each state through an IdentitySuite and keeping none."""
     g = sc.grid_for(n)
-    suite = diagnostics.IdentitySuite(g, sc.params, g.M_steps)
     metas = []
-    for state, meta in stepper.march(sc, g, sc.params):
-        suite.push(state, meta)
-        if meta is not None:
-            metas.append(meta)
+
+    def recorded():
+        for state, meta in stepper.march(sc, g, sc.params):
+            if meta is not None:
+                metas.append(meta)
+            yield state, meta
+
+    suite = diagnostics.IdentitySuite(g, sc.params, recorded())
     return SuiteRun(suite.checks(), suite.positivity(), tuple(metas))
 
 

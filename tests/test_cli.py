@@ -949,12 +949,13 @@ def test_verify_smooth_bump_passes_too(tmp_path, capsys):
 
 
 def test_verify_prints_one_line_per_check(tmp_path, capsys):
-    """Every Check identity_checks returns is printed once, in order, as is."""
+    """Every Check the identity suite returns is printed once, in order, as is."""
     text = "[scenario]\nname = smooth-bump\nlevels = 16\n"
     assert run_cli(["verify", "--config", write_cfg(tmp_path, text)]) == 0
     lines = capsys.readouterr().out.splitlines()
     sc = parse_config(text).scenario
-    checks = diagnostics.identity_checks(stepper.run(sc, sc.grid_for(16), sc.params))
+    g = sc.grid_for(16)
+    checks = diagnostics.IdentitySuite(g, sc.params, stepper.march(sc, g, sc.params)).checks()
     expected = [
         f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.value:.3e} <= {c.bound:.3e}"
         for c in checks

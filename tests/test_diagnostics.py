@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -51,6 +52,17 @@ def synthetic_trajectory(states, L=1.0, params=None) -> grid.Trajectory:
 def ledger_of(traj: grid.Trajectory, m: int | None = None) -> diagnostics.FluxLedger:
     """flux_ledger over a kept trajectory's states."""
     return diagnostics.flux_ledger(traj.grid, traj.params, traj.states, m)
+
+
+def suite_of(traj: grid.Trajectory) -> diagnostics.IdentitySuite:
+    """The identity suite over a kept trajectory's (state, meta) pairs."""
+    return diagnostics.IdentitySuite(traj.grid, traj.params, marched(traj))
+
+
+def mass_drift(traj: grid.Trajectory) -> float:
+    """Largest change of the total mass over the run, relative to the initial mass."""
+    masses = diagnostics.mass_history(traj)
+    return float(np.max(np.abs(masses - masses[0]))) / masses[0]
 
 
 @pytest.fixture(scope="module")
@@ -495,11 +507,11 @@ _ROW_WISE_DIAGNOSTICS = {
     "weak_residual_continuity": lambda tr: diagnostics.weak_residual_continuity(tr, 1),
     "weak_residual_momentum": lambda tr: diagnostics.weak_residual_momentum(tr, 2),
     "mass_history": lambda tr: diagnostics.mass_history(tr),
-    "mass_drift": lambda tr: diagnostics.mass_drift(tr),
     "flux_ledger": lambda tr: ledger_of(tr),
     "rho_power_integral": lambda tr: diagnostics.rho_power_integral(tr),
-    # Every check from one walk, while the renormalized bounds are taken.
-    "identity_checks": lambda tr: diagnostics.identity_checks(tr),
+    # The suite's every check from one walk of a kept run, while the
+    # renormalized bounds are taken.
+    "identity_checks": lambda tr: suite_of(tr).checks(),
 }
 # Peak bounds in (M+1) x N matrices where a quarter is not the bound.
 _PEAK_LIMITS = {"identity_checks": 0.5}
@@ -617,7 +629,7 @@ def test_diagnostics_use_the_solvers_own_scheme_pieces(name, monkeypatch):
 
 
 def test_identity_check_bounds_are_the_contract(smooth_traj_32):
-    """Each budget identity_checks applies is the stated formula in tol."""
+    """Each budget the identity suite applies is the stated formula in tol."""
     traj = smooth_traj_32
     tol = max(m.tol for m in traj.solver_meta)
     steps = len(traj) - 1
@@ -642,7 +654,7 @@ def test_identity_check_bounds_are_the_contract(smooth_traj_32):
         for j in (1, 2, 3)
         for eq in ("continuity", "momentum")
     ]
-    checks = diagnostics.identity_checks(traj)
+    checks = suite_of(traj).checks()
     assert [c.name for c in checks] == [name for name, _ in expected]
     for check, (_, bound) in zip(checks, expected):
         assert check.bound == pytest.approx(bound, rel=1e-12), check.name
@@ -654,7 +666,7 @@ def test_identity_checks_take_renorm_residuals_max_norm(smooth_traj_32):
     """Taken one step at a time, each renormalized check is still the
     max-norm of renorm_residual's whole field, bit for bit."""
     traj = smooth_traj_32
-    renorm = [c for c in diagnostics.identity_checks(traj)
+    renorm = [c for c in suite_of(traj).checks()
               if c.name.startswith("renormalized continuity")]
     Bs = (diagnostics.b_square(), diagnostics.b_power(traj.params.gamma), diagnostics.b_zlogz())
     assert [c.value for c in renorm] == [
@@ -674,7 +686,7 @@ def test_identity_checks_fail_a_nan_renormalized_step(smooth_traj_32, monkeypatc
         return np.full_like(out, np.nan) if steps[self.B.name] == 2 else out
 
     monkeypatch.setattr(diagnostics._Renorm, "row", with_nan)
-    renorm = [c for c in diagnostics.identity_checks(smooth_traj_32)
+    renorm = [c for c in suite_of(smooth_traj_32).checks()
               if c.name.startswith("renormalized continuity")]
     assert len(renorm) == 3
     assert all(np.isnan(c.value) and not c.passed for c in renorm)
@@ -693,13 +705,13 @@ def test_identity_checks_fail_a_nan_energy_step(smooth_traj_64, monkeypatch):
         return time, (np.full_like(right, np.nan) if calls > 4 else right), left
 
     monkeypatch.setattr(diagnostics, "_convexity_gaps", with_nan)
-    checks = {c.name: c for c in diagnostics.identity_checks(smooth_traj_64)}
+    checks = {c.name: c for c in suite_of(smooth_traj_64).checks()}
     for name in ("energy balance (fraction of tolerance)", "numerical diffusion negativity"):
         assert np.isnan(checks[name].value) and not checks[name].passed, name
 
 
 def checks_from_public_functions(traj: grid.Trajectory) -> list[tuple[str, float, float]]:
-    """identity_checks' (name, value, bound), each taken from the standalone
+    """The identity suite's (name, value, bound), each taken from the standalone
     public diagnostic that defines it, reduced over whole series."""
     tol = diagnostics.effective_newton_tol(traj)
     steps = len(traj) - 1
@@ -708,7 +720,7 @@ def checks_from_public_functions(traj: grid.Trajectory) -> list[tuple[str, float
     lo, hi = float(np.min(traj.rho_matrix)), float(np.max(traj.rho_matrix))
     rows = [
         ("step residual max-norm", max(m.residual_norm for m in traj.solver_meta), tol),
-        ("mass drift (relative)", diagnostics.mass_drift(traj), 1e-12 * steps),
+        ("mass drift (relative)", mass_drift(traj), 1e-12 * steps),
         ("energy balance (fraction of tolerance)",
          float(np.max(ledger.balance_residual[1:] / budgets)), 1.0),
         ("numerical diffusion negativity",
@@ -740,9 +752,7 @@ def test_one_walk_suite_equals_the_public_functions(name, n, kept_runs):
     def bits(rows):
         return [(nm, float(v).hex(), float(b).hex()) for nm, v, b in rows]
 
-    suite = diagnostics.IdentitySuite(traj.grid, traj.params, len(traj) - 1)
-    for k, state in enumerate(traj.states):
-        suite.push(state, traj.solver_meta[k - 1] if k else None)
+    suite = suite_of(traj)
     assert bits((c.name, c.value, c.bound) for c in suite.checks()) == bits(
         checks_from_public_functions(traj))
     ours, theirs = suite.positivity(), diagnostics.positivity_report(traj)
@@ -752,17 +762,26 @@ def test_one_walk_suite_equals_the_public_functions(name, n, kept_runs):
 
 @pytest.mark.parametrize("levels", [0, 1, 4])
 def test_identity_suite_refuses_a_run_with_steps_missing(smooth_traj_32, levels):
-    """A suite declared for 8 steps and fed fewer raises, where its series'
-    unwritten entries would otherwise enter the checks."""
+    """A suite over a grid of 8 steps that walks a run cut short raises,
+    where its series' unwritten entries would otherwise enter the checks."""
     traj = smooth_traj_32
-    assert len(traj) - 1 == 8
-    suite = diagnostics.IdentitySuite(traj.grid, traj.params, 8)
-    for k, state in enumerate(traj.states[:levels]):
-        suite.push(state, traj.solver_meta[k - 1] if k else None)
-    pushed = f"declared for 8 steps, but {max(levels - 1, 0)} were pushed"
+    assert traj.grid.M_steps == 8
+    suite = diagnostics.IdentitySuite(traj.grid, traj.params,
+                                      itertools.islice(marched(traj), levels))
+    walked = f"declared for 8 steps, but {max(levels - 1, 0)} were walked"
     for report in (suite.checks, suite.positivity):
-        with pytest.raises(ValueError, match=pushed):
+        with pytest.raises(ValueError, match=walked):
             report()
+
+
+def test_identity_suite_refuses_a_run_longer_than_its_grid(smooth_traj_32):
+    """A run past the grid's last step raises ValueError before the state
+    past it is walked, where it would index past the series' ends."""
+    traj = smooth_traj_32
+    grid_4 = replace(traj.grid, T=traj.grid.T / 2)
+    assert grid_4.M_steps == 4 and len(traj) - 1 == 8
+    with pytest.raises(ValueError, match="declared for 4 steps, but has more"):
+        diagnostics.IdentitySuite(grid_4, traj.params, marched(traj))
 
 
 def norms_by_loop(traj: grid.Trajectory) -> dict[str, float]:
@@ -811,7 +830,7 @@ def summary_from_public_functions(traj: grid.Trajectory) -> dict:
         "N": traj.grid.N,
         "steps": steps,
         "fallback_steps": sum(m.fallback_used for m in traj.solver_meta),
-        "mass_drift_rel": diagnostics.mass_drift(traj),
+        "mass_drift_rel": mass_drift(traj),
         "energy_balance_max": float(np.max(diagnostics.energy_ledger(traj).balance_residual)),
         "energy_tol": diagnostics.energy_budget(diagnostics.effective_newton_tol(traj), steps),
         "positivity_margin_min": diagnostics.positivity_report(traj).worst_margin,

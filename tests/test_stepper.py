@@ -293,14 +293,15 @@ def test_advance_respects_mirror_symmetry():
     np.testing.assert_allclose(mout.u, -out.u[::-1], atol=1e-12)
 
 
-def test_advance_picard_fallback_reaches_tolerance():
-    """Starve Newton (one iteration, no progress) and let the fallback finish."""
+def test_advance_continuation_fallback_reaches_tolerance():
+    """Starve Newton (one iteration, no progress) and let the fallback finish
+    within the default budget, in the 5 continuation steps it takes."""
     sc = scenario_named("smooth-bump")
     g = sc.grid_for(8)
     prev = grid.init_state(g, sc.rho0_fn, sc.u0_fn)
-    cfg = stepper.SolverConfig(max_newton_iters=1, fallback=4000)
+    cfg = stepper.SolverConfig(max_newton_iters=1)
     out, meta = advance(prev, g, sc.params, cfg)
-    assert meta.fallback_used
+    assert meta.fallback_used and meta.fallback_iterations == 5
     assert meta.residual_norm <= meta.tol
     ref, _ = advance(prev, g, sc.params)
     np.testing.assert_allclose(out.rho, ref.rho, atol=1e-7)
@@ -314,8 +315,8 @@ def test_zero_pivot_hands_over_to_fallback(monkeypatch):
     prev = grid.init_state(g, sc.rho0_fn, sc.u0_fn)
     real = stepper._band_lu
     monkeypatch.setattr(stepper, "_band_lu", lambda *args: (*real(*args)[:2], 1))
-    out, meta = advance(prev, g, sc.params, stepper.SolverConfig(fallback=4000))
-    assert meta.fallback_used
+    out, meta = advance(prev, g, sc.params, stepper.SolverConfig())
+    assert meta.fallback_used and meta.fallback_iterations == 5
     assert meta.factorizations == 1
     assert meta.residual_norm <= meta.tol
 
@@ -573,14 +574,14 @@ def test_a_step_that_leaves_newton_empties_the_slot(monkeypatch, how):
     s1, _ = advance(s0, g, sc.params, None, slot)
     assert len(slot) == 1 and slot[0].state is s1 and slot[0].before is s0
     if how == "fallback":
-        cfg = stepper.SolverConfig(max_newton_iters=1, fallback=4000)
+        cfg = stepper.SolverConfig(max_newton_iters=1)
     else:
-        cfg = stepper.SolverConfig(fallback=4000)
+        cfg = stepper.SolverConfig()
         real = stepper._band_lu
         monkeypatch.setattr(stepper, "_band_lu", lambda *args: (*real(*args)[:2], 1))
     s2, meta = advance(s1, g, sc.params, cfg, slot)
     monkeypatch.undo()
-    assert meta.fallback_used and meta.extrapolated
+    assert meta.fallback_used and meta.extrapolated and meta.fallback_iterations == 5
     # A zero pivot from 2*s1 - s0, then another in the retry from s1.
     assert meta.factorizations == (0 if how == "fallback" else 2)
     assert slot == []
@@ -600,13 +601,13 @@ def test_a_fallback_after_an_extrapolated_attempt_starts_from_the_residual_at_pr
     s1, _ = advance(s0, g, sc.params, None, slot)
     # One iteration per attempt; an explicit tol, since an extrapolated step
     # takes its tol from the handover and a step without a slot from prev.
-    cfg = stepper.SolverConfig(max_newton_iters=1, newton_tol=1e-10, fallback=4000)
+    cfg = stepper.SolverConfig(max_newton_iters=1, newton_tol=1e-10)
     s2, meta = advance(s1, g, sc.params, cfg, slot)
     ref, ref_meta = advance(s1, g, sc.params, cfg)
     assert meta.extrapolated and meta.fallback_used and ref_meta.fallback_used
     assert s2.rho.tobytes() == ref.rho.tobytes()
     assert s2.u.tobytes() == ref.u.tobytes()
-    assert meta.fallback_iterations == ref_meta.fallback_iterations
+    assert meta.fallback_iterations == ref_meta.fallback_iterations == 5
     # The extrapolated attempt's one evaluation comes on top.
     assert meta.iterations == ref_meta.iterations + 1
 

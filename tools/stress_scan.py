@@ -37,18 +37,23 @@ def scan_one(rho0: str, u0: str, gamma: float, mu: float, n: int) -> tuple[bool,
     scenario = ScenarioConfig(name="stress", rho0=rho0, u0=u0,
                               params=PhysParams(gamma=gamma, mu=mu), levels=(n,))
     grid = scenario.grid_for(n)
-    suite = IdentitySuite(grid, scenario.params, grid.M_steps)
-    fell_back, evaluations, longest = False, 0, 0
-    try:
+    metas = []
+
+    def recorded():
         for state, meta in march(scenario, grid, scenario.params):
-            suite.push(state, meta)
             if meta is not None:
-                fell_back |= meta.fallback_used
-                evaluations += meta.iterations
-                longest = max(longest, meta.fallback_iterations)
+                metas.append(meta)
+            yield state, meta
+
+    try:
+        suite = IdentitySuite(grid, scenario.params, recorded())
     except StepFailure:
-        return fell_back, True, False, evaluations, longest
-    return fell_back, False, not all(c.passed for c in suite.checks()), evaluations, longest
+        failed, bad_identity = True, False
+    else:
+        failed, bad_identity = False, not all(c.passed for c in suite.checks())
+    return (any(m.fallback_used for m in metas), failed, bad_identity,
+            sum(m.iterations for m in metas),
+            max((m.fallback_iterations for m in metas), default=0))
 
 
 def main() -> int:
