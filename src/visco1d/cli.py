@@ -364,7 +364,8 @@ def write_report(
 
     One row per level: level, each column of diagnostics.STUDY_COLUMNS (the
     Cauchy gaps are to the previous level, so blank on the first row), and
-    each observed order for the pair ending at that level (first row blank).
+    each observed order for the pair of that column's entries ending at that
+    level (blank on the first row that carries the column and before it).
     The trailing summary block lists every identity residual against its
     tolerance and every observed order against its theoretical floor.
     """
@@ -372,10 +373,13 @@ def write_report(
     decaying = [key for key, kind in columns.items() if callable(kind)]
     rows = _config_header(config)
     rows.append(",".join(["level", *columns, *(f"order_{key}" for key in decaying)]))
+    # Each column's pairs count from the first row that carries the column.
+    first = {key: next((idx for idx, row in enumerate(report.per_level) if key in row), 0)
+             for key in decaying}
     for idx, summary in enumerate(report.per_level):
         cells = [str(summary["N"])]
         cells += [_fmt(summary[key]) if key in summary else "" for key in columns]
-        cells += [_order_cell(report.orders.get(key), idx - 1) for key in decaying]
+        cells += [_order_cell(report.orders.get(key), idx - 1 - first[key]) for key in decaying]
         rows.append(",".join(cells))
 
     rows.append("# summary")

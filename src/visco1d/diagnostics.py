@@ -17,8 +17,9 @@ window k is the backward difference (f^k - f^{k-1})/dt.
 The identities are accumulators, fed blocks of consecutive time levels: the
 initial level alone, then the new levels of the following steps.  A block's
 derived arrays (hat(u), the upwind split, diff_cell(u), the pressure, the
-donor-cell fluxes, the momentum rho*hat(u), ...) are computed once, row by
-row, and shared by every accumulator fed that block; each scalar that sums
+donor-cell fluxes, the momentum rho*hat(u), ...) are computed once, when its
+_Level is made, row by row, and shared by every accumulator fed that block
+(verify's and refine's accumulators read every one); each scalar that sums
 over steps is still added one level at a time, so any block length gives the
 same bits.  One walker, walk_blocks, feeds every accumulator.  level_summary
 has it walk a refinement level's states as march yields them in blocks of
@@ -83,29 +84,13 @@ __all__ = [
 # ======================================================================
 
 
-class _derived:
-    """A _Level array, computed on first use and then kept in the level:
-    functools.cached_property without the lock that Python 3.11 takes on
-    each first use, a third of its cost (a level is used by one thread)."""
-
-    def __init__(self, make: Callable) -> None:
-        self._make = make
-
-    def __set_name__(self, owner, name: str) -> None:
-        self._name = name
-
-    def __get__(self, level, owner=None):
-        value = level.__dict__[self._name] = self._make(level)
-        return value
-
-
 class _Level:
     """A block of B consecutive time levels and the arrays the identities
     derive from them: ``rho`` is (B, N), ``u`` (B, N+1), and ``rho_prev``
     holds each level's predecessor's density (None for level 0).
 
-    Each array is computed on first use and then shared by every accumulator
-    the block is fed to, by the expression each of them used on its own, so
+    Every array is computed here, once, and shared by every accumulator the
+    block is fed to, by the expression each of them used on its own, so
     sharing changes no bit; and each is computed row by row along the last
     axis, so a block gives the bits of its levels fed one at a time.
     """
@@ -113,27 +98,24 @@ class _Level:
     def __init__(self, rho: np.ndarray, u: np.ndarray, grid: GridSpec, params: PhysParams,
                  rho_prev: np.ndarray | None = None):
         self.rho, self.u, self.rho_prev = rho, u, rho_prev
-        self._dx, self._params = grid.dx, params
-
-    hat_u = _derived(lambda lv: hat(lv.u))
-    split = _derived(lambda lv: split_upwind(lv.u))  # (u+, u-)
-    # np.diff's bits along the rows, without its per-call cost
-    diff_u = _derived(lambda lv: lv.u[:, 1:] - lv.u[:, :-1])
-    diff_hat = _derived(lambda lv: lv.hat_u[:, 1:] - lv.hat_u[:, :-1])
-    du = _derived(lambda lv: lv.diff_u / lv._dx)  # diff_cell(u, dx)
-    abs_u = _derived(lambda lv: np.abs(lv.u))
-    # each level's density change rho_prev - rho, and its jumps across the
-    # interior faces, right minus left and left minus right
-    fall = _derived(lambda lv: lv.rho_prev - lv.rho)
-    jump = _derived(lambda lv: lv.rho[:, 1:] - lv.rho[:, :-1])
-    jump_back = _derived(lambda lv: lv.rho[:, :-1] - lv.rho[:, 1:])
-    rho_g = _derived(lambda lv: lv.rho**lv._params.gamma)
-    # PhysParams.pressure and pressure_potential, from the shared rho**gamma
-    p = _derived(lambda lv: lv._params.a * lv.rho_g)
-    pot = _derived(lambda lv: lv.p / (lv._params.gamma - 1.0))
-    mass_flux = _derived(lambda lv: upwind_flux(lv.rho, *lv.split))
-    mom = _derived(lambda lv: lv.rho * lv.hat_u)
-    mom_flux = _derived(lambda lv: upwind_flux(lv.mom, *lv.split))
+        self.hat_u = hat(u)
+        self.split = split_upwind(u)  # (u+, u-)
+        # np.diff's bits along the rows, without its per-call cost
+        self.diff_u = u[:, 1:] - u[:, :-1]
+        self.diff_hat = self.hat_u[:, 1:] - self.hat_u[:, :-1]
+        self.du = self.diff_u / grid.dx  # diff_cell(u, dx)
+        self.abs_u = np.abs(u)
+        # each level's density change rho_prev - rho (None for level 0), and
+        # its jumps across the interior faces, right minus left
+        self.fall = None if rho_prev is None else rho_prev - rho
+        self.jump = rho[:, 1:] - rho[:, :-1]
+        self.rho_g = rho**params.gamma
+        # PhysParams.pressure and pressure_potential, from the shared rho**gamma
+        self.p = params.a * self.rho_g
+        self.pot = self.p / (params.gamma - 1.0)
+        self.mass_flux = upwind_flux(rho, *self.split)
+        self.mom = rho * self.hat_u
+        self.mom_flux = upwind_flux(self.mom, *self.split)
 
 
 def _per_level(*series: np.ndarray) -> Iterator[tuple[float, ...]]:
@@ -307,7 +289,9 @@ def _convexity_gaps(
     time = b_old - b - db * lv.fall
     bl, br = b[:, :-1], b[:, 1:]
     right = br - bl - db[:, :-1] * lv.jump
-    left = bl - br - db[:, 1:] * lv.jump_back
+    # bl - br - db_r * (rho_l - rho_r), bit for bit: IEEE x - y is x + (-y),
+    # and equal neighbours give bl - br = +0 either way
+    left = bl - br + db[:, 1:] * lv.jump
     return time, right, left
 
 
@@ -428,28 +412,25 @@ def b_zlogz() -> BFunction:
     return BFunction("zlogz", lambda z: z * np.log(z), lambda z: 1.0 + np.log(z))
 
 
-def sup_abs_deriv(B: BFunction, lo: float, hi: float, samples: int = 4097) -> float:
+def sup_abs_deriv(B: BFunction, lo: float, hi: float) -> float:
     """max |B'| over [lo, hi], by dense sampling (covers interior extrema).
 
+    Also the check that B is fit for the density range [lo, hi]: a B' not
+    finite at a sample, or a B not finite at an end, raises ValueError.
     B' is taken 512 samples at a time, so that its temporaries stay small.
     """
     if not (0.0 < lo <= hi):
         raise ValueError("derivative range must be positive and ordered")
-    z = np.linspace(lo, hi, samples)
+    z = np.linspace(lo, hi, 4097)
     sup = 0.0
-    for start in range(0, samples, 512):
+    for start in range(0, z.size, 512):
         vals = np.abs(np.asarray(B.deriv(z[start : start + 512]), dtype=float))
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"B'{B.name and f' ({B.name})'} is not finite on [{lo}, {hi}]")
         sup = max(sup, float(np.max(vals)))
-    return sup
-
-
-def _check_on_range(B: BFunction, lo: float, hi: float) -> None:
-    """Reject a B that is not finite and C^1 on the density range [lo, hi]."""
-    sup_abs_deriv(B, lo, hi, samples=257)
     if not np.all(np.isfinite(np.asarray(B.value(np.array([lo, hi]))))):
         raise ValueError(f"B ({B.name}) is not finite on the density range")
+    return sup
 
 
 class _Renorm(_Accumulator):
@@ -514,7 +495,7 @@ def renorm_residual(traj: Trajectory, B: BFunction) -> np.ndarray:
     """
     density = _Density(traj.grid, len(traj) - 1)
     _walk(traj.grid, traj.params, traj.states, density)
-    _check_on_range(B, density.lo, density.hi)
+    sup_abs_deriv(B, density.lo, density.hi)  # rejects a B unfit for the range
     rows = np.empty((len(traj) - 1, traj.grid.N))
     _walk(traj.grid, traj.params, traj.states, _Renorm(B, traj.grid, rows))
     return rows
@@ -967,9 +948,8 @@ class _Norms(_Accumulator):
             return
 
         ul = u[:, :-1]
-        slope = cur.diff_u / dx
-        int_abs_u_g = _int_abs_linear_pow(ul, slope, dx, gamma)
-        int_abs_u_2r = _int_abs_linear_pow(ul, slope, dx, 2.0 * r)
+        int_abs_u_g = _int_abs_linear_pow(ul, cur.du, dx, gamma)
+        int_abs_u_2r = _int_abs_linear_pow(ul, cur.du, dx, 2.0 * r)
         sums = (linear_l2_sq(u, dx), (cur.diff_u**2).sum(axis=1), cur.abs_u.max(axis=1),
                 (rho_g * int_abs_u_g).sum(axis=1), (rho**r * int_abs_u_2r).sum(axis=1))
         # The powers are Python's, one level at a time (see __init__).
@@ -1300,7 +1280,6 @@ class IdentitySuite:
 
         lo, hi = self._density.lo, self._density.hi
         for acc in self._renorm:
-            _check_on_range(acc.B, lo, hi)
             bound = 10.0 * tol * sup_abs_deriv(acc.B, lo, hi)
             checks.append(Check(f"renormalized continuity [{acc.B.name}]", acc.result(), bound))
 

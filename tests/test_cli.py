@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import math
 import multiprocessing
 import os
 import signal
@@ -846,6 +847,32 @@ def test_refine_constant_reports_exact_orders(tmp_path, capsys):
     assert "# summary" in text
     assert "# order E1: observed exact" in text
     assert "floor" in text
+
+
+def test_refine_report_puts_each_order_on_the_row_its_pair_ends(tmp_path):
+    """Every order_* cell of report.csv is the order of the pair of its
+    column's entries that ends at that row: E1's pairs start at the first
+    level, the Cauchy gaps' at the second, and the finest row has both."""
+    cfg = write_cfg(tmp_path, "[scenario]\nname = smooth-bump\nlevels = 16,32,64,128\n")
+    out = tmp_path / "rep"
+    assert run_cli(["refine", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "report.csv").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("level,"))
+    names = lines[start].split(",")
+    rows = [dict(zip(names, line.split(","))) for line in lines[start + 1 :]
+            if not line.startswith("#")]
+    assert [row["level"] for row in rows] == ["16", "32", "64", "128"]
+    orders = [name for name in names if name.startswith("order_")]
+    assert {"order_E1", "order_cauchy_rho", "order_cauchy_u"} <= set(orders)
+    for name in orders:
+        key = name.removeprefix("order_")
+        first = next(r for r, row in enumerate(rows) if row[key])
+        assert [row[name] for row in rows[: first + 1]] == [""] * (first + 1), name
+        for fine in range(first + 1, len(rows)):
+            coarse = fine - 1
+            expected = math.log(float(rows[coarse][key]) / float(rows[fine][key])) / math.log(
+                float(rows[coarse]["h"]) / float(rows[fine]["h"]))
+            assert float(rows[fine][name]) == pytest.approx(expected, rel=1e-12), (name, fine)
 
 
 def test_refine_rejects_too_few_levels(tmp_path, capsys):

@@ -177,6 +177,65 @@ def test_sup_abs_deriv_square():
     assert sup == pytest.approx(4.0, rel=1e-3)
 
 
+def unfit_b(which: str, lo: float, hi: float) -> tuple[diagnostics.BFunction, str]:
+    """A B whose B' (``which`` "deriv") or whose value ("value") is infinite
+    at ``hi`` alone, and the message of the ValueError it must raise on
+    [lo, hi]."""
+
+    def infinite_at_hi(z):
+        return np.where(z >= hi, np.inf, 1.0)
+
+    if which == "deriv":
+        B = diagnostics.BFunction("unfit", lambda z: z, infinite_at_hi)
+        return B, f"B' (unfit) is not finite on [{lo}, {hi}]"
+    B = diagnostics.BFunction("unfit", lambda z: z * infinite_at_hi(z), np.ones_like)
+    return B, "B (unfit) is not finite on the density range"
+
+
+@pytest.mark.parametrize("which", ["deriv", "value"])
+@pytest.mark.parametrize("caller", ["sup_abs_deriv", "renorm_residual", "IdentitySuite.checks"])
+def test_a_b_unfit_for_the_density_range_is_rejected(which, caller, smooth_traj_32, monkeypatch):
+    """sup_abs_deriv is the one check of B for every caller: a B' that is
+    not finite on the run's density range, or a B that is not finite at an
+    end of it, raises ValueError with its own message."""
+    traj = smooth_traj_32
+    lo, hi = float(np.min(traj.rho_matrix)), float(np.max(traj.rho_matrix))
+    B, message = unfit_b(which, lo, hi)
+    if caller == "IdentitySuite.checks":
+        monkeypatch.setattr(diagnostics, "b_zlogz", lambda: B)
+        suite = suite_of(traj)  # the walk takes the unfit B; checks() rejects it
+    with pytest.raises(ValueError) as raised:
+        if caller == "sup_abs_deriv":
+            diagnostics.sup_abs_deriv(B, lo, hi)
+        elif caller == "renorm_residual":
+            diagnostics.renorm_residual(traj, B)
+        else:
+            suite.checks()
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("maker", [diagnostics.b_zlogz, diagnostics.b_square,
+                                   lambda: diagnostics.b_power(1.6)])
+def test_left_convexity_gap_is_the_left_minus_right_form_bit_for_bit(maker):
+    """_convexity_gaps takes the gap from the right cell to the left one as
+    bl - br + B'(right) * (right - left), the bits of
+    bl - br - B'(right) * (left - right), signed zeros included: equal
+    neighbours, with B' < 0 for zlogz below 1/e, make the product a zero."""
+    rng = np.random.default_rng(40)
+    values = np.array([0.05, 0.1, 0.2, 0.3, 1.0 / math.e, 0.5, 1.0, 1.7])
+    rho, rho_prev = rng.choice(values, size=(2, 4, 64))
+    u = rng.normal(size=(4, 65))
+    g = grid.GridSpec(L=1.0, N=64, dt=1.0 / 64, T=4.0 / 64)
+    level = diagnostics._Level(rho, u, g, grid.PhysParams(), rho_prev)
+    B = maker()
+    b, db = B.value(rho), B.deriv(rho)
+    _, _, left = diagnostics._convexity_gaps(B.value(rho_prev), b, db, level)
+    reference = b[:, :-1] - b[:, 1:] - db[:, 1:] * (rho[:, :-1] - rho[:, 1:])
+    assert left.tobytes() == reference.tobytes()
+    equal = rho[:, :-1] == rho[:, 1:]
+    assert equal.any() and (B.name != "zlogz" or (equal & (db[:, 1:] < 0)).any())
+
+
 # ======================================================================
 # positivity report
 # ======================================================================
