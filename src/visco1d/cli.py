@@ -24,7 +24,7 @@ import os
 import random
 import sys
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 # Before numpy loads OpenBLAS: the band solves are too small for BLAS threads,
 # which would only spin idle.  A value the user has set wins.
@@ -164,11 +164,11 @@ def _with_keys(config: RunConfig, section: str, values: dict) -> RunConfig:
     if section == "output":
         return replace(config, **values)
     obj = getattr(config, section)
-    fields = {key: value for key, value in values.items() if hasattr(obj, key)}
-    params = {key: value for key, value in values.items() if key not in fields}
+    own = {key: value for key, value in values.items() if hasattr(obj, key)}
+    params = {key: value for key, value in values.items() if key not in own}
     if params:
-        fields["params"] = replace(obj.params, **params)
-    return replace(config, **{section: replace(obj, **fields)})
+        own["params"] = replace(obj.params, **params)
+    return replace(config, **{section: replace(obj, **own)})
 
 
 def parse_config(text: str) -> RunConfig:
@@ -409,10 +409,8 @@ def write_flux_csv(ledger, path: str, config: RunConfig | None = None) -> None:
     """Dump one flux ledger as term,value rows."""
     rows = _config_header(config)
     rows.append("term,value")
-    rows.append(f"m,{ledger.m}")
-    for name in ("lhs", "S1", "S2", "E1", "E2", "mean_flux",
-                 "boundary_terminal", "boundary_initial", "transport"):
-        rows.append(f"{name},{_fmt(getattr(ledger, name))}")
+    for f in fields(ledger):
+        rows.append(f"{f.name},{_fmt(getattr(ledger, f.name))}")
     for name, val in ledger.rhs_terms.items():
         rows.append(f"rhs_{name},{_fmt(val)}")
     rows.append(f"rhs_total,{_fmt(ledger.rhs_total)}")

@@ -15,20 +15,21 @@ interpolant through the face values, and the discrete time derivative on
 window k is the backward difference (f^k - f^{k-1})/dt.
 
 The identities are accumulators, fed blocks of consecutive time levels: the
-initial level alone, then the new levels of the following steps.  A block's
-derived arrays (hat(u), the upwind split, diff_cell(u), the pressure, the
-donor-cell fluxes, the momentum rho*hat(u), ...) are computed once, when its
-_Level is made, row by row, and shared by every accumulator fed that block
-(verify's and refine's accumulators read every one); each scalar that sums
-over steps is still added one level at a time, so any block length gives the
-same bits.  One walker, walk_blocks, feeds every accumulator.  level_summary
-has it walk a refinement level's states as march yields them in blocks of
-_LEVEL_BLOCK levels, which pays numpy's per-call cost, most of a level's
-time, once per block.  IdentitySuite (``visco1d verify``), which walks
-march's stream too, and the public functions, which walk a run's states
-through one accumulator each, have it take a level at a time: a block's
-work arrays are B levels' worth, which their memory bounds do not leave
-room for.
+initial level alone, then the new levels of the following steps.  Each
+quantity has one owner.  A block's derived arrays (hat(u) and its square,
+the upwind split, diff_cell(u), max|u|, the pressure, the donor-cell fluxes,
+the momentum rho*hat(u), ...) are computed once, when its _Level is made,
+row by row, and shared by every accumulator fed that block (verify's and
+refine's accumulators read every one); the density's statistics (mass,
+range and the positivity floors) are _Density's alone.  Each scalar that
+sums over steps is still added one level at a time, so any block length
+gives the same bits.  One walker, walk_blocks, feeds every accumulator.
+level_summary has it walk a refinement level's states as march yields them
+in blocks of _LEVEL_BLOCK levels, which pays numpy's per-call cost, most of
+a level's time, once per block.  IdentitySuite (``visco1d verify``), which
+walks march's stream too, and the public functions, each of which walks a
+kept run once, have it take a level at a time: a block's work arrays are B
+levels' worth, which their memory bounds do not leave room for.
 """
 
 from __future__ import annotations
@@ -93,18 +94,21 @@ class _Level:
     block is fed to, by the expression each of them used on its own, so
     sharing changes no bit; and each is computed row by row along the last
     axis, so a block gives the bits of its levels fed one at a time.
+    ``u_max``, each level's max|u|, is a (B,) series.
     """
 
     def __init__(self, rho: np.ndarray, u: np.ndarray, grid: GridSpec, params: PhysParams,
                  rho_prev: np.ndarray | None = None):
         self.rho, self.u, self.rho_prev = rho, u, rho_prev
         self.hat_u = hat(u)
+        self.hat_sq = self.hat_u**2
         self.split = split_upwind(u)  # (u+, u-)
         # np.diff's bits along the rows, without its per-call cost
         self.diff_u = u[:, 1:] - u[:, :-1]
         self.diff_hat = self.hat_u[:, 1:] - self.hat_u[:, :-1]
         self.du = self.diff_u / grid.dx  # diff_cell(u, dx)
         self.abs_u = np.abs(u)
+        self.u_max = self.abs_u.max(axis=1)
         # each level's density change rho_prev - rho (None for level 0), and
         # its jumps across the interior faces, right minus left
         self.fall = None if rho_prev is None else rho_prev - rho
@@ -207,29 +211,43 @@ def _running(pick, current: float | None, value: float) -> float:
 
 
 class _Density(_Accumulator):
-    """Total mass dx * sum(rho) at every level (``result``), and the range
-    (lo, hi) of the density over every cell and level."""
+    """The density's statistics: total mass dx * sum(rho) at every level
+    (``result``), the range (lo, hi) over every cell and level, and each
+    step's minimum against the two floors of positivity_report
+    (``positivity``); the range and the minima share one rho.min(axis=1)."""
 
     lo = hi = None
 
     def __init__(self, grid: GridSpec, steps: int):
-        self.dx = grid.dx
+        self.grid = grid
         self.sums = np.empty(steps + 1)
+        self.min_rho, self.bound, self.div_bound = (np.empty(steps) for _ in range(3))
         self.k = 0
 
     def start(self, level: _Level) -> None:
         self.push(level)
 
     def push(self, cur: _Level) -> None:
-        rho = cur.rho
+        g, rho_prev, rho = self.grid, cur.rho_prev, cur.rho
+        mins = rho.min(axis=1)
+        if rho_prev is not None:  # level 0 has no step
+            steps = slice(self.k - 1, self.k - 1 + len(rho))
+            self.min_rho[steps] = mins
+            self.bound[steps] = rho_prev.min(axis=1) / (1.0 + g.dt * cur.u_max)
+            res = continuity_residual(rho_prev, rho, cur.mass_flux, g.dt, g.dx)
+            self.div_bound[steps] = positivity_floor(rho_prev, cur.du, res, g.dt)
         self.sums[self.k : self.k + len(rho)] = rho.sum(axis=1)
         self.k += len(rho)
-        for lo, hi in _per_level(rho.min(axis=1), rho.max(axis=1)):
+        for lo, hi in _per_level(mins, rho.max(axis=1)):
             self.lo = _running(min, self.lo, lo)
             self.hi = _running(max, self.hi, hi)
 
     def result(self) -> np.ndarray:
-        return self.dx * self.sums
+        return self.grid.dx * self.sums
+
+    def positivity(self) -> PositivityReport:
+        min_rho, bound, div_bound = self.min_rho, self.bound, self.div_bound
+        return PositivityReport(min_rho, bound, min_rho - bound, div_bound, min_rho - div_bound)
 
 
 def mass_history(traj: Trajectory) -> np.ndarray:
@@ -318,7 +336,7 @@ class _Energy(_Accumulator):
 
     def _energy_sums(self, lv: _Level) -> np.ndarray:
         """Each level's energy, over dx."""
-        return (0.5 * lv.rho * lv.hat_u**2 + lv.pot).sum(axis=1)
+        return (0.5 * lv.rho * lv.hat_sq + lv.pot).sum(axis=1)
 
     def start(self, level: _Level) -> None:
         self.hat_last, self.pot_last = level.hat_u, level.pot
@@ -491,13 +509,13 @@ def renorm_residual(traj: Trajectory, B: BFunction) -> np.ndarray:
     gaps in time and across upwind faces.  Algebraically this equals
     B'(rho^k) times the continuity residual, so for converged steps the
     max-norm is bounded by the solver tolerance times sup|B'| on the state
-    range.  B must be finite with finite derivative on that range.
+    range.  B must be finite with finite derivative on that range: one walk
+    takes the rows and the range, and an unfit B raises ValueError after it.
     """
     density = _Density(traj.grid, len(traj) - 1)
-    _walk(traj.grid, traj.params, traj.states, density)
-    sup_abs_deriv(B, density.lo, density.hi)  # rejects a B unfit for the range
     rows = np.empty((len(traj) - 1, traj.grid.N))
-    _walk(traj.grid, traj.params, traj.states, _Renorm(B, traj.grid, rows))
+    walk_blocks(traj.grid, traj.params, traj.states, density, _Renorm(B, traj.grid, rows), block=1)
+    sup_abs_deriv(B, density.lo, density.hi)  # rejects a B unfit for the range
     return rows
 
 
@@ -532,30 +550,10 @@ class PositivityReport:
         return float(np.min(self.divergence_margin, initial=np.inf))
 
 
-class _Positivity(_Accumulator):
-    """positivity_report, one block of steps at a time."""
-
-    def __init__(self, grid: GridSpec, steps: int):
-        self.grid = grid
-        self.min_rho, self.bound, self.div_bound = (np.empty(steps) for _ in range(3))
-        self.k = 0
-
-    def push(self, cur: _Level) -> None:
-        g, rho_prev, rho = self.grid, cur.rho_prev, cur.rho
-        steps = slice(self.k, self.k + len(rho))
-        self.min_rho[steps] = rho.min(axis=1)
-        self.bound[steps] = rho_prev.min(axis=1) / (1.0 + g.dt * cur.abs_u.max(axis=1))
-        res = continuity_residual(rho_prev, rho, cur.mass_flux, g.dt, g.dx)
-        self.div_bound[steps] = positivity_floor(rho_prev, cur.du, res, g.dt)
-        self.k += len(rho)
-
-    def result(self) -> PositivityReport:
-        min_rho, bound, div_bound = self.min_rho, self.bound, self.div_bound
-        return PositivityReport(min_rho, bound, min_rho - bound, div_bound, min_rho - div_bound)
-
-
 def positivity_report(traj: Trajectory) -> PositivityReport:
-    return _walk(traj.grid, traj.params, traj.states, _Positivity(traj.grid, len(traj) - 1))
+    density = _Density(traj.grid, len(traj) - 1)
+    walk_blocks(traj.grid, traj.params, traj.states, density, block=1)
+    return density.positivity()
 
 
 # ======================================================================
@@ -777,7 +775,7 @@ class _WeakContinuity(_Accumulator):
         rho, u = cur.rho, cur.u
         tbar = self.modes.tbar[self.k : self.k + len(rho)]
         self.k += len(rho)
-        dt_rho = (rho - cur.rho_prev) / self.dt
+        dt_rho = cur.fall / -self.dt  # (rho - rho_prev) / dt, up to a zero's sign
         du, drho = cur.diff_u, cur.jump
         up, um = cur.split
         up_int, um_int = up[:, 1:-1], um[:, 1:-1]
@@ -942,7 +940,7 @@ class _Norms(_Accumulator):
         self.sum_rho_g[levels] = rho_g.sum(axis=1)
         self.sum_p[levels] = cur.p.sum(axis=1)
         self.sum_mom_r[levels] = (np.abs(cur.mom) ** r).sum(axis=1)
-        self.sum_kin[levels] = (rho * cur.hat_u**2).sum(axis=1)
+        self.sum_kin[levels] = (rho * cur.hat_sq).sum(axis=1)
         self.k += len(rho)
         if cur.rho_prev is None:  # level 0 enters only the suprema
             return
@@ -950,7 +948,7 @@ class _Norms(_Accumulator):
         ul = u[:, :-1]
         int_abs_u_g = _int_abs_linear_pow(ul, cur.du, dx, gamma)
         int_abs_u_2r = _int_abs_linear_pow(ul, cur.du, dx, 2.0 * r)
-        sums = (linear_l2_sq(u, dx), (cur.diff_u**2).sum(axis=1), cur.abs_u.max(axis=1),
+        sums = (linear_l2_sq(u, dx), (cur.diff_u**2).sum(axis=1), cur.u_max,
                 (rho_g * int_abs_u_g).sum(axis=1), (rho**r * int_abs_u_2r).sum(axis=1))
         # The powers are Python's, one level at a time (see __init__).
         for l2, du2, u_max, ru_g_k, ru2_r_k in _per_level(*sums):
@@ -1152,11 +1150,10 @@ def level_summary(grid: GridSpec, params: PhysParams,
     # and P2 at mode 2.
     continuity = _WeakContinuity(grid, _SineModes(grid, steps, (1,)))
     momentum = _WeakMomentum(grid, params, _SineModes(grid, steps, (2,)))
-    positivity = _Positivity(grid, steps)
     norms = _Norms(grid, params, steps)
     power = _Power(grid, params.gamma + 1.0)
     walk_blocks(grid, params, metas.states(stream), density, energy, flux, continuity, momentum,
-                positivity, norms, power, *also)
+                norms, power, *also)
     metas.require_every_step()
 
     ledger = flux.result()
@@ -1167,7 +1164,7 @@ def level_summary(grid: GridSpec, params: PhysParams,
         "mass_drift_rel": _drift(density.result()),
         "energy_balance_max": float(np.max(energy.balance)),
         "energy_tol": energy_budget(metas.tol, steps),
-        "positivity_margin_min": positivity.result().worst_margin,
+        "positivity_margin_min": density.positivity().worst_margin,
         "h": grid.dx,
         "E1": abs(ledger.E1),
         "E2": abs(ledger.E2),
@@ -1242,14 +1239,13 @@ class IdentitySuite:
         self._flux = _Flux(grid, params)
         modes = _SineModes(grid, steps, _CHECK_MODES)
         self._weak = (_WeakContinuity(grid, modes), _WeakMomentum(grid, params, modes))
-        self._positivity = _Positivity(grid, steps)
         self._metas = _Metas(steps)
         walk_blocks(grid, params, self._metas.states(stream), self._density, self._energy,
-                    *self._renorm, self._flux, *self._weak, self._positivity, block=1)
+                    *self._renorm, self._flux, *self._weak, block=1)
 
     def positivity(self) -> PositivityReport:
         self._metas.require_every_step()
-        return self._positivity.result()
+        return self._density.positivity()
 
     def checks(self) -> tuple[Check, ...]:
         """Every exact identity of the run, each against its budget.

@@ -580,6 +580,30 @@ _STACK_FREE = {
 }
 
 
+@pytest.fixture
+def levels_built(monkeypatch):
+    """A callable that counts the time levels held by the _Level blocks made
+    since the test began."""
+    built = 0
+
+    class Counted(diagnostics._Level):
+        def __init__(self, *args, **kwargs):
+            nonlocal built
+            super().__init__(*args, **kwargs)
+            built += len(self.rho)
+
+    monkeypatch.setattr(diagnostics, "_Level", Counted)
+    return lambda: built
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_WISE_DIAGNOSTICS))
+def test_every_kept_run_diagnostic_walks_its_run_once(name, smooth_traj_32, levels_built):
+    """Each diagnostic of a kept run derives each time level's arrays once:
+    its _Level blocks hold every level of the run, and none twice."""
+    _ROW_WISE_DIAGNOSTICS[name](smooth_traj_32)
+    assert levels_built() == len(smooth_traj_32) > 1
+
+
 @pytest.mark.parametrize("name", sorted(_STACK_FREE))
 def test_diagnostics_stack_each_matrix_at_most_once(name, smooth_traj_64, monkeypatch):
     """No diagnostic stacks the trajectory into an (M+1)-row matrix at all."""
@@ -907,24 +931,14 @@ def summary_from_public_functions(traj: grid.Trajectory) -> dict:
 @pytest.mark.parametrize("n", [64, 128])
 @pytest.mark.parametrize("name", [sc.name for sc in harness.builtin_scenarios()])
 def test_level_summary_is_one_walk_of_the_public_functions(
-    name, n, kept_runs, monkeypatch
+    name, n, kept_runs, levels_built
 ):
     """A level's row derives each time level's arrays once (the rows of its
     _Level blocks add up to the levels), and every value is bit for bit what
     the standalone functions give."""
     traj = kept_runs[(name, n)]
-    built = 0
-
-    class Counted(diagnostics._Level):
-        def __init__(self, *args, **kwargs):
-            nonlocal built
-            super().__init__(*args, **kwargs)
-            built += len(self.rho)
-
-    monkeypatch.setattr(diagnostics, "_Level", Counted)
     row = diagnostics.level_summary(traj.grid, traj.params, marched(traj))
-    assert built == len(traj) > 1
-    monkeypatch.undo()
+    assert levels_built() == len(traj) > 1
 
     def bits(summary: dict) -> list[tuple[str, str]]:
         return [(key, float(value).hex()) for key, value in summary.items()]
