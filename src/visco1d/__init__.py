@@ -10,7 +10,7 @@ and a refinement harness measures the empirical decay rates of those
 remainders against their theoretical floors.
 
 Each name is imported from the module that defines it (``grid``,
-``operators``, ``stepper``, ``diagnostics``, ``harness``, ``cli``); the
+``operators``, ``stepper``, ``diagnostics``, ``harness``, ``g17``, ``cli``); the
 package root exports only ``__version__``.
 """
 

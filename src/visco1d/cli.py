@@ -264,31 +264,62 @@ def _config_header(config: RunConfig | None) -> list[str]:
     return ["# " + line for line in config.to_text().splitlines()]
 
 
-def _level_formatter(grid: GridSpec) -> Callable[[int, np.ndarray, np.ndarray], str]:
+def _level_formatter(grid: GridSpec) -> Callable[[int, np.ndarray, np.ndarray], np.ndarray]:
     """The function that formats time level k's (rho, u) on grid as its block
-    of the state CSV.
+    of the state CSV, returned as bytes in an array.
 
-    The grid columns are formatted once, into a %-template that formats a
-    whole time level in one call.
+    Every row of a level is laid out once, in one byte matrix: the level's
+    ``k,t,`` prefix, then the grid columns, formatted once per grid, and the
+    rho, u and hat_u fields, each NUL-padded to its column's width.  A level
+    writes its prefix and its fields, which ``g17.Fields`` formats in one
+    call, into the matrix, and its text is the matrix without its NUL bytes.
+    A level whose rho and u have the bits of the level before keeps that
+    level's fields.
     """
-    n = grid.N
-    centers = map(_fmt_float, grid.cell_centers.tolist())
-    faces = [_fmt_float(x) for x in grid.face_nodes.tolist()]
-    template = "".join(
-        [f"%s{i},{c},%.17g,{f},%.17g,%.17g\n" for i, (c, f) in enumerate(zip(centers, faces))]
-        + [f"%s{n},,,{faces[n]},%.17g,\n"]
-    )
-    # Row i < N takes (k and t, rho_i, u_i, hat_u_i) and the last row (k and
-    # t, u_N): four interleaved strides, with u_N closing the rho stride.
-    args: list = [None] * (4 * n + 2)
+    from . import g17  # only the state CSV loads the kernel
 
-    def level_text(k: int, rho: np.ndarray, u: np.ndarray) -> str:
-        u_list = u.tolist()
-        args[0::4] = [f"{k},{_fmt(k * grid.dt)},"] * (n + 1)
-        args[1::4] = rho.tolist() + u_list[n:]
-        args[2::4] = u_list[:n]
-        args[3::4] = hat(u).tolist()
-        return template % tuple(args)
+    n = grid.N
+    width = g17.WIDTH
+    heads = [f"{i},{_fmt_float(c)}," for i, c in enumerate(grid.cell_centers.tolist())]
+    heads.append(f"{n},,")
+    mids = [f",{_fmt_float(f)}," for f in grid.face_nodes.tolist()]
+    # Column blocks, in row order: the prefix, padded on its left so that it
+    # runs into the head; the head; rho; the face, padded on its left so
+    # that it runs into u; u; a comma; hat_u; the newline.
+    prefix = len(str(grid.M_steps)) + width + 2
+    starts = np.cumsum([0, prefix, max(map(len, heads)), width, max(map(len, mids)), width,
+                        1, width, 1])
+    rows = np.zeros((n + 1, starts[-1]), dtype=np.uint8)
+
+    def block(j: int) -> np.ndarray:
+        return rows[:, starts[j]:starts[j + 1]]
+
+    for j, texts, align in ((1, heads, str.ljust), (3, mids, str.rjust)):
+        text = "".join(align(t, starts[j + 1] - starts[j], "\0") for t in texts)
+        block(j)[:] = np.frombuffer(text.encode(), dtype=np.uint8).reshape(n + 1, -1)
+    block(5)[:] = ord(",")
+    block(7)[:] = ord("\n")
+    # Each value's field is copied whole, as one item of WIDTH bytes: rho
+    # and hat_u into rows 0..N-1, u into every row.
+    field = np.dtype((np.void, width))
+    rho_col, u_col, hat_col = (block(j).view(field)[:, 0] for j in (2, 4, 6))
+    pre = block(0)
+    flat, keep = rows.ravel(), np.empty(rows.size, dtype=bool)
+    fields = g17.Fields(3 * n + 1)
+    values = np.empty(3 * n + 1)  # rho, u, hat_u
+    bits, last_bits = values[: 2 * n + 1].view(np.uint64), np.empty(2 * n + 1, dtype=np.uint64)
+
+    def level_text(k: int, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+        pre[:] = np.frombuffer(f"{k},{_fmt(k * grid.dt)},".encode().rjust(prefix, b"\0"),
+                               dtype=np.uint8)
+        np.concatenate((rho, u, hat(u)), out=values)
+        if k == 0 or not np.array_equal(bits, last_bits):  # level 0 has none before it
+            cells = fields(values).view(field)[:, 0]
+            rho_col[:n] = cells[:n]
+            u_col[:] = cells[n:2 * n + 1]
+            hat_col[:n] = cells[2 * n + 1:]
+            last_bits[:] = bits
+        return flat[np.not_equal(flat, 0, out=keep)]
 
     return level_text
 
@@ -296,19 +327,17 @@ def _level_formatter(grid: GridSpec) -> Callable[[int, np.ndarray, np.ndarray], 
 def _write_levels(
     path: str,
     grid: GridSpec,
-    levels: Iterable[tuple[np.ndarray, np.ndarray] | str],
+    levels: Iterable[tuple[np.ndarray, np.ndarray]],
     config: RunConfig | None,
-    written: Callable[[int], None] = lambda count: None,
 ) -> None:
-    """Write the state CSV to path: its header, then each level as it comes,
-    formatting a (rho, u) level and writing a text level as it is.  After
-    each level, ``written`` is called with the count of levels written."""
+    """Write the state CSV to path: its header, then each (rho, u) level as
+    it comes."""
     level_text = _level_formatter(grid)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(_config_header(config) + ["k,t,i,x_center,rho,x_face,u,hat_u"]) + "\n")
+    header = "\n".join(_config_header(config) + ["k,t,i,x_center,rho,x_face,u,hat_u"]) + "\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
         for k, level in enumerate(levels):
-            fh.write(level if isinstance(level, str) else level_text(k, *level))
-            written(k + 1)
+            fh.write(level_text(k, *level))
 
 
 def write_state_csv(traj: Trajectory, path: str, config: RunConfig | None = None) -> None:
@@ -434,41 +463,19 @@ def _write_text(path: str, content: str) -> None:
 # ======================================================================
 
 
-class _WriterProgress:
-    """How many time levels the state CSV writer has written, in 8 bytes of
-    memory that the forked writer shares with the solver.  The count only
-    picks which process formats a level, so a stale read costs time, never
-    bytes."""
-
-    def __init__(self) -> None:
-        import mmap  # only run loads it, as fork_worker does multiprocessing
-
-        self._written = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
-
-    def publish(self, written: int) -> None:
-        self._written[0] = written
-
-    def behind(self, sent: int) -> bool:
-        """Whether more than one of the ``sent`` levels is still queued."""
-        return sent - self._written[0] > 1
-
-
-def _state_writer(conn, grid: GridSpec, config: RunConfig, progress, tmp: str) -> None:
+def _state_writer(conn, grid: GridSpec, config: RunConfig, tmp: str) -> None:
     """Writer process body: write to tmp each time level the parent sends,
-    until the empty message that ends the solve, and publish how many are
-    written."""
-    _write_levels(tmp, grid, recv_levels(conn, grid.N), config, progress.publish)
+    until the empty message that ends the solve."""
+    _write_levels(tmp, grid, recv_levels(conn, grid.N), config)
 
 
 def _solve_writing_state(config: RunConfig, path: str) -> GridSpec:
     """Solve the first level, streaming its state CSV to ``path``; returns its grid.
 
-    A forked writer process writes each time level while the solver computes
-    the next.  The writer formats the levels it is sent as states; whenever
-    more than one level waits for it, the solver formats the next level
-    itself and sends its text, and the writer writes that as it comes.
-    Where fork does not exist, this process writes each level as soon as it
-    is solved.  No trajectory is kept.  The CSV goes to a temporary file next
+    A forked writer process formats and writes each time level while the
+    solver computes the next; the solver only sends it the states.  Where
+    fork does not exist, this process writes each level as soon as it is
+    solved.  No trajectory is kept.  The CSV goes to a temporary file next
     to ``path``, which replaces ``path`` only after the solve has finished
     and the file is closed; on any failure the temporary file is removed and
     ``path`` is left as it was.  Any failure of the writing, or of the
@@ -478,19 +485,12 @@ def _solve_writing_state(config: RunConfig, path: str) -> GridSpec:
     grid = scenario.grid_for(scenario.levels[0])
     states = (state for state, _ in march(scenario, grid, scenario.params, config.solver))
     tmp = f"{path}.{os.getpid()}.tmp"
-    progress = _WriterProgress()
-    writer = fork_worker(_state_writer, grid, config, progress, tmp)
+    writer = fork_worker(_state_writer, grid, config, tmp)
     try:
         if writer is None:
             _write_levels(tmp, grid, ((state.rho, state.u) for state in states), config)
         else:
-            # While the writer is behind, this process formats the next level
-            # itself and sends its text, so the two share the formatting.
-            level_text = _level_formatter(grid)
-            send_levels(writer[1], (
-                level_text(k, state.rho, state.u) if progress.behind(k) else state
-                for k, state in enumerate(states)
-            ))
+            send_levels(writer[1], states)
             try:
                 worker_result(writer, "state.csv writer")
             except Exception as exc:  # what stopped the writer

@@ -334,27 +334,15 @@ def fork_worker(target, *args):
     return proc, conn
 
 
-# A time level crosses a pipe as either of two kinds, told apart by one
-# trailing byte: a state, as N + (N+1) doubles, rho then u, or the level's
-# text, already formatted.  The tag trails so that a state's doubles stay
-# aligned.  The empty message ends the levels.
-_STATE, _TEXT = b"s", b"t"
+def _send_level(conn, level: FluidState | None) -> None:
+    """Send one time level as its state, N + (N+1) doubles, rho then u; None
+    sends the empty message that ends the levels."""
+    conn.send_bytes(b"" if level is None else np.concatenate((level.rho, level.u)).tobytes())
 
 
-def _send_level(conn, level: FluidState | str | None) -> None:
-    """Send one time level as its state or as its text; None sends the
-    empty message that ends the levels."""
-    if level is None:
-        conn.send_bytes(b"")
-    elif isinstance(level, str):
-        conn.send_bytes(level.encode() + _TEXT)
-    else:
-        conn.send_bytes(np.concatenate((level.rho, level.u)).tobytes() + _STATE)
-
-
-def send_levels(conn, levels: Iterable[FluidState | str]) -> None:
-    """Send each level, a state or its text, then the end message.  A worker
-    that has ended cannot take them; worker_result then says what ended it."""
+def send_levels(conn, levels: Iterable[FluidState]) -> None:
+    """Send each level's state, then the end message.  A worker that has
+    ended cannot take them; worker_result then says what ended it."""
     try:
         for level in levels:
             _send_level(conn, level)
@@ -363,15 +351,12 @@ def send_levels(conn, levels: Iterable[FluidState | str]) -> None:
         pass
 
 
-def recv_levels(conn, n: int) -> Iterator[tuple[np.ndarray, np.ndarray] | str]:
-    """Yield each level ``send_levels`` sent on an N = n grid, as (rho, u) or
-    as its text, until the empty message."""
+def recv_levels(conn, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield each level ``send_levels`` sent on an N = n grid, as (rho, u),
+    until the empty message."""
     while data := conn.recv_bytes():
-        if data.endswith(_TEXT):
-            yield data[:-1].decode()
-        else:
-            level = np.frombuffer(data, count=2 * n + 1)
-            yield level[:n], level[n:]
+        level = np.frombuffer(data, count=2 * n + 1)
+        yield level[:n], level[n:]
 
 
 def _forked_main(parent_conn, conn, target, args) -> None:

@@ -14,7 +14,7 @@ import pytest
 import visco1d
 
 ROOT = Path(__file__).resolve().parents[1]
-SIBLINGS = ("grid", "operators", "stepper", "diagnostics", "harness", "cli")
+SIBLINGS = ("grid", "operators", "stepper", "diagnostics", "harness", "g17", "cli")
 MODULES = ("visco1d", *(f"visco1d.{m}" for m in SIBLINGS))
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from visco1d import cli, diagnostics, grid, harness, stepper
+from visco1d import cli, diagnostics, g17, grid, harness, stepper
 from visco1d.cli import (
     ConfigError,
     cli_main,
@@ -454,7 +454,7 @@ def test_writer_error_exits_1_and_leaves_no_file(tmp_path, capsys, monkeypatch):
             raise OSError(errno.ENOSPC, "No space left on device")
         return level_text
 
-    # The one level formatter that the writer and the solver both call.
+    # The one level formatter, which the writer calls.
     monkeypatch.setattr(cli, "_level_formatter", failing_formatter)
     cfg = write_cfg(tmp_path, "[scenario]\nname = smooth-bump\nlevels = 16\n")
     out = tmp_path / "out"
@@ -573,36 +573,24 @@ def test_run_without_fork_writes_the_same_bytes(tmp_path, monkeypatch, name):
     assert (tmp_path / "inline" / "state.csv").read_bytes() == forked_bytes
 
 
-def force_split(monkeypatch, split: str) -> None:
-    """Make the solver format every level it may ("solver": a writer that
-    never reports progress), none ("writer"), or follow the writer's progress
-    ("natural")."""
-    if split == "solver":
-        monkeypatch.setattr(cli._WriterProgress, "publish", lambda self, written: None)
-    elif split == "writer":
-        monkeypatch.setattr(cli._WriterProgress, "behind", lambda self, sent: False)
-
-
 @needs_fork
-@pytest.mark.parametrize("split", ["solver", "writer", "natural"])
 @pytest.mark.parametrize("name, n", [("smooth-bump", 32), ("riemann-like", 64)])
-def test_each_split_of_the_formatting_writes_the_same_bytes(tmp_path, monkeypatch, name, n, split):
-    """However the solver and the writer share the formatting, state.csv has
+def test_forked_and_inline_runs_write_the_bytes_of_write_state_csv(tmp_path, monkeypatch, name, n):
+    """run's solver sends the forked writer states only, and state.csv has
     the bytes of the in-process path and of write_state_csv."""
     config = parse_config(f"[scenario]\nname = {name}\nlevels = {n}\n")
     kept = tmp_path / "kept.csv"
     sc = config.scenario
     write_state_csv(stepper.run(sc, sc.grid_for(n), sc.params, config.solver), str(kept), config)
 
-    sent_text = []  # per level: did the solver format it?
+    sent = []  # the kind of each level the solver sends
     send = harness._send_level
 
     def send_level(conn, level):
         if level is not None:
-            sent_text.append(isinstance(level, str))
+            sent.append(type(level))
         send(conn, level)
 
-    force_split(monkeypatch, split)
     monkeypatch.setattr(harness, "_send_level", send_level)
     forked = tmp_path / "forked.csv"
     cli._solve_writing_state(config, str(forked))
@@ -610,39 +598,34 @@ def test_each_split_of_the_formatting_writes_the_same_bytes(tmp_path, monkeypatc
     inline = tmp_path / "inline.csv"
     cli._solve_writing_state(config, str(inline))
 
-    assert len(sent_text) == config.scenario.grid_for(n).M_steps + 1
-    assert sent_text[:2] == [False, False]  # levels 0 and 1 never find two queued
-    if split == "solver":
-        assert all(sent_text[2:])
-    elif split == "writer":
-        assert not any(sent_text)
+    assert sent == [grid.FluidState] * (config.scenario.grid_for(n).M_steps + 1)
     assert forked.read_bytes() == inline.read_bytes() == kept.read_bytes()
 
 
-@needs_fork
-def test_solver_formatting_error_exits_1_and_leaves_no_file(tmp_path, capsys, monkeypatch):
-    """A level the solver formats itself can fail as the writer's can."""
-    formatter, solver = cli._level_formatter, os.getpid()
+def test_an_unchanged_level_keeps_the_fields_of_the_level_before(tmp_path, monkeypatch):
+    """Only a level whose rho and u differ in some bit from the level
+    before is formatted again; a signed zero is such a bit."""
+    calls = []
+    call = g17.Fields.__call__
 
-    def failing_formatter(grid):
-        level_text = formatter(grid)
+    def counted(self, values):
+        calls.append(values.size)
+        return call(self, values)
 
-        def text(k, rho, u):
-            if k == 3 and os.getpid() == solver:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            return level_text(k, rho, u)
-
-        return text
-
-    force_split(monkeypatch, "solver")
-    monkeypatch.setattr(cli, "_level_formatter", failing_formatter)
-    cfg = write_cfg(tmp_path, "[scenario]\nname = smooth-bump\nlevels = 16\n")
-    out = tmp_path / "out"
-    assert run_cli(["run", "--config", cfg, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert f"i/o error: cannot write {out / 'state.csv'}: [Errno 28] No space left" in err
-    assert multiprocessing.active_children() == []
-    assert os.listdir(out) == []
+    monkeypatch.setattr(g17.Fields, "__call__", counted)
+    rho, u = np.full(4, 1.5), np.array([0.0, 0.25, -0.5, 1e-300, 0.0])
+    flipped = u.copy()
+    flipped[0] = -0.0
+    g = _unchecked(grid.GridSpec, L=1.0, N=4, dt=0.25, T=0.75)
+    states = tuple(_unchecked(grid.FluidState, rho=rho, u=level, k=k)
+                   for k, level in enumerate([u, u, flipped, flipped]))
+    traj = _unchecked(grid.Trajectory, grid=g, params=grid.PhysParams(), states=states,
+                      solver_meta=(), meta={})
+    level_text = cli._level_formatter(g)
+    text = b"".join(bytes(level_text(k, state.rho, state.u)) for k, state in enumerate(states))
+    assert calls == [13, 13]  # levels 0 and 2
+    reference_write_state_csv(traj, str(tmp_path / "ref.csv"))
+    assert text == (tmp_path / "ref.csv").read_bytes().split(b"\n", 1)[1]
 
 
 def cli_env() -> dict[str, str]:
@@ -680,19 +663,20 @@ def _import_cli(blas_threads: str | None) -> list[str]:
 
 
 def test_verify_does_not_load_numpy_random(tmp_path):
-    """verify draws its duality cases from the standard library's random."""
+    """verify draws its duality cases from the standard library's random,
+    and writes no state CSV, so it does not load the formatting kernel."""
     cfg = write_cfg(tmp_path, "[scenario]\nname = smooth-bump\nlevels = 16\n")
     script = (
         "import sys\n"
         "from visco1d.cli import cli_main\n"
         f"code = cli_main(['verify', '--config', {cfg!r}])\n"
-        "print(code, 'numpy.random' in sys.modules)\n"
+        "print(code, 'numpy.random' in sys.modules, 'visco1d.g17' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=cli_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "15/15 identity checks passed" in proc.stdout
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert proc.stdout.splitlines()[-1] == "0 False False"
 
 
 def test_cli_import_pins_blas_to_one_thread():
